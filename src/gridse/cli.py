@@ -2,10 +2,9 @@
 
 Exit codes: 0 success/converged, 1 input errors, 2 estimation did not
 converge, 3 singular gain matrix.  Every run writes a manifest echo
-next to its outputs; `estimate --manifest` and `synthesize --manifest`
-replay a recorded run.  Result files carry 12 significant digits;
-measurement and truth files keep full precision so reruns are
-bit-identical in zero-noise mode.
+next to its outputs; `estimate --manifest` replays a recorded estimate.
+Result files carry 12 significant digits; measurement and truth files
+keep full precision so reruns are bit-identical in zero-noise mode.
 """
 
 from __future__ import annotations

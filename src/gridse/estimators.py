@@ -19,7 +19,8 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import coo_matrix, issparse
+from scipy.sparse import coo_matrix, csc_matrix, issparse
+from scipy.sparse.linalg import splu
 
 from .errors import (
     EmptyMeasurementSet,
@@ -272,16 +273,41 @@ def objective(problem: EstimationProblem, x: StateVector) -> float:
 
 
 def _solve_normal(a, rinv, r):
-    """Solve (A^T R^-1 A) dx = A^T R^-1 r via symmetric factorization."""
-    g = (a.T @ rinv @ a)
-    if issparse(g):
-        g = g.toarray()
+    """Solve (A^T R^-1 A) dx = A^T R^-1 r by sparse LU of the gain."""
+    g = csc_matrix(a.T @ rinv @ a)
     rhs = a.T @ (rinv @ r)
+    return _factor_gain(g).solve(rhs)
+
+
+def _factor_gain(g: csc_matrix):
+    """Sparse LU of the symmetric gain with symmetric (diagonal) pivoting.
+
+    A fill-reducing minimum-degree ordering of G + G^T is applied to rows
+    and columns alike.  SuperLU itself only rejects exactly zero pivots,
+    so the factor is also refused when the pivoting left the diagonal
+    (G is not numerically positive definite) or when a pivot is not above
+    n * eps times the diagonal entry of G it was reduced from: below
+    that, the pivot is rounding noise and its column is numerically
+    dependent on the ones eliminated before it.  Measuring each pivot
+    against its own diagonal, not against the largest pivot, keeps the
+    test invariant under a rescaling of the unknowns (G -> D G D).
+    """
     try:
-        factor = scipy.linalg.cho_factor(g)
-    except scipy.linalg.LinAlgError as exc:
+        lu = splu(g, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+    except RuntimeError as exc:
         raise SingularGain(f"gain matrix factorization failed: {exc}") from exc
-    return scipy.linalg.cho_solve(factor, rhs)
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SingularGain("gain matrix is not numerically positive definite")
+    pivots = lu.U.diagonal()[lu.perm_c]
+    diag = g.diagonal()
+    weak = pivots <= pivots.size * np.finfo(float).eps * diag
+    if weak.any():
+        k = int(np.argmax(weak))
+        raise SingularGain(
+            f"gain matrix is numerically singular: pivot {pivots[k]:.3g} in "
+            f"column {k} against its diagonal {diag[k]:.3g}")
+    return lu
 
 
 def _solve_orthogonal(a, whitener, r):
@@ -404,14 +430,13 @@ def _solve_linear_problem(problem: EstimationProblem,
     """Non-iterative solve for the DC and rectangular-state families."""
     z = problem.mset.values()
     h_full = problem.h_matrix
-    fixed_col = h_full[:, [problem.fixed_index]].toarray().ravel()
-    z_adj = z - fixed_col * problem.fixed_value
+    full = np.zeros(problem.full_dim)
+    full[problem.fixed_index] = problem.fixed_value
+    z_adj = z - h_full @ full
     reduced = h_full[:, problem.free_indices]
     raw = linear_wls(reduced, problem.covariance, z_adj,
                      method=cfg.linear_system_method)
-    full = np.empty(problem.full_dim)
     full[problem.free_indices] = raw.x_hat
-    full[problem.fixed_index] = problem.fixed_value
     n = problem.net.n_buses
     if problem.formulation == Formulation.DC:
         values = np.concatenate([full, np.ones(n)])

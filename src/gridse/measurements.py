@@ -90,6 +90,9 @@ class Measurement:
         if self.variance <= 0.0 or not math.isfinite(self.variance):
             raise NonPositiveVariance(
                 f"{self.kind} at {self.at}: variance {self.variance} must be > 0")
+        if not math.isfinite(self.value):
+            raise InputError(
+                f"{self.kind} at {self.at}: value {self.value} is not finite")
         want = 2 if self.kind in BRANCH_KINDS else 1
         if len(self.at) != want:
             raise InputError(
@@ -103,6 +106,11 @@ class Correlation:
     """Cross-covariance between two rows of the measurement set."""
     rows: tuple[int, int]
     cov: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.cov):
+            raise InputError(
+                f"correlation between rows {self.rows}: cov {self.cov} is not finite")
 
 
 class MeasurementSet:
@@ -176,24 +184,32 @@ def polar_to_rect_variance(z_mag: float, v_mag: float, z_ang: float,
 
 
 class CovarianceModel:
-    """Diagonal variances plus optional symmetric 2x2 pair blocks."""
+    """Diagonal variances plus optional symmetric 2x2 pair blocks.
+
+    The model is immutable; R^-1 and the whitener are built on first use
+    and cached, so every Gauss-Newton iteration and objective evaluation
+    shares one matrix.  Callers must not modify the returned matrices.
+    """
 
     def __init__(self, variances: np.ndarray, blocks=()):
         variances = np.asarray(variances, dtype=float)
-        if np.any(variances <= 0.0):
-            raise NonPositiveVariance("covariance diagonal must be positive")
+        if not np.all(variances > 0.0) or not np.all(np.isfinite(variances)):
+            raise NonPositiveVariance(
+                "covariance diagonal must be positive and finite")
         self.variances = variances
         self.blocks = tuple(blocks)  # (row_a, row_b, cov)
         owner = {}
         for a, b, cov in self.blocks:
             det = variances[a] * variances[b] - cov * cov
-            if det <= 0.0:
+            if not det > 0.0:
                 raise NonPositiveVariance(
                     f"correlated block for rows ({a}, {b}) is not positive definite")
             for r in (a, b):
                 if r in owner:
                     raise InputError(f"row {r} appears in more than one correlated block")
                 owner[r] = True
+        self._inverse = None
+        self._whitener = None
 
     @property
     def m(self) -> int:
@@ -219,25 +235,37 @@ class CovarianceModel:
                 blocks.append((int(new_index[a]), int(new_index[b]), cov))
         return CovarianceModel(self.variances[keep], blocks)
 
+    def _block_arrays(self):
+        """Block rows a, b and covariances as arrays, plus the variances
+        of both rows."""
+        table = np.array(self.blocks, dtype=float).reshape(-1, 3)
+        a = table[:, 0].astype(int)
+        b = table[:, 1].astype(int)
+        return a, b, table[:, 2], self.variances[a], self.variances[b]
+
+    def _sparse(self, diag, rows, cols, off) -> csr_matrix:
+        """m x m CSR matrix: diag on the diagonal, off at (rows, cols)."""
+        m = self.m
+        return coo_matrix(
+            (np.concatenate([diag, off]),
+             (np.concatenate([np.arange(m), rows]),
+              np.concatenate([np.arange(m), cols]))),
+            shape=(m, m)).tocsr()
+
     def inverse(self) -> csr_matrix:
         """Sparse R^-1: elementwise reciprocals on the diagonal, closed
         form 2x2 inverses for the correlated blocks."""
-        m = self.m
-        blocked = set()
-        rows, cols, data = [], [], []
-        for a, b, cov in self.blocks:
-            va, vb = self.variances[a], self.variances[b]
+        if self._inverse is None:
+            a, b, cov, va, vb = self._block_arrays()
             det = va * vb - cov * cov
-            rows += [a, b, a, b]
-            cols += [a, b, b, a]
-            data += [vb / det, va / det, -cov / det, -cov / det]
-            blocked.update((a, b))
-        for i in range(m):
-            if i not in blocked:
-                rows.append(i)
-                cols.append(i)
-                data.append(1.0 / self.variances[i])
-        return coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
+            diag = 1.0 / self.variances
+            diag[a] = vb / det
+            diag[b] = va / det
+            off = -cov / det
+            self._inverse = self._sparse(diag, np.concatenate([a, b]),
+                                         np.concatenate([b, a]),
+                                         np.concatenate([off, off]))
+        return self._inverse
 
     def whitener(self) -> csr_matrix:
         """Sparse W with W R W^T = I, used by the orthogonal solver path.
@@ -245,25 +273,17 @@ class CovarianceModel:
         Rows of W are inverse Cholesky factors: 1/sigma on the diagonal,
         closed-form 2x2 lower-triangular inverses for the blocks.
         """
-        m = self.m
-        blocked = set()
-        rows, cols, data = [], [], []
-        for a, b, cov in self.blocks:
-            va, vb = self.variances[a], self.variances[b]
+        if self._whitener is None:
+            a, b, cov, va, vb = self._block_arrays()
             # Cholesky of [[va, cov], [cov, vb]] = [[l11, 0], [l21, l22]]
-            l11 = math.sqrt(va)
+            l11 = np.sqrt(va)
             l21 = cov / l11
-            l22 = math.sqrt(vb - l21 * l21)
-            rows += [a, b, b]
-            cols += [a, a, b]
-            data += [1.0 / l11, -l21 / (l11 * l22), 1.0 / l22]
-            blocked.update((a, b))
-        for i in range(m):
-            if i not in blocked:
-                rows.append(i)
-                cols.append(i)
-                data.append(1.0 / math.sqrt(self.variances[i]))
-        return coo_matrix((data, (rows, cols)), shape=(m, m)).tocsr()
+            l22 = np.sqrt(vb - l21 * l21)
+            diag = 1.0 / np.sqrt(self.variances)
+            diag[a] = 1.0 / l11
+            diag[b] = 1.0 / l22
+            self._whitener = self._sparse(diag, b, a, -l21 / (l11 * l22))
+        return self._whitener
 
 
 _MEAS_FILE_KEYS = {"measurements", "correlations"}

@@ -9,6 +9,7 @@ a common system base; the base MVA is carried for reporting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,6 @@ class AdmittanceMatrix:
     def nnz(self) -> int:
         return self._m.nnz
 
-    def entry(self, i: int, j: int) -> complex:
-        """Y[i, j] for 1-based bus ids (zero when not stored)."""
-        return complex(self._m[i - 1, j - 1])
-
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Stored row i as (1-based bus ids, complex values)."""
         m = self._m
@@ -120,6 +117,14 @@ class NetworkModel:
         for k, br in enumerate(branches):
             self._ends.setdefault((br.from_bus, br.to_bus), []).append(k)
             self._ends.setdefault((br.to_bus, br.from_bus), []).append(k)
+        # Per-bus incidence in _ends order (neighbours by first joining
+        # branch, parallel branches in input order), so sums over a bus's
+        # branches keep one fixed order.
+        incident: dict[int, list[tuple[Branch, bool]]] = {}
+        for (a, _), ks in self._ends.items():
+            incident.setdefault(a, []).extend(
+                (branches[k], branches[k].from_bus != a) for k in ks)
+        self._incident = {i: tuple(ends) for i, ends in incident.items()}
 
     @property
     def n_buses(self) -> int:
@@ -160,22 +165,13 @@ class NetworkModel:
         br = self.branches[ks[0]]
         return br, br.from_bus != i
 
-    def branches_at(self, i: int):
+    def branches_at(self, i: int) -> tuple[tuple[Branch, bool], ...]:
         """Branches incident to bus i, each oriented away from i.
 
-        Yields (branch, reversed) pairs covering every incident end,
+        Returns (branch, reversed) pairs covering every incident end,
         parallel branches included.
         """
-        seen = set()
-        for (a, b), ks in self._ends.items():
-            if a != i:
-                continue
-            for k in ks:
-                if k in seen:
-                    continue
-                seen.add(k)
-                br = self.branches[k]
-                yield br, br.from_bus != i
+        return self._incident.get(i, ())
 
 
 def branch_end(br: Branch, reverse: bool) -> tuple[float, float, float, float]:
@@ -231,6 +227,18 @@ _BUS_KEYS = {"id", "shunt_g", "shunt_b", "slack"}
 _BRANCH_KEYS = {"from", "to", "r", "x", "gs_from", "bs_from", "gs_to", "bs_to"}
 
 
+def _number(entry: dict, key: str, default: float | None = None) -> float:
+    """entry[key] (or the default when absent) as a finite float."""
+    raw = entry.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise InputError(f"{key!r} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise InputError(f"{key!r} must be finite, got {value}")
+    return value
+
+
 def network_from_dict(doc: dict) -> NetworkModel:
     """Build a NetworkModel from the JSON document schema.
 
@@ -254,8 +262,8 @@ def network_from_dict(doc: dict) -> NetworkModel:
             raise InputError("bus entry missing 'id'")
         buses.append(Bus(
             id=int(entry["id"]),
-            shunt_g=float(entry.get("shunt_g", 0.0)),
-            shunt_b=float(entry.get("shunt_b", 0.0)),
+            shunt_g=_number(entry, "shunt_g", 0.0),
+            shunt_b=_number(entry, "shunt_b", 0.0),
             is_slack=bool(entry.get("slack", False)),
         ))
     branches = []
@@ -269,17 +277,17 @@ def network_from_dict(doc: dict) -> NetworkModel:
         branches.append(Branch(
             from_bus=int(entry["from"]),
             to_bus=int(entry["to"]),
-            r=float(entry["r"]),
-            x=float(entry["x"]),
-            gs_from=float(entry.get("gs_from", 0.0)),
-            bs_from=float(entry.get("bs_from", 0.0)),
-            gs_to=float(entry.get("gs_to", 0.0)),
-            bs_to=float(entry.get("bs_to", 0.0)),
+            r=_number(entry, "r"),
+            x=_number(entry, "x"),
+            gs_from=_number(entry, "gs_from", 0.0),
+            bs_from=_number(entry, "bs_from", 0.0),
+            gs_to=_number(entry, "gs_to", 0.0),
+            bs_to=_number(entry, "bs_to", 0.0),
         ))
     return NetworkModel(
         buses, branches,
-        base_mva=float(doc.get("base_mva", 100.0)),
-        slack_angle=float(doc.get("slack_angle", 0.0)),
+        base_mva=_number(doc, "base_mva", 100.0),
+        slack_angle=_number(doc, "slack_angle", 0.0),
     )
 
 

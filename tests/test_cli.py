@@ -7,6 +7,7 @@ from gridse.cli import main
 from conftest import FIXTURES
 
 NET3 = str(FIXTURES / "net3.json")
+NET14 = str(FIXTURES / "net14.json")
 
 
 def write_scenario(tmp_path, noise=None, placements=None, seed=21):
@@ -139,6 +140,30 @@ class TestEstimateCommand:
                    "--formulation", "conventional", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "singular gain" in capsys.readouterr().err
+
+    def test_numerically_singular_gain_exits_three(self, tmp_path, capsys):
+        # theta_2 and theta_4 are tied by one injection row only
+        rows = [{"kind": "Theta", "at": [i], "value": 0.01 * i, "variance": 1e-4}
+                for i in range(1, 15) if i not in (2, 4)]
+        rows.append({"kind": "P_inj_dc", "at": [4], "value": 0.3,
+                     "variance": 1e-4})
+        meas = tmp_path / "m.json"
+        meas.write_text(json.dumps({"measurements": rows}))
+        rc = main(["estimate", "--net", NET14, "--measurements", str(meas),
+                   "--formulation", "dc", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert "numerically singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_value_exits_one(self, tmp_path, capsys, value):
+        meas = tmp_path / "m.json"
+        meas.write_text(
+            '{"measurements": [{"kind": "V_mag", "at": [1], "value": %s, '
+            '"variance": 1e-4}]}' % value)
+        rc = main(["estimate", "--net", NET3, "--measurements", str(meas),
+                   "--formulation", "conventional", "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "not finite" in capsys.readouterr().err
 
     def test_iteration_cap_exits_two(self, tmp_path):
         data = synth(tmp_path, noise={"P_flow": 0.02, "Q_flow": 0.02,

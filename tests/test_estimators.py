@@ -27,6 +27,8 @@ from gridse import (
 )
 
 from conftest import (
+    DC_NOISE,
+    PMU_NOISE,
     dc_plan,
     legacy_plan,
     linear_rect_plan,
@@ -184,6 +186,96 @@ class TestLinearWls:
             linear_wls(h, np.array([1.0]), np.array([0.5]))
         with pytest.raises(SingularGain):
             linear_wls(h, np.array([1.0]), np.array([0.5]), method="orthogonal")
+
+
+def grid_network(k, seed=0):
+    """k x k grid, each bus joined to its right and lower neighbours."""
+    rng = np.random.default_rng(seed)
+    branches = []
+    for r in range(k):
+        for c in range(k):
+            i = r * k + c + 1
+            for j in ([i + 1] if c + 1 < k else []) + ([i + k] if r + 1 < k else []):
+                branches.append(Branch(i, j, float(rng.uniform(0.005, 0.03)),
+                                       float(rng.uniform(0.05, 0.2))))
+    buses = [Bus(1, is_slack=True)] + [Bus(i) for i in range(2, k * k + 1)]
+    return NetworkModel(buses, branches)
+
+
+def dense_normal_solution(problem):
+    """Independent dense WLS solve over the free unknowns: R assembled
+    from the measurement set, the normal equations by np.linalg.solve."""
+    mset = problem.mset
+    r = np.diag(mset.variances())
+    for c in mset.correlations:
+        a, b = c.rows
+        r[a, b] = r[b, a] = c.cov
+    h = problem.h_matrix.toarray()
+    z = mset.values() - h[:, problem.fixed_index] * problem.fixed_value
+    hr = h[:, problem.free_indices]
+    rinv_h = np.linalg.solve(r, hr)
+    return np.linalg.solve(hr.T @ rinv_h, rinv_h.T @ z)
+
+
+class TestSparseGain:
+    @pytest.fixture(scope="class")
+    def grid12(self):
+        return grid_network(12)
+
+    def noisy_problem(self, net, plan, noise, formulation, seed):
+        spec = make_scenario(net, plan, noise=noise, seed=seed,
+                             v_range=(1.0, 1.0) if formulation == "dc"
+                             else (0.95, 1.05))
+        mset = synthesize(spec, sample_true_state(spec))
+        return assemble_problem(net, mset, formulation)
+
+    def free_values(self, problem, result):
+        x = result.x_hat
+        full = x.angles if problem.formulation == Formulation.DC else x.values
+        return full[problem.free_indices]
+
+    def test_dc_matches_dense_oracle(self, grid12):
+        problem = self.noisy_problem(grid12, dc_plan(grid12), DC_NOISE,
+                                     Formulation.DC, seed=12)
+        want = dense_normal_solution(problem)
+        got = self.free_values(problem, solve(problem))
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_linear_rect_with_correlated_blocks_matches_dense_oracle(self, grid12):
+        problem = self.noisy_problem(grid12, linear_rect_plan(grid12),
+                                     PMU_NOISE, Formulation.LINEAR_RECT, seed=13)
+        assert len(problem.covariance.blocks) == len(linear_rect_plan(grid12)) // 2
+        want = dense_normal_solution(problem)
+        normal = self.free_values(problem, solve(problem))
+        assert np.max(np.abs(normal - want)) < 1e-10
+        cfg = SolverConfig(linear_system_method="orthogonal")
+        orthogonal = self.free_values(problem, solve(problem, cfg))
+        assert np.max(np.abs(orthogonal - normal)) < 1e-10
+
+    def test_orthogonal_matches_normal_with_blocks_in_gauss_newton(self, net3):
+        spec = make_scenario(net3, simultaneous_rect_plan(net3),
+                             noise={**PMU_NOISE, K.P_FLOW: 0.01,
+                                    K.Q_FLOW: 0.01, K.V_MAG: 0.004}, seed=14)
+        mset = synthesize(spec, sample_true_state(spec))
+        problem = assemble_problem(net3, mset, Formulation.SIMULTANEOUS_RECT)
+        assert problem.covariance.blocks
+        a = solve(problem)
+        b = solve(problem, SolverConfig(linear_system_method="orthogonal"))
+        assert a.converged and b.converged
+        assert np.max(np.abs(a.x_hat.values - b.x_hat.values)) < 1e-10
+
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    def test_numerically_singular_gain_raises(self, net14, method):
+        # theta_2 and theta_4 appear only in the injection row at bus 4:
+        # one equation, two unknowns.  One pivot of the gain comes out
+        # as rounding noise, not as an exact zero.
+        rows = [Measurement(K.THETA, (i,), 0.01 * i, 1e-4)
+                for i in range(1, 15) if i not in (2, 4)]
+        rows.append(Measurement(K.P_INJ_DC, (4,), 0.3, 1e-4))
+        problem = assemble_problem(net14, MeasurementSet(rows), Formulation.DC)
+        match = "numerically singular" if method == "normal" else "rank deficient"
+        with pytest.raises(SingularGain, match=match):
+            solve(problem, SolverConfig(linear_system_method=method))
 
 
 class TestGaussNewton:

@@ -125,6 +125,13 @@ class TestMeasurement:
         with pytest.raises(NonPositiveVariance):
             Measurement(K.V_MAG, (1,), 1.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_value_must_be_finite(self, value):
+        with pytest.raises(InputError, match="not finite"):
+            Measurement(K.V_MAG, (1,), value, 1e-4)
+        with pytest.raises(InputError, match="not finite"):
+            Measurement(K.V_ANG_PMU, (1,), value, 1e-4)
+
     def test_angle_values_normalized_at_load(self):
         m = Measurement(K.V_ANG_PMU, (1,), 3 * math.pi / 2, 1e-4)
         assert m.value == pytest.approx(-math.pi / 2)
@@ -183,6 +190,17 @@ class TestMeasurementSet:
         with pytest.raises(InputError, match="rectangular"):
             MeasurementSet(rows, [Correlation((0, 1), 1e-6)])
 
+    @pytest.mark.parametrize("cov", [math.nan, math.inf])
+    def test_correlation_cov_must_be_finite(self, cov):
+        with pytest.raises(InputError, match="not finite"):
+            measurements_from_dict({
+                "measurements": [
+                    {"kind": "V_re", "at": [1], "value": 1.0, "variance": 1e-4},
+                    {"kind": "V_im", "at": [1], "value": 0.0, "variance": 1e-4},
+                ],
+                "correlations": [{"rows": [0, 1], "cov": cov}],
+            })
+
     def test_correlation_rows_in_range(self):
         rows = [Measurement(K.V_RE, (1,), 1.0, 1e-4)]
         with pytest.raises(InputError, match="range"):
@@ -222,6 +240,35 @@ class TestCovarianceModel:
     def test_indefinite_block_rejected(self):
         with pytest.raises(NonPositiveVariance):
             CovarianceModel(np.array([1e-4, 1e-4]), blocks=[(0, 1, 2e-4)])
+
+    def test_non_finite_entries_rejected(self):
+        with pytest.raises(NonPositiveVariance):
+            CovarianceModel(np.array([1e-4, 1e-4]), blocks=[(0, 1, math.nan)])
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NonPositiveVariance):
+                CovarianceModel(np.array([1e-4, bad]))
+
+    def test_matrices_match_per_row_reference_and_are_cached(self):
+        rng = np.random.default_rng(4)
+        variances = rng.uniform(1e-5, 1e-3, 9)
+        blocks = [(7, 2, 1e-5), (0, 5, -2e-5), (3, 8, 0.0)]
+        cov = CovarianceModel(variances, blocks)
+        inverse = np.diag(1.0 / variances)
+        whitener = np.diag(1.0 / np.sqrt(variances))
+        for a, b, c in blocks:
+            va, vb = variances[a], variances[b]
+            det = va * vb - c * c
+            inverse[a, a], inverse[b, b] = vb / det, va / det
+            inverse[a, b] = inverse[b, a] = -c / det
+            l11 = math.sqrt(va)
+            l21 = c / l11
+            l22 = math.sqrt(vb - l21 * l21)
+            whitener[a, a], whitener[b, b] = 1.0 / l11, 1.0 / l22
+            whitener[b, a] = -l21 / (l11 * l22)
+        assert np.array_equal(cov.inverse().toarray(), inverse)
+        assert np.array_equal(cov.whitener().toarray(), whitener)
+        assert cov.inverse() is cov.inverse()
+        assert cov.whitener() is cov.whitener()
 
     def test_row_in_two_blocks_rejected(self):
         with pytest.raises(InputError):

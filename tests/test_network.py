@@ -205,6 +205,30 @@ class TestNetworkValidation:
         with pytest.raises(InputError, match="parallel"):
             net.branch_between(1, 2)
 
+    def test_branches_at_matches_scan_of_every_end(self, net14):
+        def scan(net, i):
+            # reference: walk every directed end in first-seen order
+            ends = {}
+            for k, br in enumerate(net.branches):
+                ends.setdefault((br.from_bus, br.to_bus), []).append(k)
+                ends.setdefault((br.to_bus, br.from_bus), []).append(k)
+            return [(net.branches[k], net.branches[k].from_bus != i)
+                    for (a, _), ks in ends.items() if a == i for k in ks]
+
+        parallel = NetworkModel(
+            [Bus(1, is_slack=True), Bus(2), Bus(3)],
+            [Branch(1, 2, 0.0, 0.5), Branch(2, 3, 0.01, 0.1),
+             Branch(2, 1, 0.0, 0.25), Branch(1, 3, 0.02, 0.2),
+             Branch(1, 2, 0.01, 0.3)])
+        rng = np.random.default_rng(11)
+        nets = [parallel, net14] + [_random_net(rng, 12) for _ in range(5)]
+        for net in nets:
+            for i in range(1, net.n_buses + 1):
+                got = list(net.branches_at(i))
+                assert got == scan(net, i)
+                assert len(got) == sum(i in (br.from_bus, br.to_bus)
+                                       for br in net.branches)
+
 
 class TestLoader:
     def test_load_fixture(self, net3):
@@ -252,6 +276,24 @@ class TestLoader:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
             load_network(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("where,key", [
+        ("branch", "r"), ("branch", "x"), ("branch", "gs_from"),
+        ("branch", "bs_from"), ("branch", "gs_to"), ("branch", "bs_to"),
+        ("bus", "shunt_g"), ("bus", "shunt_b"), ("top", "slack_angle"),
+        ("top", "base_mva"),
+    ])
+    def test_non_finite_numbers_rejected(self, where, key):
+        for bad in (float("nan"), float("inf"), "abc"):
+            doc = {
+                "buses": [{"id": 1, "slack": True}, {"id": 2}],
+                "branches": [{"from": 1, "to": 2, "r": 0.1, "x": 0.2}],
+            }
+            target = {"branch": doc["branches"][0], "bus": doc["buses"][1],
+                      "top": doc}[where]
+            target[key] = bad
+            with pytest.raises(InputError, match=key):
+                network_from_dict(doc)
 
 
 def _random_net(rng, n):
