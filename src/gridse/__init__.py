@@ -2,8 +2,9 @@
 
 Models a network as pi-model branches, evaluates legacy, phasor
 (polar and rectangular) and DC measurement functions with analytic
-Jacobians, and recovers complex bus voltages by Gauss-Newton or a
-one-shot linear WLS solve.  A scenario synthesizer generates ground
+Jacobians, and recovers complex bus voltages by one Gauss-Newton loop
+for every formulation (a single exact step where the Jacobian is
+constant).  A scenario synthesizer generates ground
 truth and noisy measurements so every claim is testable at desk scale.
 """
 

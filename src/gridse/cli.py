@@ -10,6 +10,7 @@ keep full precision so reruns are bit-identical in zero-noise mode.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -17,6 +18,8 @@ import sys
 from . import __version__
 from .errors import EstimationError, InputError, SingularGain
 from .estimators import (
+    NORMAL,
+    ORTHOGONAL,
     Formulation,
     SolverConfig,
     assemble_problem,
@@ -35,6 +38,7 @@ from .synthesis import (
 )
 
 FORMULATION_TAGS = [f.value for f in Formulation]
+SOLVER_DEFAULTS = SolverConfig()
 
 
 def _round_sig(obj, digits: int = 12):
@@ -66,6 +70,20 @@ def _resolve(path: str, base: str) -> str:
     return path if os.path.isabs(path) else os.path.join(base, path)
 
 
+def _solver_config(**settings) -> SolverConfig:
+    """SolverConfig from CLI or manifest settings; absent ones default.
+
+    Each value is cast to its field's default type, so a bad manifest
+    entry is an input error rather than a traceback.
+    """
+    try:
+        return SolverConfig(**{
+            name: type(getattr(SOLVER_DEFAULTS, name))(value)
+            for name, value in settings.items()})
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"invalid solver configuration: {exc}") from exc
+
+
 def _cmd_estimate(args) -> int:
     if args.manifest:
         doc = _load_json(args.manifest)
@@ -76,13 +94,10 @@ def _cmd_estimate(args) -> int:
         meas_path = _resolve(doc["measurements"], base)
         formulation = doc["formulation"]
         cfg_doc = doc.get("config", {})
-        cfg = SolverConfig(
-            max_iterations=int(cfg_doc.get("max_iterations", 50)),
-            step_tolerance=float(cfg_doc.get("step_tolerance", 1e-8)),
-            linear_system_method=cfg_doc.get("linear_system_method", "normal"),
-            neglect_phasor_covariance=bool(
-                cfg_doc.get("neglect_phasor_covariance", False)),
-        )
+        cfg = _solver_config(**{f.name: cfg_doc[f.name]
+                                for f in dataclasses.fields(SolverConfig)
+                                if f.name in cfg_doc})
+        neglect = bool(cfg_doc.get("neglect_phasor_covariance", False))
         init_path = doc.get("init")
         if init_path:
             init_path = _resolve(init_path, base)
@@ -95,12 +110,10 @@ def _cmd_estimate(args) -> int:
         net_path = args.net
         meas_path = args.measurements
         formulation = args.formulation
-        cfg = SolverConfig(
-            max_iterations=args.max_iter,
-            step_tolerance=args.tol,
-            linear_system_method=args.linear_method,
-            neglect_phasor_covariance=args.neglect_phasor_cov,
-        )
+        cfg = _solver_config(max_iterations=args.max_iter,
+                             step_tolerance=args.tol,
+                             linear_system_method=args.linear_method)
+        neglect = args.neglect_phasor_cov
         init_path = args.init
         out_dir = args.out or "."
     try:
@@ -124,20 +137,14 @@ def _cmd_estimate(args) -> int:
         "network": os.path.abspath(net_path),
         "measurements": os.path.abspath(meas_path),
         "formulation": formulation.value,
-        "config": {
-            "max_iterations": cfg.max_iterations,
-            "step_tolerance": cfg.step_tolerance,
-            "linear_system_method": cfg.linear_system_method,
-            "neglect_phasor_covariance": cfg.neglect_phasor_covariance,
-        },
+        "config": {**dataclasses.asdict(cfg), "neglect_phasor_covariance": neglect},
         "init": os.path.abspath(init_path) if init_path else None,
         "out": os.path.abspath(out_dir),
     }
     _write_json(os.path.join(out_dir, "manifest.json"), _round_sig(manifest))
 
-    problem = assemble_problem(
-        net, mset, formulation,
-        neglect_phasor_covariance=cfg.neglect_phasor_covariance)
+    problem = assemble_problem(net, mset, formulation,
+                               neglect_phasor_covariance=neglect)
     result = solve(problem, cfg, x0)
 
     doc = _round_sig(result_to_dict(problem, result))
@@ -175,9 +182,9 @@ def _cmd_synthesize(args) -> int:
     manifest = {
         "command": "synthesize",
         "tool_version": __version__,
-        "spec": args.spec,
+        "spec": os.path.abspath(args.spec),
         "seed": spec.seed,
-        "out": args.out,
+        "out": os.path.abspath(args.out),
     }
     _write_json(os.path.join(args.out, "manifest.json"), manifest)
     meas_path = os.path.join(args.out, "measurements.json")
@@ -227,16 +234,21 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--measurements", help="measurement JSON file")
     est.add_argument("--formulation",
                      help="measurement model family: " + ", ".join(FORMULATION_TAGS))
-    est.add_argument("--max-iter", type=int, default=50,
-                     help="Gauss-Newton iteration cap (default 50)")
-    est.add_argument("--tol", type=float, default=1e-8,
-                     help="max |dx| stopping threshold (default 1e-8)")
-    est.add_argument("--linear-method", choices=["normal", "orthogonal"],
-                     default="normal",
-                     help="gain solve: normal equations or QR (default normal)")
+    est.add_argument("--max-iter", type=int,
+                     default=SOLVER_DEFAULTS.max_iterations,
+                     help="Gauss-Newton iteration cap (default %(default)s)")
+    est.add_argument("--tol", type=float,
+                     default=SOLVER_DEFAULTS.step_tolerance,
+                     help="max |dx| stopping threshold (default %(default)s)")
+    est.add_argument("--linear-method", choices=[NORMAL, ORTHOGONAL],
+                     default=SOLVER_DEFAULTS.linear_system_method,
+                     help="gain solve: normal equations or QR "
+                          "(default %(default)s)")
     est.add_argument("--neglect-phasor-cov", action="store_true",
                      help="ignore recorded rectangular-phasor covariance blocks")
-    est.add_argument("--init", help="warm-start state JSON file")
+    est.add_argument("--init",
+                     help="start state JSON file, in the formulation's "
+                          "coordinates (rectangular for linear_rect)")
     est.add_argument("--out", help="output directory (default .)")
     est.add_argument("--manifest", help="replay a recorded run manifest")
     est.add_argument("--json", action="store_true",

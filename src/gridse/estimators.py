@@ -1,10 +1,10 @@
 """WLS problem assembly and solvers.
 
-Nonlinear formulations (conventional, simultaneous polar/rect) iterate
-Gauss-Newton on the gain system J^T R^-1 J dx = J^T R^-1 r with the
-slack column eliminated, so 2N-1 unknowns are solved.  The DC and
-rectangular-phasor formulations have constant Jacobians and solve the
-normal equations once.
+Every formulation iterates Gauss-Newton on the gain system
+J^T R^-1 J dx = J^T R^-1 r with the slack column eliminated, so 2N-1
+unknowns are solved (N-1 for DC).  The DC and rectangular-phasor
+formulations have a constant Jacobian: one step from any start lands on
+the WLS minimiser, so the loop stops there.
 
 Plain Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
@@ -64,12 +64,6 @@ ADMISSIBLE_KINDS = {
     Formulation.DC: DC_KINDS,
 }
 
-GAUSS_NEWTON_FORMULATIONS = (
-    Formulation.CONVENTIONAL,
-    Formulation.SIMULTANEOUS_POLAR,
-    Formulation.SIMULTANEOUS_RECT,
-)
-
 NORMAL = "normal"
 ORTHOGONAL = "orthogonal"
 
@@ -79,7 +73,6 @@ class SolverConfig:
     max_iterations: int = 50
     step_tolerance: float = 1e-8
     linear_system_method: str = NORMAL
-    neglect_phasor_covariance: bool = False
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -95,13 +88,13 @@ class SolverConfig:
 class EstimationResult:
     """Solution plus convergence diagnostics.
 
-    x_hat is the full StateVector for problem-level solves and the raw
-    unknown vector for bare linear_wls systems.  iterations counts the
-    Gauss-Newton updates larger than the step tolerance; the final
-    sub-tolerance increment is applied but not counted, so a linear
-    model reports exactly one iteration.
+    x_hat is the full StateVector in the formulation's coordinates.
+    iterations counts the Gauss-Newton updates larger than the step
+    tolerance; the final sub-tolerance increment is applied but not
+    counted.  A constant-Jacobian model takes a single step, so from a
+    start off the solution it reports exactly one iteration.
     """
-    x_hat: object
+    x_hat: StateVector
     converged: bool
     iterations: int
     objective_trace: list = field(default_factory=list)
@@ -113,20 +106,25 @@ class EstimationResult:
 class GainSystem:
     """One linearization of the WLS problem: rows, covariance, residuals.
 
-    j spans the solved (slack-eliminated) unknowns.  Observable problems
+    j spans the solved (slack-eliminated) unknowns.  Rows outside the
+    optional active mask are left out of the solve.  Observable problems
     yield a symmetric positive definite gain matrix j^T R^-1 j; a failed
     factorization surfaces as SingularGain.
     """
     j: object
     covariance: CovarianceModel
     r: np.ndarray
+    active: np.ndarray | None = None
 
     def solve(self, method: str = NORMAL) -> np.ndarray:
-        """State increment from the gain system (or the one-shot WLS
-        solution when r holds plain measurement values)."""
+        """Least-squares solution dx of j dx = r weighted by R^-1."""
+        j, covariance, r = self.j, self.covariance, self.r
+        if self.active is not None and not self.active.all():
+            j, r = j[self.active], r[self.active]
+            covariance = covariance.restrict(self.active)
         if method == ORTHOGONAL:
-            return _solve_orthogonal(self.j, self.covariance.whitener(), self.r)
-        return _solve_normal(self.j, self.covariance.inverse(), self.r)
+            return _solve_orthogonal(j, covariance.whitener(), r)
+        return _solve_normal(j, covariance.inverse(), r)
 
 
 class EstimationProblem:
@@ -136,7 +134,7 @@ class EstimationProblem:
     (slack-eliminated) column set that the solvers work with.
     """
 
-    def __init__(self, net: NetworkModel, y: AdmittanceMatrix,
+    def __init__(self, net: NetworkModel, y: AdmittanceMatrix | None,
                  mset: MeasurementSet, formulation: Formulation,
                  covariance: CovarianceModel):
         self.net = net
@@ -213,12 +211,15 @@ class EstimationProblem:
     def rows(self, x: StateVector):
         """(h, J, active) for one Gauss-Newton iteration.
 
-        J spans the full column set; rows whose gradient is undefined at
-        x (flat-start current singularities) come back inactive with
-        their value still filled in.
+        J spans the full column set; a constant-Jacobian problem returns
+        its fixed H with every row active.  Rows whose gradient is
+        undefined at x (flat-start current singularities) come back
+        inactive with their value still filled in.
         """
-        h = np.empty(self.m)
         active = np.ones(self.m, dtype=bool)
+        if self.is_linear:
+            return self.values(x), self.h_matrix, active
+        h = np.empty(self.m)
         rows, cols, data = [], [], []
         for r, m in enumerate(self.mset):
             try:
@@ -245,7 +246,8 @@ def assemble_problem(net: NetworkModel, mset: MeasurementSet,
     Rejects measurement kinds outside the formulation's family and
     empty sets; builds the covariance as a diagonal of the recorded
     variances, keeping the 2x2 rectangular-phasor blocks unless they
-    are explicitly neglected.
+    are explicitly neglected.  Y is assembled only for the polar-state
+    formulations, whose rows read it; DC and linear_rect get y=None.
     """
     formulation = Formulation(formulation)
     if len(mset) == 0:
@@ -261,7 +263,7 @@ def assemble_problem(net: NetworkModel, mset: MeasurementSet,
     else:
         blocks = tuple((c.rows[0], c.rows[1], c.cov) for c in mset.correlations)
     covariance = CovarianceModel(mset.variances(), blocks)
-    if y is None:
+    if y is None and formulation not in (Formulation.DC, Formulation.LINEAR_RECT):
         y = assemble_admittance(net)
     return EstimationProblem(net, y, mset, formulation, covariance)
 
@@ -323,23 +325,18 @@ def _solve_orthogonal(a, whitener, r):
     return scipy.linalg.solve_triangular(rr, q.T @ bw)
 
 
-def _increment(a, covariance, r, active, method):
-    if not np.all(active):
-        a = a[active]
-        r = r[active]
-        covariance = covariance.restrict(active)
-    return GainSystem(a, covariance, r).solve(method)
-
-
 def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
                  cfg: SolverConfig | None = None) -> EstimationResult:
     """Iterate the gain system until the state increment stalls.
 
-    Rows with undefined gradients (flat-start current singularities)
-    are dropped for the affected iteration only, with a logged warning;
-    if any were dropped at the converging iterate the result is marked
-    not converged.  A singular gain raises SingularGain; hitting the
-    iteration cap returns the partial result with converged=False.
+    A constant-Jacobian problem (DC, linear_rect) stops after its first
+    step, which is exact.  Rows with undefined gradients (flat-start
+    current singularities) are dropped for the affected iteration only,
+    with a logged warning; if any were dropped at the converging iterate
+    the result is marked not converged.  A start in the wrong coordinates
+    or with another slack anchor raises InputError, a singular gain
+    SingularGain; hitting the iteration cap returns the partial result
+    with converged=False.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x = (x0 if x0 is not None else problem.initial_state()).copy()
@@ -349,21 +346,21 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
             f"{problem.formulation} needs a {expect} start, got {x.coordinates}")
     if x.slack_bus != problem.net.slack_bus:
         raise InputError("start state pins a different slack bus than the network")
+    if x.slack_value != problem.fixed_value:
+        raise InputError(
+            f"start state pins the slack entry at {x.slack_value:g}, the "
+            f"{problem.formulation} formulation anchors it at {problem.fixed_value:g}")
     x.values[x.slack_index] = x.slack_value
     z = problem.mset.values()
     free = problem.free_indices
+    columns = problem._state_columns(x)
     converged = False
     iterations = 0
     objective_trace: list[float] = []
     max_step_trace: list[float] = []
     dropped_at_last = False
     for _ in range(cfg.max_iterations):
-        if problem.is_linear:
-            h = problem.h_matrix @ problem._state_columns(x)
-            j = problem.h_matrix
-            active = np.ones(problem.m, dtype=bool)
-        else:
-            h, j, active = problem.rows(x)
+        h, j, active = problem.rows(x)
         dropped_at_last = not active.all()
         if dropped_at_last:
             log.warning("dropping %d flat-singular row(s) for this iteration",
@@ -371,12 +368,9 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         r = z - h
         if problem._angle_rows.any():
             r[problem._angle_rows] = wrap_angles(r[problem._angle_rows])
-        a = j[:, free]
-        dx = _increment(a, problem.covariance, r, active, cfg.linear_system_method)
-        if problem.formulation == Formulation.DC:
-            x.angles[free] += dx
-        else:
-            x.values[free] += dx
+        dx = GainSystem(j[:, free], problem.covariance, r, active).solve(
+            cfg.linear_system_method)
+        columns[free] += dx
         step = float(np.max(np.abs(dx))) if dx.size else 0.0
         max_step_trace.append(step)
         obj = objective(problem, x)
@@ -384,10 +378,11 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         if len(objective_trace) > 1 and obj > objective_trace[-2]:
             log.debug("objective increased from %.6e to %.6e",
                       objective_trace[-2], obj)
-        if step <= cfg.step_tolerance:
+        if step > cfg.step_tolerance:
+            iterations += 1
+        if step <= cfg.step_tolerance or problem.is_linear:
             converged = not dropped_at_last
             break
-        iterations += 1
     return EstimationResult(
         x_hat=x,
         converged=converged,
@@ -398,69 +393,24 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     )
 
 
-def linear_wls(h, r_model, z, method: str = NORMAL) -> EstimationResult:
-    """One-shot WLS solve of (H^T R^-1 H) x = H^T R^-1 z.
+def linear_wls(h, r_model, z, method: str = NORMAL) -> np.ndarray:
+    """WLS solution x of (H^T R^-1 H) x = H^T R^-1 z.
 
-    h is the constant Jacobian over the solved unknowns (already
+    h is a constant Jacobian over the solved unknowns (already
     slack-reduced), r_model a CovarianceModel or plain variance vector,
-    z the measurement values.  Returns the raw solution vector in
-    x_hat with converged=True and iterations=1.
+    z the measurement values.  Returns the solution vector.
     """
     if not isinstance(r_model, CovarianceModel):
         r_model = CovarianceModel(np.asarray(r_model, dtype=float))
-    z = np.asarray(z, dtype=float)
     if not issparse(h):
         h = np.asarray(h, dtype=float)
-    active = np.ones(z.size, dtype=bool)
-    x = _increment(h, r_model, z, active, method)
-    resid = z - h @ x
-    obj = float(resid @ (r_model.inverse() @ resid))
-    return EstimationResult(
-        x_hat=x,
-        converged=True,
-        iterations=1,
-        objective_trace=[obj],
-        max_step_trace=[],
-        residuals=resid,
-    )
-
-
-def _solve_linear_problem(problem: EstimationProblem,
-                          cfg: SolverConfig) -> EstimationResult:
-    """Non-iterative solve for the DC and rectangular-state families."""
-    z = problem.mset.values()
-    h_full = problem.h_matrix
-    full = np.zeros(problem.full_dim)
-    full[problem.fixed_index] = problem.fixed_value
-    z_adj = z - h_full @ full
-    reduced = h_full[:, problem.free_indices]
-    raw = linear_wls(reduced, problem.covariance, z_adj,
-                     method=cfg.linear_system_method)
-    full[problem.free_indices] = raw.x_hat
-    n = problem.net.n_buses
-    if problem.formulation == Formulation.DC:
-        values = np.concatenate([full, np.ones(n)])
-        state = StateVector(POLAR, values, problem.net.slack_bus,
-                            problem.net.slack_angle)
-    else:
-        state = StateVector(RECTANGULAR, full, problem.net.slack_bus, 0.0)
-    return EstimationResult(
-        x_hat=state,
-        converged=True,
-        iterations=1,
-        objective_trace=[objective(problem, state)],
-        max_step_trace=[],
-        residuals=problem.residuals(state),
-    )
+    return GainSystem(h, r_model, np.asarray(z, dtype=float)).solve(method)
 
 
 def solve(problem: EstimationProblem, cfg: SolverConfig | None = None,
           x0: StateVector | None = None) -> EstimationResult:
-    """Dispatch to Gauss-Newton or the one-shot linear solve."""
-    cfg = cfg if cfg is not None else SolverConfig()
-    if problem.formulation in GAUSS_NEWTON_FORMULATIONS:
-        return gauss_newton(problem, x0, cfg)
-    return _solve_linear_problem(problem, cfg)
+    """Estimate the state of any formulation; see gauss_newton."""
+    return gauss_newton(problem, x0, cfg)
 
 
 def result_to_dict(problem: EstimationProblem, result: EstimationResult) -> dict:

@@ -190,7 +190,7 @@ def test_c03_linear_exactness(net3, net14):
         h, j, _ = problem.rows(problem.initial_state())
         raw = linear_wls(j[:, problem.free_indices], mset.variances(),
                          mset.values())
-        err = np.max(np.abs(gn.x_hat.values[problem.free_indices] - raw.x_hat))
+        err = np.max(np.abs(gn.x_hat.values[problem.free_indices] - raw))
         worst = max(worst, err)
 
         # the DC family run through the Gauss-Newton loop
@@ -314,7 +314,7 @@ def test_c07_wls_optimality(net3):
     h = dc_rows(net3, mset)[:, [1, 2]].toarray()
     z = mset.values()
     res = linear_wls(h, mset.variances(), z)
-    grad = h.T @ np.diag(1.0 / mset.variances()) @ (z - h @ res.x_hat)
+    grad = h.T @ np.diag(1.0 / mset.variances()) @ (z - h @ res)
     worst_orth = float(np.max(np.abs(grad)))
 
     # dense 2-variable, 3-row hand oracle
@@ -324,7 +324,7 @@ def test_c07_wls_optimality(net3):
     rinv = np.diag(1.0 / variances)
     want = np.linalg.solve(h2.T @ rinv @ h2, h2.T @ rinv @ z2)
     got = linear_wls(h2, variances, z2)
-    worst_tiny = float(np.max(np.abs(got.x_hat - want)))
+    worst_tiny = float(np.max(np.abs(got - want)))
     ok = worst_orth < 1e-10 and worst_tiny < 1e-12
     check("C7 WLS optimality (orthogonality + 2x2 oracle)", ok,
           f"gradient {worst_orth:.1e}, oracle gap {worst_tiny:.1e}")

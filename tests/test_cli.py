@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import os
 
 import pytest
 
+from gridse import SolverConfig
 from gridse.cli import main
 
 from conftest import FIXTURES
@@ -27,6 +30,18 @@ def write_scenario(tmp_path, noise=None, placements=None, seed=21):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+BRANCHES3 = [(1, 2), (1, 3), (2, 3)]
+# one observable placement per constant-Jacobian formulation on net3
+LINEAR_PLACEMENTS = {
+    "dc": ([{"kind": "P_flow_dc", "at": [i, j]} for i, j in BRANCHES3]
+           + [{"kind": "P_inj_dc", "at": [i]} for i in (1, 2, 3)]
+           + [{"kind": "Theta", "at": [2]}]),
+    "linear_rect": ([{"kind": k, "at": [i]} for i in (1, 2, 3)
+                     for k in ("V_re", "V_im")]
+                    + [{"kind": k, "at": [1, 2]} for k in ("I_re", "I_im")]),
+}
 
 
 def synth(tmp_path, out="data", **kwargs):
@@ -62,6 +77,15 @@ class TestSynthesizeCommand:
         assert main(["synthesize", "--spec", str(spec), "--out", str(b)]) == 0
         assert (a / "measurements.json").read_bytes() != \
             (b / "measurements.json").read_bytes()
+
+    def test_manifest_records_absolute_paths(self, tmp_path, monkeypatch):
+        spec = write_scenario(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["synthesize", "--spec", spec.name, "--out", "data"]) == 0
+        doc = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        assert os.path.isabs(doc["spec"]) and os.path.isabs(doc["out"])
+        assert os.path.samefile(doc["spec"], spec)
+        assert os.path.samefile(doc["out"], tmp_path / "data")
 
     def test_invalid_placement_exits_one(self, tmp_path, capsys):
         spec = write_scenario(tmp_path, placements=[
@@ -119,6 +143,60 @@ class TestEstimateCommand:
         assert main(["estimate", "--manifest", str(outdir / "manifest.json"),
                      "--out", str(rerun)]) == 0
         assert (rerun / "result.json").read_bytes() == first
+
+    @pytest.mark.parametrize("formulation", ["dc", "linear_rect"])
+    def test_manifest_rerun_is_bit_identical_linear(self, tmp_path, formulation):
+        data = synth(tmp_path, placements=LINEAR_PLACEMENTS[formulation])
+        outdir = tmp_path / "run"
+        assert main(["estimate", "--net", NET3,
+                     "--measurements", str(data / "measurements.json"),
+                     "--formulation", formulation,
+                     "--out", str(outdir)]) == 0
+        first = (outdir / "result.json").read_bytes()
+        doc = json.loads(first)
+        assert doc["converged"] is True and doc["iterations"] == 1
+        assert len(doc["max_step_trace"]) == 1
+        rerun = tmp_path / "rerun"
+        assert main(["estimate", "--manifest", str(outdir / "manifest.json"),
+                     "--out", str(rerun)]) == 0
+        assert (rerun / "result.json").read_bytes() == first
+
+    def test_manifest_with_empty_config_uses_solver_defaults(self, tmp_path):
+        data = synth(tmp_path)
+        outdir = tmp_path / "run"
+        assert main(["estimate", "--net", NET3,
+                     "--measurements", str(data / "measurements.json"),
+                     "--formulation", "conventional",
+                     "--out", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        manifest["config"] = {}
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(manifest))
+        rerun = tmp_path / "rerun"
+        assert main(["estimate", "--manifest", str(bare),
+                     "--out", str(rerun)]) == 0
+        replayed = json.loads((rerun / "manifest.json").read_text())
+        assert replayed["config"] == {**dataclasses.asdict(SolverConfig()),
+                                      "neglect_phasor_covariance": False}
+        assert (rerun / "result.json").read_bytes() == \
+            (outdir / "result.json").read_bytes()
+
+    def test_invalid_solver_config_exits_one(self, tmp_path, capsys):
+        data = synth(tmp_path)
+        rc = main(["estimate", "--net", NET3,
+                   "--measurements", str(data / "measurements.json"),
+                   "--formulation", "conventional", "--max-iter", "0",
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "invalid solver configuration" in capsys.readouterr().err
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps({
+            "command": "estimate", "network": NET3,
+            "measurements": str(data / "measurements.json"),
+            "formulation": "conventional",
+            "config": {"step_tolerance": "tight"}}))
+        assert main(["estimate", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "o")]) == 1
 
     def test_dc_rejects_reactive_flow_with_exit_one(self, tmp_path, capsys):
         meas = tmp_path / "m.json"
@@ -188,6 +266,17 @@ class TestEstimateCommand:
         doc = json.loads((tmp_path / "o" / "result.json").read_text())
         # starting at the exact solution, no update is ever needed
         assert doc["iterations"] == 0
+
+    def test_linear_rect_rejects_polar_init_exits_one(self, tmp_path, capsys):
+        data = synth(tmp_path, placements=LINEAR_PLACEMENTS["linear_rect"])
+        capsys.readouterr()
+        rc = main(["estimate", "--net", NET3,
+                   "--measurements", str(data / "measurements.json"),
+                   "--formulation", "linear_rect",
+                   "--init", str(data / "truth.json"),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert "needs a rectangular start" in capsys.readouterr().err
 
     def test_unknown_formulation_exits_one(self, tmp_path, capsys):
         rc = main(["estimate", "--net", NET3, "--measurements", "x",

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import gridse.estimators
 from gridse import (
     Branch,
     Bus,
     EmptyMeasurementSet,
     Formulation,
+    GainSystem,
+    InputError,
     Measurement,
     MeasurementKind,
     MeasurementSet,
@@ -24,6 +27,7 @@ from gridse import (
     solve,
     sample_true_state,
     synthesize,
+    to_rectangular,
 )
 
 from conftest import (
@@ -100,6 +104,21 @@ class TestAssembleProblem:
         problem, _ = zero_noise_problem(net3, dc_plan(net3), Formulation.DC)
         assert problem.n == net3.n_buses - 1
 
+    @pytest.mark.parametrize("formulation, plan, builds", [
+        (Formulation.DC, dc_plan, 0),
+        (Formulation.LINEAR_RECT, linear_rect_plan, 0),
+        (Formulation.CONVENTIONAL, legacy_plan, 1),
+    ])
+    def test_admittance_built_only_where_rows_read_it(
+            self, net3, monkeypatch, formulation, plan, builds):
+        calls = []
+        build = gridse.estimators.assemble_admittance
+        monkeypatch.setattr(gridse.estimators, "assemble_admittance",
+                            lambda net: calls.append(net) or build(net))
+        problem, _ = zero_noise_problem(net3, plan(net3), formulation)
+        assert len(calls) == builds
+        assert (problem.y is None) == (builds == 0)
+
 
 class TestObjective:
     def test_zero_at_exact_fit(self, net3):
@@ -157,7 +176,7 @@ class TestLinearWls:
         z = mset.values()
         result = linear_wls(hr, mset.variances(), z)
         rinv = np.diag(1.0 / mset.variances())
-        grad = hr.T @ rinv @ (z - hr @ result.x_hat)
+        grad = hr.T @ rinv @ (z - hr @ result)
         assert np.max(np.abs(grad)) < 1e-10
 
     def test_two_by_two_dense_hand_oracle(self):
@@ -168,8 +187,7 @@ class TestLinearWls:
         rinv = np.diag(1.0 / variances)
         want = np.linalg.solve(h.T @ rinv @ h, h.T @ rinv @ z)
         got = linear_wls(h, variances, z)
-        assert np.max(np.abs(got.x_hat - want)) < 1e-12
-        assert got.converged and got.iterations == 1
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_orthogonal_method_matches_normal(self):
         rng = np.random.default_rng(8)
@@ -178,7 +196,7 @@ class TestLinearWls:
         z = rng.normal(size=12)
         a = linear_wls(h, variances, z, method="normal")
         b = linear_wls(h, variances, z, method="orthogonal")
-        assert np.max(np.abs(a.x_hat - b.x_hat)) < 1e-10
+        assert np.max(np.abs(a - b)) < 1e-10
 
     def test_rank_deficient_raises_singular_gain(self):
         h = np.array([[1.0, 0.0, 0.0]])  # 1 row, 3 unknowns
@@ -298,7 +316,7 @@ class TestGaussNewton:
         hr = j[:, problem.free_indices]
         raw = linear_wls(hr, mset.variances(), mset.values())
         got = result.x_hat.values[problem.free_indices]
-        assert np.max(np.abs(got - raw.x_hat)) < 1e-12
+        assert np.max(np.abs(got - raw)) < 1e-12
 
     def test_duplicate_conflicting_rows_split_residual(self, net3):
         rows = []
@@ -469,6 +487,72 @@ class TestFormulationSolves:
         result = solve(problem)
         assert result.converged and result.iterations == 1
         assert np.max(np.abs(result.x_hat.angles - x_true.angles)) < 1e-10
+
+
+class TestConstantJacobianLoop:
+    """DC and linear_rect run through the one Gauss-Newton loop."""
+
+    CASES = [(Formulation.DC, dc_plan, DC_NOISE),
+             (Formulation.LINEAR_RECT, linear_rect_plan, PMU_NOISE)]
+
+    def noisy_problem(self, net, formulation, plan, noise):
+        v_range = (1.0, 1.0) if formulation == Formulation.DC else (0.95, 1.05)
+        spec = make_scenario(net, plan(net), noise=noise, seed=17,
+                             v_range=v_range)
+        x_true = sample_true_state(spec)
+        return assemble_problem(net, synthesize(spec, x_true), formulation), x_true
+
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    @pytest.mark.parametrize("formulation, plan, noise", CASES)
+    def test_one_gain_solve_one_iteration(self, net14, monkeypatch,
+                                          formulation, plan, noise, method):
+        calls = []
+        gain_solve = GainSystem.solve
+
+        def counted(self, method="normal"):
+            calls.append(method)
+            return gain_solve(self, method)
+
+        monkeypatch.setattr(GainSystem, "solve", counted)
+        problem, _ = self.noisy_problem(net14, formulation, plan, noise)
+        result = solve(problem, SolverConfig(linear_system_method=method))
+        assert calls == [method]
+        assert isinstance(result.x_hat, StateVector)
+        assert result.converged and result.iterations == 1
+        assert len(result.max_step_trace) == 1
+        assert len(result.objective_trace) == 1
+
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    @pytest.mark.parametrize("formulation, plan, noise", CASES)
+    def test_warm_start_at_solution(self, net14, formulation, plan, noise,
+                                    method):
+        problem, _ = self.noisy_problem(net14, formulation, plan, noise)
+        cfg = SolverConfig(linear_system_method=method)
+        first = solve(problem, cfg)
+        again = solve(problem, cfg, first.x_hat)
+        assert again.converged and again.iterations == 0
+        # the start is used: the only step taken from it is rounding noise
+        assert again.max_step_trace[0] < 1e-12
+        assert np.max(np.abs(again.x_hat.values - first.x_hat.values)) < 1e-12
+
+    def test_linear_rect_rejects_polar_start(self, net14):
+        problem, x_true = self.noisy_problem(net14, *self.CASES[1])
+        with pytest.raises(InputError, match="rectangular start"):
+            solve(problem, x0=x_true)
+        assert solve(problem, x0=to_rectangular(x_true)).converged
+
+    @pytest.mark.parametrize("formulation, plan", [
+        (Formulation.LINEAR_RECT, linear_rect_plan),
+        (Formulation.DC, dc_plan),
+        (Formulation.CONVENTIONAL, legacy_plan),
+    ])
+    def test_start_with_other_slack_anchor_rejected(self, net14, formulation,
+                                                    plan):
+        problem, _ = zero_noise_problem(net14, plan(net14), formulation)
+        start = problem.initial_state()
+        moved = StateVector(start.coordinates, start.values, start.slack_bus, 0.1)
+        with pytest.raises(InputError, match="anchors it at 0"):
+            solve(problem, x0=moved)
 
 
 class TestResultDocument:
