@@ -46,7 +46,6 @@ from .measurements import (
     polar_to_rect_variance,
 )
 from .network import (
-    AdmittanceMatrix,
     Branch,
     Bus,
     NetworkModel,
@@ -67,7 +66,6 @@ from .synthesis import (
 )
 
 __all__ = [
-    "AdmittanceMatrix",
     "Branch",
     "Bus",
     "CovarianceModel",

@@ -87,13 +87,21 @@ def _solver_config(**settings) -> SolverConfig:
 def _cmd_estimate(args) -> int:
     if args.manifest:
         doc = _load_json(args.manifest)
-        if doc.get("command") != "estimate":
+        if not isinstance(doc, dict) or doc.get("command") != "estimate":
             raise InputError(f"{args.manifest} is not an estimate manifest")
+        for key in ("network", "measurements", "formulation"):
+            if not isinstance(doc.get(key), str):
+                raise InputError(f"{args.manifest}: {key!r} must be a string")
+        for key in ("init", "out"):
+            if not isinstance(doc.get(key), (str, type(None))):
+                raise InputError(f"{args.manifest}: {key!r} must be a string or null")
+        cfg_doc = doc.get("config", {})
+        if not isinstance(cfg_doc, dict):
+            raise InputError(f"{args.manifest}: 'config' must be an object")
         base = os.path.dirname(os.path.abspath(args.manifest))
         net_path = _resolve(doc["network"], base)
         meas_path = _resolve(doc["measurements"], base)
         formulation = doc["formulation"]
-        cfg_doc = doc.get("config", {})
         cfg = _solver_config(**{f.name: cfg_doc[f.name]
                                 for f in dataclasses.fields(SolverConfig)
                                 if f.name in cfg_doc})
@@ -101,7 +109,7 @@ def _cmd_estimate(args) -> int:
         init_path = doc.get("init")
         if init_path:
             init_path = _resolve(init_path, base)
-        out_dir = args.out or doc.get("out", ".")
+        out_dir = args.out or doc.get("out") or "."
     else:
         if not args.net or not args.measurements or not args.formulation:
             raise InputError(

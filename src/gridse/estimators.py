@@ -19,17 +19,16 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import coo_matrix, csc_matrix, issparse
+from scipy.sparse import csc_matrix, csr_matrix, issparse
 from scipy.sparse.linalg import splu
 
 from .errors import (
     EmptyMeasurementSet,
-    FlatStartSingularity,
     InputError,
     SingularGain,
     UnsupportedKind,
 )
-from .functions import dc_rows, evaluate_row, evaluate_value, linear_rows_rectstate
+from .functions import MeasurementKernel, dc_rows, linear_rows_rectstate
 from .measurements import (
     ANGLE_KINDS,
     DC_KINDS,
@@ -39,7 +38,7 @@ from .measurements import (
     CovarianceModel,
     MeasurementSet,
 )
-from .network import AdmittanceMatrix, NetworkModel, assemble_admittance
+from .network import NetworkModel, assemble_admittance
 from .states import POLAR, RECTANGULAR, StateVector, wrap_angles
 
 log = logging.getLogger(__name__)
@@ -131,10 +130,12 @@ class EstimationProblem:
     """A measurement set bound to a network under one formulation.
 
     Exposes h(x), the Jacobian rows, wrapped residuals, and the free
-    (slack-eliminated) column set that the solvers work with.
+    (slack-eliminated) column set that the solvers work with.  The
+    polar-state formulations compile their rows once into a
+    MeasurementKernel; DC and linear_rect keep a constant h_matrix.
     """
 
-    def __init__(self, net: NetworkModel, y: AdmittanceMatrix | None,
+    def __init__(self, net: NetworkModel, y: csr_matrix | None,
                  mset: MeasurementSet, formulation: Formulation,
                  covariance: CovarianceModel):
         self.net = net
@@ -143,6 +144,7 @@ class EstimationProblem:
         self.formulation = formulation
         self.covariance = covariance
         n = net.n_buses
+        self.kernel = None
         self._angle_rows = np.array(
             [m.kind in ANGLE_KINDS for m in mset], dtype=bool)
         if formulation == Formulation.DC:
@@ -164,6 +166,7 @@ class EstimationProblem:
             fixed = net.slack_bus - 1
             self.fixed_value = net.slack_angle
             self.h_matrix = None
+            self.kernel = MeasurementKernel(net, y, [(m.kind, m.at) for m in mset])
         self.fixed_index = fixed
         self.free_indices = np.array(
             [k for k in range(self.full_dim) if k != fixed], dtype=int)
@@ -194,12 +197,12 @@ class EstimationProblem:
         return x.values
 
     def values(self, x: StateVector) -> np.ndarray:
-        """h(x) for every row; never raises on flat-singular currents."""
+        """h(x) for every row, in measurement order: one kernel call
+        without the Jacobian, or H @ x for a constant-Jacobian problem.
+        Never raises on flat-singular currents."""
         if self.is_linear:
             return self.h_matrix @ self._state_columns(x)
-        return np.array([
-            evaluate_value(self.net, self.y, x, m.kind, m.at) for m in self.mset
-        ])
+        return self.kernel.values(x)
 
     def residuals(self, x: StateVector) -> np.ndarray:
         """z - h(x), with angle rows wrapped to the principal branch."""
@@ -211,36 +214,22 @@ class EstimationProblem:
     def rows(self, x: StateVector):
         """(h, J, active) for one Gauss-Newton iteration.
 
-        J spans the full column set; a constant-Jacobian problem returns
-        its fixed H with every row active.  Rows whose gradient is
-        undefined at x (flat-start current singularities) come back
-        inactive with their value still filled in.
+        J spans the full column set.  A constant-Jacobian problem returns
+        its fixed H with every row active; otherwise one kernel call
+        fills h and the data of J on the problem's fixed CSR pattern.
+        Rows whose partials are undefined at x (flat-start current
+        singularities) come back inactive, with their value filled in
+        and zero partials.
         """
-        active = np.ones(self.m, dtype=bool)
         if self.is_linear:
-            return self.values(x), self.h_matrix, active
-        h = np.empty(self.m)
-        rows, cols, data = [], [], []
-        for r, m in enumerate(self.mset):
-            try:
-                fr = evaluate_row(self.net, self.y, x, m.kind, m.at)
-            except FlatStartSingularity:
-                h[r] = evaluate_value(self.net, self.y, x, m.kind, m.at)
-                active[r] = False
-                continue
-            h[r] = fr.value
-            for c, v in fr.gradient.items():
-                rows.append(r)
-                cols.append(c)
-                data.append(v)
-        j = coo_matrix((data, (rows, cols)), shape=(self.m, self.full_dim)).tocsr()
-        return h, j, active
+            return self.values(x), self.h_matrix, np.ones(self.m, dtype=bool)
+        return self.kernel.rows(x)
 
 
 def assemble_problem(net: NetworkModel, mset: MeasurementSet,
                      formulation: Formulation, *,
                      neglect_phasor_covariance: bool = False,
-                     y: AdmittanceMatrix | None = None) -> EstimationProblem:
+                     y: csr_matrix | None = None) -> EstimationProblem:
     """Bind a network and measurement set under a formulation.
 
     Rejects measurement kinds outside the formulation's family and

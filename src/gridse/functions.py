@@ -1,6 +1,6 @@
-"""Measurement functions h_i(x) and their analytic Jacobian rows.
+"""Measurement functions h(x) and their analytic Jacobian.
 
-Four families share this kernel:
+Four families share this module:
 
 * legacy rows over a polar state (power flows, injections, current
   magnitude, voltage magnitude),
@@ -14,25 +14,40 @@ Four families share this kernel:
 State indexing convention: for an N-bus polar state, the angle of bus k
 is column k-1 and its magnitude column N+k-1; rectangular states use
 the same split for real/imaginary parts; the DC family uses N angle
-columns.  Gradients are sparse maps from column index to partial.
+columns.
+
+The 14 polar-state kinds are evaluated by a ``MeasurementKernel``,
+compiled once per measurement set: rows are grouped by kind into index
+arrays (branch-end rows with their (g, b, gs, bs), injection rows with
+the entries of their Y rows, bus rows), and the CSR sparsity pattern of
+the Jacobian is fixed at compile time.  Each evaluation computes h and
+the Jacobian entries as array expressions, one pass per kind, and only
+refills J's data array, in the style of MATPOWER's vectorised
+derivatives (Zimmerman, "AC Power Flows, Generalized OPF Costs and
+their Derivatives using Complex Matrix Notation", MATPOWER TN2, 2010).
+The per-kind ``h_*`` functions and ``evaluate_row`` are one-row
+kernels, so every caller runs the same formulas.
 
 Current magnitude and current angle rows divide by the current
 magnitude; below ``CURRENT_GUARD`` the value is still defined but the
-partials are not, and gradient evaluation raises FlatStartSingularity.
+partials are not: the kernel marks such rows inactive with zero
+partials, and the one-row functions raise FlatStartSingularity.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import FlatStartSingularity, InputError, UnsupportedKind
-from .measurements import MeasurementKind, MeasurementSet
-from .network import AdmittanceMatrix, NetworkModel, branch_end
+from .measurements import DC_KINDS, Measurement, MeasurementKind, MeasurementSet
+from .network import NetworkModel, assemble_admittance
 from .states import POLAR, StateVector
+
+K = MeasurementKind
 
 # Below this current magnitude (p.u.) the magnitude/angle partials are
 # treated as undefined; the classic hazard is a flat start across a
@@ -47,7 +62,8 @@ class BranchCoefficients:
     The *_a set describes the current phasor as a linear map of the end
     voltages; the *_c set is its quadratic counterpart for the squared
     magnitude.  They satisfy a_c = a_a**2 + b_a**2, b_c = c_a**2 +
-    d_a**2, c_c = a_a*c_a + b_a*d_a and d_c = c_a*b_a - d_a*a_a.
+    d_a**2, c_c = a_a*c_a + b_a*d_a and d_c = c_a*b_a - d_a*a_a.  The
+    fields are floats or, elementwise, arrays over many branch ends.
     """
     a_a: float
     b_a: float
@@ -59,7 +75,7 @@ class BranchCoefficients:
     d_c: float
 
     @classmethod
-    def from_params(cls, g: float, b: float, gs: float, bs: float) -> "BranchCoefficients":
+    def from_params(cls, g, b, gs, bs) -> "BranchCoefficients":
         a_a, b_a = g + gs, b + bs
         c_a, d_a = g, b
         return cls(
@@ -78,268 +94,415 @@ class FunctionRow:
     gradient: dict[int, float]
 
 
-def _oriented(net: NetworkModel, i: int, j: int):
-    br, rev = net.branch_between(i, j)
-    return branch_end(br, rev)
-
-
-def _coeffs(net: NetworkModel, i: int, j: int) -> BranchCoefficients:
-    g, b, gs, bs = _oriented(net, i, j)
-    return BranchCoefficients.from_params(g, b, gs, bs)
-
-
-def _polar(x: StateVector):
-    if x.coordinates != POLAR:
-        raise InputError("this measurement function needs a polar state")
-    n = x.n_buses
-    return x.values[:n], x.values[n:], n
+def _end_params(net: NetworkModel, ends) -> tuple[np.ndarray, ...]:
+    """0-based end buses i, j and the (g, b, gs, bs) arrays of directed
+    branch ends (i, j), each resolved by ``net.branch_index`` (so a
+    parallel branch is rejected as for a single row)."""
+    k, reverse = np.array([net.branch_index(i, j) for i, j in ends],
+                          dtype=int).reshape(-1, 2).T
+    ends = np.array(ends, dtype=int).reshape(-1, 2) - 1
+    t = net.branch_table[k]
+    reverse = reverse.astype(bool)
+    return (ends[:, 0], ends[:, 1], t[:, 0], t[:, 1],
+            np.where(reverse, t[:, 4], t[:, 2]), np.where(reverse, t[:, 5], t[:, 3]))
 
 
 # ---------------------------------------------------------------------------
-# legacy rows, polar state
+# branch-end rows: value and partials over (theta_i, theta_j, V_i, V_j)
 
-def h_p_flow(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-             i: int, j: int) -> FunctionRow:
-    """Active power flow i -> j."""
-    th, v, n = _polar(x)
-    g, b, gs, _ = _oriented(net, i, j)
-    vi, vj = v[i - 1], v[j - 1]
-    tij = th[i - 1] - th[j - 1]
-    c, s = math.cos(tij), math.sin(tij)
-    value = vi * vi * (g + gs) - vi * vj * (g * c + b * s)
+def _p_flow(e, ti, tj, vi, vj, jac):
+    g, b, gs = e.g, e.b, e.gs
+    c, s = np.cos(ti - tj), np.sin(ti - tj)
+    gcbs = g * c + b * s
+    value = vi * vi * (g + gs) - vi * vj * gcbs
+    if not jac:
+        return value, None, None
     d_ti = vi * vj * (g * s - b * c)
-    return FunctionRow(value, {
-        i - 1: d_ti,
-        j - 1: -d_ti,
-        n + i - 1: -vj * (g * c + b * s) + 2.0 * vi * (g + gs),
-        n + j - 1: -vi * (g * c + b * s),
-    })
+    return value, (d_ti, -d_ti, -vj * gcbs + 2.0 * vi * (g + gs), -vi * gcbs), None
 
 
-def h_q_flow(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-             i: int, j: int) -> FunctionRow:
-    """Reactive power flow i -> j."""
-    th, v, n = _polar(x)
-    g, b, _, bs = _oriented(net, i, j)
-    vi, vj = v[i - 1], v[j - 1]
-    tij = th[i - 1] - th[j - 1]
-    c, s = math.cos(tij), math.sin(tij)
-    value = -vi * vi * (b + bs) - vi * vj * (g * s - b * c)
+def _q_flow(e, ti, tj, vi, vj, jac):
+    g, b, bs = e.g, e.b, e.bs
+    c, s = np.cos(ti - tj), np.sin(ti - tj)
+    gsbc = g * s - b * c
+    value = -vi * vi * (b + bs) - vi * vj * gsbc
+    if not jac:
+        return value, None, None
     d_ti = -vi * vj * (g * c + b * s)
-    return FunctionRow(value, {
-        i - 1: d_ti,
-        j - 1: -d_ti,
-        n + i - 1: -vj * (g * s - b * c) - 2.0 * vi * (b + bs),
-        n + j - 1: -vi * (g * s - b * c),
-    })
+    return value, (d_ti, -d_ti, -vj * gsbc - 2.0 * vi * (b + bs), -vi * gsbc), None
 
 
-def i_mag_value(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-                i: int, j: int) -> float:
-    """Current magnitude on branch end i -> j (never raises)."""
-    th, v, _ = _polar(x)
-    k = _coeffs(net, i, j)
-    vi, vj = v[i - 1], v[j - 1]
-    tij = th[i - 1] - th[j - 1]
-    c, s = math.cos(tij), math.sin(tij)
+def _zero_where_not(ok, *parts):
+    """Partials of rows below the current guard set to zero."""
+    return tuple(np.where(ok, p, 0.0) for p in parts)
+
+
+def _i_mag(e, ti, tj, vi, vj, jac):
+    k = e.k
+    c, s = np.cos(ti - tj), np.sin(ti - tj)
     sq = k.a_c * vi * vi + k.b_c * vj * vj - 2.0 * vi * vj * (k.c_c * c - k.d_c * s)
-    return math.sqrt(max(sq, 0.0))
+    value = np.sqrt(np.maximum(sq, 0.0))
+    if not jac:
+        return value, None, None
+    ok = value >= CURRENT_GUARD
+    den = np.where(ok, value, 1.0)
+    cross = k.d_c * s - k.c_c * c
+    d_ti = vi * vj * (k.d_c * c + k.c_c * s) / den
+    return value, _zero_where_not(ok, d_ti, -d_ti, (vj * cross + k.a_c * vi) / den,
+                                  (vi * cross + k.b_c * vj) / den), ok
 
 
-def h_i_mag(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-            i: int, j: int) -> FunctionRow:
-    """Current magnitude on branch end i -> j.
-
-    Raises FlatStartSingularity when the magnitude is below the guard;
-    every partial divides by the value.
-    """
-    th, v, n = _polar(x)
-    k = _coeffs(net, i, j)
-    vi, vj = v[i - 1], v[j - 1]
-    tij = th[i - 1] - th[j - 1]
-    c, s = math.cos(tij), math.sin(tij)
-    value = i_mag_value(net, y, x, i, j)
-    if value < CURRENT_GUARD:
-        raise FlatStartSingularity(
-            f"current magnitude {value:.3e} on branch {i}-{j} leaves the "
-            "Jacobian row undefined")
-    d_ti = vi * vj * (k.d_c * c + k.c_c * s) / value
-    return FunctionRow(value, {
-        i - 1: d_ti,
-        j - 1: -d_ti,
-        n + i - 1: (vj * (k.d_c * s - k.c_c * c) + k.a_c * vi) / value,
-        n + j - 1: (vi * (k.d_c * s - k.c_c * c) + k.b_c * vj) / value,
-    })
+def _current_rect(k, ti, tj, vi, vj):
+    ci, si, cj, sj = np.cos(ti), np.sin(ti), np.cos(tj), np.sin(tj)
+    re = vi * (k.a_a * ci - k.b_a * si) - vj * (k.c_a * cj - k.d_a * sj)
+    im = vi * (k.a_a * si + k.b_a * ci) - vj * (k.c_a * sj + k.d_a * cj)
+    return re, im, ci, si, cj, sj
 
 
-def h_p_inj(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-            i: int) -> FunctionRow:
-    """Active power injection at bus i, evaluated from the Y row."""
-    th, v, n = _polar(x)
-    ids, vals = y.row(i)
-    vi, ti = v[i - 1], th[i - 1]
-    value = 0.0
-    d_ti = 0.0
-    d_vi = 0.0
-    grad: dict[int, float] = {}
-    for bus, yij in zip(ids, vals):
-        gij, bij = yij.real, yij.imag
-        if bus == i:
-            value += vi * vi * gij
-            d_vi += 2.0 * vi * gij
-            continue
-        vj, tij = v[bus - 1], ti - th[bus - 1]
-        c, s = math.cos(tij), math.sin(tij)
-        value += vi * vj * (gij * c + bij * s)
-        d_ti += vi * vj * (-gij * s + bij * c)
-        d_vi += vj * (gij * c + bij * s)
-        grad[bus - 1] = vi * vj * (gij * s - bij * c)
-        grad[n + bus - 1] = vi * (gij * c + bij * s)
-    grad[i - 1] = d_ti
-    grad[n + i - 1] = d_vi
-    return FunctionRow(value, grad)
+def _i_ang(e, ti, tj, vi, vj, jac):
+    """Four-quadrant arctangent of the current phasor.  Partials divide
+    by the squared magnitude, which makes the two angle partials sum to
+    one: rotating both end voltages rotates the current with them."""
+    k = e.k
+    re, im, *_ = _current_rect(k, ti, tj, vi, vj)
+    value = np.arctan2(im, re)
+    if not jac:
+        return value, None, None
+    sq = re * re + im * im
+    ok = np.sqrt(sq) >= CURRENT_GUARD
+    den = np.where(ok, sq, 1.0)
+    c, s = np.cos(ti - tj), np.sin(ti - tj)
+    cross = k.d_c * s - k.c_c * c
+    d_v = k.c_c * s + k.d_c * c
+    return value, _zero_where_not(
+        ok, (k.a_c * vi * vi + cross * vi * vj) / den,
+        (k.b_c * vj * vj + cross * vi * vj) / den, -vj * d_v / den, vi * d_v / den), ok
 
 
-def h_q_inj(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-            i: int) -> FunctionRow:
-    """Reactive power injection at bus i, evaluated from the Y row."""
-    th, v, n = _polar(x)
-    ids, vals = y.row(i)
-    vi, ti = v[i - 1], th[i - 1]
-    value = 0.0
-    d_ti = 0.0
-    d_vi = 0.0
-    grad: dict[int, float] = {}
-    for bus, yij in zip(ids, vals):
-        gij, bij = yij.real, yij.imag
-        if bus == i:
-            value -= vi * vi * bij
-            d_vi -= 2.0 * vi * bij
-            continue
-        vj, tij = v[bus - 1], ti - th[bus - 1]
-        c, s = math.cos(tij), math.sin(tij)
-        value += vi * vj * (gij * s - bij * c)
-        d_ti += vi * vj * (gij * c + bij * s)
-        d_vi += vj * (gij * s - bij * c)
-        grad[bus - 1] = -vi * vj * (gij * c + bij * s)
-        grad[n + bus - 1] = vi * (gij * s - bij * c)
-    grad[i - 1] = d_ti
-    grad[n + i - 1] = d_vi
-    return FunctionRow(value, grad)
+def _i_re(e, ti, tj, vi, vj, jac):
+    k = e.k
+    re, _, ci, si, cj, sj = _current_rect(k, ti, tj, vi, vj)
+    if not jac:
+        return re, None, None
+    return re, (-vi * (k.a_a * si + k.b_a * ci), vj * (k.c_a * sj + k.d_a * cj),
+                k.a_a * ci - k.b_a * si, -k.c_a * cj + k.d_a * sj), None
 
 
-def h_v_mag(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-            i: int) -> FunctionRow:
-    _, v, n = _polar(x)
-    return FunctionRow(v[i - 1], {n + i - 1: 1.0})
+def _i_im(e, ti, tj, vi, vj, jac):
+    k = e.k
+    _, im, ci, si, cj, sj = _current_rect(k, ti, tj, vi, vj)
+    if not jac:
+        return im, None, None
+    return im, (vi * (k.a_a * ci - k.b_a * si), -vj * (k.c_a * cj - k.d_a * sj),
+                k.a_a * si + k.b_a * ci, -k.c_a * sj - k.d_a * cj), None
 
 
-def h_v_ang(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-            i: int) -> FunctionRow:
-    th, _, _ = _polar(x)
-    return FunctionRow(th[i - 1], {i - 1: 1.0})
+_BRANCH_FORMULAS = {
+    K.P_FLOW: _p_flow,
+    K.Q_FLOW: _q_flow,
+    K.I_MAG: _i_mag,
+    K.I_MAG_PMU: _i_mag,
+    K.I_ANG_PMU: _i_ang,
+    K.I_RE: _i_re,
+    K.I_IM: _i_im,
+}
+
+
+class _BranchRows:
+    """Rows of one branch formula: four partials each, at columns
+    (theta_i, theta_j, V_i, V_j)."""
+
+    def __init__(self, net, rows, ends, formula):
+        self.rows = np.array(rows, dtype=int)
+        self.formula = formula
+        self.i, self.j, self.g, self.b, self.gs, self.bs = _end_params(net, ends)
+        n = net.n_buses
+        self.cols = np.concatenate([self.i, self.j, n + self.i, n + self.j])
+
+    @cached_property
+    def k(self) -> BranchCoefficients:
+        return BranchCoefficients.from_params(self.g, self.b, self.gs, self.bs)
+
+    def pattern(self):
+        return np.concatenate((self.rows,) * 4), self.cols
+
+    def evaluate(self, th, v, jac):
+        value, parts, ok = self.formula(self, th[self.i], th[self.j],
+                                        v[self.i], v[self.j], jac)
+        return value, (np.concatenate(parts) if jac else None), ok
 
 
 # ---------------------------------------------------------------------------
-# current phasor components, polar state
+# bus rows: value and partials over the listed columns (0 angle, 1 magnitude)
 
-def _current_rect(net, x, i, j):
-    th, v, _ = _polar(x)
-    k = _coeffs(net, i, j)
-    vi, vj = v[i - 1], v[j - 1]
-    ti, tj = th[i - 1], th[j - 1]
-    re = vi * (k.a_a * math.cos(ti) - k.b_a * math.sin(ti)) \
-        - vj * (k.c_a * math.cos(tj) - k.d_a * math.sin(tj))
-    im = vi * (k.a_a * math.sin(ti) + k.b_a * math.cos(ti)) \
-        - vj * (k.c_a * math.sin(tj) + k.d_a * math.cos(tj))
-    return k, re, im
+def _v_mag(th, v):
+    return v, (np.ones_like(v),)
 
 
-def i_ang_value(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-                i: int, j: int) -> float:
+def _v_ang(th, v):
+    return th, (np.ones_like(th),)
+
+
+def _v_re(th, v):
+    c, s = np.cos(th), np.sin(th)
+    return v * c, (-v * s, c)
+
+
+def _v_im(th, v):
+    c, s = np.cos(th), np.sin(th)
+    return v * s, (v * c, s)
+
+
+_BUS_FORMULAS = {
+    K.V_MAG: (_v_mag, (1,)),
+    K.V_MAG_PMU: (_v_mag, (1,)),
+    K.V_ANG_PMU: (_v_ang, (0,)),
+    K.V_RE: (_v_re, (0, 1)),
+    K.V_IM: (_v_im, (0, 1)),
+}
+
+
+class _BusRows:
+    """Rows of one bus formula, with partials at the layout's columns."""
+
+    def __init__(self, net, rows, buses, formula, layout):
+        self.rows = np.array(rows, dtype=int)
+        self.bus = np.array(buses, dtype=int) - 1
+        self.formula = formula
+        n = net.n_buses
+        self.cols = np.concatenate([self.bus + n * side for side in layout])
+        self.width = len(layout)
+
+    def pattern(self):
+        return np.concatenate((self.rows,) * self.width), self.cols
+
+    def evaluate(self, th, v, jac):
+        value, parts = self.formula(th[self.bus], v[self.bus])
+        return value, (np.concatenate(parts) if jac else None), None
+
+
+# ---------------------------------------------------------------------------
+# injection rows, summed over the stored entries of the bus's Y row
+
+class _InjectionRows:
+    """P or Q injection rows.  Partials sit at (theta_k, V_k) for every
+    off-diagonal entry k of the Y row, then at (theta_i, V_i)."""
+
+    def __init__(self, net, y, rows, buses, reactive):
+        self.rows = np.array(rows, dtype=int)
+        self.bus = np.array(buses, dtype=int) - 1
+        self.reactive = reactive
+        # The stored entries of each row's Y row, row after row.
+        start = y.indptr[self.bus]
+        count = y.indptr[self.bus + 1] - start
+        self.owner = np.repeat(np.arange(self.bus.size), count)
+        pos = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        self.k = y.indices[pos]
+        self.ik = self.bus[self.owner]
+        self.g = y.data[pos].real
+        self.b = y.data[pos].imag
+        self.off = self.k != self.ik
+        n = net.n_buses
+        off_k = self.k[self.off]
+        self.cols = np.concatenate([off_k, n + off_k, self.bus, n + self.bus])
+        off_rows = self.rows[self.owner[self.off]]
+        self._pattern_rows = np.concatenate([off_rows, off_rows, self.rows, self.rows])
+
+    def pattern(self):
+        return self._pattern_rows, self.cols
+
+    def _sum(self, terms):
+        return np.bincount(self.owner, terms, minlength=self.bus.size)
+
+    def evaluate(self, th, v, jac):
+        g, b, off = self.g, self.b, self.off
+        vi, vk = v[self.ik], v[self.k]
+        t = th[self.ik] - th[self.k]
+        c, s = np.cos(t), np.sin(t)
+        # cos/sin weightings of the entry: along the real power, across it
+        along, across = g * c + b * s, g * s - b * c
+        if self.reactive:
+            along, across = across, -along
+        value = self._sum(vi * vk * along)
+        if not jac:
+            return value, None, None
+        diag = 2.0 * vi * (-b if self.reactive else g)
+        d_ti = self._sum(np.where(off, -vi * vk * across, 0.0))
+        d_vi = self._sum(np.where(off, vk * along, diag))
+        return value, np.concatenate([
+            (vi * vk * across)[off], (vi * along)[off], d_ti, d_vi]), None
+
+
+# ---------------------------------------------------------------------------
+# the compiled kernel
+
+class MeasurementKernel:
+    """h(x) and the Jacobian of a fixed list of polar-state rows.
+
+    Compiled once from (net, Y, [(kind, at), ...]); rows keep list
+    order.  The Jacobian's CSR pattern (``indptr``, ``indices``) is the
+    same at every state.  Y is read by injection rows only; when it is
+    not given and such rows exist it is assembled here.  Branch rows
+    resolve their branch with ``net.branch_index``, so a measurement on
+    a parallel branch is rejected.
+    """
+
+    def __init__(self, net: NetworkModel, y: csr_matrix | None, placements):
+        placements = list(placements)
+        self.m = len(placements)
+        self.n_columns = 2 * net.n_buses
+        branch, bus, inj = {}, {}, {}
+        for r, (kind, at) in enumerate(placements):
+            if kind in _BRANCH_FORMULAS:
+                group = branch.setdefault(_BRANCH_FORMULAS[kind], ([], []))
+            elif kind in _BUS_FORMULAS:
+                group = bus.setdefault(_BUS_FORMULAS[kind], ([], []))
+            elif kind in (K.P_INJ, K.Q_INJ):
+                group = inj.setdefault(kind == K.Q_INJ, ([], []))
+            else:
+                raise UnsupportedKind(f"{kind} has no polar-state row")
+            group[0].append(r)
+            group[1].append(at if kind in _BRANCH_FORMULAS else at[0])
+        if inj and y is None:
+            y = assemble_admittance(net)
+        self._groups = (
+            [_BranchRows(net, rows, ends, fn) for fn, (rows, ends) in branch.items()]
+            + [_BusRows(net, rows, buses, *spec) for spec, (rows, buses) in bus.items()]
+            + [_InjectionRows(net, y, rows, buses, q) for q, (rows, buses) in inj.items()])
+        patterns = [grp.pattern() for grp in self._groups]
+        empty = [np.zeros(0, dtype=int)]
+        rows = np.concatenate([p[0] for p in patterns] + empty)
+        cols = np.concatenate([p[1] for p in patterns] + empty)
+        # Entries are computed group by group; _order puts them in CSR order.
+        self._order = np.lexsort((cols, rows))
+        self.indices = cols[self._order]
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows, minlength=self.m))])
+
+    def _evaluate(self, x: StateVector, jac: bool):
+        if x.coordinates != POLAR:
+            raise InputError("this measurement function needs a polar state")
+        n = x.n_buses
+        th, v = x.values[:n], x.values[n:]
+        h = np.empty(self.m)
+        active = np.ones(self.m, dtype=bool)
+        parts = []
+        for grp in self._groups:
+            value, data, ok = grp.evaluate(th, v, jac)
+            h[grp.rows] = value
+            if ok is not None:
+                active[grp.rows] = ok
+            parts.append(data)
+        data = np.concatenate(parts)[self._order] if jac and parts else np.zeros(0)
+        return h, data, active
+
+    def values(self, x: StateVector) -> np.ndarray:
+        """h(x) for every row; never raises on flat-singular currents."""
+        return self._evaluate(x, jac=False)[0]
+
+    def rows(self, x: StateVector):
+        """(h, J, active): J is m x 2N CSR on the fixed pattern.  Rows
+        whose partials are undefined at x (current below CURRENT_GUARD)
+        are inactive, with their value filled and zero partials."""
+        h, data, active = self._evaluate(x, jac=True)
+        j = csr_matrix((data, self.indices, self.indptr),
+                       shape=(self.m, self.n_columns))
+        return h, j, active
+
+
+# ---------------------------------------------------------------------------
+# one-row functions over the kernel
+
+def evaluate_row(net: NetworkModel, y: csr_matrix | None, x: StateVector,
+                 kind: MeasurementKind, at: tuple[int, ...]) -> FunctionRow:
+    """Value plus gradient of one polar-state measurement function.
+
+    Raises FlatStartSingularity for a current magnitude or angle row
+    whose current is below CURRENT_GUARD.
+    """
+    kernel = MeasurementKernel(net, y, [(kind, tuple(at))])
+    h, data, active = kernel._evaluate(x, jac=True)
+    if not active[0]:
+        raise FlatStartSingularity(
+            f"current on branch {at[0]}-{at[1]} is below {CURRENT_GUARD:g} "
+            f"p.u.; the {kind} row's partials are undefined")
+    return FunctionRow(float(h[0]), dict(zip(kernel.indices.tolist(), data.tolist())))
+
+
+def h_p_flow(net, y, x, i: int, j: int) -> FunctionRow:
+    """Active power flow i -> j."""
+    return evaluate_row(net, y, x, K.P_FLOW, (i, j))
+
+
+def h_q_flow(net, y, x, i: int, j: int) -> FunctionRow:
+    """Reactive power flow i -> j."""
+    return evaluate_row(net, y, x, K.Q_FLOW, (i, j))
+
+
+def h_i_mag(net, y, x, i: int, j: int) -> FunctionRow:
+    """Current magnitude on branch end i -> j; raises
+    FlatStartSingularity below the guard, where every partial divides
+    by the value."""
+    return evaluate_row(net, y, x, K.I_MAG, (i, j))
+
+
+def h_i_ang(net, y, x, i: int, j: int) -> FunctionRow:
+    """Current phasor angle on branch end i -> j; raises
+    FlatStartSingularity below the guard."""
+    return evaluate_row(net, y, x, K.I_ANG_PMU, (i, j))
+
+
+def i_mag_value(net, y, x, i: int, j: int) -> float:
+    """Current magnitude on branch end i -> j (never raises)."""
+    return evaluate_value(net, y, x, K.I_MAG, (i, j))
+
+
+def i_ang_value(net, y, x, i: int, j: int) -> float:
     """Current phasor angle on branch end i -> j via the four-quadrant
     arctangent (never raises; 0 for an exactly zero current)."""
-    _, re, im = _current_rect(net, x, i, j)
-    return math.atan2(im, re)
+    return evaluate_value(net, y, x, K.I_ANG_PMU, (i, j))
 
 
-def h_i_ang(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-            i: int, j: int) -> FunctionRow:
-    """Current phasor angle on branch end i -> j.
-
-    Partials divide by the squared current magnitude (an arctangent
-    derivative), which also makes the two angle partials sum to one:
-    rotating both end voltages must rotate the current with them.
-    """
-    th, v, n = _polar(x)
-    k, re, im = _current_rect(net, x, i, j)
-    sq = re * re + im * im
-    value = math.atan2(im, re)
-    if math.sqrt(sq) < CURRENT_GUARD:
-        raise FlatStartSingularity(
-            f"current magnitude {math.sqrt(sq):.3e} on branch {i}-{j} leaves "
-            "the angle row undefined")
-    vi, vj = v[i - 1], v[j - 1]
-    tij = th[i - 1] - th[j - 1]
-    c, s = math.cos(tij), math.sin(tij)
-    cross = k.d_c * s - k.c_c * c
-    return FunctionRow(value, {
-        i - 1: (k.a_c * vi * vi + cross * vi * vj) / sq,
-        j - 1: (k.b_c * vj * vj + cross * vi * vj) / sq,
-        n + i - 1: -vj * (k.c_c * s + k.d_c * c) / sq,
-        n + j - 1: vi * (k.c_c * s + k.d_c * c) / sq,
-    })
+def h_p_inj(net, y, x, i: int) -> FunctionRow:
+    """Active power injection at bus i, evaluated from the Y row."""
+    return evaluate_row(net, y, x, K.P_INJ, (i,))
 
 
-# ---------------------------------------------------------------------------
-# rectangular phasor rows over a polar state (indirect measurements)
-
-def h_v_re_polarstate(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-                      i: int) -> FunctionRow:
-    th, v, n = _polar(x)
-    c, s = math.cos(th[i - 1]), math.sin(th[i - 1])
-    return FunctionRow(v[i - 1] * c, {i - 1: -v[i - 1] * s, n + i - 1: c})
+def h_q_inj(net, y, x, i: int) -> FunctionRow:
+    """Reactive power injection at bus i, evaluated from the Y row."""
+    return evaluate_row(net, y, x, K.Q_INJ, (i,))
 
 
-def h_v_im_polarstate(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-                      i: int) -> FunctionRow:
-    th, v, n = _polar(x)
-    c, s = math.cos(th[i - 1]), math.sin(th[i - 1])
-    return FunctionRow(v[i - 1] * s, {i - 1: v[i - 1] * c, n + i - 1: s})
+def h_v_mag(net, y, x, i: int) -> FunctionRow:
+    return evaluate_row(net, y, x, K.V_MAG, (i,))
 
 
-def h_i_re_polarstate(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-                      i: int, j: int) -> FunctionRow:
-    th, v, n = _polar(x)
-    k, re, _ = _current_rect(net, x, i, j)
-    vi, vj = v[i - 1], v[j - 1]
-    ci, si = math.cos(th[i - 1]), math.sin(th[i - 1])
-    cj, sj = math.cos(th[j - 1]), math.sin(th[j - 1])
-    return FunctionRow(re, {
-        i - 1: -vi * (k.a_a * si + k.b_a * ci),
-        j - 1: vj * (k.c_a * sj + k.d_a * cj),
-        n + i - 1: k.a_a * ci - k.b_a * si,
-        n + j - 1: -k.c_a * cj + k.d_a * sj,
-    })
+def h_v_ang(net, y, x, i: int) -> FunctionRow:
+    return evaluate_row(net, y, x, K.V_ANG_PMU, (i,))
 
 
-def h_i_im_polarstate(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-                      i: int, j: int) -> FunctionRow:
-    th, v, n = _polar(x)
-    k, _, im = _current_rect(net, x, i, j)
-    vi, vj = v[i - 1], v[j - 1]
-    ci, si = math.cos(th[i - 1]), math.sin(th[i - 1])
-    cj, sj = math.cos(th[j - 1]), math.sin(th[j - 1])
-    return FunctionRow(im, {
-        i - 1: vi * (k.a_a * ci - k.b_a * si),
-        j - 1: -vj * (k.c_a * cj - k.d_a * sj),
-        n + i - 1: k.a_a * si + k.b_a * ci,
-        n + j - 1: -k.c_a * sj - k.d_a * cj,
-    })
+def h_v_re_polarstate(net, y, x, i: int) -> FunctionRow:
+    return evaluate_row(net, y, x, K.V_RE, (i,))
+
+
+def h_v_im_polarstate(net, y, x, i: int) -> FunctionRow:
+    return evaluate_row(net, y, x, K.V_IM, (i,))
+
+
+def h_i_re_polarstate(net, y, x, i: int, j: int) -> FunctionRow:
+    return evaluate_row(net, y, x, K.I_RE, (i, j))
+
+
+def h_i_im_polarstate(net, y, x, i: int, j: int) -> FunctionRow:
+    return evaluate_row(net, y, x, K.I_IM, (i, j))
 
 
 # ---------------------------------------------------------------------------
 # constant-Jacobian families
+
+# V_re and V_im select a state column; I_re and I_im are branch-end rows.
+_RECT_CODES = {K.V_RE: 0, K.V_IM: 1, K.I_RE: 2, K.I_IM: 3}
+
 
 def linear_rows_rectstate(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
     """Constant Jacobian H over the 2N rectangular state columns.
@@ -348,34 +511,23 @@ def linear_rows_rectstate(net: NetworkModel, mset: MeasurementSet) -> csr_matrix
     exactly for every state, so the rows double as the value map.
     """
     n = net.n_buses
-    rows, cols, data = [], [], []
-
-    def put(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        data.append(v)
-
-    for r, m in enumerate(mset):
-        if m.kind == MeasurementKind.V_RE:
-            put(r, m.at[0] - 1, 1.0)
-        elif m.kind == MeasurementKind.V_IM:
-            put(r, n + m.at[0] - 1, 1.0)
-        elif m.kind in (MeasurementKind.I_RE, MeasurementKind.I_IM):
-            i, j = m.at
-            g, b, gs, bs = _oriented(net, i, j)
-            if m.kind == MeasurementKind.I_RE:
-                put(r, i - 1, g + gs)
-                put(r, n + i - 1, -(b + bs))
-                put(r, j - 1, -g)
-                put(r, n + j - 1, b)
-            else:
-                put(r, i - 1, b + bs)
-                put(r, n + i - 1, g + gs)
-                put(r, j - 1, -b)
-                put(r, n + j - 1, -g)
-        else:
-            raise UnsupportedKind(
-                f"{m.kind} is not linear in the rectangular state")
+    code = np.array([_RECT_CODES.get(m.kind, -1) for m in mset], dtype=int)
+    if (code < 0).any():
+        kind = mset[int(np.argmax(code < 0))].kind
+        raise UnsupportedKind(f"{kind} is not linear in the rectangular state")
+    volt = np.flatnonzero(code < 2)
+    cur = np.flatnonzero(code >= 2)
+    at = [m.at for m in mset]
+    bus = np.array([at[r][0] for r in volt.tolist()], dtype=int) - 1
+    i, j, g, b, gs, bs = _end_params(net, [at[r] for r in cur.tolist()])
+    im = code[cur] == 3
+    # I = (y + ys) V_i - y V_j over (Re V_i, Im V_i, Re V_j, Im V_j)
+    data = np.concatenate([
+        np.ones(volt.size),
+        np.where(im, b + bs, g + gs), np.where(im, g + gs, -(b + bs)),
+        np.where(im, -b, -g), np.where(im, -g, b)])
+    rows = np.concatenate([volt, cur, cur, cur, cur])
+    cols = np.concatenate([bus + n * code[volt], i, n + i, j, n + j])
     return coo_matrix((data, (rows, cols)), shape=(len(mset), 2 * n)).tocsr()
 
 
@@ -394,14 +546,14 @@ def dc_rows(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
     n = net.n_buses
     rows, cols, data = [], [], []
     for r, m in enumerate(mset):
-        if m.kind == MeasurementKind.P_FLOW_DC:
+        if m.kind == K.P_FLOW_DC:
             i, j = m.at
             br, _ = net.branch_between(i, j)
             b = dc_susceptance(net, br)
             rows += [r, r]
             cols += [i - 1, j - 1]
             data += [-b, b]
-        elif m.kind == MeasurementKind.P_INJ_DC:
+        elif m.kind == K.P_INJ_DC:
             i = m.at[0]
             bsum = 0.0
             for br, rev in net.branches_at(i):
@@ -414,7 +566,7 @@ def dc_rows(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
             rows.append(r)
             cols.append(i - 1)
             data.append(-bsum)
-        elif m.kind == MeasurementKind.THETA:
+        elif m.kind == K.THETA:
             rows.append(r)
             cols.append(m.at[0] - 1)
             data.append(1.0)
@@ -424,61 +576,37 @@ def dc_rows(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# values of any kind at a polar state
 
-_POLAR_ROWS = {
-    MeasurementKind.P_FLOW: h_p_flow,
-    MeasurementKind.Q_FLOW: h_q_flow,
-    MeasurementKind.I_MAG: h_i_mag,
-    MeasurementKind.P_INJ: h_p_inj,
-    MeasurementKind.Q_INJ: h_q_inj,
-    MeasurementKind.V_MAG: h_v_mag,
-    MeasurementKind.V_MAG_PMU: h_v_mag,
-    MeasurementKind.V_ANG_PMU: h_v_ang,
-    MeasurementKind.I_MAG_PMU: h_i_mag,
-    MeasurementKind.I_ANG_PMU: h_i_ang,
-    MeasurementKind.V_RE: h_v_re_polarstate,
-    MeasurementKind.V_IM: h_v_im_polarstate,
-    MeasurementKind.I_RE: h_i_re_polarstate,
-    MeasurementKind.I_IM: h_i_im_polarstate,
-}
+def evaluate_values(net: NetworkModel, y: csr_matrix | None, x: StateVector,
+                    placements) -> np.ndarray:
+    """h(x) at a polar state for (kind, at) placements of any kind.
 
-
-def evaluate_row(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
-                 kind: MeasurementKind, at: tuple[int, ...]) -> FunctionRow:
-    """Value plus gradient of one polar-state measurement function."""
-    try:
-        fn = _POLAR_ROWS[kind]
-    except KeyError:
-        raise UnsupportedKind(f"{kind} has no polar-state row") from None
-    return fn(net, y, x, *at)
+    The polar-state kinds take one kernel call; DC kinds are the DC
+    family's rows applied to the state angles.  Current magnitude and
+    angle values never raise.
+    """
+    if x.coordinates != POLAR:
+        raise InputError("evaluate_value expects a polar state")
+    placements = list(placements)
+    dc = [kind in DC_KINDS for kind, _ in placements]
+    if not any(dc):
+        return MeasurementKernel(net, y, placements).values(x)
+    dc = np.array(dc)
+    out = np.empty(len(placements))
+    out[dc] = dc_rows(net, [Measurement(kind, at, 0.0, 1.0) for (kind, at), is_dc
+                            in zip(placements, dc) if is_dc]) @ x.angles
+    if not dc.all():
+        out[~dc] = MeasurementKernel(
+            net, y, [p for p, is_dc in zip(placements, dc) if not is_dc]).values(x)
+    return out
 
 
-def evaluate_value(net: NetworkModel, y: AdmittanceMatrix, x: StateVector,
+def evaluate_value(net: NetworkModel, y: csr_matrix | None, x: StateVector,
                    kind: MeasurementKind, at: tuple[int, ...]) -> float:
     """Value of any measurement function at a polar state.
 
     DC kinds are evaluated with the DC (linearized) functions on the
     state angles; current magnitude/angle values never raise here.
     """
-    if x.coordinates != POLAR:
-        raise InputError("evaluate_value expects a polar state")
-    th = x.angles
-    if kind == MeasurementKind.I_MAG or kind == MeasurementKind.I_MAG_PMU:
-        return i_mag_value(net, y, x, *at)
-    if kind == MeasurementKind.I_ANG_PMU:
-        return i_ang_value(net, y, x, *at)
-    if kind == MeasurementKind.P_FLOW_DC:
-        i, j = at
-        br, _ = net.branch_between(i, j)
-        return -dc_susceptance(net, br) * (th[i - 1] - th[j - 1])
-    if kind == MeasurementKind.P_INJ_DC:
-        i = at[0]
-        total = 0.0
-        for br, rev in net.branches_at(i):
-            jbus = br.from_bus if rev else br.to_bus
-            total -= dc_susceptance(net, br) * (th[i - 1] - th[jbus - 1])
-        return total
-    if kind == MeasurementKind.THETA:
-        return th[at[0] - 1]
-    return evaluate_row(net, y, x, kind, at).value
+    return float(evaluate_values(net, y, x, [(kind, tuple(at))])[0])

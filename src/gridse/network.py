@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -49,35 +50,6 @@ def branch_admittance(r: float, x: float) -> tuple[float, float]:
         raise ZeroImpedance("branch with r = x = 0 has no finite admittance")
     d = r * r + x * x
     return r / d, -x / d
-
-
-class AdmittanceMatrix:
-    """Sparse complex nodal matrix Y with 1-based bus accessors."""
-
-    def __init__(self, matrix: csr_matrix):
-        m = matrix.tocsr()
-        m.sum_duplicates()
-        self._m = m
-
-    @property
-    def n(self) -> int:
-        return self._m.shape[0]
-
-    @property
-    def nnz(self) -> int:
-        return self._m.nnz
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stored row i as (1-based bus ids, complex values)."""
-        m = self._m
-        lo, hi = m.indptr[i - 1], m.indptr[i]
-        return m.indices[lo:hi] + 1, m.data[lo:hi]
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._m @ v
-
-    def toarray(self) -> np.ndarray:
-        return self._m.toarray()
 
 
 class NetworkModel:
@@ -148,13 +120,12 @@ class NetworkModel:
         if len(roots) != 1:
             raise NotConnected(f"network not connected: {len(roots)} islands")
 
-    def branch_between(self, i: int, j: int) -> tuple[Branch, bool]:
-        """The unique branch joining buses i and j.
+    def branch_index(self, i: int, j: int) -> tuple[int, bool]:
+        """Position in ``branches`` of the unique branch joining buses i
+        and j, and whether (i, j) runs against its stored orientation.
 
-        Returns (branch, reversed) where reversed means the request was
-        (to, from) relative to the stored orientation.  Parallel
-        branches make a branch-attached measurement ambiguous and are
-        rejected here; the admittance matrix still sums them.
+        Parallel branches make a branch-attached measurement ambiguous
+        and are rejected here; the admittance matrix still sums them.
         """
         ks = self._ends.get((i, j))
         if not ks:
@@ -162,8 +133,24 @@ class NetworkModel:
         if len(ks) > 1:
             raise InputError(f"buses {i} and {j} are joined by {len(ks)} parallel "
                              "branches; branch measurements are ambiguous")
-        br = self.branches[ks[0]]
-        return br, br.from_bus != i
+        return ks[0], self.branches[ks[0]].from_bus != i
+
+    def branch_between(self, i: int, j: int) -> tuple[Branch, bool]:
+        """The unique branch joining buses i and j.
+
+        Returns (branch, reversed) where reversed means the request was
+        (to, from) relative to the stored orientation; see branch_index.
+        """
+        k, reverse = self.branch_index(i, j)
+        return self.branches[k], reverse
+
+    @cached_property
+    def branch_table(self) -> np.ndarray:
+        """Per branch, in input order: series admittance (g, b), then
+        the shunt (gs, bs) at the from end and at the to end."""
+        return np.array([(*branch_admittance(br.r, br.x), br.gs_from, br.bs_from,
+                           br.gs_to, br.bs_to) for br in self.branches],
+                        dtype=float).reshape(-1, 6)
 
     def branches_at(self, i: int) -> tuple[tuple[Branch, bool], ...]:
         """Branches incident to bus i, each oriented away from i.
@@ -174,19 +161,12 @@ class NetworkModel:
         return self._incident.get(i, ())
 
 
-def branch_end(br: Branch, reverse: bool) -> tuple[float, float, float, float]:
-    """Series (g, b) plus the shunt (gs, bs) at the sending end."""
-    g, b = branch_admittance(br.r, br.x)
-    if reverse:
-        return g, b, br.gs_to, br.bs_to
-    return g, b, br.gs_from, br.bs_from
-
-
-def assemble_admittance(net: NetworkModel) -> AdmittanceMatrix:
+def assemble_admittance(net: NetworkModel) -> csr_matrix:
     """Build the nodal admittance matrix of the network.
 
-    Coordinate-list assembly with duplicate entries summed, so parallel
-    branches accumulate on the off-diagonals.  Each branch adds its
+    Coordinate-list assembly into a complex CSR matrix with duplicate
+    entries summed and column indices sorted, so parallel branches
+    accumulate on the off-diagonals.  Each branch adds its
     series-plus-shunt admittance to both end diagonals and minus the
     series admittance to both off-diagonal positions; bus shunts add to
     the diagonal last.
@@ -210,16 +190,17 @@ def assemble_admittance(net: NetworkModel) -> AdmittanceMatrix:
         if bus.shunt_g != 0.0 or bus.shunt_b != 0.0:
             add(bus.id, bus.id, complex(bus.shunt_g, bus.shunt_b))
     n = net.n_buses
-    coo = coo_matrix((data, (rows, cols)), shape=(n, n), dtype=complex)
-    return AdmittanceMatrix(coo.tocsr())
+    y = coo_matrix((data, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
+    y.sum_duplicates()
+    return y
 
 
-def injected_current(net: NetworkModel, y: AdmittanceMatrix, v: np.ndarray) -> np.ndarray:
+def injected_current(net: NetworkModel, y: csr_matrix, v: np.ndarray) -> np.ndarray:
     """Complex injection currents Y @ v for a full voltage vector."""
     v = np.asarray(v, dtype=complex)
     if v.shape != (net.n_buses,):
         raise DimensionMismatch(f"expected {net.n_buses} voltages, got {v.shape}")
-    return y.matvec(v)
+    return y @ v
 
 
 _NETWORK_KEYS = {"base_mva", "buses", "branches", "slack_angle"}

@@ -20,9 +20,10 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import InputError, NonPositiveVariance
-from .functions import evaluate_value, i_ang_value, i_mag_value
+from .functions import evaluate_values
 from .measurements import (
     BRANCH_KINDS,
     Correlation,
@@ -31,7 +32,7 @@ from .measurements import (
     MeasurementSet,
     polar_to_rect_variance,
 )
-from .network import AdmittanceMatrix, NetworkModel, assemble_admittance, load_network
+from .network import NetworkModel, load_network
 from .states import POLAR, RECTANGULAR, StateVector
 
 RNG_NAME = "numpy-pcg64"
@@ -153,7 +154,7 @@ def _recorded_variance(sigma: float) -> float:
 
 
 def synthesize(spec: ScenarioSpec, x_true: StateVector,
-               y: AdmittanceMatrix | None = None) -> MeasurementSet:
+               y: csr_matrix | None = None) -> MeasurementSet:
     """Generate z = h(x_true) + noise for every placement, in order.
 
     Scalar kinds get independent Gaussian errors with the configured
@@ -161,19 +162,28 @@ def synthesize(spec: ScenarioSpec, x_true: StateVector,
     their recorded variances and cross-covariance come from first-order
     propagation at the measured polar values.  Zero stddev gives the
     exact function value with a small default recorded variance.
+    Every true value, including the polar magnitude and angle behind
+    each rectangular pair, comes from one evaluation of h(x_true); Y is
+    assembled only when y is not given and injection rows read it.
     """
     net = spec.network
-    if y is None:
-        y = assemble_admittance(net)
     rng = _noise_rng(spec.seed)
     pairs = _pair_rectangular(spec.placements)
+    targets = []
+    for idx, (kind, at) in enumerate(spec.placements):
+        if kind not in _RECT_PARTNER:
+            targets.append((kind, at))
+        elif idx < pairs[idx]:
+            re_kind = kind if kind in _RECT_POLAR_SIGMAS else _RECT_PARTNER[kind]
+            targets += [(polar_kind, at) for polar_kind in _RECT_POLAR_SIGMAS[re_kind]]
+    truth = iter(evaluate_values(net, y, x_true, targets).tolist())
     stash: dict[int, tuple[float, float]] = {}
     rows: list[Measurement] = []
     correlations: list[Correlation] = []
     for idx, (kind, at) in enumerate(spec.placements):
         if kind not in _RECT_PARTNER:
             sigma = spec.noise.get(kind, 0.0)
-            value = evaluate_value(net, y, x_true, kind, at)
+            value = next(truth)
             if sigma > 0.0:
                 value += sigma * rng.standard_normal()
             rows.append(Measurement(kind, at, value, _recorded_variance(sigma)))
@@ -187,12 +197,7 @@ def synthesize(spec: ScenarioSpec, x_true: StateVector,
         mag_key, ang_key = _RECT_POLAR_SIGMAS[re_kind]
         s_mag = spec.noise.get(mag_key, 0.0)
         s_ang = spec.noise.get(ang_key, 0.0)
-        if re_kind == MeasurementKind.V_RE:
-            mag = float(x_true.magnitudes[at[0] - 1])
-            ang = float(x_true.angles[at[0] - 1])
-        else:
-            mag = i_mag_value(net, y, x_true, *at)
-            ang = i_ang_value(net, y, x_true, *at)
+        mag, ang = next(truth), next(truth)
         dm, da = rng.standard_normal(2)
         z_mag = mag + s_mag * dm
         z_ang = ang + s_ang * da

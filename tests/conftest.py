@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from gridse import (
+    Branch,
+    Bus,
     MeasurementKind,
+    NetworkModel,
     ScenarioSpec,
     StateVector,
     assemble_admittance,
@@ -102,6 +105,16 @@ def oracle_value(net, x, kind, at):
         return volts[at[0] - 1].real
     if kind == K.V_IM:
         return volts[at[0] - 1].imag
+    # DC family: lossless flows at unit magnitude, (theta_i - theta_j) / x
+    if kind == K.P_FLOW_DC:
+        br, _ = net.branch_between(*at)
+        return (th[at[0] - 1] - th[at[1] - 1]) / br.x
+    if kind == K.P_INJ_DC:
+        i = at[0]
+        return sum((th[i - 1] - th[(br.from_bus if rev else br.to_bus) - 1]) / br.x
+                   for br, rev in net.branches_at(i))
+    if kind == K.THETA:
+        return float(th[at[0] - 1])
     raise ValueError(f"oracle has no rule for {kind}")
 
 
@@ -125,6 +138,35 @@ def fd_gradient(net, y, x, kind, at, columns, step=1e-6):
             d = math.remainder(d, 2.0 * math.pi)
         grads[c] = d / (2.0 * step)
     return grads
+
+
+def parallel_reversed_net(rng, n=9):
+    """Random connected network with bus and per-end branch shunts, half
+    its branches stored against bus order, and one parallel pair.
+
+    Returns (net, ends): ends lists both directions of every branch
+    without a parallel partner, the ends a branch measurement may use.
+    """
+    def branch(i, j):
+        return Branch(i, j, float(rng.uniform(0.005, 0.1)), float(rng.uniform(0.02, 0.4)),
+                      gs_from=float(rng.uniform(0.0, 0.01)), bs_from=float(rng.uniform(0.0, 0.05)),
+                      gs_to=float(rng.uniform(0.0, 0.01)), bs_to=float(rng.uniform(0.0, 0.05)))
+
+    buses = [Bus(i, shunt_g=float(rng.uniform(0.0, 0.02)), shunt_b=float(rng.uniform(-0.05, 0.05)),
+                 is_slack=(i == 1)) for i in range(1, n + 1)]
+    branches = []
+    for i in range(2, n + 1):
+        j = int(rng.integers(1, i))
+        branches.append(branch(i, j) if i % 2 else branch(j, i))
+    branches.append(branch(branches[2].to_bus, branches[2].from_bus))
+    for _ in range(n // 3):
+        i, j = (int(b) for b in rng.choice(np.arange(1, n + 1), size=2, replace=False))
+        branches.append(branch(i, j))
+    net = NetworkModel(buses, branches)
+    pairs = [frozenset((br.from_bus, br.to_bus)) for br in branches]
+    ends = [end for br, pair in zip(branches, pairs) if pairs.count(pair) == 1
+            for end in ((br.from_bus, br.to_bus), (br.to_bus, br.from_bus))]
+    return net, ends
 
 
 def branch_ends(net):

@@ -198,6 +198,31 @@ class TestEstimateCommand:
         assert main(["estimate", "--manifest", str(manifest),
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("change", [
+        {"network": None}, {"measurements": None}, {"formulation": None},
+        {"config": []}, {"network": 5}, {"out": ["o"]}],
+        ids=["no-network", "no-measurements", "no-formulation", "config-list",
+             "network-number", "out-list"])
+    def test_malformed_manifest_exits_one(self, tmp_path, capsys, change):
+        data = synth(tmp_path)
+        doc = {"command": "estimate", "network": NET3,
+               "measurements": str(data / "measurements.json"),
+               "formulation": "conventional", "config": {}}
+        doc.update(change)
+        doc = {key: value for key, value in doc.items() if value is not None}
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["estimate", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [{"command": "estimate"}, ["estimate"]],
+                             ids=["command-only", "list"])
+    def test_bare_manifest_exits_one(self, tmp_path, doc):
+        manifest = tmp_path / "m.json"
+        manifest.write_text(json.dumps(doc))
+        assert main(["estimate", "--manifest", str(manifest)]) == 1
+
     def test_dc_rejects_reactive_flow_with_exit_one(self, tmp_path, capsys):
         meas = tmp_path / "m.json"
         meas.write_text(json.dumps({"measurements": [

@@ -8,6 +8,8 @@ from gridse import (
     Branch,
     Bus,
     FlatStartSingularity,
+    Formulation,
+    InputError,
     MeasurementKind,
     MeasurementSet,
     Measurement,
@@ -15,10 +17,14 @@ from gridse import (
     StateVector,
     UnsupportedKind,
     assemble_admittance,
+    assemble_problem,
+    gauss_newton,
+    SolverConfig,
 )
 from gridse.functions import (
     BranchCoefficients,
     CURRENT_GUARD,
+    MeasurementKernel,
     dc_rows,
     evaluate_row,
     evaluate_value,
@@ -39,7 +45,14 @@ from gridse.functions import (
 )
 from gridse.states import POLAR
 
-from conftest import branch_ends, fd_gradient, random_polar_state
+from conftest import (
+    branch_ends,
+    fd_gradient,
+    legacy_plan,
+    oracle_value,
+    parallel_reversed_net,
+    random_polar_state,
+)
 
 K = MeasurementKind
 
@@ -161,7 +174,7 @@ class TestInjections:
         rng = np.random.default_rng(23)
         x = random_polar_state(net14, rng)
         row = h_p_inj(net14, y14, x, 6)
-        ids, _ = y14.row(6)
+        ids = y14.indices[y14.indptr[5]:y14.indptr[6]] + 1
         allowed = set()
         for b in ids:
             allowed.add(b - 1)
@@ -348,6 +361,22 @@ class TestLinearRectRows:
                     cur.imag, abs=1e-12)
                 k += 1
 
+    def test_parallel_and_reversed_branch_ends(self):
+        net, ends = parallel_reversed_net(np.random.default_rng(36))
+        placements = [(kind, at) for at in ends for kind in (K.I_RE, K.I_IM)]
+        placements += [(kind, (b.id,)) for b in net.buses for kind in (K.V_RE, K.V_IM)]
+        mset = MeasurementSet([Measurement(kind, at, 0.0, 1e-4) for kind, at in placements])
+        h = linear_rows_rectstate(net, mset)
+        x = random_polar_state(net, np.random.default_rng(37))
+        v = x.complex_voltages()
+        got = h @ np.concatenate([v.real, v.imag])
+        for r, (kind, at) in enumerate(placements):
+            assert got[r] == pytest.approx(oracle_value(net, x, kind, at), abs=1e-12)
+        parallel = next(br for br in net.branches if (br.from_bus, br.to_bus) not in ends)
+        with pytest.raises(InputError, match="parallel"):
+            linear_rows_rectstate(net, MeasurementSet([
+                Measurement(K.I_RE, (parallel.to_bus, parallel.from_bus), 0.0, 1e-4)]))
+
     def test_constant_between_states(self, net3):
         mset = MeasurementSet([Measurement(K.I_RE, (1, 2), 0.0, 1e-4),
                                Measurement(K.V_IM, (3,), 0.0, 1e-4)])
@@ -413,3 +442,75 @@ class TestDcRows:
                 ac = h_p_flow(net, y, x, i, j).value
                 dc = evaluate_value(net, y, x, K.P_FLOW_DC, (i, j))
                 assert abs(ac - dc) <= 5e-7
+
+
+def all_polar_kinds(net, ends, rng):
+    """Every polar-state kind at every branch end and bus, shuffled."""
+    placements = [(kind, at) for at in ends for kind in NONLINEAR_BRANCH_KINDS]
+    placements += [(kind, (b.id,)) for b in net.buses for kind in NONLINEAR_BUS_KINDS]
+    return [placements[k] for k in rng.permutation(len(placements))]
+
+
+def _both_directions(net):
+    return [end for i, j in branch_ends(net) for end in ((i, j), (j, i))]
+
+
+class TestMeasurementKernel:
+    @pytest.fixture(params=["net3", "net14", "parallel_reversed"])
+    def net_and_ends(self, request, net3, net14):
+        if request.param == "parallel_reversed":
+            return parallel_reversed_net(np.random.default_rng(40))
+        net = net3 if request.param == "net3" else net14
+        return net, _both_directions(net)
+
+    def test_rows_match_oracle_and_central_differences(self, net_and_ends):
+        net, ends = net_and_ends
+        rng = np.random.default_rng(41)
+        placements = all_polar_kinds(net, ends, rng)
+        kernel = MeasurementKernel(net, assemble_admittance(net), placements)
+        columns = range(2 * net.n_buses)
+        for _ in range(2):
+            x = random_polar_state(net, rng)
+            h, j, active = kernel.rows(x)
+            assert active.all()
+            assert np.array_equal(kernel.values(x), h)
+            dense = j.toarray()
+            for r, (kind, at) in enumerate(placements):
+                want = oracle_value(net, x, kind, at)
+                assert abs(math.remainder(h[r] - want, 2 * math.pi)) <= 1e-12, (kind, at)
+                fd = fd_gradient(net, None, x, kind, at, columns)
+                for c in columns:
+                    tol = max(1e-6 * abs(fd[c]), 1e-9)
+                    assert abs(dense[r, c] - fd[c]) <= tol, (kind, at, c)
+
+    def test_jacobian_pattern_is_fixed(self, net_and_ends):
+        net, ends = net_and_ends
+        rng = np.random.default_rng(42)
+        kernel = MeasurementKernel(net, None, all_polar_kinds(net, ends, rng))
+        states = [random_polar_state(net, rng), random_polar_state(net, rng), flat(net)]
+        for x in states:
+            _, j, _ = kernel.rows(x)
+            assert np.array_equal(j.indptr, kernel.indptr)
+            assert np.array_equal(j.indices, kernel.indices)
+            assert np.isfinite(j.data).all()
+
+    def test_flat_start_drops_singular_current_rows(self, net14, caplog):
+        plan = legacy_plan(net14)
+        mset = MeasurementSet([Measurement(kind, at, 0.0, 1e-4) for kind, at in plan])
+        problem = assemble_problem(net14, mset, Formulation.CONVENTIONAL)
+        x = problem.initial_state()
+        h, j, active = problem.rows(x)
+        want = [r for r, (kind, at) in enumerate(plan) if kind == K.I_MAG
+                and oracle_value(net14, x, kind, at) < CURRENT_GUARD]
+        assert want and np.flatnonzero(~active).tolist() == want
+        for r, (kind, at) in enumerate(plan):
+            assert h[r] == pytest.approx(oracle_value(net14, x, kind, at), abs=1e-12)
+            if r in want:
+                with pytest.raises(FlatStartSingularity):
+                    evaluate_row(net14, problem.y, x, kind, at)
+        lo, hi = j.indptr[want], j.indptr[np.array(want) + 1]
+        assert (hi - lo == 4).all()
+        assert all((j.data[a:b] == 0.0).all() for a, b in zip(lo, hi))
+        with caplog.at_level("WARNING", logger="gridse"):
+            gauss_newton(problem, cfg=SolverConfig(max_iterations=1))
+        assert f"dropping {len(want)} flat-singular row(s)" in caplog.text

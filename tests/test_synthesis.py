@@ -1,9 +1,11 @@
+import cmath
 import json
 import math
 
 import numpy as np
 import pytest
 
+import gridse
 from gridse import (
     Formulation,
     InputError,
@@ -21,7 +23,19 @@ from gridse import (
 from gridse.functions import evaluate_value
 from gridse.synthesis import ZERO_NOISE_VARIANCE, load_scenario, scenario_from_dict
 
-from conftest import FIXTURES, LEGACY_NOISE, legacy_plan, make_scenario
+from conftest import (
+    DC_NOISE,
+    FIXTURES,
+    LEGACY_NOISE,
+    PMU_NOISE,
+    dc_plan,
+    legacy_plan,
+    linear_rect_plan,
+    make_scenario,
+    oracle_value,
+    simultaneous_polar_plan,
+    simultaneous_rect_plan,
+)
 
 K = MeasurementKind
 
@@ -138,6 +152,63 @@ class TestSynthesize:
         mset = synthesize(spec, x_true, y3)
         pairs = {tuple(sorted(c.rows)) for c in mset.correlations}
         assert pairs == {(0, 2), (1, 3)}
+
+
+def expected_measurements(spec, x):
+    """z per placement from conftest.oracle_value plus the synthesizer's
+    noise draws, replayed from the same stream in placement order."""
+    rng = np.random.default_rng([spec.seed, 1])
+    polar_of = {K.V_RE: (K.V_MAG_PMU, K.V_ANG_PMU), K.V_IM: (K.V_MAG_PMU, K.V_ANG_PMU),
+                K.I_RE: (K.I_MAG_PMU, K.I_ANG_PMU), K.I_IM: (K.I_MAG_PMU, K.I_ANG_PMU)}
+    partner = {K.V_RE: K.V_IM, K.V_IM: K.V_RE, K.I_RE: K.I_IM, K.I_IM: K.I_RE}
+    waiting = {}
+    out = []
+    for kind, at in spec.placements:
+        if kind not in polar_of:
+            value = oracle_value(spec.network, x, kind, at)
+            sigma = spec.noise.get(kind, 0.0)
+            if sigma > 0.0:
+                value += sigma * rng.standard_normal()
+            out.append(value)
+        elif waiting.get((kind, at)):
+            out.append(waiting[(kind, at)].pop(0))
+        else:
+            mag_kind, ang_kind = polar_of[kind]
+            dm, da = rng.standard_normal(2)
+            z = cmath.rect(oracle_value(spec.network, x, mag_kind, at) + spec.noise[mag_kind] * dm,
+                           oracle_value(spec.network, x, ang_kind, at) + spec.noise[ang_kind] * da)
+            mine, other = (z.real, z.imag) if kind in (K.V_RE, K.I_RE) else (z.imag, z.real)
+            out.append(mine)
+            waiting.setdefault((partner[kind], at), []).append(other)
+    return out
+
+
+class TestSynthesizeAgainstOracle:
+    def test_values_are_oracle_plus_the_same_noise_draws(self, net14):
+        placements = (simultaneous_polar_plan(net14) + simultaneous_rect_plan(net14)
+                      + dc_plan(net14))
+        order = np.random.default_rng(50).permutation(len(placements))
+        spec = make_scenario(net14, [placements[k] for k in order],
+                             noise={**LEGACY_NOISE, **PMU_NOISE, **DC_NOISE}, seed=51)
+        x = sample_true_state(spec)
+        mset = synthesize(spec, x)
+        want = expected_measurements(spec, x)
+        for m, value in zip(mset, want):
+            assert abs(math.remainder(m.value - value, 2 * math.pi)) <= 1e-12, m
+
+    @pytest.mark.parametrize("plan, builds", [
+        (legacy_plan, 1), (linear_rect_plan, 0), (dc_plan, 0)])
+    def test_admittance_built_only_for_injection_rows(self, net3, monkeypatch,
+                                                      plan, builds):
+        calls = []
+        build = gridse.network.assemble_admittance
+        for module in (gridse.functions, gridse.synthesis):
+            monkeypatch.setattr(module, "assemble_admittance",
+                                lambda net: calls.append(net) or build(net),
+                                raising=False)
+        spec = make_scenario(net3, plan(net3))
+        synthesize(spec, sample_true_state(spec))
+        assert len(calls) == builds
 
 
 class TestScenarioValidation:
