@@ -27,7 +27,7 @@ from .estimators import (
     solve,
 )
 from .measurements import load_measurements, measurements_to_dict
-from .network import assemble_admittance, load_network
+from .network import load_network
 from .states import StateVector
 from .synthesis import (
     load_scenario,
@@ -54,8 +54,7 @@ def _round_sig(obj, digits: int = 12):
 
 def _write_json(path: str, doc: dict):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -214,7 +213,7 @@ def _cmd_synthesize(args) -> int:
 
 def _cmd_check(args) -> int:
     net = load_network(args.net)
-    y = assemble_admittance(net)
+    y = net.admittance
     if args.json:
         print(json.dumps({
             "buses": net.n_buses,

@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csc_matrix, csr_matrix, issparse
+from scipy.sparse import csc_matrix, issparse
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -38,7 +38,7 @@ from .measurements import (
     CovarianceModel,
     MeasurementSet,
 )
-from .network import NetworkModel, assemble_admittance
+from .network import NetworkModel
 from .states import POLAR, RECTANGULAR, StateVector, wrap_angles
 
 log = logging.getLogger(__name__)
@@ -135,11 +135,9 @@ class EstimationProblem:
     MeasurementKernel; DC and linear_rect keep a constant h_matrix.
     """
 
-    def __init__(self, net: NetworkModel, y: csr_matrix | None,
-                 mset: MeasurementSet, formulation: Formulation,
-                 covariance: CovarianceModel):
+    def __init__(self, net: NetworkModel, mset: MeasurementSet,
+                 formulation: Formulation, covariance: CovarianceModel):
         self.net = net
-        self.y = y
         self.mset = mset
         self.formulation = formulation
         self.covariance = covariance
@@ -166,7 +164,7 @@ class EstimationProblem:
             fixed = net.slack_bus - 1
             self.fixed_value = net.slack_angle
             self.h_matrix = None
-            self.kernel = MeasurementKernel(net, y, [(m.kind, m.at) for m in mset])
+            self.kernel = MeasurementKernel(net, [(m.kind, m.at) for m in mset])
         self.fixed_index = fixed
         self.free_indices = np.array(
             [k for k in range(self.full_dim) if k != fixed], dtype=int)
@@ -206,7 +204,10 @@ class EstimationProblem:
 
     def residuals(self, x: StateVector) -> np.ndarray:
         """z - h(x), with angle rows wrapped to the principal branch."""
-        r = self.mset.values() - self.values(x)
+        return self._residuals_of(self.values(x))
+
+    def _residuals_of(self, h: np.ndarray) -> np.ndarray:
+        r = self.mset.values() - h
         if self._angle_rows.any():
             r[self._angle_rows] = wrap_angles(r[self._angle_rows])
         return r
@@ -228,15 +229,13 @@ class EstimationProblem:
 
 def assemble_problem(net: NetworkModel, mset: MeasurementSet,
                      formulation: Formulation, *,
-                     neglect_phasor_covariance: bool = False,
-                     y: csr_matrix | None = None) -> EstimationProblem:
+                     neglect_phasor_covariance: bool = False) -> EstimationProblem:
     """Bind a network and measurement set under a formulation.
 
     Rejects measurement kinds outside the formulation's family and
     empty sets; builds the covariance as a diagonal of the recorded
     variances, keeping the 2x2 rectangular-phasor blocks unless they
-    are explicitly neglected.  Y is assembled only for the polar-state
-    formulations, whose rows read it; DC and linear_rect get y=None.
+    are explicitly neglected.
     """
     formulation = Formulation(formulation)
     if len(mset) == 0:
@@ -252,9 +251,7 @@ def assemble_problem(net: NetworkModel, mset: MeasurementSet,
     else:
         blocks = tuple((c.rows[0], c.rows[1], c.cov) for c in mset.correlations)
     covariance = CovarianceModel(mset.variances(), blocks)
-    if y is None and formulation not in (Formulation.DC, Formulation.LINEAR_RECT):
-        y = assemble_admittance(net)
-    return EstimationProblem(net, y, mset, formulation, covariance)
+    return EstimationProblem(net, mset, formulation, covariance)
 
 
 def objective(problem: EstimationProblem, x: StateVector) -> float:
@@ -322,10 +319,12 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     step, which is exact.  Rows with undefined gradients (flat-start
     current singularities) are dropped for the affected iteration only,
     with a logged warning; if any were dropped at the converging iterate
-    the result is marked not converged.  A start in the wrong coordinates
-    or with another slack anchor raises InputError, a singular gain
-    SingularGain; hitting the iteration cap returns the partial result
-    with converged=False.
+    the result is marked not converged.  h(x) is evaluated once per
+    iterate: each objective_trace entry comes from the residual of the
+    next linearization, the last one from the final residuals.  A start
+    in the wrong coordinates or with another slack anchor raises
+    InputError, a singular gain SingularGain; hitting the iteration cap
+    returns the partial result with converged=False.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x = (x0 if x0 is not None else problem.initial_state()).copy()
@@ -340,45 +339,50 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
             f"start state pins the slack entry at {x.slack_value:g}, the "
             f"{problem.formulation} formulation anchors it at {problem.fixed_value:g}")
     x.values[x.slack_index] = x.slack_value
-    z = problem.mset.values()
     free = problem.free_indices
     columns = problem._state_columns(x)
+    rinv = problem.covariance.inverse()
     converged = False
     iterations = 0
     objective_trace: list[float] = []
     max_step_trace: list[float] = []
-    dropped_at_last = False
+
+    def record_objective(r):
+        """Trace r^T R^-1 r of the iterate whose wrapped residual is r."""
+        obj = float(r @ (rinv @ r))
+        if objective_trace and obj > objective_trace[-1]:
+            log.debug("objective increased from %.6e to %.6e",
+                      objective_trace[-1], obj)
+        objective_trace.append(obj)
+
     for _ in range(cfg.max_iterations):
         h, j, active = problem.rows(x)
+        r = problem._residuals_of(h)
+        if max_step_trace:
+            record_objective(r)
         dropped_at_last = not active.all()
         if dropped_at_last:
             log.warning("dropping %d flat-singular row(s) for this iteration",
                         int((~active).sum()))
-        r = z - h
-        if problem._angle_rows.any():
-            r[problem._angle_rows] = wrap_angles(r[problem._angle_rows])
         dx = GainSystem(j[:, free], problem.covariance, r, active).solve(
             cfg.linear_system_method)
         columns[free] += dx
         step = float(np.max(np.abs(dx))) if dx.size else 0.0
         max_step_trace.append(step)
-        obj = objective(problem, x)
-        objective_trace.append(obj)
-        if len(objective_trace) > 1 and obj > objective_trace[-2]:
-            log.debug("objective increased from %.6e to %.6e",
-                      objective_trace[-2], obj)
         if step > cfg.step_tolerance:
             iterations += 1
         if step <= cfg.step_tolerance or problem.is_linear:
             converged = not dropped_at_last
             break
+    residuals = problem.residuals(x)
+    record_objective(residuals)
     return EstimationResult(
         x_hat=x,
         converged=converged,
         iterations=iterations,
         objective_trace=objective_trace,
         max_step_trace=max_step_trace,
-        residuals=problem.residuals(x),
+        residuals=residuals,
     )
 
 

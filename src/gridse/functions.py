@@ -19,19 +19,19 @@ columns.
 The 14 polar-state kinds are evaluated by a ``MeasurementKernel``,
 compiled once per measurement set: rows are grouped by kind into index
 arrays (branch-end rows with their (g, b, gs, bs), injection rows with
-the entries of their Y rows, bus rows), and the CSR sparsity pattern of
+their rows of ``net.admittance``, bus rows), and the CSR sparsity pattern of
 the Jacobian is fixed at compile time.  Each evaluation computes h and
 the Jacobian entries as array expressions, one pass per kind, and only
 refills J's data array, in the style of MATPOWER's vectorised
 derivatives (Zimmerman, "AC Power Flows, Generalized OPF Costs and
 their Derivatives using Complex Matrix Notation", MATPOWER TN2, 2010).
-The per-kind ``h_*`` functions and ``evaluate_row`` are one-row
-kernels, so every caller runs the same formulas.
+``evaluate_row`` and ``evaluate_values`` compile a kernel for the
+rows they are given, so every caller runs the same formulas.
 
 Current magnitude and current angle rows divide by the current
 magnitude; below ``CURRENT_GUARD`` the value is still defined but the
 partials are not: the kernel marks such rows inactive with zero
-partials, and the one-row functions raise FlatStartSingularity.
+partials, and ``evaluate_row`` raises FlatStartSingularity.
 """
 
 from __future__ import annotations
@@ -43,8 +43,14 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import FlatStartSingularity, InputError, UnsupportedKind
-from .measurements import DC_KINDS, Measurement, MeasurementKind, MeasurementSet
-from .network import NetworkModel, assemble_admittance
+from .measurements import (
+    DC_KINDS,
+    Measurement,
+    MeasurementKind,
+    MeasurementSet,
+    bus_index,
+)
+from .network import NetworkModel
 from .states import POLAR, StateVector
 
 K = MeasurementKind
@@ -267,7 +273,7 @@ class _BusRows:
 
     def __init__(self, net, rows, buses, formula, layout):
         self.rows = np.array(rows, dtype=int)
-        self.bus = np.array(buses, dtype=int) - 1
+        self.bus = np.array(buses, dtype=int)
         self.formula = formula
         n = net.n_buses
         self.cols = np.concatenate([self.bus + n * side for side in layout])
@@ -288,10 +294,11 @@ class _InjectionRows:
     """P or Q injection rows.  Partials sit at (theta_k, V_k) for every
     off-diagonal entry k of the Y row, then at (theta_i, V_i)."""
 
-    def __init__(self, net, y, rows, buses, reactive):
+    def __init__(self, net, rows, buses, reactive):
         self.rows = np.array(rows, dtype=int)
-        self.bus = np.array(buses, dtype=int) - 1
+        self.bus = np.array(buses, dtype=int)
         self.reactive = reactive
+        y = net.admittance
         # The stored entries of each row's Y row, row after row.
         start = y.indptr[self.bus]
         count = y.indptr[self.bus + 1] - start
@@ -339,15 +346,15 @@ class _InjectionRows:
 class MeasurementKernel:
     """h(x) and the Jacobian of a fixed list of polar-state rows.
 
-    Compiled once from (net, Y, [(kind, at), ...]); rows keep list
-    order.  The Jacobian's CSR pattern (``indptr``, ``indices``) is the
-    same at every state.  Y is read by injection rows only; when it is
-    not given and such rows exist it is assembled here.  Branch rows
+    Compiled once from (net, [(kind, at), ...]); rows keep list order.
+    The Jacobian's CSR pattern (``indptr``, ``indices``) is the same at
+    every state.  Injection rows read ``net.admittance``.  Branch rows
     resolve their branch with ``net.branch_index``, so a measurement on
-    a parallel branch is rejected.
+    a parallel branch is rejected; a bus row outside 1..N is an
+    InputError.
     """
 
-    def __init__(self, net: NetworkModel, y: csr_matrix | None, placements):
+    def __init__(self, net: NetworkModel, placements):
         placements = list(placements)
         self.m = len(placements)
         self.n_columns = 2 * net.n_buses
@@ -362,13 +369,11 @@ class MeasurementKernel:
             else:
                 raise UnsupportedKind(f"{kind} has no polar-state row")
             group[0].append(r)
-            group[1].append(at if kind in _BRANCH_FORMULAS else at[0])
-        if inj and y is None:
-            y = assemble_admittance(net)
+            group[1].append(at if kind in _BRANCH_FORMULAS else bus_index(net, kind, at))
         self._groups = (
             [_BranchRows(net, rows, ends, fn) for fn, (rows, ends) in branch.items()]
             + [_BusRows(net, rows, buses, *spec) for spec, (rows, buses) in bus.items()]
-            + [_InjectionRows(net, y, rows, buses, q) for q, (rows, buses) in inj.items()])
+            + [_InjectionRows(net, rows, buses, q) for q, (rows, buses) in inj.items()])
         patterns = [grp.pattern() for grp in self._groups]
         empty = [np.zeros(0, dtype=int)]
         rows = np.concatenate([p[0] for p in patterns] + empty)
@@ -411,90 +416,22 @@ class MeasurementKernel:
 
 
 # ---------------------------------------------------------------------------
-# one-row functions over the kernel
+# one row over the kernel
 
-def evaluate_row(net: NetworkModel, y: csr_matrix | None, x: StateVector,
-                 kind: MeasurementKind, at: tuple[int, ...]) -> FunctionRow:
+def evaluate_row(net: NetworkModel, x: StateVector, kind: MeasurementKind,
+                 at: tuple[int, ...]) -> FunctionRow:
     """Value plus gradient of one polar-state measurement function.
 
     Raises FlatStartSingularity for a current magnitude or angle row
     whose current is below CURRENT_GUARD.
     """
-    kernel = MeasurementKernel(net, y, [(kind, tuple(at))])
+    kernel = MeasurementKernel(net, [(kind, tuple(at))])
     h, data, active = kernel._evaluate(x, jac=True)
     if not active[0]:
         raise FlatStartSingularity(
             f"current on branch {at[0]}-{at[1]} is below {CURRENT_GUARD:g} "
             f"p.u.; the {kind} row's partials are undefined")
     return FunctionRow(float(h[0]), dict(zip(kernel.indices.tolist(), data.tolist())))
-
-
-def h_p_flow(net, y, x, i: int, j: int) -> FunctionRow:
-    """Active power flow i -> j."""
-    return evaluate_row(net, y, x, K.P_FLOW, (i, j))
-
-
-def h_q_flow(net, y, x, i: int, j: int) -> FunctionRow:
-    """Reactive power flow i -> j."""
-    return evaluate_row(net, y, x, K.Q_FLOW, (i, j))
-
-
-def h_i_mag(net, y, x, i: int, j: int) -> FunctionRow:
-    """Current magnitude on branch end i -> j; raises
-    FlatStartSingularity below the guard, where every partial divides
-    by the value."""
-    return evaluate_row(net, y, x, K.I_MAG, (i, j))
-
-
-def h_i_ang(net, y, x, i: int, j: int) -> FunctionRow:
-    """Current phasor angle on branch end i -> j; raises
-    FlatStartSingularity below the guard."""
-    return evaluate_row(net, y, x, K.I_ANG_PMU, (i, j))
-
-
-def i_mag_value(net, y, x, i: int, j: int) -> float:
-    """Current magnitude on branch end i -> j (never raises)."""
-    return evaluate_value(net, y, x, K.I_MAG, (i, j))
-
-
-def i_ang_value(net, y, x, i: int, j: int) -> float:
-    """Current phasor angle on branch end i -> j via the four-quadrant
-    arctangent (never raises; 0 for an exactly zero current)."""
-    return evaluate_value(net, y, x, K.I_ANG_PMU, (i, j))
-
-
-def h_p_inj(net, y, x, i: int) -> FunctionRow:
-    """Active power injection at bus i, evaluated from the Y row."""
-    return evaluate_row(net, y, x, K.P_INJ, (i,))
-
-
-def h_q_inj(net, y, x, i: int) -> FunctionRow:
-    """Reactive power injection at bus i, evaluated from the Y row."""
-    return evaluate_row(net, y, x, K.Q_INJ, (i,))
-
-
-def h_v_mag(net, y, x, i: int) -> FunctionRow:
-    return evaluate_row(net, y, x, K.V_MAG, (i,))
-
-
-def h_v_ang(net, y, x, i: int) -> FunctionRow:
-    return evaluate_row(net, y, x, K.V_ANG_PMU, (i,))
-
-
-def h_v_re_polarstate(net, y, x, i: int) -> FunctionRow:
-    return evaluate_row(net, y, x, K.V_RE, (i,))
-
-
-def h_v_im_polarstate(net, y, x, i: int) -> FunctionRow:
-    return evaluate_row(net, y, x, K.V_IM, (i,))
-
-
-def h_i_re_polarstate(net, y, x, i: int, j: int) -> FunctionRow:
-    return evaluate_row(net, y, x, K.I_RE, (i, j))
-
-
-def h_i_im_polarstate(net, y, x, i: int, j: int) -> FunctionRow:
-    return evaluate_row(net, y, x, K.I_IM, (i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +455,8 @@ def linear_rows_rectstate(net: NetworkModel, mset: MeasurementSet) -> csr_matrix
     volt = np.flatnonzero(code < 2)
     cur = np.flatnonzero(code >= 2)
     at = [m.at for m in mset]
-    bus = np.array([at[r][0] for r in volt.tolist()], dtype=int) - 1
+    bus = np.array([bus_index(net, mset[r].kind, at[r]) for r in volt.tolist()],
+                   dtype=int)
     i, j, g, b, gs, bs = _end_params(net, [at[r] for r in cur.tolist()])
     im = code[cur] == 3
     # I = (y + ys) V_i - y V_j over (Re V_i, Im V_i, Re V_j, Im V_j)
@@ -554,9 +492,9 @@ def dc_rows(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
             cols += [i - 1, j - 1]
             data += [-b, b]
         elif m.kind == K.P_INJ_DC:
-            i = m.at[0]
+            i = bus_index(net, m.kind, m.at)
             bsum = 0.0
-            for br, rev in net.branches_at(i):
+            for br, rev in net.branches_at(i + 1):
                 b = dc_susceptance(net, br)
                 jbus = br.from_bus if rev else br.to_bus
                 rows.append(r)
@@ -564,11 +502,11 @@ def dc_rows(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
                 data.append(b)
                 bsum += b
             rows.append(r)
-            cols.append(i - 1)
+            cols.append(i)
             data.append(-bsum)
         elif m.kind == K.THETA:
             rows.append(r)
-            cols.append(m.at[0] - 1)
+            cols.append(bus_index(net, m.kind, m.at))
             data.append(1.0)
         else:
             raise UnsupportedKind(f"{m.kind} does not belong to the DC family")
@@ -578,8 +516,7 @@ def dc_rows(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
 # ---------------------------------------------------------------------------
 # values of any kind at a polar state
 
-def evaluate_values(net: NetworkModel, y: csr_matrix | None, x: StateVector,
-                    placements) -> np.ndarray:
+def evaluate_values(net: NetworkModel, x: StateVector, placements) -> np.ndarray:
     """h(x) at a polar state for (kind, at) placements of any kind.
 
     The polar-state kinds take one kernel call; DC kinds are the DC
@@ -591,22 +528,22 @@ def evaluate_values(net: NetworkModel, y: csr_matrix | None, x: StateVector,
     placements = list(placements)
     dc = [kind in DC_KINDS for kind, _ in placements]
     if not any(dc):
-        return MeasurementKernel(net, y, placements).values(x)
+        return MeasurementKernel(net, placements).values(x)
     dc = np.array(dc)
     out = np.empty(len(placements))
     out[dc] = dc_rows(net, [Measurement(kind, at, 0.0, 1.0) for (kind, at), is_dc
                             in zip(placements, dc) if is_dc]) @ x.angles
     if not dc.all():
         out[~dc] = MeasurementKernel(
-            net, y, [p for p, is_dc in zip(placements, dc) if not is_dc]).values(x)
+            net, [p for p, is_dc in zip(placements, dc) if not is_dc]).values(x)
     return out
 
 
-def evaluate_value(net: NetworkModel, y: csr_matrix | None, x: StateVector,
-                   kind: MeasurementKind, at: tuple[int, ...]) -> float:
+def evaluate_value(net: NetworkModel, x: StateVector, kind: MeasurementKind,
+                   at: tuple[int, ...]) -> float:
     """Value of any measurement function at a polar state.
 
     DC kinds are evaluated with the DC (linearized) functions on the
     state angles; current magnitude/angle values never raise here.
     """
-    return float(evaluate_values(net, y, x, [(kind, tuple(at))])[0])
+    return float(evaluate_values(net, x, [(kind, tuple(at))])[0])

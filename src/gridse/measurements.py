@@ -161,8 +161,15 @@ class MeasurementSet:
             if m.kind in BRANCH_KINDS:
                 net.branch_between(*m.at)
             else:
-                if not 1 <= m.at[0] <= net.n_buses:
-                    raise InputError(f"{m.kind} at {m.at}: bus does not exist")
+                bus_index(net, m.kind, m.at)
+
+
+def bus_index(net: NetworkModel, kind: MeasurementKind, at) -> int:
+    """0-based index of the bus a bus-kind row sits at; a bus outside
+    1..N is an InputError."""
+    if not 1 <= at[0] <= net.n_buses:
+        raise InputError(f"{kind} at {tuple(at)}: bus does not exist")
+    return at[0] - 1
 
 
 def polar_to_rect_variance(z_mag: float, v_mag: float, z_ang: float,

@@ -152,6 +152,12 @@ class NetworkModel:
                            br.gs_to, br.bs_to) for br in self.branches],
                         dtype=float).reshape(-1, 6)
 
+    @cached_property
+    def admittance(self) -> csr_matrix:
+        """The nodal admittance matrix, assembled on first use and
+        cached.  Callers must not modify it."""
+        return assemble_admittance(self)
+
     def branches_at(self, i: int) -> tuple[tuple[Branch, bool], ...]:
         """Branches incident to bus i, each oriented away from i.
 

@@ -20,7 +20,6 @@ import os
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .errors import InputError, NonPositiveVariance
 from .functions import evaluate_values
@@ -153,8 +152,7 @@ def _recorded_variance(sigma: float) -> float:
     return sigma * sigma if sigma > 0.0 else ZERO_NOISE_VARIANCE
 
 
-def synthesize(spec: ScenarioSpec, x_true: StateVector,
-               y: csr_matrix | None = None) -> MeasurementSet:
+def synthesize(spec: ScenarioSpec, x_true: StateVector) -> MeasurementSet:
     """Generate z = h(x_true) + noise for every placement, in order.
 
     Scalar kinds get independent Gaussian errors with the configured
@@ -163,8 +161,7 @@ def synthesize(spec: ScenarioSpec, x_true: StateVector,
     propagation at the measured polar values.  Zero stddev gives the
     exact function value with a small default recorded variance.
     Every true value, including the polar magnitude and angle behind
-    each rectangular pair, comes from one evaluation of h(x_true); Y is
-    assembled only when y is not given and injection rows read it.
+    each rectangular pair, comes from one evaluation of h(x_true).
     """
     net = spec.network
     rng = _noise_rng(spec.seed)
@@ -176,7 +173,7 @@ def synthesize(spec: ScenarioSpec, x_true: StateVector,
         elif idx < pairs[idx]:
             re_kind = kind if kind in _RECT_POLAR_SIGMAS else _RECT_PARTNER[kind]
             targets += [(polar_kind, at) for polar_kind in _RECT_POLAR_SIGMAS[re_kind]]
-    truth = iter(evaluate_values(net, y, x_true, targets).tolist())
+    truth = iter(evaluate_values(net, x_true, targets).tolist())
     stash: dict[int, tuple[float, float]] = {}
     rows: list[Measurement] = []
     correlations: list[Correlation] = []

@@ -37,11 +37,6 @@ def y3(net3):
     return assemble_admittance(net3)
 
 
-@pytest.fixture(scope="session")
-def y14(net14):
-    return assemble_admittance(net14)
-
-
 def random_polar_state(net, rng, v_range=(0.9, 1.1), t_range=(-0.3, 0.3)):
     n = net.n_buses
     theta = rng.uniform(*t_range, n)
@@ -118,7 +113,7 @@ def oracle_value(net, x, kind, at):
     raise ValueError(f"oracle has no rule for {kind}")
 
 
-def fd_gradient(net, y, x, kind, at, columns, step=1e-6):
+def fd_gradient(net, x, kind, at, columns, step=1e-6):
     """Central-difference partials of the independent oracle function.
 
     Angle-valued functions are differenced on the principal branch so a

@@ -42,17 +42,7 @@ from gridse import (
     synthesize,
     to_rectangular,
 )
-from gridse.functions import (
-    evaluate_row,
-    h_i_ang,
-    h_i_im_polarstate,
-    h_i_mag,
-    h_i_re_polarstate,
-    h_p_flow,
-    h_p_inj,
-    h_q_flow,
-    h_q_inj,
-)
+from gridse.functions import evaluate_row, evaluate_value
 
 from conftest import (
     DC_NOISE,
@@ -100,7 +90,6 @@ def test_c01_jacobian_battery(net3, net14):
     checked = 0
     skipped = 0
     for net in (net3, net14):
-        y = assemble_admittance(net)
         rng = np.random.default_rng(101)
         ends = branch_ends(net)
         buses = [b.id for b in net.buses]
@@ -111,11 +100,11 @@ def test_c01_jacobian_battery(net3, net14):
             for kind in BRANCH_KINDS:
                 for at in picks:
                     try:
-                        row = evaluate_row(net, y, x, kind, at)
+                        row = evaluate_row(net, x, kind, at)
                     except FlatStartSingularity:
                         skipped += 1
                         continue
-                    fd = fd_gradient(net, y, x, kind, at, sorted(row.gradient))
+                    fd = fd_gradient(net, x, kind, at, sorted(row.gradient))
                     for c, a in row.gradient.items():
                         err = abs(a - fd[c])
                         tol = max(1e-6 * abs(fd[c]), 1e-9)
@@ -123,8 +112,8 @@ def test_c01_jacobian_battery(net3, net14):
                         checked += 1
             for kind in BUS_KINDS:
                 for b in bus_picks:
-                    row = evaluate_row(net, y, x, kind, (b,))
-                    fd = fd_gradient(net, y, x, kind, (b,), sorted(row.gradient))
+                    row = evaluate_row(net, x, kind, (b,))
+                    fd = fd_gradient(net, x, kind, (b,), sorted(row.gradient))
                     for c, a in row.gradient.items():
                         err = abs(a - fd[c])
                         tol = max(1e-6 * abs(fd[c]), 1e-9)
@@ -210,19 +199,17 @@ def test_c03_linear_exactness(net3, net14):
 def test_c04_identity_cross_checks(net3, net14):
     worst_cur = worst_pol = worst_kir = 0.0
     for net in (net3, net14):
-        y = assemble_admittance(net)
         net_noshunt = shuntless(net)
-        y_noshunt = assemble_admittance(net_noshunt)
         rng = np.random.default_rng(55)
         for _ in range(50):
             x = random_polar_state(net, rng)
             for i, j in branch_ends(net):
-                p = h_p_flow(net, y, x, i, j).value
-                q = h_q_flow(net, y, x, i, j).value
-                mag = h_i_mag(net, y, x, i, j).value
-                ang = h_i_ang(net, y, x, i, j).value
-                re = h_i_re_polarstate(net, y, x, i, j).value
-                im = h_i_im_polarstate(net, y, x, i, j).value
+                p = evaluate_row(net, x, K.P_FLOW, (i, j)).value
+                q = evaluate_row(net, x, K.Q_FLOW, (i, j)).value
+                mag = evaluate_row(net, x, K.I_MAG, (i, j)).value
+                ang = evaluate_row(net, x, K.I_ANG_PMU, (i, j)).value
+                re = evaluate_row(net, x, K.I_RE, (i, j)).value
+                im = evaluate_row(net, x, K.I_IM, (i, j)).value
                 worst_cur = max(worst_cur, abs(
                     mag - math.hypot(p, q) / x.magnitudes[i - 1]))
                 worst_pol = max(worst_pol, abs(mag * math.cos(ang) - re),
@@ -231,12 +218,12 @@ def test_c04_identity_cross_checks(net3, net14):
                 p_sum = q_sum = 0.0
                 for br, rev in net_noshunt.branches_at(b.id):
                     jb = br.from_bus if rev else br.to_bus
-                    p_sum += h_p_flow(net_noshunt, y_noshunt, x, b.id, jb).value
-                    q_sum += h_q_flow(net_noshunt, y_noshunt, x, b.id, jb).value
+                    p_sum += evaluate_row(net_noshunt, x, K.P_FLOW, (b.id, jb)).value
+                    q_sum += evaluate_row(net_noshunt, x, K.Q_FLOW, (b.id, jb)).value
                 worst_kir = max(
                     worst_kir,
-                    abs(h_p_inj(net_noshunt, y_noshunt, x, b.id).value - p_sum),
-                    abs(h_q_inj(net_noshunt, y_noshunt, x, b.id).value - q_sum))
+                    abs(evaluate_row(net_noshunt, x, K.P_INJ, (b.id,)).value - p_sum),
+                    abs(evaluate_row(net_noshunt, x, K.Q_INJ, (b.id,)).value - q_sum))
     ok = worst_cur < 1e-10 and worst_pol < 1e-10 and worst_kir < 1e-10
     check("C4 identity cross-checks (current, polar/rect, Kirchhoff)", ok,
           f"I=|S|/V {worst_cur:.1e}, polar/rect {worst_pol:.1e}, "
@@ -283,10 +270,8 @@ def test_c05_admittance_properties():
 def test_c06_dc_linearization_fidelity(net3, net14):
     worst = 0.0
     rng = np.random.default_rng(66)
-    from gridse.functions import evaluate_value
     for base in (net3, net14):
         net = lossless(base)
-        y = assemble_admittance(net)
         for _ in range(50):
             n = net.n_buses
             theta = rng.uniform(-5e-4, 5e-4, n)
@@ -294,8 +279,8 @@ def test_c06_dc_linearization_fidelity(net3, net14):
             x = random_polar_state(net, rng, v_range=(1.0, 1.0), t_range=(0, 0))
             x.values[:n] = theta
             for i, j in branch_ends(net):
-                ac = h_p_flow(net, y, x, i, j).value
-                dc = evaluate_value(net, y, x, K.P_FLOW_DC, (i, j))
+                ac = evaluate_row(net, x, K.P_FLOW, (i, j)).value
+                dc = evaluate_value(net, x, K.P_FLOW_DC, (i, j))
                 worst = max(worst, abs(ac - dc))
     check("C6 DC linearization fidelity on lossless small angles",
           worst <= 5e-7, f"worst flow gap {worst:.2e}")
@@ -352,15 +337,13 @@ def test_c09_chi_square_consistency(net3):
     plan = simultaneous_polar_plan(net3)
     noise = dict(LEGACY_NOISE)
     noise.update(PMU_NOISE)
-    y = assemble_admittance(net3)
     objs = []
     m = None
     for seed in range(250):
         spec = make_scenario(net3, plan, noise=noise, seed=seed)
         x_true = sample_true_state(spec)
-        mset = synthesize(spec, x_true, y)
-        problem = assemble_problem(net3, mset, Formulation.SIMULTANEOUS_POLAR,
-                                   y=y)
+        mset = synthesize(spec, x_true)
+        problem = assemble_problem(net3, mset, Formulation.SIMULTANEOUS_POLAR)
         objs.append(objective(problem, x_true))
         m = problem.m
     mean = float(np.mean(objs))

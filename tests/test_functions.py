@@ -16,7 +16,6 @@ from gridse import (
     NetworkModel,
     StateVector,
     UnsupportedKind,
-    assemble_admittance,
     assemble_problem,
     gauss_newton,
     SolverConfig,
@@ -28,19 +27,6 @@ from gridse.functions import (
     dc_rows,
     evaluate_row,
     evaluate_value,
-    h_i_ang,
-    h_i_mag,
-    h_i_re_polarstate,
-    h_i_im_polarstate,
-    h_p_flow,
-    h_p_inj,
-    h_q_flow,
-    h_q_inj,
-    h_v_ang,
-    h_v_mag,
-    h_v_re_polarstate,
-    h_v_im_polarstate,
-    i_mag_value,
     linear_rows_rectstate,
 )
 from gridse.states import POLAR
@@ -78,67 +64,60 @@ def flat(net):
 class TestPowerFlowRows:
     def test_flat_shuntless_value_and_angle_partial(self):
         net = single_branch_net(1.0, -10.0)
-        y = assemble_admittance(net)
-        row = h_p_flow(net, y, flat(net), 1, 2)
+        row = evaluate_row(net, flat(net), K.P_FLOW, (1, 2))
         assert row.value == pytest.approx(0.0, abs=1e-15)
         assert row.gradient[0] == pytest.approx(10.0)  # -b_ij
 
     def test_value_matches_complex_oracle(self):
         # independent route: S_ij = V_i * conj((y + ys) V_i - y V_j)
         net = single_branch_net(1.0, -10.0)
-        y = assemble_admittance(net)
         vi, vj, tij = 1.02, 0.98, 0.05
         x = state(net, np.array([tij, 0.0]), np.array([vi, vj]))
         yser = complex(1.0, -10.0)
         s = (vi * cmath.exp(1j * tij)) * (yser * (vi * cmath.exp(1j * tij) - vj)).conjugate()
-        p = h_p_flow(net, y, x, 1, 2)
-        q = h_q_flow(net, y, x, 1, 2)
+        p = evaluate_row(net, x, K.P_FLOW, (1, 2))
+        q = evaluate_row(net, x, K.Q_FLOW, (1, 2))
         assert p.value == pytest.approx(s.real, rel=1e-13)
         assert q.value == pytest.approx(s.imag, rel=1e-13)
         assert p.value == pytest.approx(0.541641015739, rel=1e-11)
 
     def test_q_flow_flat_shuntless_zero(self):
         net = single_branch_net(1.0, -10.0)
-        y = assemble_admittance(net)
-        assert h_q_flow(net, y, flat(net), 1, 2).value == pytest.approx(0.0, abs=1e-15)
+        assert evaluate_row(net, flat(net), K.Q_FLOW, (1, 2)).value == pytest.approx(0.0, abs=1e-15)
 
     def test_q_flow_flat_only_shunt_survives(self):
         net = single_branch_net(1.0, -10.0, bs=0.05)
-        y = assemble_admittance(net)
-        assert h_q_flow(net, y, flat(net), 1, 2).value == pytest.approx(-0.05)
+        assert evaluate_row(net, flat(net), K.Q_FLOW, (1, 2)).value == pytest.approx(-0.05)
 
     def test_orientation_uses_the_right_end_shunt(self):
         net = single_branch_net(1.0, -10.0, bs=0.05, bs_to=0.02)
-        y = assemble_admittance(net)
-        assert h_q_flow(net, y, flat(net), 2, 1).value == pytest.approx(-0.02)
+        assert evaluate_row(net, flat(net), K.Q_FLOW, (2, 1)).value == pytest.approx(-0.02)
 
 
 class TestCurrentMagnitude:
     def test_flat_shuntless_singular(self):
         net = single_branch_net(1.0, -10.0)
-        y = assemble_admittance(net)
-        assert i_mag_value(net, y, flat(net), 1, 2) == 0.0
+        assert evaluate_value(net, flat(net), K.I_MAG, (1, 2)) == 0.0
         with pytest.raises(FlatStartSingularity):
-            h_i_mag(net, y, flat(net), 1, 2)
+            evaluate_row(net, flat(net), K.I_MAG, (1, 2))
 
-    def test_magnitude_equals_apparent_power_over_voltage(self, net3, y3):
+    def test_magnitude_equals_apparent_power_over_voltage(self, net3):
         rng = np.random.default_rng(21)
         for _ in range(100):
             x = random_polar_state(net3, rng)
             for i, j in branch_ends(net3):
-                p = h_p_flow(net3, y3, x, i, j).value
-                q = h_q_flow(net3, y3, x, i, j).value
+                p = evaluate_row(net3, x, K.P_FLOW, (i, j)).value
+                q = evaluate_row(net3, x, K.Q_FLOW, (i, j)).value
                 expect = math.hypot(p, q) / x.magnitudes[i - 1]
-                assert h_i_mag(net3, y3, x, i, j).value == pytest.approx(
+                assert evaluate_row(net3, x, K.I_MAG, (i, j)).value == pytest.approx(
                     expect, abs=1e-10)
 
     def test_guard_threshold(self):
         net = single_branch_net(1.0, -10.0)
-        y = assemble_admittance(net)
         x = state(net, np.array([0.0, 0.0]), np.array([1.0, 1.0 + 1e-12]))
-        assert i_mag_value(net, y, x, 1, 2) < CURRENT_GUARD
+        assert evaluate_value(net, x, K.I_MAG, (1, 2)) < CURRENT_GUARD
         with pytest.raises(FlatStartSingularity):
-            h_i_mag(net, y, x, 1, 2)
+            evaluate_row(net, x, K.I_MAG, (1, 2))
 
 
 class TestInjections:
@@ -146,18 +125,16 @@ class TestInjections:
         shuntless = NetworkModel(
             [Bus(b.id, is_slack=b.is_slack) for b in net14.buses],
             [Branch(br.from_bus, br.to_bus, br.r, br.x) for br in net14.branches])
-        y = assemble_admittance(shuntless)
         x = flat(shuntless)
         for b in shuntless.buses:
-            assert h_p_inj(shuntless, y, x, b.id).value == pytest.approx(0.0, abs=1e-13)
-            assert h_q_inj(shuntless, y, x, b.id).value == pytest.approx(0.0, abs=1e-13)
+            assert evaluate_row(shuntless, x, K.P_INJ, (b.id,)).value == pytest.approx(0.0, abs=1e-13)
+            assert evaluate_row(shuntless, x, K.Q_INJ, (b.id,)).value == pytest.approx(0.0, abs=1e-13)
 
     def test_kirchhoff_reconciliation(self, net14):
         # bus shunts zeroed; branch shunts stay
         net = NetworkModel(
             [Bus(b.id, is_slack=b.is_slack) for b in net14.buses],
             list(net14.branches))
-        y = assemble_admittance(net)
         rng = np.random.default_rng(22)
         for _ in range(20):
             x = random_polar_state(net, rng)
@@ -165,16 +142,17 @@ class TestInjections:
                 p_sum = q_sum = 0.0
                 for br, rev in net.branches_at(b.id):
                     j = br.from_bus if rev else br.to_bus
-                    p_sum += h_p_flow(net, y, x, b.id, j).value
-                    q_sum += h_q_flow(net, y, x, b.id, j).value
-                assert h_p_inj(net, y, x, b.id).value == pytest.approx(p_sum, abs=1e-10)
-                assert h_q_inj(net, y, x, b.id).value == pytest.approx(q_sum, abs=1e-10)
+                    p_sum += evaluate_row(net, x, K.P_FLOW, (b.id, j)).value
+                    q_sum += evaluate_row(net, x, K.Q_FLOW, (b.id, j)).value
+                assert evaluate_row(net, x, K.P_INJ, (b.id,)).value == pytest.approx(p_sum, abs=1e-10)
+                assert evaluate_row(net, x, K.Q_INJ, (b.id,)).value == pytest.approx(q_sum, abs=1e-10)
 
-    def test_gradient_support_is_one_hop(self, net14, y14):
+    def test_gradient_support_is_one_hop(self, net14):
         rng = np.random.default_rng(23)
         x = random_polar_state(net14, rng)
-        row = h_p_inj(net14, y14, x, 6)
-        ids = y14.indices[y14.indptr[5]:y14.indptr[6]] + 1
+        row = evaluate_row(net14, x, K.P_INJ, (6,))
+        y = net14.admittance
+        ids = y.indices[y.indptr[5]:y.indptr[6]] + 1
         allowed = set()
         for b in ids:
             allowed.add(b - 1)
@@ -183,34 +161,34 @@ class TestInjections:
 
 
 class TestIdentityRows:
-    def test_v_mag_row(self, net3, y3):
+    def test_v_mag_row(self, net3):
         rng = np.random.default_rng(24)
         x = random_polar_state(net3, rng)
-        row = h_v_mag(net3, y3, x, 2)
+        row = evaluate_row(net3, x, K.V_MAG, (2,))
         assert row.value == x.magnitudes[1]
         assert row.gradient == {3 + 1: 1.0}
 
-    def test_v_ang_row_on_slack_still_valid(self, net3, y3):
+    def test_v_ang_row_on_slack_still_valid(self, net3):
         x = random_polar_state(net3, np.random.default_rng(25))
-        row = h_v_ang(net3, y3, x, net3.slack_bus)
+        row = evaluate_row(net3, x, K.V_ANG_PMU, (net3.slack_bus,))
         assert row.value == x.angles[net3.slack_bus - 1]
         assert row.gradient == {net3.slack_bus - 1: 1.0}
 
 
 class TestCurrentPhasor:
-    def test_polar_rect_consistency(self, net3, y3):
+    def test_polar_rect_consistency(self, net3):
         rng = np.random.default_rng(26)
         for _ in range(100):
             x = random_polar_state(net3, rng)
             for i, j in branch_ends(net3):
-                mag = h_i_mag(net3, y3, x, i, j).value
-                ang = h_i_ang(net3, y3, x, i, j).value
-                re = h_i_re_polarstate(net3, y3, x, i, j).value
-                im = h_i_im_polarstate(net3, y3, x, i, j).value
+                mag = evaluate_row(net3, x, K.I_MAG, (i, j)).value
+                ang = evaluate_row(net3, x, K.I_ANG_PMU, (i, j)).value
+                re = evaluate_row(net3, x, K.I_RE, (i, j)).value
+                im = evaluate_row(net3, x, K.I_IM, (i, j)).value
                 assert mag * math.cos(ang) == pytest.approx(re, abs=1e-10)
                 assert mag * math.sin(ang) == pytest.approx(im, abs=1e-10)
 
-    def test_rect_value_matches_complex_arithmetic(self, net3, y3):
+    def test_rect_value_matches_complex_arithmetic(self, net3):
         rng = np.random.default_rng(27)
         for _ in range(20):
             x = random_polar_state(net3, rng)
@@ -220,45 +198,42 @@ class TestCurrentPhasor:
                 yser = complex(*__import__("gridse").branch_admittance(br.r, br.x))
                 ys = complex(br.gs_from, br.bs_from)
                 cur = (yser + ys) * v[i - 1] - yser * v[j - 1]
-                assert h_i_re_polarstate(net3, y3, x, i, j).value == pytest.approx(
+                assert evaluate_row(net3, x, K.I_RE, (i, j)).value == pytest.approx(
                     cur.real, abs=1e-12)
-                assert h_i_im_polarstate(net3, y3, x, i, j).value == pytest.approx(
+                assert evaluate_row(net3, x, K.I_IM, (i, j)).value == pytest.approx(
                     cur.imag, abs=1e-12)
 
     def test_resistive_branch_angle_zero(self):
         net = single_branch_net(2.0, 0.0)
-        y = assemble_admittance(net)
         x = state(net, np.array([0.0, 0.0]), np.array([1.05, 0.95]))
-        assert h_i_ang(net, y, x, 1, 2).value == pytest.approx(0.0, abs=1e-15)
+        assert evaluate_row(net, x, K.I_ANG_PMU, (1, 2)).value == pytest.approx(0.0, abs=1e-15)
 
     def test_flat_shuntless_rect_currents_zero(self):
         net = single_branch_net(1.0, -10.0)
-        y = assemble_admittance(net)
         x = flat(net)
-        assert h_i_re_polarstate(net, y, x, 1, 2).value == pytest.approx(0.0, abs=1e-15)
-        assert h_i_im_polarstate(net, y, x, 1, 2).value == pytest.approx(0.0, abs=1e-15)
+        assert evaluate_row(net, x, K.I_RE, (1, 2)).value == pytest.approx(0.0, abs=1e-15)
+        assert evaluate_row(net, x, K.I_IM, (1, 2)).value == pytest.approx(0.0, abs=1e-15)
 
     def test_angle_row_singular_at_flat_start(self):
         net = single_branch_net(1.0, -10.0)
-        y = assemble_admittance(net)
         with pytest.raises(FlatStartSingularity):
-            h_i_ang(net, y, flat(net), 1, 2)
+            evaluate_row(net, flat(net), K.I_ANG_PMU, (1, 2))
 
 
 class TestVoltagePhasorRect:
-    def test_flat_values_and_partials(self, net3, y3):
+    def test_flat_values_and_partials(self, net3):
         x = flat(net3)
-        re = h_v_re_polarstate(net3, y3, x, 2)
-        im = h_v_im_polarstate(net3, y3, x, 2)
+        re = evaluate_row(net3, x, K.V_RE, (2,))
+        im = evaluate_row(net3, x, K.V_IM, (2,))
         assert re.value == 1.0 and im.value == 0.0
         assert re.gradient[1] == 0.0 and im.gradient[1] == 1.0
 
-    def test_quarter_turn(self, net3, y3):
+    def test_quarter_turn(self, net3):
         theta = np.array([0.0, math.pi / 2, 0.0])
         vmag = np.array([1.0, 2.0, 1.0])
         x = state(net3, theta, vmag)
-        assert h_v_re_polarstate(net3, y3, x, 2).value == pytest.approx(0.0, abs=1e-15)
-        assert h_v_im_polarstate(net3, y3, x, 2).value == pytest.approx(2.0)
+        assert evaluate_row(net3, x, K.V_RE, (2,)).value == pytest.approx(0.0, abs=1e-15)
+        assert evaluate_row(net3, x, K.V_IM, (2,)).value == pytest.approx(2.0)
 
 
 NONLINEAR_BRANCH_KINDS = [K.P_FLOW, K.Q_FLOW, K.I_MAG, K.I_MAG_PMU,
@@ -269,22 +244,22 @@ NONLINEAR_BUS_KINDS = [K.P_INJ, K.Q_INJ, K.V_MAG, K.V_MAG_PMU, K.V_ANG_PMU,
 
 class TestGradientsAgainstFiniteDifferences:
     @pytest.mark.parametrize("kind", NONLINEAR_BRANCH_KINDS)
-    def test_branch_kinds(self, net3, y3, kind):
+    def test_branch_kinds(self, net3, kind):
         rng = np.random.default_rng(30)
         for _ in range(25):
             x = random_polar_state(net3, rng)
             for at in branch_ends(net3):
-                _check_gradient(net3, y3, x, kind, at)
+                _check_gradient(net3, x, kind, at)
 
     @pytest.mark.parametrize("kind", NONLINEAR_BUS_KINDS)
-    def test_bus_kinds(self, net3, y3, kind):
+    def test_bus_kinds(self, net3, kind):
         rng = np.random.default_rng(31)
         for _ in range(25):
             x = random_polar_state(net3, rng)
             for b in net3.buses:
-                _check_gradient(net3, y3, x, kind, (b.id,))
+                _check_gradient(net3, x, kind, (b.id,))
 
-    def test_no_hidden_columns(self, net3, y3):
+    def test_no_hidden_columns(self, net3):
         # finite differences over every column find nothing outside the
         # declared gradient support
         rng = np.random.default_rng(32)
@@ -292,21 +267,35 @@ class TestGradientsAgainstFiniteDifferences:
         for kind, at in [(K.P_FLOW, (1, 2)), (K.Q_FLOW, (2, 3)),
                          (K.I_ANG_PMU, (1, 3)), (K.P_INJ, (2,)),
                          (K.Q_INJ, (3,)), (K.V_RE, (2,))]:
-            row = evaluate_row(net3, y3, x, kind, at)
-            fd = fd_gradient(net3, y3, x, kind, at, range(6))
+            row = evaluate_row(net3, x, kind, at)
+            fd = fd_gradient(net3, x, kind, at, range(6))
             for c in range(6):
                 if c not in row.gradient:
                     assert abs(fd[c]) < 1e-8, (kind, at, c)
 
 
-def _check_gradient(net, y, x, kind, at):
+def _check_gradient(net, x, kind, at):
     try:
-        row = evaluate_row(net, y, x, kind, at)
+        row = evaluate_row(net, x, kind, at)
     except FlatStartSingularity:
         return
-    fd = fd_gradient(net, y, x, kind, at, sorted(row.gradient))
+    fd = fd_gradient(net, x, kind, at, sorted(row.gradient))
     for c, analytic in row.gradient.items():
         assert analytic == pytest.approx(fd[c], rel=1e-6, abs=1e-9), (kind, at, c)
+
+
+@pytest.mark.parametrize("kind", [K.V_MAG, K.V_RE, K.P_INJ, K.THETA])
+@pytest.mark.parametrize("bus", [0, -1, 4])  # net3 has buses 1..3
+def test_bus_outside_network_rejected(net3, kind, bus):
+    x = random_polar_state(net3, np.random.default_rng(38))
+    with pytest.raises(InputError, match="bus does not exist"):
+        evaluate_value(net3, x, kind, (bus,))
+    if kind != K.THETA:
+        with pytest.raises(InputError, match="bus does not exist"):
+            evaluate_row(net3, x, kind, (bus,))
+    if kind == K.V_RE:
+        with pytest.raises(InputError, match="bus does not exist"):
+            linear_rows_rectstate(net3, MeasurementSet([Measurement(kind, (bus,), 0.0, 1e-4)]))
 
 
 class TestBranchCoefficients:
@@ -391,16 +380,15 @@ class TestLinearRectRows:
 
 
 class TestDcRows:
-    def test_zero_angle_difference_zero_flow(self, net3, y3):
+    def test_zero_angle_difference_zero_flow(self, net3):
         x = flat(net3)
-        assert evaluate_value(net3, y3, x, K.P_FLOW_DC, (1, 2)) == 0.0
+        assert evaluate_value(net3, x, K.P_FLOW_DC, (1, 2)) == 0.0
 
     def test_two_bus_hand_value(self):
         net = NetworkModel([Bus(1, is_slack=True), Bus(2)],
                            [Branch(1, 2, 0.0, 0.1)])  # b = -10
-        y = assemble_admittance(net)
         x = StateVector(POLAR, np.array([0.0, -0.1, 1.0, 1.0]), 1)
-        assert evaluate_value(net, y, x, K.P_FLOW_DC, (1, 2)) == pytest.approx(1.0)
+        assert evaluate_value(net, x, K.P_FLOW_DC, (1, 2)) == pytest.approx(1.0)
         mset = MeasurementSet([Measurement(K.P_FLOW_DC, (1, 2), 1.0, 1e-4)])
         h = dc_rows(net, mset).toarray()
         assert h[0] == pytest.approx([10.0, -10.0])
@@ -432,15 +420,14 @@ class TestDcRows:
             [Bus(1, is_slack=True), Bus(2), Bus(3)],
             [Branch(1, 2, 0.0, 0.05), Branch(2, 3, 0.0, 0.02),
              Branch(1, 3, 0.0, 0.08)])
-        y = assemble_admittance(net)
         rng = np.random.default_rng(35)
         for _ in range(50):
             theta = rng.uniform(-5e-4, 5e-4, 3)
             theta[0] = 0.0
             x = state(net, theta, np.ones(3))
             for i, j in branch_ends(net):
-                ac = h_p_flow(net, y, x, i, j).value
-                dc = evaluate_value(net, y, x, K.P_FLOW_DC, (i, j))
+                ac = evaluate_row(net, x, K.P_FLOW, (i, j)).value
+                dc = evaluate_value(net, x, K.P_FLOW_DC, (i, j))
                 assert abs(ac - dc) <= 5e-7
 
 
@@ -467,7 +454,7 @@ class TestMeasurementKernel:
         net, ends = net_and_ends
         rng = np.random.default_rng(41)
         placements = all_polar_kinds(net, ends, rng)
-        kernel = MeasurementKernel(net, assemble_admittance(net), placements)
+        kernel = MeasurementKernel(net, placements)
         columns = range(2 * net.n_buses)
         for _ in range(2):
             x = random_polar_state(net, rng)
@@ -478,7 +465,7 @@ class TestMeasurementKernel:
             for r, (kind, at) in enumerate(placements):
                 want = oracle_value(net, x, kind, at)
                 assert abs(math.remainder(h[r] - want, 2 * math.pi)) <= 1e-12, (kind, at)
-                fd = fd_gradient(net, None, x, kind, at, columns)
+                fd = fd_gradient(net, x, kind, at, columns)
                 for c in columns:
                     tol = max(1e-6 * abs(fd[c]), 1e-9)
                     assert abs(dense[r, c] - fd[c]) <= tol, (kind, at, c)
@@ -486,7 +473,7 @@ class TestMeasurementKernel:
     def test_jacobian_pattern_is_fixed(self, net_and_ends):
         net, ends = net_and_ends
         rng = np.random.default_rng(42)
-        kernel = MeasurementKernel(net, None, all_polar_kinds(net, ends, rng))
+        kernel = MeasurementKernel(net, all_polar_kinds(net, ends, rng))
         states = [random_polar_state(net, rng), random_polar_state(net, rng), flat(net)]
         for x in states:
             _, j, _ = kernel.rows(x)
@@ -507,7 +494,7 @@ class TestMeasurementKernel:
             assert h[r] == pytest.approx(oracle_value(net14, x, kind, at), abs=1e-12)
             if r in want:
                 with pytest.raises(FlatStartSingularity):
-                    evaluate_row(net14, problem.y, x, kind, at)
+                    evaluate_row(net14, x, kind, at)
         lo, hi = j.indptr[want], j.indptr[np.array(want) + 1]
         assert (hi - lo == 4).all()
         assert all((j.data[a:b] == 0.0).all() for a, b in zip(lo, hi))

@@ -102,26 +102,26 @@ class TestSynthesize:
         mset = synthesize(spec, sample_true_state(spec))
         assert [(m.kind, m.at) for m in mset] == list(spec.placements)
 
-    def test_noise_statistics_single_row(self, net3, y3):
+    def test_noise_statistics_single_row(self, net3):
         # law of large numbers on one fixed P_flow measurement
         spec = make_scenario(net3, [(K.P_FLOW, (1, 2))],
                              noise={K.P_FLOW: 0.01}, seed=0)
         x_true = sample_true_state(spec)
-        truth = evaluate_value(net3, y3, x_true, K.P_FLOW, (1, 2))
+        truth = evaluate_value(net3, x_true, K.P_FLOW, (1, 2))
         draws = np.array([
-            synthesize(spec.with_seed(k), x_true, y3)[0].value
+            synthesize(spec.with_seed(k), x_true)[0].value
             for k in range(100_000)
         ])
         n = draws.size
         assert abs(draws.mean() - truth) <= 3 * 0.01 / math.sqrt(n)
         assert abs(draws.var() - 1e-4) <= 0.05 * 1e-4
 
-    def test_rect_pairs_share_one_polar_draw(self, net3, y3):
+    def test_rect_pairs_share_one_polar_draw(self, net3):
         spec = make_scenario(
             net3, [(K.V_RE, (2,)), (K.V_IM, (2,))],
             noise={K.V_MAG_PMU: 0.01, K.V_ANG_PMU: 0.02}, seed=123)
         x_true = sample_true_state(spec)
-        mset = synthesize(spec, x_true, y3)
+        mset = synthesize(spec, x_true)
         z = complex(mset[0].value, mset[1].value)
         # invert the conversion: the polar draw must sit near the truth
         assert abs(abs(z) - x_true.magnitudes[1]) < 5 * 0.01
@@ -133,23 +133,22 @@ class TestSynthesize:
         assert mset.correlations[0].rows == (0, 1)
         assert mset.correlations[0].cov == pytest.approx(cov, rel=1e-12)
 
-    def test_current_pairs_supported(self, net3, y3):
+    def test_current_pairs_supported(self, net3):
         spec = make_scenario(
             net3, [(K.I_RE, (1, 3)), (K.I_IM, (1, 3))],
             noise={K.I_MAG_PMU: 0.005, K.I_ANG_PMU: 0.005}, seed=3)
         x_true = sample_true_state(spec)
-        mset = synthesize(spec, x_true, y3)
+        mset = synthesize(spec, x_true)
         z = complex(mset[0].value, mset[1].value)
-        from gridse.functions import i_mag_value
-        assert abs(abs(z) - i_mag_value(net3, y3, x_true, 1, 3)) < 5 * 0.005
+        assert abs(abs(z) - evaluate_value(net3, x_true, K.I_MAG, (1, 3))) < 5 * 0.005
 
-    def test_pair_order_can_be_interleaved(self, net3, y3):
+    def test_pair_order_can_be_interleaved(self, net3):
         spec = make_scenario(
             net3,
             [(K.V_IM, (1,)), (K.V_RE, (2,)), (K.V_RE, (1,)), (K.V_IM, (2,))],
             noise={}, seed=4)
         x_true = sample_true_state(spec)
-        mset = synthesize(spec, x_true, y3)
+        mset = synthesize(spec, x_true)
         pairs = {tuple(sorted(c.rows)) for c in mset.correlations}
         assert pairs == {(0, 2), (1, 3)}
 
@@ -198,15 +197,14 @@ class TestSynthesizeAgainstOracle:
 
     @pytest.mark.parametrize("plan, builds", [
         (legacy_plan, 1), (linear_rect_plan, 0), (dc_plan, 0)])
-    def test_admittance_built_only_for_injection_rows(self, net3, monkeypatch,
+    def test_admittance_built_only_for_injection_rows(self, monkeypatch,
                                                       plan, builds):
         calls = []
         build = gridse.network.assemble_admittance
-        for module in (gridse.functions, gridse.synthesis):
-            monkeypatch.setattr(module, "assemble_admittance",
-                                lambda net: calls.append(net) or build(net),
-                                raising=False)
-        spec = make_scenario(net3, plan(net3))
+        monkeypatch.setattr(gridse.network, "assemble_admittance",
+                            lambda net: calls.append(net) or build(net))
+        net = gridse.load_network(FIXTURES / "net3.json")
+        spec = make_scenario(net, plan(net))
         synthesize(spec, sample_true_state(spec))
         assert len(calls) == builds
 
