@@ -4,7 +4,10 @@ Every formulation iterates Gauss-Newton on the gain system
 J^T R^-1 J dx = J^T R^-1 r with the slack column eliminated, so 2N-1
 unknowns are solved (N-1 for DC).  The DC and rectangular-phasor
 formulations have a constant Jacobian: one step from any start lands on
-the WLS minimiser, so the loop stops there.
+the WLS minimiser, so the loop stops there.  Assembly works on the
+measurement set's columns: the admissible-kind check, the location
+check, the covariance blocks, z and the angle-row mask are array
+operations, done once per problem.
 
 Plain Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
@@ -14,6 +17,7 @@ non-converged result instead of being masked.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -30,13 +34,15 @@ from .errors import (
 )
 from .functions import MeasurementKernel, dc_rows, linear_rows_rectstate
 from .measurements import (
-    ANGLE_KINDS,
     DC_KINDS,
+    IS_ANGLE,
+    KINDS,
     LEGACY_KINDS,
     PHASOR_POLAR_KINDS,
     PHASOR_RECT_KINDS,
     CovarianceModel,
     MeasurementSet,
+    kind_mask,
 )
 from .network import NetworkModel
 from .states import POLAR, RECTANGULAR, StateVector, wrap_angles
@@ -62,6 +68,7 @@ ADMISSIBLE_KINDS = {
     Formulation.LINEAR_RECT: PHASOR_RECT_KINDS,
     Formulation.DC: DC_KINDS,
 }
+_ADMISSIBLE = {f: kind_mask(kinds) for f, kinds in ADMISSIBLE_KINDS.items()}
 
 NORMAL = "normal"
 ORTHOGONAL = "orthogonal"
@@ -108,12 +115,14 @@ class GainSystem:
     j spans the solved (slack-eliminated) unknowns.  Rows outside the
     optional active mask are left out of the solve.  Observable problems
     yield a symmetric positive definite gain matrix j^T R^-1 j; a failed
-    factorization surfaces as SingularGain.
+    factorization surfaces as SingularGain, which names the weak
+    unknown by ``name_of(k)`` when that is given.
     """
     j: object
     covariance: CovarianceModel
     r: np.ndarray
     active: np.ndarray | None = None
+    name_of: Callable[[int], str] | None = None
 
     def solve(self, method: str = NORMAL) -> np.ndarray:
         """Least-squares solution dx of j dx = r weighted by R^-1."""
@@ -123,7 +132,7 @@ class GainSystem:
             covariance = covariance.restrict(self.active)
         if method == ORTHOGONAL:
             return _solve_orthogonal(j, covariance.whitener(), r)
-        return _solve_normal(j, covariance.inverse(), r)
+        return _solve_normal(j, covariance.inverse(), r, self.name_of)
 
 
 class EstimationProblem:
@@ -143,8 +152,8 @@ class EstimationProblem:
         self.covariance = covariance
         n = net.n_buses
         self.kernel = None
-        self._angle_rows = np.array(
-            [m.kind in ANGLE_KINDS for m in mset], dtype=bool)
+        self.z = mset.values()
+        self._angle_rows = IS_ANGLE[mset.codes]
         if formulation == Formulation.DC:
             self.full_dim = n
             fixed = net.slack_bus - 1
@@ -164,10 +173,9 @@ class EstimationProblem:
             fixed = net.slack_bus - 1
             self.fixed_value = net.slack_angle
             self.h_matrix = None
-            self.kernel = MeasurementKernel(net, [(m.kind, m.at) for m in mset])
+            self.kernel = MeasurementKernel(net, mset.locations(net))
         self.fixed_index = fixed
-        self.free_indices = np.array(
-            [k for k in range(self.full_dim) if k != fixed], dtype=int)
+        self.free_indices = np.delete(np.arange(self.full_dim), fixed)
 
     @property
     def m(self) -> int:
@@ -181,6 +189,18 @@ class EstimationProblem:
     @property
     def is_linear(self) -> bool:
         return self.h_matrix is not None
+
+    def unknown_name(self, k: int) -> str:
+        """The bus and component of solved unknown k (a slack-eliminated
+        position): theta or V in polar states, Re V or Im V in
+        rectangular ones, theta for DC."""
+        n = self.net.n_buses
+        column = int(self.free_indices[k])
+        if self.formulation == Formulation.LINEAR_RECT:
+            parts = ("Re V", "Im V")
+        else:
+            parts = ("theta", "V")
+        return f"{parts[column // n]} at bus {column % n + 1}"
 
     def initial_state(self) -> StateVector:
         """Flat start in the formulation's coordinates."""
@@ -207,7 +227,7 @@ class EstimationProblem:
         return self._residuals_of(self.values(x))
 
     def _residuals_of(self, h: np.ndarray) -> np.ndarray:
-        r = self.mset.values() - h
+        r = self.z - h
         if self._angle_rows.any():
             r[self._angle_rows] = wrap_angles(r[self._angle_rows])
         return r
@@ -240,16 +260,15 @@ def assemble_problem(net: NetworkModel, mset: MeasurementSet,
     formulation = Formulation(formulation)
     if len(mset) == 0:
         raise EmptyMeasurementSet("cannot estimate from an empty measurement set")
-    allowed = ADMISSIBLE_KINDS[formulation]
-    for m in mset:
-        if m.kind not in allowed:
-            raise UnsupportedKind(
-                f"{m.kind} is not admissible in the {formulation} formulation")
+    banned = ~_ADMISSIBLE[formulation][mset.codes]
+    if banned.any():
+        raise UnsupportedKind(f"{KINDS[mset.codes[np.argmax(banned)]]} is not "
+                              f"admissible in the {formulation} formulation")
     mset.validate_against(net)
     if neglect_phasor_covariance:
         blocks = ()
     else:
-        blocks = tuple((c.rows[0], c.rows[1], c.cov) for c in mset.correlations)
+        blocks = np.column_stack([mset.pairs, mset.covs])
     covariance = CovarianceModel(mset.variances(), blocks)
     return EstimationProblem(net, mset, formulation, covariance)
 
@@ -260,14 +279,14 @@ def objective(problem: EstimationProblem, x: StateVector) -> float:
     return float(r @ (problem.covariance.inverse() @ r))
 
 
-def _solve_normal(a, rinv, r):
+def _solve_normal(a, rinv, r, name_of=None):
     """Solve (A^T R^-1 A) dx = A^T R^-1 r by sparse LU of the gain."""
     g = csc_matrix(a.T @ rinv @ a)
     rhs = a.T @ (rinv @ r)
-    return _factor_gain(g).solve(rhs)
+    return _factor_gain(g, name_of).solve(rhs)
 
 
-def _factor_gain(g: csc_matrix):
+def _factor_gain(g: csc_matrix, name_of=None):
     """Sparse LU of the symmetric gain with symmetric (diagonal) pivoting.
 
     A fill-reducing minimum-degree ordering of G + G^T is applied to rows
@@ -279,6 +298,8 @@ def _factor_gain(g: csc_matrix):
     dependent on the ones eliminated before it.  Measuring each pivot
     against its own diagonal, not against the largest pivot, keeps the
     test invariant under a rescaling of the unknowns (G -> D G D).
+    The error names the first weak unknown by ``name_of(k)``, else by
+    its column k.
     """
     try:
         lu = splu(g, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -292,9 +313,10 @@ def _factor_gain(g: csc_matrix):
     weak = pivots <= pivots.size * np.finfo(float).eps * diag
     if weak.any():
         k = int(np.argmax(weak))
+        unknown = name_of(k) if name_of else f"column {k}"
         raise SingularGain(
-            f"gain matrix is numerically singular: pivot {pivots[k]:.3g} in "
-            f"column {k} against its diagonal {diag[k]:.3g}")
+            f"gain matrix is numerically singular: pivot {pivots[k]:.3g} for "
+            f"{unknown} against its diagonal {diag[k]:.3g}")
     return lu
 
 
@@ -364,8 +386,8 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         if dropped_at_last:
             log.warning("dropping %d flat-singular row(s) for this iteration",
                         int((~active).sum()))
-        dx = GainSystem(j[:, free], problem.covariance, r, active).solve(
-            cfg.linear_system_method)
+        dx = GainSystem(j[:, free], problem.covariance, r, active,
+                        problem.unknown_name).solve(cfg.linear_system_method)
         columns[free] += dx
         step = float(np.max(np.abs(dx))) if dx.size else 0.0
         max_step_trace.append(step)
@@ -418,19 +440,14 @@ def result_to_dict(problem: EstimationProblem, result: EstimationResult) -> dict
         re, im = state.re, state.im
         vmag = np.hypot(re, im)
         theta = np.arctan2(im, re)
-    h = problem.values(state)
-    z = problem.mset.values()
-    sigmas = np.sqrt(problem.mset.variances())
-    rows = []
-    for k, m in enumerate(problem.mset):
-        rows.append({
-            "kind": m.kind.value,
-            "at": list(m.at),
-            "z": float(z[k]),
-            "h": float(h[k]),
-            "residual": float(result.residuals[k]),
-            "normalized_residual": float(result.residuals[k] / sigmas[k]),
-        })
+    mset = problem.mset
+    r = result.residuals
+    columns = zip(mset.kind_tags(), mset.at_lists(), mset.values().tolist(),
+                  problem.values(state).tolist(), r.tolist(),
+                  (r / np.sqrt(mset.variances())).tolist())
+    rows = [{"kind": kind, "at": at, "z": z, "h": h, "residual": res,
+             "normalized_residual": nres}
+            for kind, at, z, h, res, nres in columns]
     return {
         "formulation": problem.formulation.value,
         "converged": bool(result.converged),

@@ -25,8 +25,12 @@ the Jacobian entries as array expressions, one pass per kind, and only
 refills J's data array, in the style of MATPOWER's vectorised
 derivatives (Zimmerman, "AC Power Flows, Generalized OPF Costs and
 their Derivatives using Complex Matrix Notation", MATPOWER TN2, 2010).
-``evaluate_row`` and ``evaluate_values`` compile a kernel for the
-rows they are given, so every caller runs the same formulas.
+The kernel, ``linear_rows_rectstate`` and ``dc_rows`` read the rows'
+locations already resolved against the network (``Locations``), so
+compiling them is array work with a small fixed cost and no per-row
+Python.  ``evaluate_row`` and ``evaluate_values`` compile a kernel for
+the rows they are given, so every caller runs the same formulas; a
+``ValueMap`` keeps the compiled form for repeated evaluation.
 
 Current magnitude and current angle rows divide by the current
 magnitude; below ``CURRENT_GUARD`` the value is still defined but the
@@ -37,7 +41,7 @@ partials, and ``evaluate_row`` raises FlatStartSingularity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -45,10 +49,14 @@ from scipy.sparse import coo_matrix, csr_matrix
 from .errors import FlatStartSingularity, InputError, UnsupportedKind
 from .measurements import (
     DC_KINDS,
-    Measurement,
+    KIND_CODE,
+    KINDS,
+    Locations,
     MeasurementKind,
     MeasurementSet,
-    bus_index,
+    kind_mask,
+    location_columns,
+    locate,
 )
 from .network import NetworkModel
 from .states import POLAR, StateVector
@@ -100,17 +108,21 @@ class FunctionRow:
     gradient: dict[int, float]
 
 
-def _end_params(net: NetworkModel, ends) -> tuple[np.ndarray, ...]:
-    """0-based end buses i, j and the (g, b, gs, bs) arrays of directed
-    branch ends (i, j), each resolved by ``net.branch_index`` (so a
-    parallel branch is rejected as for a single row)."""
-    k, reverse = np.array([net.branch_index(i, j) for i, j in ends],
-                          dtype=int).reshape(-1, 2).T
-    ends = np.array(ends, dtype=int).reshape(-1, 2) - 1
-    t = net.branch_table[k]
-    reverse = reverse.astype(bool)
-    return (ends[:, 0], ends[:, 1], t[:, 0], t[:, 1],
+def _end_params(loc: Locations, rows) -> tuple[np.ndarray, ...]:
+    """0-based end buses i, j and the (g, b, gs, bs) arrays of the
+    resolved branch-end rows at positions ``rows``; gs and bs are the
+    shunt at end i."""
+    t = loc.net.branch_table[loc.branch[rows]]
+    reverse = loc.reverse[rows]
+    return (loc.i[rows], loc.j[rows], t[:, 0], t[:, 1],
             np.where(reverse, t[:, 4], t[:, 2]), np.where(reverse, t[:, 5], t[:, 3]))
+
+
+def locate_placements(net: NetworkModel, placements) -> Locations:
+    """(kind, at) placements resolved against the network."""
+    placements = list(placements)
+    codes = np.array([KIND_CODE[kind] for kind, _ in placements], dtype=np.intp)
+    return locate(net, codes, location_columns(codes, [at for _, at in placements]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,26 +215,15 @@ def _i_im(e, ti, tj, vi, vj, jac):
                 k.a_a * si + k.b_a * ci, -k.c_a * sj - k.d_a * cj), None
 
 
-_BRANCH_FORMULAS = {
-    K.P_FLOW: _p_flow,
-    K.Q_FLOW: _q_flow,
-    K.I_MAG: _i_mag,
-    K.I_MAG_PMU: _i_mag,
-    K.I_ANG_PMU: _i_ang,
-    K.I_RE: _i_re,
-    K.I_IM: _i_im,
-}
-
-
 class _BranchRows:
     """Rows of one branch formula: four partials each, at columns
     (theta_i, theta_j, V_i, V_j)."""
 
-    def __init__(self, net, rows, ends, formula):
-        self.rows = np.array(rows, dtype=int)
+    def __init__(self, loc, rows, formula):
+        self.rows = rows
         self.formula = formula
-        self.i, self.j, self.g, self.b, self.gs, self.bs = _end_params(net, ends)
-        n = net.n_buses
+        self.i, self.j, self.g, self.b, self.gs, self.bs = _end_params(loc, rows)
+        n = loc.net.n_buses
         self.cols = np.concatenate([self.i, self.j, n + self.i, n + self.j])
 
     @cached_property
@@ -259,23 +260,14 @@ def _v_im(th, v):
     return v * s, (v * c, s)
 
 
-_BUS_FORMULAS = {
-    K.V_MAG: (_v_mag, (1,)),
-    K.V_MAG_PMU: (_v_mag, (1,)),
-    K.V_ANG_PMU: (_v_ang, (0,)),
-    K.V_RE: (_v_re, (0, 1)),
-    K.V_IM: (_v_im, (0, 1)),
-}
-
-
 class _BusRows:
     """Rows of one bus formula, with partials at the layout's columns."""
 
-    def __init__(self, net, rows, buses, formula, layout):
-        self.rows = np.array(rows, dtype=int)
-        self.bus = np.array(buses, dtype=int)
+    def __init__(self, loc, rows, formula, layout):
+        self.rows = rows
+        self.bus = loc.i[rows]
         self.formula = formula
-        n = net.n_buses
+        n = loc.net.n_buses
         self.cols = np.concatenate([self.bus + n * side for side in layout])
         self.width = len(layout)
 
@@ -294,10 +286,11 @@ class _InjectionRows:
     """P or Q injection rows.  Partials sit at (theta_k, V_k) for every
     off-diagonal entry k of the Y row, then at (theta_i, V_i)."""
 
-    def __init__(self, net, rows, buses, reactive):
-        self.rows = np.array(rows, dtype=int)
-        self.bus = np.array(buses, dtype=int)
+    def __init__(self, loc, rows, reactive):
+        self.rows = rows
+        self.bus = loc.i[rows]
         self.reactive = reactive
+        net = loc.net
         y = net.admittance
         # The stored entries of each row's Y row, row after row.
         start = y.indptr[self.bus]
@@ -343,37 +336,50 @@ class _InjectionRows:
 # ---------------------------------------------------------------------------
 # the compiled kernel
 
+# The kernel's row groups: the kinds sharing one formula, and the group
+# class with its formula.
+_GROUPS = [
+    ((K.P_FLOW,), partial(_BranchRows, formula=_p_flow)),
+    ((K.Q_FLOW,), partial(_BranchRows, formula=_q_flow)),
+    ((K.I_MAG, K.I_MAG_PMU), partial(_BranchRows, formula=_i_mag)),
+    ((K.I_ANG_PMU,), partial(_BranchRows, formula=_i_ang)),
+    ((K.I_RE,), partial(_BranchRows, formula=_i_re)),
+    ((K.I_IM,), partial(_BranchRows, formula=_i_im)),
+    ((K.V_MAG, K.V_MAG_PMU), partial(_BusRows, formula=_v_mag, layout=(1,))),
+    ((K.V_ANG_PMU,), partial(_BusRows, formula=_v_ang, layout=(0,))),
+    ((K.V_RE,), partial(_BusRows, formula=_v_re, layout=(0, 1))),
+    ((K.V_IM,), partial(_BusRows, formula=_v_im, layout=(0, 1))),
+    ((K.P_INJ,), partial(_InjectionRows, reactive=False)),
+    ((K.Q_INJ,), partial(_InjectionRows, reactive=True)),
+]
+# Kernel group of each kind code; -1 for kinds with no polar-state row.
+_GROUP_OF = np.full(len(KINDS), -1)
+for _g, (_kinds, _) in enumerate(_GROUPS):
+    _GROUP_OF[[KIND_CODE[kind] for kind in _kinds]] = _g
+
+
 class MeasurementKernel:
     """h(x) and the Jacobian of a fixed list of polar-state rows.
 
-    Compiled once from (net, [(kind, at), ...]); rows keep list order.
-    The Jacobian's CSR pattern (``indptr``, ``indices``) is the same at
-    every state.  Injection rows read ``net.admittance``.  Branch rows
-    resolve their branch with ``net.branch_index``, so a measurement on
-    a parallel branch is rejected; a bus row outside 1..N is an
-    InputError.
+    Compiled once from (net, placements), where placements are resolved
+    Locations or (kind, at) pairs; rows keep their order.  The Jacobian's CSR
+    pattern (``indptr``, ``indices``) is the same at every state.
+    Injection rows read ``net.admittance``.  A branch row on a missing
+    or parallel branch and a bus row outside 1..N are InputErrors.
     """
 
     def __init__(self, net: NetworkModel, placements):
-        placements = list(placements)
-        self.m = len(placements)
+        loc = (placements if isinstance(placements, Locations)
+               else locate_placements(net, placements))
+        self.m = loc.codes.size
         self.n_columns = 2 * net.n_buses
-        branch, bus, inj = {}, {}, {}
-        for r, (kind, at) in enumerate(placements):
-            if kind in _BRANCH_FORMULAS:
-                group = branch.setdefault(_BRANCH_FORMULAS[kind], ([], []))
-            elif kind in _BUS_FORMULAS:
-                group = bus.setdefault(_BUS_FORMULAS[kind], ([], []))
-            elif kind in (K.P_INJ, K.Q_INJ):
-                group = inj.setdefault(kind == K.Q_INJ, ([], []))
-            else:
-                raise UnsupportedKind(f"{kind} has no polar-state row")
-            group[0].append(r)
-            group[1].append(at if kind in _BRANCH_FORMULAS else bus_index(net, kind, at))
-        self._groups = (
-            [_BranchRows(net, rows, ends, fn) for fn, (rows, ends) in branch.items()]
-            + [_BusRows(net, rows, buses, *spec) for spec, (rows, buses) in bus.items()]
-            + [_InjectionRows(net, rows, buses, q) for q, (rows, buses) in inj.items()])
+        group = _GROUP_OF[loc.codes]
+        if (group < 0).any():
+            kind = KINDS[loc.codes[np.argmax(group < 0)]]
+            raise UnsupportedKind(f"{kind} has no polar-state row")
+        present = np.flatnonzero(np.bincount(group, minlength=len(_GROUPS)))
+        self._groups = [_GROUPS[g][1](loc, np.flatnonzero(group == g))
+                        for g in present.tolist()]
         patterns = [grp.pattern() for grp in self._groups]
         empty = [np.zeros(0, dtype=int)]
         rows = np.concatenate([p[0] for p in patterns] + empty)
@@ -390,15 +396,17 @@ class MeasurementKernel:
         n = x.n_buses
         th, v = x.values[:n], x.values[n:]
         h = np.empty(self.m)
-        active = np.ones(self.m, dtype=bool)
+        active = np.ones(self.m, dtype=bool) if jac else None
         parts = []
         for grp in self._groups:
             value, data, ok = grp.evaluate(th, v, jac)
             h[grp.rows] = value
-            if ok is not None:
+            if jac and ok is not None:
                 active[grp.rows] = ok
             parts.append(data)
-        data = np.concatenate(parts)[self._order] if jac and parts else np.zeros(0)
+        if not jac:
+            return h, None, None
+        data = np.concatenate(parts)[self._order] if parts else np.zeros(0)
         return h, data, active
 
     def values(self, x: StateVector) -> np.ndarray:
@@ -438,7 +446,8 @@ def evaluate_row(net: NetworkModel, x: StateVector, kind: MeasurementKind,
 # constant-Jacobian families
 
 # V_re and V_im select a state column; I_re and I_im are branch-end rows.
-_RECT_CODES = {K.V_RE: 0, K.V_IM: 1, K.I_RE: 2, K.I_IM: 3}
+_RECT_CODE = np.full(len(KINDS), -1)
+_RECT_CODE[[KIND_CODE[kind] for kind in (K.V_RE, K.V_IM, K.I_RE, K.I_IM)]] = range(4)
 
 
 def linear_rows_rectstate(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
@@ -448,16 +457,15 @@ def linear_rows_rectstate(net: NetworkModel, mset: MeasurementSet) -> csr_matrix
     exactly for every state, so the rows double as the value map.
     """
     n = net.n_buses
-    code = np.array([_RECT_CODES.get(m.kind, -1) for m in mset], dtype=int)
+    code = _RECT_CODE[mset.codes]
     if (code < 0).any():
-        kind = mset[int(np.argmax(code < 0))].kind
+        kind = KINDS[mset.codes[np.argmax(code < 0)]]
         raise UnsupportedKind(f"{kind} is not linear in the rectangular state")
+    loc = mset.locations(net)
     volt = np.flatnonzero(code < 2)
     cur = np.flatnonzero(code >= 2)
-    at = [m.at for m in mset]
-    bus = np.array([bus_index(net, mset[r].kind, at[r]) for r in volt.tolist()],
-                   dtype=int)
-    i, j, g, b, gs, bs = _end_params(net, [at[r] for r in cur.tolist()])
+    bus = loc.i[volt]
+    i, j, g, b, gs, bs = _end_params(loc, cur)
     im = code[cur] == 3
     # I = (y + ys) V_i - y V_j over (Re V_i, Im V_i, Re V_j, Im V_j)
     data = np.concatenate([
@@ -469,48 +477,66 @@ def linear_rows_rectstate(net: NetworkModel, mset: MeasurementSet) -> csr_matrix
     return coo_matrix((data, (rows, cols)), shape=(len(mset), 2 * n)).tocsr()
 
 
-def dc_susceptance(net: NetworkModel, br) -> float:
-    """Series susceptance used by the DC family: resistance neglected,
-    so b = -1/x."""
-    if br.x == 0.0:
-        raise InputError(
-            f"branch {br.from_bus}-{br.to_bus} has zero reactance; the DC "
-            "model cannot represent it")
-    return -1.0 / br.x
+_DC_FLOW, _DC_INJ, _DC_THETA = 0, 1, 2
+_DC_CODE = np.full(len(KINDS), -1)
+_DC_CODE[[KIND_CODE[K.P_FLOW_DC], KIND_CODE[K.P_INJ_DC], KIND_CODE[K.THETA]]] = (
+    _DC_FLOW, _DC_INJ, _DC_THETA)
+_IS_DC = kind_mask(DC_KINDS)
 
 
 def dc_rows(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
     """Constant Jacobian H over the N angle columns of the DC family."""
+    code = _DC_CODE[mset.codes]
+    if (code < 0).any():
+        kind = KINDS[mset.codes[np.argmax(code < 0)]]
+        raise UnsupportedKind(f"{kind} does not belong to the DC family")
+    return _dc_matrix(mset.locations(net))
+
+
+def _dc_matrix(loc: Locations) -> csr_matrix:
+    """dc_rows over resolved DC-kind rows.
+
+    The series susceptance neglects resistance, b = -1/x.  An injection
+    row has b at each neighbour's column, one entry per incident branch
+    end, and minus their sum on its own bus, both in the order of
+    ``net.directed_ends.incident``.
+    """
+    net = loc.net
     n = net.n_buses
-    rows, cols, data = [], [], []
-    for r, m in enumerate(mset):
-        if m.kind == K.P_FLOW_DC:
-            i, j = m.at
-            br, _ = net.branch_between(i, j)
-            b = dc_susceptance(net, br)
-            rows += [r, r]
-            cols += [i - 1, j - 1]
-            data += [-b, b]
-        elif m.kind == K.P_INJ_DC:
-            i = bus_index(net, m.kind, m.at)
-            bsum = 0.0
-            for br, rev in net.branches_at(i + 1):
-                b = dc_susceptance(net, br)
-                jbus = br.from_bus if rev else br.to_bus
-                rows.append(r)
-                cols.append(jbus - 1)
-                data.append(b)
-                bsum += b
-            rows.append(r)
-            cols.append(i)
-            data.append(-bsum)
-        elif m.kind == K.THETA:
-            rows.append(r)
-            cols.append(bus_index(net, m.kind, m.at))
-            data.append(1.0)
-        else:
-            raise UnsupportedKind(f"{m.kind} does not belong to the DC family")
-    return coo_matrix((data, (rows, cols)), shape=(len(mset), n)).tocsr()
+    code = _DC_CODE[loc.codes]
+    x = net.branch_table[:, 6]
+    flow = np.flatnonzero(code == _DC_FLOW)
+    inj = np.flatnonzero(code == _DC_INJ)
+    theta = np.flatnonzero(code == _DC_THETA)
+    # The incident branch ends of each injection row's bus, row after row.
+    ends = net.directed_ends
+    bus = loc.i[inj]
+    start = ends.incident_ptr[bus]
+    degree = ends.incident_ptr[bus + 1] - start
+    owner = np.repeat(np.arange(inj.size), degree)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(degree) - degree, degree)
+    end = ends.incident[start[owner] + rank]
+    branch = np.concatenate([loc.branch[flow], ends.branch[end]])
+    zero = x[branch] == 0.0
+    if zero.any():
+        # The first offending entry in row order, as the rows are built.
+        rows = np.concatenate([flow, inj[owner]])
+        pos = np.concatenate([np.zeros(flow.size, dtype=int), rank])
+        first = np.lexsort((pos, rows))
+        br = net.branches[branch[first[np.argmax(zero[first])]]]
+        raise InputError(
+            f"branch {br.from_bus}-{br.to_bus} has zero reactance; the DC "
+            "model cannot represent it")
+    b = -1.0 / x[branch]
+    b_flow, b_end = b[:flow.size], b[flow.size:]
+    # COO -> CSR keeps each row's entries in input order: list them in the
+    # order the rows have always been written, so duplicates sum alike.
+    rows = np.concatenate([flow, flow, inj[owner], inj, theta])
+    cols = np.concatenate([loc.i[flow], loc.j[flow], ends.key[end] % n, bus, loc.i[theta]])
+    data = np.concatenate([-b_flow, b_flow, b_end,
+                           -np.bincount(owner, b_end, minlength=inj.size),
+                           np.ones(theta.size)])
+    return coo_matrix((data, (rows, cols)), shape=(loc.codes.size, n)).tocsr()
 
 
 # ---------------------------------------------------------------------------
@@ -523,20 +549,32 @@ def evaluate_values(net: NetworkModel, x: StateVector, placements) -> np.ndarray
     family's rows applied to the state angles.  Current magnitude and
     angle values never raise.
     """
-    if x.coordinates != POLAR:
-        raise InputError("evaluate_value expects a polar state")
-    placements = list(placements)
-    dc = [kind in DC_KINDS for kind, _ in placements]
-    if not any(dc):
-        return MeasurementKernel(net, placements).values(x)
-    dc = np.array(dc)
-    out = np.empty(len(placements))
-    out[dc] = dc_rows(net, [Measurement(kind, at, 0.0, 1.0) for (kind, at), is_dc
-                            in zip(placements, dc) if is_dc]) @ x.angles
-    if not dc.all():
-        out[~dc] = MeasurementKernel(
-            net, [p for p, is_dc in zip(placements, dc) if not is_dc]).values(x)
-    return out
+    return ValueMap(locate_placements(net, placements)).values(x)
+
+
+class ValueMap:
+    """h(x) at a polar state for resolved rows of any kind, compiled
+    once: a kernel for the polar-state kinds and the DC family's rows
+    for the DC kinds."""
+
+    def __init__(self, loc: Locations):
+        self.dc = _IS_DC[loc.codes]
+        self.h_dc = _dc_matrix(loc.take(self.dc)) if self.dc.any() else None
+        self.kernel = None
+        if not self.dc.all():
+            self.kernel = MeasurementKernel(
+                loc.net, loc if self.h_dc is None else loc.take(~self.dc))
+
+    def values(self, x: StateVector) -> np.ndarray:
+        if x.coordinates != POLAR:
+            raise InputError("evaluate_value expects a polar state")
+        if self.h_dc is None:
+            return self.kernel.values(x)
+        out = np.empty(self.dc.size)
+        out[self.dc] = self.h_dc @ x.angles
+        if self.kernel is not None:
+            out[~self.dc] = self.kernel.values(x)
+        return out
 
 
 def evaluate_value(net: NetworkModel, x: StateVector, kind: MeasurementKind,

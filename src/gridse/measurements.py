@@ -1,8 +1,12 @@
-"""Typed measurement sets, variances, and covariance handling.
+"""Measurement sets stored as columns, variances, and covariance handling.
 
-Measurement rows keep the order of the input file; that order is the
-row order of z, h(x), the Jacobian, and the covariance everywhere else
-in the package.  Rectangular phasor pairs may carry a cross-covariance
+A MeasurementSet keeps its rows as numpy columns (kind codes, an
+(m, 2) location array, values, variances, correlated row pairs and
+their covariances), built and validated once by the loader or the
+synthesizer.  Row order is the order of the input file; it is the row
+order of z, h(x), the Jacobian, and the covariance everywhere else in
+the package.  ``locate`` resolves every row against a network in one
+vectorized pass.  Rectangular phasor pairs may carry a cross-covariance
 (recorded under "correlations" in the file) because PMU errors live in
 polar coordinates and correlate after conversion.
 """
@@ -18,7 +22,7 @@ import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import InputError, NonPositiveVariance
-from .network import NetworkModel
+from .network import NetworkModel, end_error
 from .states import wrap_angle
 
 
@@ -74,31 +78,95 @@ ANGLE_KINDS = frozenset({
 })
 
 
+KINDS = tuple(MeasurementKind)
+KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+
+def kind_mask(kinds) -> np.ndarray:
+    """Lookup table over kind codes: True for the codes of ``kinds``."""
+    return np.array([kind in kinds for kind in KINDS])
+
+
+IS_BRANCH = kind_mask(BRANCH_KINDS)
+IS_ANGLE = kind_mask(ANGLE_KINDS)
+IS_RECT = kind_mask(PHASOR_RECT_KINDS)
+ARITY = np.where(IS_BRANCH, 2, 1)
+
+
+def _at_tuple(code, at) -> tuple[int, ...]:
+    """The location tuple of one row of an (m, 2) location array."""
+    return tuple(int(i) for i in at[:ARITY[code]])
+
+
+def location_columns(codes: np.ndarray, ats, placement: bool = False) -> np.ndarray:
+    """(m, 2) location array from per-row index sequences; bus rows
+    leave 0 in the second column.  A row with the wrong number of
+    indices for its kind is an InputError; with ``placement`` it is
+    worded as for a scenario's placements."""
+    ats = [tuple(map(int, at)) for at in ats]
+    bad = np.fromiter(map(len, ats), dtype=np.intp, count=len(ats)) != ARITY[codes]
+    if bad.any():
+        r = int(np.argmax(bad))
+        kind, want, at = KINDS[codes[r]], ARITY[codes[r]], ats[r]
+        if placement:
+            raise InputError(f"placement {kind} at {list(at)}: expected {want} index(es)")
+        raise InputError(f"{kind} expects {want} location index(es), got {at}")
+    return np.array([at if len(at) == 2 else (at[0], 0) for at in ats],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+def checked_values(codes: np.ndarray, at: np.ndarray, values, variances) -> np.ndarray:
+    """The measurement-row validator: variances must be positive and
+    finite, values finite.  Returns the values with every angle row
+    outside (-pi, pi] wrapped onto it; in-range angles keep their bits."""
+    values = np.asarray(values, dtype=float)
+    variances = np.asarray(variances, dtype=float)
+    bad = ~(variances > 0.0) | (variances == math.inf)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise NonPositiveVariance(f"{KINDS[codes[r]]} at {_at_tuple(codes[r], at[r])}: "
+                                  f"variance {float(variances[r])} must be > 0")
+    bad = ~np.isfinite(values)
+    if bad.any():
+        r = int(np.argmax(bad))
+        raise InputError(f"{KINDS[codes[r]]} at {_at_tuple(codes[r], at[r])}: "
+                         f"value {float(values[r])} is not finite")
+    # wrap_angle leaves (-pi, pi] alone, pi included.
+    outside = IS_ANGLE[codes] & (np.abs(values) >= math.pi)
+    if outside.any():
+        values = values.copy()
+        values[outside] = [wrap_angle(v) for v in values[outside].tolist()]
+    return values
+
+
 @dataclass(frozen=True)
 class Measurement:
     """One measured value with its variance and device location.
 
     Branch kinds locate at (i, j), bus kinds at (i,).  Angle values are
-    normalized to (-pi, pi] on construction.
+    normalized to (-pi, pi] on construction.  A MeasurementSet stores
+    its rows as columns and returns Measurements as row views.
     """
     kind: MeasurementKind
     at: tuple[int, ...]
     value: float
     variance: float
 
+    @classmethod
+    def view(cls, kind, at, value, variance) -> "Measurement":
+        """A row of a validated MeasurementSet, built without checking
+        it again."""
+        row = object.__new__(cls)
+        row.__dict__.update(kind=kind, at=at, value=value, variance=variance)
+        return row
+
     def __post_init__(self):
-        if self.variance <= 0.0 or not math.isfinite(self.variance):
-            raise NonPositiveVariance(
-                f"{self.kind} at {self.at}: variance {self.variance} must be > 0")
-        if not math.isfinite(self.value):
-            raise InputError(
-                f"{self.kind} at {self.at}: value {self.value} is not finite")
-        want = 2 if self.kind in BRANCH_KINDS else 1
-        if len(self.at) != want:
-            raise InputError(
-                f"{self.kind} expects {want} location index(es), got {self.at}")
-        if self.kind in ANGLE_KINDS:
-            object.__setattr__(self, "value", wrap_angle(self.value))
+        if self.kind not in KIND_CODE:
+            raise InputError(f"unknown measurement kind {self.kind!r}")
+        codes = np.array([KIND_CODE[self.kind]])
+        at = location_columns(codes, [self.at])
+        value = checked_values(codes, at, [self.value], [self.variance])[0]
+        object.__setattr__(self, "value", float(value))
 
 
 @dataclass(frozen=True)
@@ -107,85 +175,195 @@ class Correlation:
     rows: tuple[int, int]
     cov: float
 
-    def __post_init__(self):
-        if not math.isfinite(self.cov):
-            raise InputError(
-                f"correlation between rows {self.rows}: cov {self.cov} is not finite")
-
 
 class MeasurementSet:
-    """Ordered, immutable list of measurements plus pair correlations."""
+    """Measurement rows stored as columns, plus pair correlations.
+
+    Per row: ``codes`` (kind codes, indices into KINDS), ``at`` (an
+    (m, 2) location array, 0 in the second column of bus rows) and the
+    arrays returned by ``values()`` and ``variances()``.  Correlated
+    row pairs are the (c, 2) array ``pairs`` with covariances ``covs``.
+    The columns are validated once, are read-only, and never change.
+    Indexing and iteration give Measurement row views.
+    """
 
     def __init__(self, measurements, correlations=()):
-        self.measurements = tuple(measurements)
-        self.correlations = tuple(correlations)
-        m = len(self.measurements)
-        seen = set()
-        for c in self.correlations:
-            a, b = c.rows
-            if not (0 <= a < m and 0 <= b < m) or a == b:
-                raise InputError(f"correlation rows {c.rows} out of range")
-            ka = self.measurements[a].kind
-            kb = self.measurements[b].kind
-            if ka not in PHASOR_RECT_KINDS or kb not in PHASOR_RECT_KINDS:
-                raise InputError(
-                    f"correlation between rows {c.rows} ({ka}, {kb}): only "
-                    "rectangular phasor rows may be correlated")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise InputError(f"duplicate correlation for rows {key}")
-            seen.add(key)
+        rows = tuple(measurements)
+        corr = tuple(correlations)
+        codes = np.array([KIND_CODE[m.kind] for m in rows], dtype=np.intp)
+        self._set_columns(
+            codes, location_columns(codes, [m.at for m in rows]),
+            [m.value for m in rows], [m.variance for m in rows],
+            [c.rows for c in corr], [c.cov for c in corr])
+
+    @classmethod
+    def from_columns(cls, codes, at, values, variances, pairs=(), covs=()):
+        """A set built straight from its columns (see the class doc).
+        Arrays passed in are taken over, not copied, and made read-only."""
+        mset = cls.__new__(cls)
+        mset._set_columns(np.asarray(codes, dtype=np.intp),
+                          np.asarray(at, dtype=np.int64).reshape(-1, 2),
+                          values, variances, pairs, covs)
+        return mset
+
+    def _set_columns(self, codes, at, values, variances, pairs, covs):
+        values = checked_values(codes, at, values, variances)
+        variances = np.asarray(variances, dtype=float)
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        covs = np.asarray(covs, dtype=float)
+        if covs.size:
+            _check_pairs(codes, pairs, covs)
+        for column in (codes, at, values, variances, pairs, covs):
+            column.flags.writeable = False
+        self.codes, self.at, self.pairs, self.covs = codes, at, pairs, covs
+        self._values, self._variances = values, variances
+        self._located = None
 
     def __len__(self):
-        return len(self.measurements)
+        return self.codes.size
 
     def __iter__(self):
-        return iter(self.measurements)
+        return (self[k] for k in range(len(self)))
 
-    def __getitem__(self, idx):
-        return self.measurements[idx]
+    def __getitem__(self, k):
+        k = range(len(self))[k]
+        code = self.codes[k]
+        return Measurement.view(KINDS[code], _at_tuple(code, self.at[k]),
+                                float(self._values[k]), float(self._variances[k]))
 
-    def kinds(self) -> set[MeasurementKind]:
-        return {m.kind for m in self.measurements}
+    @property
+    def correlations(self) -> tuple[Correlation, ...]:
+        return tuple(Correlation(tuple(rows), cov) for rows, cov
+                     in zip(self.pairs.tolist(), self.covs.tolist()))
 
     def values(self) -> np.ndarray:
-        return np.array([m.value for m in self.measurements], dtype=float)
+        return self._values
 
     def variances(self) -> np.ndarray:
-        return np.array([m.variance for m in self.measurements], dtype=float)
+        return self._variances
+
+    def kind_tags(self) -> list[str]:
+        """Per row, its kind's file tag."""
+        return [KINDS[c].value for c in self.codes.tolist()]
+
+    def at_lists(self) -> list[list[int]]:
+        """Per row, its location as a list of 1 or 2 bus ids."""
+        return [at[:n] for at, n in zip(self.at.tolist(), ARITY[self.codes].tolist())]
+
+    def locations(self, net: NetworkModel) -> "Locations":
+        """The rows resolved against ``net``; resolved once per network
+        and cached, since the set never changes."""
+        if self._located is None or self._located.net is not net:
+            self._located = locate(net, self.codes, self.at)
+        return self._located
 
     def validate_against(self, net: NetworkModel):
         """Check every location against the network (unique branch for
         branch kinds, existing bus for bus kinds)."""
-        for m in self.measurements:
-            if m.kind in BRANCH_KINDS:
-                net.branch_between(*m.at)
-            else:
-                bus_index(net, m.kind, m.at)
+        self.locations(net)
 
 
-def bus_index(net: NetworkModel, kind: MeasurementKind, at) -> int:
-    """0-based index of the bus a bus-kind row sits at; a bus outside
-    1..N is an InputError."""
-    if not 1 <= at[0] <= net.n_buses:
-        raise InputError(f"{kind} at {tuple(at)}: bus does not exist")
-    return at[0] - 1
+def _check_pairs(codes, pairs, covs):
+    """Correlated row pairs must be in range, distinct, rectangular
+    phasor rows, listed once, with finite covariances."""
+    m = codes.size
+    bad = ~np.isfinite(covs)
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise InputError(f"correlation between rows {tuple(pairs[c].tolist())}: "
+                         f"cov {float(covs[c])} is not finite")
+    a, b = pairs[:, 0], pairs[:, 1]
+    bad = (a < 0) | (a >= m) | (b < 0) | (b >= m) | (a == b)
+    if bad.any():
+        raise InputError(f"correlation rows {tuple(pairs[np.argmax(bad)].tolist())} "
+                         "out of range")
+    bad = ~(IS_RECT[codes[a]] & IS_RECT[codes[b]])
+    if bad.any():
+        c = int(np.argmax(bad))
+        raise InputError(
+            f"correlation between rows {tuple(pairs[c].tolist())} ({KINDS[codes[a[c]]]}, "
+            f"{KINDS[codes[b[c]]]}): only rectangular phasor rows may be correlated")
+    c = _first_repeat(np.minimum(a, b) * m + np.maximum(a, b))
+    if c >= 0:
+        raise InputError(f"duplicate correlation for rows "
+                         f"{(min(int(a[c]), int(b[c])), max(int(a[c]), int(b[c])))}")
 
 
-def polar_to_rect_variance(z_mag: float, v_mag: float, z_ang: float,
-                           v_ang: float) -> tuple[float, float, float]:
+def _first_repeat(keys: np.ndarray) -> int:
+    """Position of the first entry equal to an earlier one, else -1."""
+    _, first = np.unique(keys, return_index=True)
+    if first.size == keys.size:
+        return -1
+    again = np.ones(keys.size, dtype=bool)
+    again[first] = False
+    return int(np.argmax(again))
+
+
+@dataclass(frozen=True, eq=False)
+class Locations:
+    """Measurement rows resolved against one network.
+
+    Per row: the kind code and location of the set, then ``i``, the
+    0-based bus of a bus row or the near end of a branch row, and for
+    branch rows ``j``, the 0-based far end, ``branch``, the branch's
+    position in ``net.branches``, and ``reverse``, whether (i, j) runs
+    against its stored orientation.  Bus rows hold -1, -1 and False
+    there.
+    """
+    net: NetworkModel
+    codes: np.ndarray
+    at: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    branch: np.ndarray
+    reverse: np.ndarray
+
+    def take(self, rows) -> "Locations":
+        """The resolved rows at the given positions, in that order."""
+        return Locations(self.net, self.codes[rows], self.at[rows], self.i[rows],
+                         self.j[rows], self.branch[rows], self.reverse[rows])
+
+
+def locate(net: NetworkModel, codes: np.ndarray, at: np.ndarray,
+           placement: bool = False) -> Locations:
+    """Resolve every row's location against the network in one pass.
+
+    The first row with a bus outside 1..N, or whose branch ends are
+    joined by no branch or by parallel branches, is an InputError.
+    With ``placement`` the message starts "placement <kind> at <at>:",
+    as for a scenario's placements.
+    """
+    k, reverse, hits = net.lookup_ends(at[:, 0], at[:, 1])
+    is_branch = IS_BRANCH[codes]
+    ok = np.where(is_branch, hits == 1, (at[:, 0] >= 1) & (at[:, 0] <= net.n_buses))
+    if not ok.all():
+        r = int(np.argmax(~ok))
+        kind, where = KINDS[codes[r]], _at_tuple(codes[r], at[r])
+        if is_branch[r]:
+            reason = str(end_error(*where, int(hits[r])))
+        else:
+            reason = "bus does not exist"
+        if placement:
+            raise InputError(f"placement {kind} at {list(where)}: {reason}")
+        raise InputError(reason if is_branch[r] else f"{kind} at {where}: {reason}")
+    return Locations(net, codes, at, at[:, 0] - 1, at[:, 1] - 1, k, reverse)
+
+
+def polar_to_rect_variance(z_mag, v_mag, z_ang, v_ang):
     """First-order propagation of polar phasor variances to rectangular.
 
     Given a measured magnitude/angle pair and their variances, returns
     (v_re, v_im, cov_re_im) of the converted real/imaginary pair.  The
     resulting 2x2 block has determinant v_mag * v_ang * z_mag**2, so it
-    stays positive (semi)definite.
+    stays positive (semi)definite.  Works elementwise on arrays.
     """
-    if v_mag <= 0.0 or v_ang <= 0.0:
+    if np.any(np.asarray(v_mag) <= 0.0) or np.any(np.asarray(v_ang) <= 0.0):
         raise NonPositiveVariance("polar variances must be > 0")
-    c, s = math.cos(z_ang), math.sin(z_ang)
-    v_re = v_mag * c * c + v_ang * (z_mag * s) ** 2
-    v_im = v_mag * s * s + v_ang * (z_mag * c) ** 2
+    c, s = np.cos(z_ang), np.sin(z_ang)
+    # float_power squares with the C library's pow, as Python's ** on a
+    # float does; np.square can differ from it in the last bit.
+    v_re = v_mag * c * c + v_ang * np.float_power(z_mag * s, 2)
+    v_im = v_mag * s * s + v_ang * np.float_power(z_mag * c, 2)
     cov = (v_mag - v_ang * z_mag * z_mag) * s * c
     return v_re, v_im, cov
 
@@ -204,17 +382,21 @@ class CovarianceModel:
             raise NonPositiveVariance(
                 "covariance diagonal must be positive and finite")
         self.variances = variances
-        self.blocks = tuple(blocks)  # (row_a, row_b, cov)
-        owner = {}
-        for a, b, cov in self.blocks:
-            det = variances[a] * variances[b] - cov * cov
-            if not det > 0.0:
-                raise NonPositiveVariance(
-                    f"correlated block for rows ({a}, {b}) is not positive definite")
-            for r in (a, b):
-                if r in owner:
-                    raise InputError(f"row {r} appears in more than one correlated block")
-                owner[r] = True
+        # (row_a, row_b, cov) per block, as three columns
+        table = np.asarray(blocks, dtype=float).reshape(-1, 3)
+        self._a = table[:, 0].astype(np.intp)
+        self._b = table[:, 1].astype(np.intp)
+        self._cov = table[:, 2]
+        det = variances[self._a] * variances[self._b] - self._cov * self._cov
+        bad = ~(det > 0.0)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NonPositiveVariance(f"correlated block for rows ({self._a[k]}, "
+                                      f"{self._b[k]}) is not positive definite")
+        rows = np.stack([self._a, self._b], axis=1).ravel()
+        r = _first_repeat(rows)
+        if r >= 0:
+            raise InputError(f"row {rows[r]} appears in more than one correlated block")
         self._inverse = None
         self._whitener = None
 
@@ -223,8 +405,13 @@ class CovarianceModel:
         return self.variances.size
 
     @property
+    def blocks(self) -> tuple[tuple[int, int, float], ...]:
+        """The correlated blocks as (row_a, row_b, cov) triples."""
+        return tuple(zip(self._a.tolist(), self._b.tolist(), self._cov.tolist()))
+
+    @property
     def is_diagonal(self) -> bool:
-        return not self.blocks
+        return self._cov.size == 0
 
     def restrict(self, keep) -> "CovarianceModel":
         """Submodel over the rows where keep is True.
@@ -234,21 +421,17 @@ class CovarianceModel:
         """
         keep = np.asarray(keep, dtype=bool)
         new_index = np.cumsum(keep) - 1
-        blocks = []
-        for a, b, cov in self.blocks:
-            if bool(keep[a]) != bool(keep[b]):
-                raise InputError("cannot split a correlated covariance block")
-            if keep[a]:
-                blocks.append((int(new_index[a]), int(new_index[b]), cov))
-        return CovarianceModel(self.variances[keep], blocks)
+        kept = keep[self._a]
+        if (kept != keep[self._b]).any():
+            raise InputError("cannot split a correlated covariance block")
+        return CovarianceModel(self.variances[keep], np.column_stack(
+            [new_index[self._a[kept]], new_index[self._b[kept]], self._cov[kept]]))
 
     def _block_arrays(self):
-        """Block rows a, b and covariances as arrays, plus the variances
-        of both rows."""
-        table = np.array(self.blocks, dtype=float).reshape(-1, 3)
-        a = table[:, 0].astype(int)
-        b = table[:, 1].astype(int)
-        return a, b, table[:, 2], self.variances[a], self.variances[b]
+        """Block rows a, b and covariances, plus the variances of both
+        rows."""
+        return (self._a, self._b, self._cov,
+                self.variances[self._a], self.variances[self._b])
 
     def _sparse(self, diag, rows, cols, off) -> csr_matrix:
         """m x m CSR matrix: diag on the diagonal, off at (rows, cols)."""
@@ -306,42 +489,43 @@ def measurements_from_dict(doc: dict) -> MeasurementSet:
         raise InputError(f"unknown measurement-file keys: {sorted(unknown)}")
     if "measurements" not in doc:
         raise InputError("measurement document needs 'measurements'")
-    rows = []
-    for entry in doc["measurements"]:
-        bad = set(entry) - _MEAS_ENTRY_KEYS
-        if bad:
-            raise InputError(f"unknown measurement keys: {sorted(bad)}")
-        try:
-            kind = MeasurementKind(entry["kind"])
-        except (ValueError, KeyError):
-            raise InputError(f"unknown measurement kind tag {entry.get('kind')!r}") from None
-        rows.append(Measurement(
-            kind=kind,
-            at=tuple(int(i) for i in entry["at"]),
-            value=float(entry["value"]),
-            variance=float(entry["variance"]),
-        ))
-    corrs = []
-    for entry in doc.get("correlations", ()):
-        bad = set(entry) - _CORR_ENTRY_KEYS
-        if bad:
-            raise InputError(f"unknown correlation keys: {sorted(bad)}")
-        a, b = entry["rows"]
-        corrs.append(Correlation(rows=(int(a), int(b)), cov=float(entry["cov"])))
-    return MeasurementSet(rows, corrs)
+    entries = doc["measurements"]
+    corr = doc.get("correlations", ())
+    for rows, keys, what in ((entries, _MEAS_ENTRY_KEYS, "measurement"),
+                             (corr, _CORR_ENTRY_KEYS, "correlation")):
+        for entry in rows:
+            if not entry.keys() <= keys:
+                raise InputError(f"unknown {what} keys: {sorted(set(entry) - keys)}")
+    try:
+        codes = np.array([KIND_CODE[entry["kind"]] for entry in entries], dtype=np.intp)
+    except (KeyError, TypeError):
+        tags = [entry.get("kind") for entry in entries]
+        bad = next(tag for tag in tags if not isinstance(tag, str) or tag not in KIND_CODE)
+        raise InputError(f"unknown measurement kind tag {bad!r}") from None
+    try:
+        at = location_columns(codes, [entry["at"] for entry in entries])
+        values = [float(entry["value"]) for entry in entries]
+        variances = [float(entry["variance"]) for entry in entries]
+        pairs = [[int(a), int(b)] for a, b in (entry["rows"] for entry in corr)]
+        covs = [float(entry["cov"]) for entry in corr]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"malformed measurement document: {exc!r}") from None
+    return MeasurementSet.from_columns(codes, at, values, variances, pairs, covs)
 
 
 def measurements_to_dict(mset: MeasurementSet) -> dict:
     """Serialize a measurement set; values keep full float precision so
     a write/reload round trip is exact."""
     doc = {"measurements": [
-        {"kind": m.kind.value, "at": list(m.at), "value": m.value,
-         "variance": m.variance}
-        for m in mset.measurements
+        {"kind": kind, "at": at, "value": value, "variance": variance}
+        for kind, at, value, variance in zip(
+            mset.kind_tags(), mset.at_lists(), mset.values().tolist(),
+            mset.variances().tolist())
     ]}
-    if mset.correlations:
+    if len(mset.covs):
         doc["correlations"] = [
-            {"rows": list(c.rows), "cov": c.cov} for c in mset.correlations
+            {"rows": rows, "cov": cov}
+            for rows, cov in zip(mset.pairs.tolist(), mset.covs.tolist())
         ]
     return doc
 

@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -52,6 +53,25 @@ def branch_admittance(r: float, x: float) -> tuple[float, float]:
     return r / d, -x / d
 
 
+class DirectedEnds(NamedTuple):
+    """Directed branch ends (i, j) of a network, sorted by key.
+
+    key is (i - 1) * N + (j - 1); per end, branch is the position in
+    ``branches``, reverse whether (i, j) runs against the stored
+    orientation and count the number of branches on the same (i, j).
+    The ends at bus i are ``incident[incident_ptr[i - 1]:incident_ptr[i]]``,
+    in one fixed order: neighbours by the first branch joining them,
+    parallel branches by position.  Sums over a bus's branches follow
+    it, so they always add in the same order.
+    """
+    key: np.ndarray
+    branch: np.ndarray
+    reverse: np.ndarray
+    count: np.ndarray
+    incident: np.ndarray
+    incident_ptr: np.ndarray
+
+
 class NetworkModel:
     """Validated, immutable bus/branch model.
 
@@ -85,18 +105,6 @@ class NetworkModel:
         self.slack_bus = slacks[0]
         self.slack_angle = float(slack_angle)
         self._check_connected()
-        self._ends: dict[tuple[int, int], list[int]] = {}
-        for k, br in enumerate(branches):
-            self._ends.setdefault((br.from_bus, br.to_bus), []).append(k)
-            self._ends.setdefault((br.to_bus, br.from_bus), []).append(k)
-        # Per-bus incidence in _ends order (neighbours by first joining
-        # branch, parallel branches in input order), so sums over a bus's
-        # branches keep one fixed order.
-        incident: dict[int, list[tuple[Branch, bool]]] = {}
-        for (a, _), ks in self._ends.items():
-            incident.setdefault(a, []).extend(
-                (branches[k], branches[k].from_bus != a) for k in ks)
-        self._incident = {i: tuple(ends) for i, ends in incident.items()}
 
     @property
     def n_buses(self) -> int:
@@ -120,20 +128,56 @@ class NetworkModel:
         if len(roots) != 1:
             raise NotConnected(f"network not connected: {len(roots)} islands")
 
+    @cached_property
+    def directed_ends(self) -> DirectedEnds:
+        """Both orientations of every branch, sorted by (i, j) and, for
+        parallel branches, by branch position."""
+        n = self.n_buses
+        ends = np.array([(br.from_bus, br.to_bus) for br in self.branches],
+                        dtype=np.int64).reshape(-1, 2) - 1
+        # Branch k contributes entries 2k (stored orientation) and 2k + 1.
+        key = ends.ravel() * n + ends[:, ::-1].ravel()
+        order = np.argsort(key, kind="stable")
+        key, branch = key[order], order // 2
+        _, first, count = np.unique(key, return_index=True, return_counts=True)
+        near = key // n
+        incident = np.lexsort((branch, np.repeat(branch[first], count), near))
+        return DirectedEnds(
+            key=key, branch=branch, reverse=order % 2 == 1,
+            count=np.repeat(count, count), incident=incident,
+            incident_ptr=np.concatenate([[0], np.cumsum(np.bincount(near, minlength=n))]))
+
+    def lookup_ends(self, i, j) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per pair of 1-based buses (i[k], j[k]): the position in
+        ``branches`` of a branch joining them (-1 if none does), whether
+        (i[k], j[k]) runs against its stored orientation, and how many
+        branches join them (0 also for a bus outside 1..N)."""
+        i = np.asarray(i, dtype=np.int64)
+        j = np.asarray(j, dtype=np.int64)
+        n = self.n_buses
+        ends = self.directed_ends
+        query = (i - 1) * n + (j - 1)
+        query[(np.minimum(i, j) < 1) | (np.maximum(i, j) > n)] = -1
+        if not ends.key.size:
+            return np.full(query.shape, -1), np.zeros(query.shape, dtype=bool), np.zeros_like(query)
+        pos = np.minimum(np.searchsorted(ends.key, query), ends.key.size - 1)
+        found = ends.key[pos] == query
+        return (np.where(found, ends.branch[pos], -1), found & ends.reverse[pos],
+                found * ends.count[pos])
+
     def branch_index(self, i: int, j: int) -> tuple[int, bool]:
         """Position in ``branches`` of the unique branch joining buses i
-        and j, and whether (i, j) runs against its stored orientation.
+        and j, and whether (i, j) runs against its stored orientation;
+        ``lookup_ends`` for one pair.
 
-        Parallel branches make a branch-attached measurement ambiguous
-        and are rejected here; the admittance matrix still sums them.
+        No branch (a bus outside 1..N included) is an InputError, and so
+        are parallel branches: a branch-attached measurement there is
+        ambiguous.  The admittance matrix still sums parallel branches.
         """
-        ks = self._ends.get((i, j))
-        if not ks:
-            raise InputError(f"no branch between buses {i} and {j}")
-        if len(ks) > 1:
-            raise InputError(f"buses {i} and {j} are joined by {len(ks)} parallel "
-                             "branches; branch measurements are ambiguous")
-        return ks[0], self.branches[ks[0]].from_bus != i
+        k, reverse, hits = self.lookup_ends([i], [j])
+        if hits[0] != 1:
+            raise end_error(i, j, int(hits[0]))
+        return int(k[0]), bool(reverse[0])
 
     def branch_between(self, i: int, j: int) -> tuple[Branch, bool]:
         """The unique branch joining buses i and j.
@@ -147,10 +191,11 @@ class NetworkModel:
     @cached_property
     def branch_table(self) -> np.ndarray:
         """Per branch, in input order: series admittance (g, b), then
-        the shunt (gs, bs) at the from end and at the to end."""
+        the shunt (gs, bs) at the from end and at the to end, then the
+        series reactance x."""
         return np.array([(*branch_admittance(br.r, br.x), br.gs_from, br.bs_from,
-                           br.gs_to, br.bs_to) for br in self.branches],
-                        dtype=float).reshape(-1, 6)
+                           br.gs_to, br.bs_to, br.x) for br in self.branches],
+                        dtype=float).reshape(-1, 7)
 
     @cached_property
     def admittance(self) -> csr_matrix:
@@ -158,13 +203,14 @@ class NetworkModel:
         cached.  Callers must not modify it."""
         return assemble_admittance(self)
 
-    def branches_at(self, i: int) -> tuple[tuple[Branch, bool], ...]:
-        """Branches incident to bus i, each oriented away from i.
 
-        Returns (branch, reversed) pairs covering every incident end,
-        parallel branches included.
-        """
-        return self._incident.get(i, ())
+def end_error(i: int, j: int, hits: int) -> InputError:
+    """The error for a branch measurement at buses (i, j) that ``hits``
+    branches join, where only one may."""
+    if hits == 0:
+        return InputError(f"no branch between buses {i} and {j}")
+    return InputError(f"buses {i} and {j} are joined by {hits} parallel "
+                      "branches; branch measurements are ambiguous")
 
 
 def assemble_admittance(net: NetworkModel) -> csr_matrix:

@@ -17,18 +17,23 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InputError, NonPositiveVariance
-from .functions import evaluate_values
+from .functions import ValueMap
 from .measurements import (
-    BRANCH_KINDS,
-    Correlation,
-    Measurement,
+    ARITY,
+    KIND_CODE,
+    KINDS,
+    Locations,
     MeasurementKind,
     MeasurementSet,
+    kind_mask,
+    locate,
+    location_columns,
     polar_to_rect_variance,
 )
 from .network import NetworkModel, load_network
@@ -46,16 +51,79 @@ _RECT_PARTNER = {
     MeasurementKind.I_RE: MeasurementKind.I_IM,
     MeasurementKind.I_IM: MeasurementKind.I_RE,
 }
-# Polar noise keys feeding converted rectangular pairs.
-_RECT_POLAR_SIGMAS = {
-    MeasurementKind.V_RE: (MeasurementKind.V_MAG_PMU, MeasurementKind.V_ANG_PMU),
-    MeasurementKind.I_RE: (MeasurementKind.I_MAG_PMU, MeasurementKind.I_ANG_PMU),
-}
+# Per kind code of a rectangular phasor row, the polar (magnitude,
+# angle) kinds its device measures and draws its noise in; -1 elsewhere.
+_POLAR_OF = np.full((len(KINDS), 2), -1)
+for _rect, _polar in {
+        MeasurementKind.V_RE: (MeasurementKind.V_MAG_PMU, MeasurementKind.V_ANG_PMU),
+        MeasurementKind.I_RE: (MeasurementKind.I_MAG_PMU, MeasurementKind.I_ANG_PMU)}.items():
+    _POLAR_OF[[KIND_CODE[_rect], KIND_CODE[_RECT_PARTNER[_rect]]]] = [
+        KIND_CODE[kind] for kind in _polar]
+_IS_IMAG = kind_mask({MeasurementKind.V_IM, MeasurementKind.I_IM})
+
+
+class _Resolved:
+    """A scenario's placements and noise resolved once.
+
+    Rows are split into ``scalar`` placements and rectangular device
+    pairs, each a ``first`` row (the earlier one) and its ``second``
+    row; ``imag`` says whether a first row is the imaginary part.
+    ``truth`` lists the rows of h(x_true) the scenario reads, in
+    placement order: each scalar placement, and the polar magnitude and
+    angle behind each pair at its first row.  The noise is one draw of
+    ``n_draws`` standard normals consumed in placement order: one per
+    scalar row with a positive stddev (the ``noisy`` rows), two per
+    device pair.  Copies of a spec made by ``with_seed`` share this
+    resolution, compiled h included.
+    """
+
+    def __init__(self, loc: Locations, partner: np.ndarray, noise: dict):
+        self.placements = loc
+        codes = loc.codes
+        m = codes.size
+        rows = np.arange(m)
+        self.scalar = np.flatnonzero(partner < 0)
+        self.first = np.flatnonzero(partner > rows)
+        self.second = partner[self.first]
+        self.pairs = np.stack([self.first, self.second], axis=1)
+        self.imag = _IS_IMAG[codes[self.first]]
+        count = np.where(partner < 0, 1, 2 * (partner > rows))
+        owner = np.repeat(rows, count)
+        start = np.cumsum(count) - count
+        which = np.arange(owner.size) - start[owner]
+        self.truth = replace(loc.take(owner), codes=np.where(
+            partner[owner] < 0, codes[owner], _POLAR_OF[codes[owner], which]))
+        self.scalar_truth = start[self.scalar]
+        self.pair_truth = start[self.first]
+
+        sigma_of = np.array([noise.get(kind, 0.0) for kind in KINDS], dtype=float)
+        sigma = sigma_of[codes[self.scalar]]
+        draws = np.zeros(m, dtype=np.intp)
+        draws[self.scalar] = sigma > 0.0
+        draws[self.first] = 2
+        at_draw = np.cumsum(draws) - draws
+        self.n_draws = int(draws.sum())
+        self.noisy = self.scalar[sigma > 0.0]
+        self.noisy_sigma = sigma[sigma > 0.0]
+        self.noisy_draw = at_draw[self.noisy]
+        self.pair_draw = at_draw[self.first]
+        self.variances = np.empty(m)
+        self.variances[self.scalar] = _recorded_variance(sigma)
+        self.s_mag, self.s_ang = sigma_of[_POLAR_OF[codes[self.first]]].T
+
+    @cached_property
+    def truth_values(self) -> ValueMap:
+        """h over the truth rows, compiled on first use."""
+        return ValueMap(self.truth)
 
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Everything needed to synthesize one measurement scenario."""
+    """Everything needed to synthesize one measurement scenario.
+
+    The placements are resolved against the network once, on
+    construction, and the resolution is shared by ``with_seed`` copies.
+    """
     network: NetworkModel
     v_range: tuple[float, float]
     theta_range: tuple[float, float]
@@ -63,6 +131,7 @@ class ScenarioSpec:
     noise: dict[MeasurementKind, float]
     seed: int
     network_path: str | None = None
+    _resolved: _Resolved = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lo, hi = self.v_range
@@ -73,18 +142,10 @@ class ScenarioSpec:
             raise InputError(f"angle range [{lo}, {hi}] is empty")
         if not self.placements:
             raise InputError("scenario places no measurements")
-        for kind, at in self.placements:
-            want = 2 if kind in BRANCH_KINDS else 1
-            if len(at) != want:
-                raise InputError(f"placement {kind} at {list(at)}: expected {want} index(es)")
-            if kind in BRANCH_KINDS:
-                try:
-                    self.network.branch_between(*at)
-                except InputError as exc:
-                    raise InputError(f"placement {kind} at {list(at)}: {exc}") from exc
-            elif not 1 <= at[0] <= self.network.n_buses:
-                raise InputError(f"placement {kind} at {list(at)}: bus does not exist")
-        _pair_rectangular(self.placements)
+        codes = np.array([KIND_CODE[kind] for kind, _ in self.placements], dtype=np.intp)
+        at = location_columns(codes, [at for _, at in self.placements], placement=True)
+        loc = locate(self.network, codes, at, placement=True)
+        partner = _pair_rectangular(codes, at)
         for kind, sigma in self.noise.items():
             if sigma < 0.0:
                 raise NonPositiveVariance(f"noise stddev for {kind} must be >= 0")
@@ -92,38 +153,52 @@ class ScenarioSpec:
                 raise InputError(
                     f"noise for {kind} is drawn in polar coordinates; set the "
                     "V_mag_pmu/V_ang_pmu or I_mag_pmu/I_ang_pmu stddevs instead")
+        object.__setattr__(self, "_resolved", _Resolved(loc, partner, self.noise))
 
     def with_seed(self, seed: int) -> "ScenarioSpec":
-        return replace(self, seed=seed)
+        """The same scenario under another seed."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__, seed=seed)
+        return twin
 
 
-def _pair_rectangular(placements) -> dict[int, int]:
+def _pair_rectangular(codes: np.ndarray, at: np.ndarray) -> np.ndarray:
     """Match each rectangular phasor placement with its device partner.
 
     Pairs the k-th V_re at a location with the k-th V_im there (same
-    for currents).  Returns placement-index -> partner-index; raises if
-    any rectangular placement is left without a partner.
+    for currents).  Returns each placement's partner index, -1 for the
+    other kinds; raises if any rectangular placement is left without a
+    partner.
     """
-    open_slots: dict[tuple, list[int]] = {}
-    pairs: dict[int, int] = {}
-    for idx, (kind, at) in enumerate(placements):
-        if kind not in _RECT_PARTNER:
-            continue
-        want = (_RECT_PARTNER[kind], at)
-        waiting = open_slots.get(want)
-        if waiting:
-            other = waiting.pop(0)
-            pairs[idx] = other
-            pairs[other] = idx
-        else:
-            open_slots.setdefault((kind, at), []).append(idx)
-    unmatched = [idx for slots in open_slots.values() for idx in slots]
-    if unmatched:
-        kind, at = placements[unmatched[0]]
+    partner = np.full(codes.size, -1)
+    rect = np.flatnonzero(_POLAR_OF[codes, 0] >= 0)
+    device = _POLAR_OF[codes[rect], 0]
+    imag = _IS_IMAG[codes[rect]]
+    # Sorted by device and location, real rows before imaginary ones,
+    # each in placement order.
+    order = np.lexsort((rect, imag, at[rect, 1], at[rect, 0], device))
+    rect, device, imag = rect[order], device[order], imag[order]
+    ends = at[rect]
+    new = np.ones(rect.size, dtype=bool)
+    new[1:] = ((device[1:] != device[:-1]) | (ends[1:, 0] != ends[:-1, 0])
+               | (ends[1:, 1] != ends[:-1, 1]))
+    group = np.cumsum(new) - 1
+    n_imag = np.bincount(group[imag], minlength=new.sum())
+    n_real = np.bincount(group[~imag], minlength=new.sum())
+    start = np.flatnonzero(new)[group]
+    rank = np.arange(rect.size) - np.where(imag, start + n_real[group], start)
+    lonely = rank >= np.where(imag, n_real[group], n_imag[group])
+    if lonely.any():
+        r = int(rect[lonely].min())
+        kind = KINDS[codes[r]]
         raise InputError(
-            f"{kind} placement at {at} lacks its {_RECT_PARTNER[kind]} "
-            "partner; rectangular phasors are synthesized as device pairs")
-    return pairs
+            f"{kind} placement at {tuple(at[r, :ARITY[codes[r]]].tolist())} lacks its "
+            f"{_RECT_PARTNER[kind]} partner; rectangular phasors are synthesized as "
+            "device pairs")
+    real = np.flatnonzero(~imag)
+    partner[rect[real]] = rect[real + n_real[group[real]]]
+    partner[partner[rect[real]]] = rect[real]
+    return partner
 
 
 def _state_rng(seed):
@@ -148,8 +223,8 @@ def sample_true_state(spec: ScenarioSpec) -> StateVector:
                        spec.network.slack_bus, spec.network.slack_angle)
 
 
-def _recorded_variance(sigma: float) -> float:
-    return sigma * sigma if sigma > 0.0 else ZERO_NOISE_VARIANCE
+def _recorded_variance(sigma: np.ndarray) -> np.ndarray:
+    return np.where(sigma > 0.0, sigma * sigma, ZERO_NOISE_VARIANCE)
 
 
 def synthesize(spec: ScenarioSpec, x_true: StateVector) -> MeasurementSet:
@@ -161,55 +236,33 @@ def synthesize(spec: ScenarioSpec, x_true: StateVector) -> MeasurementSet:
     propagation at the measured polar values.  Zero stddev gives the
     exact function value with a small default recorded variance.
     Every true value, including the polar magnitude and angle behind
-    each rectangular pair, comes from one evaluation of h(x_true).
+    each rectangular pair, comes from one evaluation of h(x_true).  The
+    noise is one draw of standard normals, consumed in placement order:
+    one per scalar row with a positive stddev, two per device pair.
     """
-    net = spec.network
-    rng = _noise_rng(spec.seed)
-    pairs = _pair_rectangular(spec.placements)
-    targets = []
-    for idx, (kind, at) in enumerate(spec.placements):
-        if kind not in _RECT_PARTNER:
-            targets.append((kind, at))
-        elif idx < pairs[idx]:
-            re_kind = kind if kind in _RECT_POLAR_SIGMAS else _RECT_PARTNER[kind]
-            targets += [(polar_kind, at) for polar_kind in _RECT_POLAR_SIGMAS[re_kind]]
-    truth = iter(evaluate_values(net, x_true, targets).tolist())
-    stash: dict[int, tuple[float, float]] = {}
-    rows: list[Measurement] = []
-    correlations: list[Correlation] = []
-    for idx, (kind, at) in enumerate(spec.placements):
-        if kind not in _RECT_PARTNER:
-            sigma = spec.noise.get(kind, 0.0)
-            value = next(truth)
-            if sigma > 0.0:
-                value += sigma * rng.standard_normal()
-            rows.append(Measurement(kind, at, value, _recorded_variance(sigma)))
-            continue
-        if idx in stash:
-            value, variance = stash.pop(idx)
-            rows.append(Measurement(kind, at, value, variance))
-            continue
-        # First member of a device pair: one polar draw covers both rows.
-        re_kind = kind if kind in _RECT_POLAR_SIGMAS else _RECT_PARTNER[kind]
-        mag_key, ang_key = _RECT_POLAR_SIGMAS[re_kind]
-        s_mag = spec.noise.get(mag_key, 0.0)
-        s_ang = spec.noise.get(ang_key, 0.0)
-        mag, ang = next(truth), next(truth)
-        dm, da = rng.standard_normal(2)
-        z_mag = mag + s_mag * dm
-        z_ang = ang + s_ang * da
+    plan = spec._resolved
+    truth = plan.truth_values.values(x_true)
+    noise = _noise_rng(spec.seed).standard_normal(plan.n_draws)
+    values = np.empty(plan.placements.codes.size)
+    values[plan.scalar] = truth[plan.scalar_truth]
+    values[plan.noisy] += plan.noisy_sigma * noise[plan.noisy_draw]
+    variances = plan.variances.copy()
+    first, second, imag = plan.first, plan.second, plan.imag
+    cov = np.zeros(0)
+    if first.size:
+        t, d = plan.pair_truth, plan.pair_draw
+        z_mag = truth[t] + plan.s_mag * noise[d]
+        z_ang = truth[t + 1] + plan.s_ang * noise[d + 1]
         v_re, v_im, cov = polar_to_rect_variance(
-            z_mag, _recorded_variance(s_mag), z_ang, _recorded_variance(s_ang))
-        z_re = float(z_mag * np.cos(z_ang))
-        z_im = float(z_mag * np.sin(z_ang))
-        if kind == re_kind:
-            rows.append(Measurement(kind, at, z_re, v_re))
-            stash[pairs[idx]] = (z_im, v_im)
-        else:
-            rows.append(Measurement(kind, at, z_im, v_im))
-            stash[pairs[idx]] = (z_re, v_re)
-        correlations.append(Correlation((idx, pairs[idx]), cov))
-    return MeasurementSet(rows, correlations)
+            z_mag, _recorded_variance(plan.s_mag), z_ang, _recorded_variance(plan.s_ang))
+        z_re = z_mag * np.cos(z_ang)
+        z_im = z_mag * np.sin(z_ang)
+        values[first] = np.where(imag, z_im, z_re)
+        variances[first] = np.where(imag, v_im, v_re)
+        values[second] = np.where(imag, z_re, z_im)
+        variances[second] = np.where(imag, v_re, v_im)
+    return MeasurementSet.from_columns(plan.placements.codes, plan.placements.at,
+                                       values, variances, plan.pairs, cov)
 
 
 def state_to_dict(x: StateVector) -> dict:

@@ -46,6 +46,12 @@ def random_polar_state(net, rng, v_range=(0.9, 1.1), t_range=(-0.3, 0.3)):
                        net.slack_angle)
 
 
+def incident_ends(net, i):
+    """(branch, reversed) for every branch end at bus i, oriented away
+    from i, in branch order; parallel branches included."""
+    return [(br, br.to_bus == i) for br in net.branches if i in (br.from_bus, br.to_bus)]
+
+
 def oracle_value(net, x, kind, at):
     """Independent scalar evaluation of a measurement function.
 
@@ -86,7 +92,7 @@ def oracle_value(net, x, kind, at):
         i = at[0]
         bus = net.buses[i - 1]
         cur = complex(bus.shunt_g, bus.shunt_b) * volts[i - 1]
-        for br, rev in net.branches_at(i):
+        for br, rev in incident_ends(net, i):
             j = br.from_bus if rev else br.to_bus
             y, ys = series_and_shunt(br, rev)
             cur += (y + ys) * volts[i - 1] - y * volts[j - 1]
@@ -107,7 +113,7 @@ def oracle_value(net, x, kind, at):
     if kind == K.P_INJ_DC:
         i = at[0]
         return sum((th[i - 1] - th[(br.from_bus if rev else br.to_bus) - 1]) / br.x
-                   for br, rev in net.branches_at(i))
+                   for br, rev in incident_ends(net, i))
     if kind == K.THETA:
         return float(th[at[0] - 1])
     raise ValueError(f"oracle has no rule for {kind}")

@@ -51,6 +51,7 @@ from conftest import (
     branch_ends,
     dc_plan,
     fd_gradient,
+    incident_ends,
     legacy_plan,
     linear_rect_plan,
     make_scenario,
@@ -216,7 +217,7 @@ def test_c04_identity_cross_checks(net3, net14):
                                 abs(mag * math.sin(ang) - im))
             for b in net_noshunt.buses:
                 p_sum = q_sum = 0.0
-                for br, rev in net_noshunt.branches_at(b.id):
+                for br, rev in incident_ends(net_noshunt, b.id):
                     jb = br.from_bus if rev else br.to_bus
                     p_sum += evaluate_row(net_noshunt, x, K.P_FLOW, (b.id, jb)).value
                     q_sum += evaluate_row(net_noshunt, x, K.Q_FLOW, (b.id, jb)).value

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -256,6 +257,20 @@ class TestEstimateCommand:
                    "--formulation", "dc", "--out", str(tmp_path / "o")])
         assert rc == 3
         assert "numerically singular" in capsys.readouterr().err
+
+    def test_singular_gain_names_the_weak_bus(self, tmp_path, capsys):
+        # the set above: the weak unknown is theta at bus 2 or bus 4, not
+        # a position in the slack-reduced state
+        rows = [{"kind": "Theta", "at": [i], "value": 0.01 * i, "variance": 1e-4}
+                for i in range(1, 15) if i not in (2, 4)]
+        rows.append({"kind": "P_inj_dc", "at": [4], "value": 0.3,
+                     "variance": 1e-4})
+        meas = tmp_path / "m.json"
+        meas.write_text(json.dumps({"measurements": rows}))
+        rc = main(["estimate", "--net", NET14, "--measurements", str(meas),
+                   "--formulation", "dc", "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert re.search(r"for theta at bus [24] against", capsys.readouterr().err)
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_value_exits_one(self, tmp_path, capsys, value):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from gridse import (
     Branch,
@@ -34,6 +35,7 @@ from gridse.states import POLAR
 from conftest import (
     branch_ends,
     fd_gradient,
+    incident_ends,
     legacy_plan,
     oracle_value,
     parallel_reversed_net,
@@ -140,7 +142,7 @@ class TestInjections:
             x = random_polar_state(net, rng)
             for b in net.buses:
                 p_sum = q_sum = 0.0
-                for br, rev in net.branches_at(b.id):
+                for br, rev in incident_ends(net, b.id):
                     j = br.from_bus if rev else br.to_bus
                     p_sum += evaluate_row(net, x, K.P_FLOW, (b.id, j)).value
                     q_sum += evaluate_row(net, x, K.Q_FLOW, (b.id, j)).value
@@ -380,6 +382,48 @@ class TestLinearRectRows:
 
 
 class TestDcRows:
+    def test_rows_match_per_row_reference_on_parallel_branches(self):
+        # Reference: the rows built one by one, each bus's branch ends in
+        # first-seen order (neighbours by the first branch joining them,
+        # parallel branches by position), the injection diagonal summed
+        # in that order.  The bits must match, parallel branches included.
+        for seed in range(4):
+            net, ends = parallel_reversed_net(np.random.default_rng(200 + seed), n=9 + seed)
+            rows = ([Measurement(K.P_FLOW_DC, at, 0.0, 1.0) for at in ends]
+                    + [Measurement(K.P_INJ_DC, (b.id,), 0.0, 1.0) for b in net.buses]
+                    + [Measurement(K.THETA, (2,), 0.0, 1.0)])
+            seen = {}
+            for k, br in enumerate(net.branches):
+                seen.setdefault((br.from_bus, br.to_bus), []).append(k)
+                seen.setdefault((br.to_bus, br.from_bus), []).append(k)
+            r_, c_, d_ = [], [], []
+            for r, m in enumerate(rows):
+                if m.kind == K.P_FLOW_DC:
+                    b = -1.0 / net.branch_between(*m.at)[0].x
+                    r_ += [r, r]
+                    c_ += [m.at[0] - 1, m.at[1] - 1]
+                    d_ += [-b, b]
+                elif m.kind == K.P_INJ_DC:
+                    bsum = 0.0
+                    for (i, j), ks in seen.items():
+                        for k in ks if i == m.at[0] else ():
+                            b = -1.0 / net.branches[k].x
+                            r_.append(r)
+                            c_.append(j - 1)
+                            d_.append(b)
+                            bsum += b
+                    r_.append(r)
+                    c_.append(m.at[0] - 1)
+                    d_.append(-bsum)
+                else:
+                    r_.append(r)
+                    c_.append(m.at[0] - 1)
+                    d_.append(1.0)
+            want = coo_matrix((d_, (r_, c_)), shape=(len(rows), net.n_buses)).tocsr()
+            got = dc_rows(net, MeasurementSet(rows))
+            for field in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
+
     def test_zero_angle_difference_zero_flow(self, net3):
         x = flat(net3)
         assert evaluate_value(net3, x, K.P_FLOW_DC, (1, 2)) == 0.0

@@ -18,7 +18,7 @@ from gridse import (
 )
 from gridse.network import network_from_dict
 
-from conftest import random_polar_state
+from conftest import incident_ends, random_polar_state
 
 
 def two_bus_net(**bus1_kwargs):
@@ -147,7 +147,7 @@ class TestInjectedCurrent:
             for bus in net.buses:
                 i = bus.id
                 total = 0.0 + 0.0j
-                for br, rev in net.branches_at(i):
+                for br, rev in incident_ends(net, i):
                     j = br.from_bus if rev else br.to_bus
                     g, b = branch_admittance(br.r, br.x)
                     ys = complex(br.gs_to, br.bs_to) if rev else \
@@ -205,15 +205,11 @@ class TestNetworkValidation:
         with pytest.raises(InputError, match="parallel"):
             net.branch_between(1, 2)
 
-    def test_branches_at_matches_scan_of_every_end(self, net14):
-        def scan(net, i):
-            # reference: walk every directed end in first-seen order
-            ends = {}
-            for k, br in enumerate(net.branches):
-                ends.setdefault((br.from_bus, br.to_bus), []).append(k)
-                ends.setdefault((br.to_bus, br.from_bus), []).append(k)
-            return [(net.branches[k], net.branches[k].from_bus != i)
-                    for (a, _), ks in ends.items() if a == i for k in ks]
+    def test_end_lookup_matches_scan_of_every_end(self, net14):
+        def scan(net, i, j):
+            # reference: every branch joining i and j, and its orientation
+            return [(k, br.from_bus != i) for k, br in enumerate(net.branches)
+                    if {br.from_bus, br.to_bus} == {i, j}]
 
         parallel = NetworkModel(
             [Bus(1, is_slack=True), Bus(2), Bus(3)],
@@ -223,11 +219,18 @@ class TestNetworkValidation:
         rng = np.random.default_rng(11)
         nets = [parallel, net14] + [_random_net(rng, 12) for _ in range(5)]
         for net in nets:
-            for i in range(1, net.n_buses + 1):
-                got = list(net.branches_at(i))
-                assert got == scan(net, i)
-                assert len(got) == sum(i in (br.from_bus, br.to_bus)
-                                       for br in net.branches)
+            pairs = [(i, j) for i in range(-1, net.n_buses + 3)
+                     for j in range(-1, net.n_buses + 3) if i != j]
+            k, reverse, hits = net.lookup_ends(*np.array(pairs).T)
+            for (i, j), got_k, got_rev, got_hits in zip(pairs, k, reverse, hits):
+                want = scan(net, i, j)
+                assert got_hits == len(want)
+                if len(want) == 1:
+                    assert (got_k, got_rev) == want[0]
+                    assert net.branch_index(i, j) == want[0]
+                else:
+                    with pytest.raises(InputError, match="parallel" if want else "no branch"):
+                        net.branch_index(i, j)
 
 
 class TestLoader:
