@@ -11,9 +11,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
+import itertools
 import json
+import operator
 import os
+import platform
 import sys
+
+import numpy as np
+import scipy
 
 from . import __version__
 from .errors import EstimationError, InputError, SingularGain
@@ -41,20 +48,82 @@ FORMULATION_TAGS = [f.value for f in Formulation]
 SOLVER_DEFAULTS = SolverConfig()
 
 
-def _round_sig(obj, digits: int = 12):
-    """Recursively round floats to a fixed number of significant digits."""
-    if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
-    if isinstance(obj, dict):
-        return {k: _round_sig(v, digits) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_sig(v, digits) for v in obj]
-    return obj
+# Result and estimate-manifest files are json.dumps(doc, indent=2) with
+# every float rounded to RESULT_DIGITS significant digits.  json only uses
+# its C encoder without indent, so _encode lays the document out itself
+# and hands each column of scalars to the C encoder in one call: a list of
+# scalars, or one key of a list of same-keyed objects (a table such as
+# the residual rows).  Object keys must be strings.
+RESULT_DIGITS = 12
+_ROUND_FORMAT = f"{{:.{RESULT_DIGITS}g}}".format
+# With "\n" between items, the C encoder's output splits into one token
+# per item: ensure_ascii escapes every newline inside a string.
+_SCALAR_COLUMN = json.JSONEncoder(separators=("\n", ":"))
+_encode_key = json.encoder.encode_basestring_ascii
+
+
+def _rounded(v: float) -> float:
+    return float(_ROUND_FORMAT(v))
+
+
+def _shape(t: type):
+    """How json lays out values of type t: list, dict, or None (scalar)."""
+    if issubclass(t, (list, tuple)):
+        return list
+    return dict if issubclass(t, dict) else None
+
+
+def _tokens(values: list, pad: str) -> list[str]:
+    """One token per value, as json.dumps(value, indent=2) lays it out
+    at indentation ``pad``, floats rounded."""
+    if not values:
+        return []
+    types = set(map(type, values))
+    shapes = {_shape(t) for t in types}
+    inner = pad + "  "
+    if shapes == {None}:
+        if types == {float}:
+            values = list(map(float, map(_ROUND_FORMAT, values)))
+        elif any(issubclass(t, float) for t in types):
+            values = [_rounded(v) if isinstance(v, float) else v for v in values]
+        return _SCALAR_COLUMN.encode(values)[1:-1].split("\n")
+    if len(shapes) > 1:
+        return [_tokens([v], pad)[0] for v in values]
+    if shapes == {list}:
+        flat = _tokens(list(itertools.chain.from_iterable(values)), inner)
+        sep = ",\n" + inner
+        out, start = [], 0
+        for n in map(len, values):
+            out.append(f"[\n{inner}{sep.join(flat[start:start + n])}\n{pad}]"
+                       if n else "[]")
+            start += n
+        return out
+    keys = set(map(tuple, values))
+    if len(keys) > 1:
+        return [_tokens([v], pad)[0] for v in values]
+    (keys,) = keys
+    if not keys:
+        return ["{}"] * len(values)
+    row = ",\n".join(inner + _encode_key(k).replace("%", "%%") + ": %s"
+                     for k in keys)
+    columns = [_tokens(list(map(operator.itemgetter(k), values)), inner)
+               for k in keys]
+    return [f"{{\n{row % cells}\n{pad}}}" for cells in zip(*columns)]
+
+
+def _encode(doc) -> str:
+    """json.dumps(doc, indent=2) with floats rounded to RESULT_DIGITS."""
+    return _tokens([doc], "")[0]
 
 
 def _write_json(path: str, doc: dict):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+def _write_rounded(path: str, doc: dict):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_encode(doc) + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -141,6 +210,8 @@ def _cmd_estimate(args) -> int:
     manifest = {
         "command": "estimate",
         "tool_version": __version__,
+        "environment": {"python": platform.python_version(),
+                        "numpy": np.__version__, "scipy": scipy.__version__},
         "network": os.path.abspath(net_path),
         "measurements": os.path.abspath(meas_path),
         "formulation": formulation.value,
@@ -148,29 +219,28 @@ def _cmd_estimate(args) -> int:
         "init": os.path.abspath(init_path) if init_path else None,
         "out": os.path.abspath(out_dir),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), _round_sig(manifest))
+    _write_rounded(os.path.join(out_dir, "manifest.json"), manifest)
 
     problem = assemble_problem(net, mset, formulation,
                                neglect_phasor_covariance=neglect)
     result = solve(problem, cfg, x0)
 
-    doc = _round_sig(result_to_dict(problem, result))
     result_path = os.path.join(out_dir, "result.json")
-    _write_json(result_path, doc)
+    _write_rounded(result_path, result_to_dict(problem, result))
 
     objective = result.objective_trace[-1] if result.objective_trace else float("nan")
     max_resid = float(max(abs(r) for r in result.residuals)) if len(result.residuals) else 0.0
     exit_code = 0 if result.converged else 2
     if args.json:
-        print(json.dumps(_round_sig({
+        print(json.dumps({
             "formulation": formulation.value,
             "converged": result.converged,
             "iterations": result.iterations,
-            "objective": objective,
-            "max_abs_residual": max_resid,
+            "objective": _rounded(objective),
+            "max_abs_residual": _rounded(max_resid),
             "result_file": result_path,
             "exit_code": exit_code,
-        })))
+        }))
     else:
         status = "converged" if result.converged else "NOT CONVERGED"
         print(f"{formulation}: {status} in {result.iterations} iteration(s), "
@@ -278,9 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and reused by later main() calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SingularGain as exc:

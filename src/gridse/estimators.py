@@ -344,9 +344,10 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     the result is marked not converged.  h(x) is evaluated once per
     iterate: each objective_trace entry comes from the residual of the
     next linearization, the last one from the final residuals.  A start
-    in the wrong coordinates or with another slack anchor raises
-    InputError, a singular gain SingularGain; hitting the iteration cap
-    returns the partial result with converged=False.
+    in the wrong coordinates, of the wrong size, with a non-finite entry
+    or with another slack anchor raises InputError, a singular gain
+    SingularGain; hitting the iteration cap returns the partial result
+    with converged=False.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x = (x0 if x0 is not None else problem.initial_state()).copy()
@@ -354,6 +355,11 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     if x.coordinates != expect:
         raise InputError(
             f"{problem.formulation} needs a {expect} start, got {x.coordinates}")
+    if x.n_buses != problem.net.n_buses:
+        raise InputError(f"start state has {x.n_buses} bus(es), the network "
+                         f"{problem.net.n_buses}")
+    if not np.isfinite(x.values).all():
+        raise InputError("start state holds a non-finite value")
     if x.slack_bus != problem.net.slack_bus:
         raise InputError("start state pins a different slack bus than the network")
     if x.slack_value != problem.fixed_value:

@@ -13,6 +13,7 @@ polar coordinates and correlate after conversion.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -103,16 +104,18 @@ def location_columns(codes: np.ndarray, ats, placement: bool = False) -> np.ndar
     leave 0 in the second column.  A row with the wrong number of
     indices for its kind is an InputError; with ``placement`` it is
     worded as for a scenario's placements."""
-    ats = [tuple(map(int, at)) for at in ats]
-    bad = np.fromiter(map(len, ats), dtype=np.intp, count=len(ats)) != ARITY[codes]
+    flat = np.fromiter(map(int, itertools.chain.from_iterable(ats)), dtype=np.int64)
+    lengths = np.fromiter(map(len, ats), dtype=np.intp, count=len(ats))
+    bad = lengths != ARITY[codes]
     if bad.any():
         r = int(np.argmax(bad))
-        kind, want, at = KINDS[codes[r]], ARITY[codes[r]], ats[r]
+        kind, want, at = KINDS[codes[r]], ARITY[codes[r]], tuple(map(int, ats[r]))
         if placement:
             raise InputError(f"placement {kind} at {list(at)}: expected {want} index(es)")
         raise InputError(f"{kind} expects {want} location index(es), got {at}")
-    return np.array([at if len(at) == 2 else (at[0], 0) for at in ats],
-                    dtype=np.int64).reshape(-1, 2)
+    out = np.zeros((len(lengths), 2), dtype=np.int64)
+    out[np.arange(2) < lengths[:, None]] = flat  # row-major: row k's indices in order
+    return out
 
 
 def checked_values(codes: np.ndarray, at: np.ndarray, values, variances) -> np.ndarray:

@@ -142,8 +142,10 @@ class ScenarioSpec:
             raise InputError(f"angle range [{lo}, {hi}] is empty")
         if not self.placements:
             raise InputError("scenario places no measurements")
-        codes = np.array([KIND_CODE[kind] for kind, _ in self.placements], dtype=np.intp)
-        at = location_columns(codes, [at for _, at in self.placements], placement=True)
+        kinds, ats = zip(*self.placements)
+        codes = np.fromiter(map(KIND_CODE.__getitem__, kinds), dtype=np.intp,
+                            count=len(kinds))
+        at = location_columns(codes, ats, placement=True)
         loc = locate(self.network, codes, at, placement=True)
         partner = _pair_rectangular(codes, at)
         for kind, sigma in self.noise.items():
@@ -284,6 +286,11 @@ def state_from_dict(doc: dict) -> StateVector:
     try:
         coords = doc["coordinates"]
         buses = sorted(doc["buses"], key=lambda b: b["id"])
+        ids = [b["id"] for b in buses]
+        bad = next((i for k, i in enumerate(ids, 1) if i != k), None)
+        if bad is not None:
+            raise InputError(f"state bus ids must be 1..{len(ids)}, each once; "
+                             f"got id {bad!r}")
         if coords == POLAR:
             first = np.array([b["theta"] for b in buses], dtype=float)
             second = np.array([b["V"] for b in buses], dtype=float)

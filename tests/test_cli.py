@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import math
 import os
+import platform
 import re
 
+import numpy as np
 import pytest
+import scipy
 
 from gridse import SolverConfig
 from gridse.cli import main
@@ -317,6 +321,50 @@ class TestEstimateCommand:
                    "--out", str(tmp_path / "o")])
         assert rc == 1
         assert "needs a rectangular start" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda buses: buses[:2], "start state has 2 bus(es), the network 3"),
+        (lambda buses: buses + [{**buses[-1], "id": 4}],
+         "start state has 4 bus(es), the network 3"),
+        (lambda buses: buses[:2] + [{**buses[2], "id": 9}],
+         "state bus ids must be 1..3, each once; got id 9"),
+        (lambda buses: buses[:1] + [{**buses[1], "V": math.nan}] + buses[2:],
+         "start state holds a non-finite value"),
+    ], ids=["two-buses", "four-buses", "id-nine", "nan-magnitude"])
+    def test_malformed_init_exits_one(self, tmp_path, capsys, change, message):
+        data = synth(tmp_path)
+        truth = json.loads((data / "truth.json").read_text())
+        state = truth["state"]
+        state["buses"] = change(state["buses"])
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(state))
+        capsys.readouterr()
+        rc = main(["estimate", "--net", NET3,
+                   "--measurements", str(data / "measurements.json"),
+                   "--formulation", "conventional", "--init", str(init),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+    def test_manifest_records_environment(self, tmp_path):
+        data = synth(tmp_path)
+        outdir = tmp_path / "run"
+        assert main(["estimate", "--net", NET3,
+                     "--measurements", str(data / "measurements.json"),
+                     "--formulation", "conventional",
+                     "--out", str(outdir)]) == 0
+        manifest = json.loads((outdir / "manifest.json").read_text())
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__}
+        # manifests written before the key existed still replay
+        del manifest["environment"]
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(manifest))
+        rerun = tmp_path / "rerun"
+        assert main(["estimate", "--manifest", str(old), "--out", str(rerun)]) == 0
+        assert (rerun / "result.json").read_bytes() == \
+            (outdir / "result.json").read_bytes()
 
     def test_unknown_formulation_exits_one(self, tmp_path, capsys):
         rc = main(["estimate", "--net", NET3, "--measurements", "x",

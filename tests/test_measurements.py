@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from gridse import (
     to_rectangular,
     wrap_angle,
 )
-from gridse.measurements import Correlation, measurements_from_dict
+from gridse.measurements import (
+    ARITY,
+    KINDS,
+    Correlation,
+    location_columns,
+    measurements_from_dict,
+)
 from gridse.states import POLAR, RECTANGULAR
 
 K = MeasurementKind
@@ -143,6 +150,32 @@ class TestMeasurement:
     def test_bus_kind_needs_one_index(self):
         with pytest.raises(InputError):
             Measurement(K.V_MAG, (1, 2), 1.0, 1e-4)
+
+
+class TestLocationColumns:
+    @staticmethod
+    def per_row(ats):
+        """The (m, 2) array built row by row."""
+        rows = [tuple(map(int, at)) for at in ats]
+        return np.array([at if len(at) == 2 else (at[0], 0) for at in rows],
+                        dtype=np.int64).reshape(-1, 2)
+
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(3)
+        codes = rng.integers(0, len(KINDS), 500)
+        ats = [tuple(int(i) for i in rng.integers(1, 99, ARITY[c])) for c in codes]
+        ats[::7] = [list(map(float, at)) for at in ats[::7]]  # JSON-style lists
+        assert np.array_equal(location_columns(codes, ats), self.per_row(ats))
+        assert location_columns(codes[:0], []).shape == (0, 2)
+
+    @pytest.mark.parametrize("ats, message", [
+        ([(1, 2), (3, 4), (5,)], "P_flow expects 2 location index(es), got (5,)"),
+        ([(1, 2), (3, 4), (5, 6, 7)], "expects 2 location index(es), got (5, 6, 7)"),
+    ])
+    def test_first_bad_row_is_named(self, ats, message):
+        codes = np.full(3, KINDS.index(K.P_FLOW))
+        with pytest.raises(InputError, match=re.escape(message)):
+            location_columns(codes, ats)
 
 
 class TestMeasurementSet:
