@@ -48,12 +48,13 @@ FORMULATION_TAGS = [f.value for f in Formulation]
 SOLVER_DEFAULTS = SolverConfig()
 
 
-# Result and estimate-manifest files are json.dumps(doc, indent=2) with
-# every float rounded to RESULT_DIGITS significant digits.  json only uses
-# its C encoder without indent, so _encode lays the document out itself
-# and hands each column of scalars to the C encoder in one call: a list of
-# scalars, or one key of a list of same-keyed objects (a table such as
-# the residual rows).  Object keys must be strings.
+# Every file the CLI writes is json.dumps(doc, indent=2); in result and
+# estimate-manifest files every float is first rounded to RESULT_DIGITS
+# significant digits.  json only uses its C encoder without indent, so
+# _encode lays the document out itself and hands each column of scalars
+# to the C encoder in one call: a list of scalars, or one key of a list of
+# same-keyed objects (a table such as the residual rows).  Object keys
+# must be strings.
 RESULT_DIGITS = 12
 _ROUND_FORMAT = f"{{:.{RESULT_DIGITS}g}}".format
 # With "\n" between items, the C encoder's output splits into one token
@@ -73,24 +74,24 @@ def _shape(t: type):
     return dict if issubclass(t, dict) else None
 
 
-def _tokens(values: list, pad: str) -> list[str]:
+def _tokens(values: list, pad: str, rounded: bool) -> list[str]:
     """One token per value, as json.dumps(value, indent=2) lays it out
-    at indentation ``pad``, floats rounded."""
+    at indentation ``pad``, floats rounded if ``rounded``."""
     if not values:
         return []
     types = set(map(type, values))
     shapes = {_shape(t) for t in types}
     inner = pad + "  "
     if shapes == {None}:
-        if types == {float}:
+        if rounded and types == {float}:
             values = list(map(float, map(_ROUND_FORMAT, values)))
-        elif any(issubclass(t, float) for t in types):
+        elif rounded and any(issubclass(t, float) for t in types):
             values = [_rounded(v) if isinstance(v, float) else v for v in values]
         return _SCALAR_COLUMN.encode(values)[1:-1].split("\n")
     if len(shapes) > 1:
-        return [_tokens([v], pad)[0] for v in values]
+        return [_tokens([v], pad, rounded)[0] for v in values]
     if shapes == {list}:
-        flat = _tokens(list(itertools.chain.from_iterable(values)), inner)
+        flat = _tokens(list(itertools.chain.from_iterable(values)), inner, rounded)
         sep = ",\n" + inner
         out, start = [], 0
         for n in map(len, values):
@@ -100,30 +101,26 @@ def _tokens(values: list, pad: str) -> list[str]:
         return out
     keys = set(map(tuple, values))
     if len(keys) > 1:
-        return [_tokens([v], pad)[0] for v in values]
+        return [_tokens([v], pad, rounded)[0] for v in values]
     (keys,) = keys
     if not keys:
         return ["{}"] * len(values)
     row = ",\n".join(inner + _encode_key(k).replace("%", "%%") + ": %s"
                      for k in keys)
-    columns = [_tokens(list(map(operator.itemgetter(k), values)), inner)
+    columns = [_tokens(list(map(operator.itemgetter(k), values)), inner, rounded)
                for k in keys]
     return [f"{{\n{row % cells}\n{pad}}}" for cells in zip(*columns)]
 
 
-def _encode(doc) -> str:
-    """json.dumps(doc, indent=2) with floats rounded to RESULT_DIGITS."""
-    return _tokens([doc], "")[0]
+def _encode(doc, rounded: bool = True) -> str:
+    """json.dumps(doc, indent=2), floats rounded to RESULT_DIGITS if
+    ``rounded``."""
+    return _tokens([doc], "", rounded)[0]
 
 
-def _write_json(path: str, doc: dict):
+def _write(path: str, doc: dict, rounded: bool):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
-
-
-def _write_rounded(path: str, doc: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_encode(doc) + "\n")
+        fh.write(_encode(doc, rounded) + "\n")
 
 
 def _load_json(path: str) -> dict:
@@ -219,14 +216,14 @@ def _cmd_estimate(args) -> int:
         "init": os.path.abspath(init_path) if init_path else None,
         "out": os.path.abspath(out_dir),
     }
-    _write_rounded(os.path.join(out_dir, "manifest.json"), manifest)
+    _write(os.path.join(out_dir, "manifest.json"), manifest, rounded=True)
 
     problem = assemble_problem(net, mset, formulation,
                                neglect_phasor_covariance=neglect)
     result = solve(problem, cfg, x0)
 
     result_path = os.path.join(out_dir, "result.json")
-    _write_rounded(result_path, result_to_dict(problem, result))
+    _write(result_path, result_to_dict(problem, result), rounded=True)
 
     objective = result.objective_trace[-1] if result.objective_trace else float("nan")
     max_resid = float(max(abs(r) for r in result.residuals)) if len(result.residuals) else 0.0
@@ -263,11 +260,11 @@ def _cmd_synthesize(args) -> int:
         "seed": spec.seed,
         "out": os.path.abspath(args.out),
     }
-    _write_json(os.path.join(args.out, "manifest.json"), manifest)
+    _write(os.path.join(args.out, "manifest.json"), manifest, rounded=False)
     meas_path = os.path.join(args.out, "measurements.json")
     truth_path = os.path.join(args.out, "truth.json")
-    _write_json(meas_path, measurements_to_dict(mset))
-    _write_json(truth_path, truth_to_dict(spec, x_true))
+    _write(meas_path, measurements_to_dict(mset), rounded=False)
+    _write(truth_path, truth_to_dict(spec, x_true), rounded=False)
     if args.json:
         print(json.dumps({
             "rows": len(mset),

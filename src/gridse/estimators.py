@@ -2,12 +2,13 @@
 
 Every formulation iterates Gauss-Newton on the gain system
 J^T R^-1 J dx = J^T R^-1 r with the slack column eliminated, so 2N-1
-unknowns are solved (N-1 for DC).  The DC and rectangular-phasor
-formulations have a constant Jacobian: one step from any start lands on
-the WLS minimiser, so the loop stops there.  Assembly works on the
-measurement set's columns: the admissible-kind check, the location
-check, the covariance blocks, z and the angle-row mask are array
-operations, done once per problem.
+unknowns are solved (N-1 for DC).  What sets the formulations apart is
+one table, ``_FACTS``.  The DC and rectangular-phasor formulations have
+a constant Jacobian: one step from any start lands on the WLS
+minimiser, so the loop stops there.  Assembly works on the measurement
+set's columns: the admissible-kind check, the location check, the
+covariance blocks, z and the angle-row mask are array operations, done
+once per problem.  Rows inactive at an iterate get zero weight in R^-1.
 
 Plain Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
@@ -20,10 +21,11 @@ import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse import csc_matrix, issparse
+from scipy.sparse import csc_matrix, csr_matrix, issparse
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -61,14 +63,30 @@ class Formulation(str, Enum):
         return self.value
 
 
-ADMISSIBLE_KINDS = {
-    Formulation.CONVENTIONAL: LEGACY_KINDS,
-    Formulation.SIMULTANEOUS_POLAR: LEGACY_KINDS | PHASOR_POLAR_KINDS,
-    Formulation.SIMULTANEOUS_RECT: LEGACY_KINDS | PHASOR_RECT_KINDS,
-    Formulation.LINEAR_RECT: PHASOR_RECT_KINDS,
-    Formulation.DC: DC_KINDS,
+class _Facts(NamedTuple):
+    """What sets a formulation apart.  ``admissible`` is a mask over kind
+    codes; ``halves`` names the state halves the rows span; ``family``
+    says how the rows are built: a MeasurementKernel, dc_rows or
+    linear_rows_rectstate, both called through this module's globals,
+    which a tracer may have replaced."""
+    admissible: np.ndarray
+    coordinates: str
+    halves: tuple[str, ...]
+    family: str
+
+
+_KERNEL, _DC, _RECT = "kernel", "dc", "rect"
+_THETA_V = ("theta", "V")
+_FACTS = {
+    Formulation.CONVENTIONAL: _Facts(kind_mask(LEGACY_KINDS), POLAR, _THETA_V, _KERNEL),
+    Formulation.SIMULTANEOUS_POLAR: _Facts(
+        kind_mask(LEGACY_KINDS | PHASOR_POLAR_KINDS), POLAR, _THETA_V, _KERNEL),
+    Formulation.SIMULTANEOUS_RECT: _Facts(
+        kind_mask(LEGACY_KINDS | PHASOR_RECT_KINDS), POLAR, _THETA_V, _KERNEL),
+    Formulation.LINEAR_RECT: _Facts(
+        kind_mask(PHASOR_RECT_KINDS), RECTANGULAR, ("Re V", "Im V"), _RECT),
+    Formulation.DC: _Facts(kind_mask(DC_KINDS), POLAR, ("theta",), _DC),
 }
-_ADMISSIBLE = {f: kind_mask(kinds) for f, kinds in ADMISSIBLE_KINDS.items()}
 
 NORMAL = "normal"
 ORTHOGONAL = "orthogonal"
@@ -113,10 +131,13 @@ class GainSystem:
     """One linearization of the WLS problem: rows, covariance, residuals.
 
     j spans the solved (slack-eliminated) unknowns.  Rows outside the
-    optional active mask are left out of the solve.  Observable problems
-    yield a symmetric positive definite gain matrix j^T R^-1 j; a failed
-    factorization surfaces as SingularGain, which names the weak
-    unknown by ``name_of(k)`` when that is given.
+    optional active mask are left out of the solve: the normal path
+    gives them zero weight in R^-1, the orthogonal path drops them from
+    the whitened rows before QR.  A mask that cuts a correlated block
+    is an InputError.  Observable problems yield a symmetric positive
+    definite gain matrix j^T R^-1 j; a failed factorization surfaces as
+    SingularGain, which names the weak unknown by ``name_of(k)`` when
+    that is given.
     """
     j: object
     covariance: CovarianceModel
@@ -126,13 +147,31 @@ class GainSystem:
 
     def solve(self, method: str = NORMAL) -> np.ndarray:
         """Least-squares solution dx of j dx = r weighted by R^-1."""
-        j, covariance, r = self.j, self.covariance, self.r
-        if self.active is not None and not self.active.all():
-            j, r = j[self.active], r[self.active]
-            covariance = covariance.restrict(self.active)
+        active = self.active
+        if active is not None and active.all():
+            active = None
         if method == ORTHOGONAL:
-            return _solve_orthogonal(j, covariance.whitener(), r)
-        return _solve_normal(j, covariance.inverse(), r, self.name_of)
+            w = self.covariance.whitener()
+            aw, bw = w @ self.j, w @ self.r
+            if active is not None:
+                _kept_entries(w, active)
+                aw, bw = aw[active], bw[active]
+            return _solve_orthogonal(aw, bw)
+        rinv = self.covariance.inverse()
+        if active is not None:
+            rinv = csr_matrix((np.where(_kept_entries(rinv, active), rinv.data, 0.0),
+                               rinv.indices, rinv.indptr), shape=rinv.shape)
+        return _solve_normal(self.j, rinv, self.r, self.name_of)
+
+
+def _kept_entries(m: csr_matrix, active: np.ndarray) -> np.ndarray:
+    """Per stored entry of R^-1 or the whitener, whether its row is
+    active.  An entry joining an active row to an inactive one means
+    the mask cuts a correlated block, an InputError."""
+    kept = np.repeat(active, np.diff(m.indptr))
+    if (kept != active[m.indices]).any():
+        raise InputError("cannot split a correlated covariance block")
+    return kept
 
 
 class EstimationProblem:
@@ -140,7 +179,8 @@ class EstimationProblem:
 
     Exposes h(x), the Jacobian rows, wrapped residuals, and the free
     (slack-eliminated) column set that the solvers work with.  The
-    polar-state formulations compile their rows once into a
+    formulation's row family (``_FACTS``) decides the rows: the
+    polar-state formulations compile them once into a
     MeasurementKernel; DC and linear_rect keep a constant h_matrix.
     """
 
@@ -150,32 +190,27 @@ class EstimationProblem:
         self.mset = mset
         self.formulation = formulation
         self.covariance = covariance
+        self._facts = facts = _FACTS[formulation]
         n = net.n_buses
-        self.kernel = None
         self.z = mset.values()
         self._angle_rows = IS_ANGLE[mset.codes]
-        if formulation == Formulation.DC:
-            self.full_dim = n
-            fixed = net.slack_bus - 1
-            self.fixed_value = net.slack_angle
-            self.h_matrix = dc_rows(net, mset)
-        elif formulation == Formulation.LINEAR_RECT:
-            if net.slack_angle != 0.0:
-                raise InputError(
-                    "the rectangular-state formulation anchors the slack "
-                    "imaginary part and needs a zero slack angle")
-            self.full_dim = 2 * n
-            fixed = n + net.slack_bus - 1
-            self.fixed_value = 0.0
-            self.h_matrix = linear_rows_rectstate(net, mset)
-        else:
-            self.full_dim = 2 * n
-            fixed = net.slack_bus - 1
-            self.fixed_value = net.slack_angle
-            self.h_matrix = None
+        rect = facts.coordinates == RECTANGULAR
+        if rect and net.slack_angle != 0.0:
+            raise InputError(
+                "the rectangular-state formulation anchors the slack "
+                "imaginary part and needs a zero slack angle")
+        # The slack angle is pinned, or in a rectangular state the
+        # slack's imaginary part.
+        self.full_dim = n * len(facts.halves)
+        self.fixed_index = net.slack_bus - 1 + (n if rect else 0)
+        self.fixed_value = 0.0 if rect else net.slack_angle
+        self.free_indices = np.delete(np.arange(self.full_dim), self.fixed_index)
+        self.kernel = self.h_matrix = None
+        if facts.family == _KERNEL:
             self.kernel = MeasurementKernel(net, mset.locations(net))
-        self.fixed_index = fixed
-        self.free_indices = np.delete(np.arange(self.full_dim), fixed)
+        else:
+            rows = dc_rows if facts.family == _DC else linear_rows_rectstate
+            self.h_matrix = rows(net, mset)
 
     @property
     def m(self) -> int:
@@ -196,23 +231,16 @@ class EstimationProblem:
         rectangular ones, theta for DC."""
         n = self.net.n_buses
         column = int(self.free_indices[k])
-        if self.formulation == Formulation.LINEAR_RECT:
-            parts = ("Re V", "Im V")
-        else:
-            parts = ("theta", "V")
-        return f"{parts[column // n]} at bus {column % n + 1}"
+        return f"{self._facts.halves[column // n]} at bus {column % n + 1}"
 
     def initial_state(self) -> StateVector:
         """Flat start in the formulation's coordinates."""
-        coords = RECTANGULAR if self.formulation == Formulation.LINEAR_RECT else POLAR
-        slack_value = 0.0 if coords == RECTANGULAR else self.net.slack_angle
         return StateVector.flat(self.net.n_buses, self.net.slack_bus,
-                                slack_value, coords)
+                                self.fixed_value, self._facts.coordinates)
 
     def _state_columns(self, x: StateVector) -> np.ndarray:
-        if self.formulation == Formulation.DC:
-            return x.angles
-        return x.values
+        """The state entries the rows span, as a view of x.values."""
+        return x.values[:self.full_dim]
 
     def values(self, x: StateVector) -> np.ndarray:
         """h(x) for every row, in measurement order: one kernel call
@@ -260,7 +288,7 @@ def assemble_problem(net: NetworkModel, mset: MeasurementSet,
     formulation = Formulation(formulation)
     if len(mset) == 0:
         raise EmptyMeasurementSet("cannot estimate from an empty measurement set")
-    banned = ~_ADMISSIBLE[formulation][mset.codes]
+    banned = ~_FACTS[formulation].admissible[mset.codes]
     if banned.any():
         raise UnsupportedKind(f"{KINDS[mset.codes[np.argmax(banned)]]} is not "
                               f"admissible in the {formulation} formulation")
@@ -320,12 +348,11 @@ def _factor_gain(g: csc_matrix, name_of=None):
     return lu
 
 
-def _solve_orthogonal(a, whitener, r):
-    """Solve the whitened least-squares system by QR factorization."""
-    aw = whitener @ a
+def _solve_orthogonal(aw, bw):
+    """Solve the whitened least-squares system aw dx = bw by QR
+    factorization."""
     if issparse(aw):
         aw = aw.toarray()
-    bw = whitener @ r
     q, rr = np.linalg.qr(aw)
     diag = np.abs(np.diag(rr))
     if aw.shape[0] < aw.shape[1] or diag.min() <= aw.shape[1] * np.finfo(float).eps * max(diag.max(), 1.0):
@@ -351,7 +378,7 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x = (x0 if x0 is not None else problem.initial_state()).copy()
-    expect = RECTANGULAR if problem.formulation == Formulation.LINEAR_RECT else POLAR
+    expect = _FACTS[problem.formulation].coordinates
     if x.coordinates != expect:
         raise InputError(
             f"{problem.formulation} needs a {expect} start, got {x.coordinates}")

@@ -16,10 +16,11 @@ is column k-1 and its magnitude column N+k-1; rectangular states use
 the same split for real/imaginary parts; the DC family uses N angle
 columns.
 
-The 14 polar-state kinds are evaluated by a ``MeasurementKernel``,
+All 17 kinds are evaluated at a polar state by a ``MeasurementKernel``,
 compiled once per measurement set: rows are grouped by kind into index
 arrays (branch-end rows with their (g, b, gs, bs), injection rows with
-their rows of ``net.admittance``, bus rows), and the CSR sparsity pattern of
+their rows of ``net.admittance``, bus rows, and the DC rows of
+``dc_rows`` over the angle columns), and the CSR sparsity pattern of
 the Jacobian is fixed at compile time.  Each evaluation computes h and
 the Jacobian entries as array expressions, one pass per kind, and only
 refills J's data array, in the style of MATPOWER's vectorised
@@ -28,9 +29,9 @@ their Derivatives using Complex Matrix Notation", MATPOWER TN2, 2010).
 The kernel, ``linear_rows_rectstate`` and ``dc_rows`` read the rows'
 locations already resolved against the network (``Locations``), so
 compiling them is array work with a small fixed cost and no per-row
-Python.  ``evaluate_row`` and ``evaluate_values`` compile a kernel for
-the rows they are given, so every caller runs the same formulas; a
-``ValueMap`` keeps the compiled form for repeated evaluation.
+Python.  ``evaluate_row``, ``evaluate_values`` and ``evaluate_value``
+compile a kernel for the rows they are given, so every caller runs the
+same formulas.
 
 Current magnitude and current angle rows divide by the current
 magnitude; below ``CURRENT_GUARD`` the value is still defined but the
@@ -48,13 +49,11 @@ from scipy.sparse import coo_matrix, csr_matrix
 
 from .errors import FlatStartSingularity, InputError, UnsupportedKind
 from .measurements import (
-    DC_KINDS,
     KIND_CODE,
     KINDS,
     Locations,
     MeasurementKind,
     MeasurementSet,
-    kind_mask,
     location_columns,
     locate,
 )
@@ -334,6 +333,24 @@ class _InjectionRows:
 
 
 # ---------------------------------------------------------------------------
+# DC rows: the DC family's constant rows over the angle columns
+
+class _DCRows:
+    """P_flow_dc, P_inj_dc and Theta rows: ``dc_rows`` over the angle
+    columns, value H_dc @ theta, constant partials."""
+
+    def __init__(self, loc, rows):
+        self.rows = rows
+        self.h = _dc_matrix(loc.take(rows))
+
+    def pattern(self):
+        return np.repeat(self.rows, np.diff(self.h.indptr)), self.h.indices
+
+    def evaluate(self, th, v, jac):
+        return self.h @ th, (self.h.data if jac else None), None
+
+
+# ---------------------------------------------------------------------------
 # the compiled kernel
 
 # The kernel's row groups: the kinds sharing one formula, and the group
@@ -351,21 +368,25 @@ _GROUPS = [
     ((K.V_IM,), partial(_BusRows, formula=_v_im, layout=(0, 1))),
     ((K.P_INJ,), partial(_InjectionRows, reactive=False)),
     ((K.Q_INJ,), partial(_InjectionRows, reactive=True)),
+    ((K.P_FLOW_DC, K.P_INJ_DC, K.THETA), _DCRows),
 ]
-# Kernel group of each kind code; -1 for kinds with no polar-state row.
-_GROUP_OF = np.full(len(KINDS), -1)
+# Kernel group of each kind code.
+_GROUP_OF = np.empty(len(KINDS), dtype=np.intp)
 for _g, (_kinds, _) in enumerate(_GROUPS):
     _GROUP_OF[[KIND_CODE[kind] for kind in _kinds]] = _g
 
 
 class MeasurementKernel:
-    """h(x) and the Jacobian of a fixed list of polar-state rows.
+    """h(x) and the Jacobian of a fixed list of rows of any kind at a
+    polar state.
 
     Compiled once from (net, placements), where placements are resolved
     Locations or (kind, at) pairs; rows keep their order.  The Jacobian's CSR
     pattern (``indptr``, ``indices``) is the same at every state.
-    Injection rows read ``net.admittance``.  A branch row on a missing
-    or parallel branch and a bus row outside 1..N are InputErrors.
+    Injection rows read ``net.admittance``; DC rows are ``dc_rows`` on
+    the angle columns.  A branch row on a missing or parallel branch, a
+    bus row outside 1..N and a DC row on a zero-reactance branch are
+    InputErrors.
     """
 
     def __init__(self, net: NetworkModel, placements):
@@ -374,9 +395,6 @@ class MeasurementKernel:
         self.m = loc.codes.size
         self.n_columns = 2 * net.n_buses
         group = _GROUP_OF[loc.codes]
-        if (group < 0).any():
-            kind = KINDS[loc.codes[np.argmax(group < 0)]]
-            raise UnsupportedKind(f"{kind} has no polar-state row")
         present = np.flatnonzero(np.bincount(group, minlength=len(_GROUPS)))
         self._groups = [_GROUPS[g][1](loc, np.flatnonzero(group == g))
                         for g in present.tolist()]
@@ -428,7 +446,8 @@ class MeasurementKernel:
 
 def evaluate_row(net: NetworkModel, x: StateVector, kind: MeasurementKind,
                  at: tuple[int, ...]) -> FunctionRow:
-    """Value plus gradient of one polar-state measurement function.
+    """Value plus gradient of one measurement function at a polar state;
+    a DC kind's gradient is its ``dc_rows`` row over the angle columns.
 
     Raises FlatStartSingularity for a current magnitude or angle row
     whose current is below CURRENT_GUARD.
@@ -481,7 +500,6 @@ _DC_FLOW, _DC_INJ, _DC_THETA = 0, 1, 2
 _DC_CODE = np.full(len(KINDS), -1)
 _DC_CODE[[KIND_CODE[K.P_FLOW_DC], KIND_CODE[K.P_INJ_DC], KIND_CODE[K.THETA]]] = (
     _DC_FLOW, _DC_INJ, _DC_THETA)
-_IS_DC = kind_mask(DC_KINDS)
 
 
 def dc_rows(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
@@ -543,45 +561,15 @@ def _dc_matrix(loc: Locations) -> csr_matrix:
 # values of any kind at a polar state
 
 def evaluate_values(net: NetworkModel, x: StateVector, placements) -> np.ndarray:
-    """h(x) at a polar state for (kind, at) placements of any kind.
-
-    The polar-state kinds take one kernel call; DC kinds are the DC
-    family's rows applied to the state angles.  Current magnitude and
-    angle values never raise.
+    """h(x) at a polar state for (kind, at) placements of any kind, by
+    one kernel call.  DC kinds are the DC family's rows applied to the
+    state angles.  Current magnitude and angle values never raise.
     """
-    return ValueMap(locate_placements(net, placements)).values(x)
-
-
-class ValueMap:
-    """h(x) at a polar state for resolved rows of any kind, compiled
-    once: a kernel for the polar-state kinds and the DC family's rows
-    for the DC kinds."""
-
-    def __init__(self, loc: Locations):
-        self.dc = _IS_DC[loc.codes]
-        self.h_dc = _dc_matrix(loc.take(self.dc)) if self.dc.any() else None
-        self.kernel = None
-        if not self.dc.all():
-            self.kernel = MeasurementKernel(
-                loc.net, loc if self.h_dc is None else loc.take(~self.dc))
-
-    def values(self, x: StateVector) -> np.ndarray:
-        if x.coordinates != POLAR:
-            raise InputError("evaluate_value expects a polar state")
-        if self.h_dc is None:
-            return self.kernel.values(x)
-        out = np.empty(self.dc.size)
-        out[self.dc] = self.h_dc @ x.angles
-        if self.kernel is not None:
-            out[~self.dc] = self.kernel.values(x)
-        return out
+    return MeasurementKernel(net, placements).values(x)
 
 
 def evaluate_value(net: NetworkModel, x: StateVector, kind: MeasurementKind,
                    at: tuple[int, ...]) -> float:
-    """Value of any measurement function at a polar state.
-
-    DC kinds are evaluated with the DC (linearized) functions on the
-    state angles; current magnitude/angle values never raise here.
-    """
+    """Value of any measurement function at a polar state; see
+    evaluate_values."""
     return float(evaluate_values(net, x, [(kind, tuple(at))])[0])

@@ -416,20 +416,6 @@ class CovarianceModel:
     def is_diagonal(self) -> bool:
         return self._cov.size == 0
 
-    def restrict(self, keep) -> "CovarianceModel":
-        """Submodel over the rows where keep is True.
-
-        Correlated blocks must not straddle the cut; row deactivation
-        only ever hits diagonal (current magnitude/angle) rows.
-        """
-        keep = np.asarray(keep, dtype=bool)
-        new_index = np.cumsum(keep) - 1
-        kept = keep[self._a]
-        if (kept != keep[self._b]).any():
-            raise InputError("cannot split a correlated covariance block")
-        return CovarianceModel(self.variances[keep], np.column_stack(
-            [new_index[self._a[kept]], new_index[self._b[kept]], self._cov[kept]]))
-
     def _block_arrays(self):
         """Block rows a, b and covariances, plus the variances of both
         rows."""

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError, NonPositiveVariance
-from .functions import ValueMap
+from .functions import MeasurementKernel
 from .measurements import (
     ARITY,
     KIND_CODE,
@@ -112,9 +112,9 @@ class _Resolved:
         self.s_mag, self.s_ang = sigma_of[_POLAR_OF[codes[self.first]]].T
 
     @cached_property
-    def truth_values(self) -> ValueMap:
+    def truth_values(self) -> MeasurementKernel:
         """h over the truth rows, compiled on first use."""
-        return ValueMap(self.truth)
+        return MeasurementKernel(self.truth.net, self.truth)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
-"""The result-file encoder and the parser that main() reuses.
+"""The file encoder and the parser that main() reuses.
 
 ``cli._encode`` must write exactly what the reference below writes:
 ``json.dumps`` with ``indent=2`` after every float has been rounded to 12
 significant digits.  It is checked on the result documents of every
-formulation x linear method and on seeded random documents.
+formulation x linear method and on seeded random documents.  Unrounded,
+as ``gridse synthesize`` writes its files, it must write exactly
+``json.dumps(doc, indent=2)``: checked on the synthesized files of every
+benchmark plan and on the same random documents.
 """
 
 import json
@@ -12,11 +15,22 @@ import random
 
 import pytest
 
-from gridse import SolverConfig, assemble_problem, load_network, result_to_dict, solve
+from gridse import (
+    SolverConfig,
+    assemble_problem,
+    load_network,
+    load_scenario,
+    measurements_to_dict,
+    result_to_dict,
+    sample_true_state,
+    solve,
+    synthesize,
+    truth_to_dict,
+)
 from gridse.cli import _encode, _parser, build_parser, main
 
 from conftest import FIXTURES
-from test_golden import NET14, PLANS, synthesized
+from test_golden import NET14, PLANS, SEED, THETA_RANGE, V_RANGE, synthesized
 
 NET3 = str(FIXTURES / "net3.json")
 
@@ -106,6 +120,34 @@ def test_random_documents_match_reference():
     for _ in range(3000):
         doc = random_value(rng, rng.randint(0, 5))
         assert _encode(doc) == reference(doc), doc
+
+
+def test_unrounded_random_documents_match_json_dumps():
+    rng = random.Random(20261018)
+    for _ in range(3000):
+        doc = random_value(rng, rng.randint(0, 5))
+        assert _encode(doc, rounded=False) == json.dumps(doc, indent=2), doc
+
+
+@pytest.mark.parametrize("formulation", list(PLANS))
+def test_synthesized_files_match_json_dumps(tmp_path, formulation):
+    plan, noise = PLANS[formulation]
+    spec_path = tmp_path / "scenario.json"
+    spec_path.write_text(json.dumps({
+        "network": str(NET14), "seed": SEED,
+        "true_state": {"v_range": V_RANGE, "theta_range": THETA_RANGE},
+        "noise": {kind.value: sigma for kind, sigma in noise.items()},
+        "placements": [{"kind": kind.value, "at": at}
+                       for kind, at in plan(load_network(NET14))]}))
+    out = tmp_path / "data"
+    assert main(["synthesize", "--spec", str(spec_path), "--out", str(out)]) == 0
+    spec = load_scenario(spec_path)
+    x_true = sample_true_state(spec)
+    docs = {"measurements.json": measurements_to_dict(synthesize(spec, x_true)),
+            "truth.json": truth_to_dict(spec, x_true),
+            "manifest.json": json.loads((out / "manifest.json").read_bytes())}
+    for name, doc in docs.items():
+        assert (out / name).read_bytes() == (json.dumps(doc, indent=2) + "\n").encode()
 
 
 # --- main() reuses one parser -------------------------------------------

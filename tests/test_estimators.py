@@ -1,12 +1,16 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import gridse.estimators
+import gridse.functions
 import gridse.network
 from gridse import (
     Branch,
     Bus,
+    CovarianceModel,
     EmptyMeasurementSet,
     Formulation,
     GainSystem,
@@ -39,9 +43,11 @@ from conftest import (
     legacy_plan,
     linear_rect_plan,
     make_scenario,
+    random_polar_state,
     simultaneous_polar_plan,
     simultaneous_rect_plan,
 )
+from test_golden import NET14, synthesized
 
 K = MeasurementKind
 
@@ -556,6 +562,89 @@ class TestConstantJacobianLoop:
         moved = StateVector(start.coordinates, start.values, start.slack_bus, 0.1)
         with pytest.raises(InputError, match="anchors it at 0"):
             solve(problem, x0=moved)
+
+
+def restrict(covariance, keep):
+    """The covariance over the rows where keep is True, as the solver
+    built it before inactive rows were zero-weighted: the reference
+    for the masked gain solve."""
+    table = np.array(covariance.blocks, dtype=float).reshape(-1, 3)
+    a, b, cov = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
+    new_index = np.cumsum(keep) - 1
+    kept = keep[a]
+    if (kept != keep[b]).any():
+        raise InputError("cannot split a correlated covariance block")
+    return CovarianceModel(covariance.variances[keep], np.column_stack(
+        [new_index[a[kept]], new_index[b[kept]], cov[kept]]))
+
+
+class TestInactiveRows:
+    """Rows outside the active mask leave the gain solve without a
+    restricted covariance model."""
+
+    def linearization(self, formulation, x=None):
+        net = load_network(NET14)
+        problem = assemble_problem(net, synthesized(net, formulation), formulation)
+        h, j, active = problem.rows(x if x is not None else problem.initial_state())
+        return problem, j[:, problem.free_indices], problem._residuals_of(h), active
+
+    def assert_like_restricted(self, problem, j, r, active, method):
+        got = GainSystem(j, problem.covariance, r, active).solve(method)
+        want = GainSystem(j[active], restrict(problem.covariance, active),
+                          r[active]).solve(method)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    @pytest.mark.parametrize("formulation", ["conventional", "simultaneous_polar"])
+    def test_flat_start_drop_matches_restricted_solve(self, formulation, method):
+        problem, j, r, active = self.linearization(formulation)
+        assert not active.all()
+        self.assert_like_restricted(problem, j, r, active, method)
+
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    def test_mask_over_whole_blocks_matches_restricted_solve(self, method):
+        rng = np.random.default_rng(5)
+        problem, j, r, active = self.linearization(
+            "simultaneous_rect", random_polar_state(load_network(NET14), rng))
+        assert active.all() and problem.covariance.blocks
+        active = rng.random(problem.m) < 0.8
+        for a, b, _ in problem.covariance.blocks:
+            active[b] = active[a]
+        assert not active.all()
+        self.assert_like_restricted(problem, j, r, active, method)
+
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    def test_mask_that_cuts_a_block_raises(self, method):
+        problem, j, r, active = self.linearization("linear_rect")
+        a, _, _ = problem.covariance.blocks[3]
+        active[a] = False
+        system = GainSystem(j, problem.covariance, r, active)
+        with pytest.raises(InputError, match="cannot split a correlated covariance block"):
+            system.solve(method)
+
+    def test_constant_rows_built_through_module_globals(self, monkeypatch):
+        """A tracer that replaces dc_rows and linear_rows_rectstate in
+        every gridse module holding them sees each problem build its
+        rows once, and the problems still assemble and solve."""
+        calls = []
+        modules = [mod for key, mod in sys.modules.items() if key.startswith("gridse")]
+        for name in ("dc_rows", "linear_rows_rectstate"):
+            orig = getattr(gridse.functions, name)
+
+            def traced(*args, _orig=orig, _name=name):
+                calls.append(_name)
+                return _orig(*args)
+
+            for mod in modules:
+                if getattr(mod, name, None) is orig:
+                    monkeypatch.setattr(mod, name, traced)
+        net = load_network(NET14)
+        for formulation, name in (("dc", "dc_rows"),
+                                  ("linear_rect", "linear_rows_rectstate")):
+            calls.clear()
+            problem = assemble_problem(net, synthesized(net, formulation), formulation)
+            assert solve(problem).converged
+            assert calls == [name]
 
 
 class TestResultDocument:

@@ -34,6 +34,7 @@ from gridse.states import POLAR
 
 from conftest import (
     branch_ends,
+    dc_plan,
     fd_gradient,
     incident_ends,
     legacy_plan,
@@ -545,3 +546,32 @@ class TestMeasurementKernel:
         with caplog.at_level("WARNING", logger="gridse"):
             gauss_newton(problem, cfg=SolverConfig(max_iterations=1))
         assert f"dropping {len(want)} flat-singular row(s)" in caplog.text
+
+    def test_dc_rows_are_dc_rows_on_the_angle_columns(self, net14):
+        """DC kinds in a kernel, alone or among polar-state kinds, give
+        the bits of dc_rows @ theta; evaluate_row returns the dc_rows row."""
+        rng = np.random.default_rng(43)
+        plan = list(dc_plan(net14)) + [(K.P_FLOW_DC, (j, i)) for i, j in branch_ends(net14)]
+        mset = MeasurementSet([Measurement(kind, at, 0.0, 1e-4) for kind, at in plan])
+        h_dc = dc_rows(net14, mset)
+        polar = all_polar_kinds(net14, _both_directions(net14), rng)
+        mixed = polar + plan
+        order = rng.permutation(len(mixed))
+        mixed = [mixed[k] for k in order]
+        dc_at = np.argsort(order)[len(polar):]  # where each DC row landed
+        alone, among = MeasurementKernel(net14, plan), MeasurementKernel(net14, mixed)
+        for x in (random_polar_state(net14, rng), flat(net14)):
+            want = (h_dc @ x.angles).tobytes()
+            assert alone.values(x).tobytes() == want
+            assert among.values(x)[dc_at].tobytes() == want
+            h, j, active = among.rows(x)
+            assert h[dc_at].tobytes() == want
+            assert active[dc_at].all()
+            assert np.array_equal(j[dc_at].toarray(),
+                                  np.hstack([h_dc.toarray(), np.zeros(h_dc.shape)]))
+            for r, (kind, at) in enumerate(plan):
+                row = evaluate_row(net14, x, kind, at)
+                assert row.value == evaluate_value(net14, x, kind, at) == (h_dc @ x.angles)[r]
+                lo, hi = h_dc.indptr[r], h_dc.indptr[r + 1]
+                assert row.gradient == dict(zip(h_dc.indices[lo:hi].tolist(),
+                                                h_dc.data[lo:hi].tolist()))
