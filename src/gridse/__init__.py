@@ -51,7 +51,6 @@ from .network import (
     NetworkModel,
     assemble_admittance,
     branch_admittance,
-    injected_current,
     load_network,
 )
 from .states import StateVector, to_polar, to_rectangular, wrap_angle
@@ -95,7 +94,6 @@ __all__ = [
     "assemble_problem",
     "branch_admittance",
     "gauss_newton",
-    "injected_current",
     "linear_wls",
     "load_measurements",
     "load_network",

@@ -23,6 +23,8 @@ import numpy as np
 import scipy
 
 from . import __version__
+from .documents import (
+    fields, flags, integers, numbers, objects, read_json, strings, strings_or_null)
 from .errors import EstimationError, InputError, SingularGain
 from .estimators import (
     NORMAL,
@@ -123,58 +125,34 @@ def _write(path: str, doc: dict, rounded: bool):
         fh.write(_encode(doc, rounded) + "\n")
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _resolve(path: str, base: str) -> str:
-    return path if os.path.isabs(path) else os.path.join(base, path)
-
-
-def _solver_config(**settings) -> SolverConfig:
-    """SolverConfig from CLI or manifest settings; absent ones default.
-
-    Each value is cast to its field's default type, so a bad manifest
-    entry is an input error rather than a traceback.
-    """
-    try:
-        return SolverConfig(**{
-            name: type(getattr(SOLVER_DEFAULTS, name))(value)
-            for name, value in settings.items()})
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"invalid solver configuration: {exc}") from exc
+_MANIFEST = {"command": strings, "network": strings, "measurements": strings,
+             "formulation": strings, "config": (objects, {}),
+             "init": (strings_or_null, None), "out": (strings_or_null, None),
+             "tool_version": (strings, ""), "environment": (objects, {})}
+_CONFIG = {"max_iterations": (integers, SOLVER_DEFAULTS.max_iterations),
+           "step_tolerance": (numbers, SOLVER_DEFAULTS.step_tolerance),
+           "linear_system_method": (strings, SOLVER_DEFAULTS.linear_system_method),
+           "neglect_phasor_covariance": (flags, False)}
+_TRUTH = {"state": objects, "rng": (strings, ""), "seed": (integers, 0)}
 
 
 def _cmd_estimate(args) -> int:
     if args.manifest:
-        doc = _load_json(args.manifest)
+        doc = read_json(args.manifest, "manifest")
         if not isinstance(doc, dict) or doc.get("command") != "estimate":
             raise InputError(f"{args.manifest} is not an estimate manifest")
-        for key in ("network", "measurements", "formulation"):
-            if not isinstance(doc.get(key), str):
-                raise InputError(f"{args.manifest}: {key!r} must be a string")
-        for key in ("init", "out"):
-            if not isinstance(doc.get(key), (str, type(None))):
-                raise InputError(f"{args.manifest}: {key!r} must be a string or null")
-        cfg_doc = doc.get("config", {})
-        if not isinstance(cfg_doc, dict):
-            raise InputError(f"{args.manifest}: 'config' must be an object")
+        doc = fields(doc, "manifest", _MANIFEST)
+        config = fields(doc["config"], "manifest config", _CONFIG)
         base = os.path.dirname(os.path.abspath(args.manifest))
-        net_path = _resolve(doc["network"], base)
-        meas_path = _resolve(doc["measurements"], base)
+        net_path = os.path.join(base, doc["network"])
+        meas_path = os.path.join(base, doc["measurements"])
         formulation = doc["formulation"]
-        cfg = _solver_config(**{f.name: cfg_doc[f.name]
-                                for f in dataclasses.fields(SolverConfig)
-                                if f.name in cfg_doc})
-        neglect = bool(cfg_doc.get("neglect_phasor_covariance", False))
-        init_path = doc.get("init")
+        neglect = config.pop("neglect_phasor_covariance")
+        cfg = SolverConfig(**config)
+        init_path = doc["init"]
         if init_path:
-            init_path = _resolve(init_path, base)
-        out_dir = args.out or doc.get("out") or "."
+            init_path = os.path.join(base, init_path)
+        out_dir = args.out or doc["out"] or "."
     else:
         if not args.net or not args.measurements or not args.formulation:
             raise InputError(
@@ -183,9 +161,8 @@ def _cmd_estimate(args) -> int:
         net_path = args.net
         meas_path = args.measurements
         formulation = args.formulation
-        cfg = _solver_config(max_iterations=args.max_iter,
-                             step_tolerance=args.tol,
-                             linear_system_method=args.linear_method)
+        cfg = SolverConfig(max_iterations=args.max_iter, step_tolerance=args.tol,
+                           linear_system_method=args.linear_method)
         neglect = args.neglect_phasor_cov
         init_path = args.init
         out_dir = args.out or "."
@@ -200,8 +177,10 @@ def _cmd_estimate(args) -> int:
     mset = load_measurements(meas_path)
     x0: StateVector | None = None
     if init_path:
-        init_doc = _load_json(init_path)
-        x0 = state_from_dict(init_doc.get("state", init_doc))
+        init_doc = read_json(init_path, "start state file")
+        if isinstance(init_doc, dict) and "state" in init_doc:  # a truth file
+            init_doc = fields(init_doc, "truth", _TRUTH)["state"]
+        x0 = state_from_dict(init_doc)
 
     os.makedirs(out_dir, exist_ok=True)
     manifest = {

@@ -100,12 +100,12 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+            raise InputError("invalid solver configuration: max_iterations must be >= 1")
         if self.step_tolerance <= 0.0:
-            raise ValueError("step_tolerance must be > 0")
+            raise InputError("invalid solver configuration: step_tolerance must be > 0")
         if self.linear_system_method not in (NORMAL, ORTHOGONAL):
-            raise ValueError(
-                f"linear_system_method must be {NORMAL!r} or {ORTHOGONAL!r}")
+            raise InputError("invalid solver configuration: linear_system_method must "
+                             f"be {NORMAL!r} or {ORTHOGONAL!r}")
 
 
 @dataclass

@@ -14,14 +14,15 @@ polar coordinates and correlate after conversion.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
+from .documents import arrays, fields, read_json, reals, rows, strings
 from .errors import InputError, NonPositiveVariance
 from .network import NetworkModel, end_error
 from .states import wrap_angle
@@ -80,7 +81,8 @@ ANGLE_KINDS = frozenset({
 
 
 KINDS = tuple(MeasurementKind)
-KIND_CODE = {kind: code for code, kind in enumerate(KINDS)}
+# Keyed by tag; a MeasurementKind finds its code too, as it is its tag.
+KIND_CODE = {kind.value: code for code, kind in enumerate(KINDS)}
 
 
 def kind_mask(kinds) -> np.ndarray:
@@ -99,23 +101,45 @@ def _at_tuple(code, at) -> tuple[int, ...]:
     return tuple(int(i) for i in at[:ARITY[code]])
 
 
+def _indices(values: list) -> np.ndarray | None:
+    """values as an integer array, or None unless each is an int or a
+    signed numpy integer (no bool) and all of them fit in 64 bits."""
+    types = set(map(type, values))
+    if not types.issubset((int,)) and (
+            bool in types or not all(issubclass(t, (int, np.integer)) for t in types)):
+        return None
+    index = np.array(values, dtype=None if values else np.int64)
+    return index if index.dtype.kind == "i" else None
+
+
 def location_columns(codes: np.ndarray, ats, placement: bool = False) -> np.ndarray:
     """(m, 2) location array from per-row index sequences; bus rows
     leave 0 in the second column.  A row with the wrong number of
-    indices for its kind is an InputError; with ``placement`` it is
-    worded as for a scenario's placements."""
-    flat = np.fromiter(map(int, itertools.chain.from_iterable(ats)), dtype=np.int64)
+    indices for its kind, or with a non-integer one (see ``_indices``),
+    is an InputError; with ``placement`` it is worded as for a
+    scenario's placements."""
     lengths = np.fromiter(map(len, ats), dtype=np.intp, count=len(ats))
     bad = lengths != ARITY[codes]
+    flat = _indices(list(itertools.chain.from_iterable(ats)))
+    if flat is None:
+        bad |= [_indices(list(at)) is None for at in ats]
     if bad.any():
         r = int(np.argmax(bad))
-        kind, want, at = KINDS[codes[r]], ARITY[codes[r]], tuple(map(int, ats[r]))
+        kind, want, at = KINDS[codes[r]], ARITY[codes[r]], tuple(ats[r])
         if placement:
             raise InputError(f"placement {kind} at {list(at)}: expected {want} index(es)")
         raise InputError(f"{kind} expects {want} location index(es), got {at}")
     out = np.zeros((len(lengths), 2), dtype=np.int64)
     out[np.arange(2) < lengths[:, None]] = flat  # row-major: row k's indices in order
     return out
+
+
+def kind_codes(tags: list, what: str) -> np.ndarray:
+    """The kind codes of file tags; an unknown tag is an InputError."""
+    codes = np.fromiter(map(KIND_CODE.get, tags, itertools.repeat(-1)), dtype=np.intp)
+    if (codes < 0).any():
+        raise InputError(f"{what} has unknown kind {tags[int(np.argmax(codes < 0))]!r}")
+    return codes
 
 
 def checked_values(codes: np.ndarray, at: np.ndarray, values, variances) -> np.ndarray:
@@ -210,8 +234,8 @@ class MeasurementSet:
         return mset
 
     def _set_columns(self, codes, at, values, variances, pairs, covs):
-        values = checked_values(codes, at, values, variances)
         variances = np.asarray(variances, dtype=float)
+        values = checked_values(codes, at, values, variances)
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         covs = np.asarray(covs, dtype=float)
         if covs.size:
@@ -275,28 +299,28 @@ def _check_pairs(codes, pairs, covs):
         c = int(np.argmax(bad))
         raise InputError(f"correlation between rows {tuple(pairs[c].tolist())}: "
                          f"cov {float(covs[c])} is not finite")
-    a, b = pairs[:, 0], pairs[:, 1]
-    bad = (a < 0) | (a >= m) | (b < 0) | (b >= m) | (a == b)
+    lo, hi = np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
+    bad = (lo < 0) | (hi >= m) | (lo == hi)
     if bad.any():
         raise InputError(f"correlation rows {tuple(pairs[np.argmax(bad)].tolist())} "
                          "out of range")
-    bad = ~(IS_RECT[codes[a]] & IS_RECT[codes[b]])
+    bad = ~(IS_RECT[codes[lo]] & IS_RECT[codes[hi]])
     if bad.any():
-        c = int(np.argmax(bad))
+        a, b = pairs[np.argmax(bad)].tolist()
         raise InputError(
-            f"correlation between rows {tuple(pairs[c].tolist())} ({KINDS[codes[a[c]]]}, "
-            f"{KINDS[codes[b[c]]]}): only rectangular phasor rows may be correlated")
-    c = _first_repeat(np.minimum(a, b) * m + np.maximum(a, b))
+            f"correlation between rows {(a, b)} ({KINDS[codes[a]]}, "
+            f"{KINDS[codes[b]]}): only rectangular phasor rows may be correlated")
+    c = _first_repeat(lo * m + hi)
     if c >= 0:
-        raise InputError(f"duplicate correlation for rows "
-                         f"{(min(int(a[c]), int(b[c])), max(int(a[c]), int(b[c])))}")
+        raise InputError(f"duplicate correlation for rows {(int(lo[c]), int(hi[c]))}")
 
 
 def _first_repeat(keys: np.ndarray) -> int:
     """Position of the first entry equal to an earlier one, else -1."""
-    _, first = np.unique(keys, return_index=True)
-    if first.size == keys.size:
+    ordered = np.sort(keys)
+    if not (ordered[1:] == ordered[:-1]).any():
         return -1
+    _, first = np.unique(keys, return_index=True)
     again = np.ones(keys.size, dtype=bool)
     again[first] = False
     return int(np.argmax(again))
@@ -465,41 +489,24 @@ class CovarianceModel:
         return self._whitener
 
 
-_MEAS_FILE_KEYS = {"measurements", "correlations"}
-_MEAS_ENTRY_KEYS = {"kind", "at", "value", "variance"}
-_CORR_ENTRY_KEYS = {"rows", "cov"}
+_ROW = {"kind": strings, "at": arrays, "value": reals, "variance": reals}
+_CORRELATION = {"rows": partial(arrays, length=2), "cov": reals}
+_FILE = {"measurements": arrays, "correlations": (arrays, [])}
 
 
 def measurements_from_dict(doc: dict) -> MeasurementSet:
-    if not isinstance(doc, dict):
-        raise InputError("measurement document must be a JSON object")
-    unknown = set(doc) - _MEAS_FILE_KEYS
-    if unknown:
-        raise InputError(f"unknown measurement-file keys: {sorted(unknown)}")
-    if "measurements" not in doc:
-        raise InputError("measurement document needs 'measurements'")
-    entries = doc["measurements"]
-    corr = doc.get("correlations", ())
-    for rows, keys, what in ((entries, _MEAS_ENTRY_KEYS, "measurement"),
-                             (corr, _CORR_ENTRY_KEYS, "correlation")):
-        for entry in rows:
-            if not entry.keys() <= keys:
-                raise InputError(f"unknown {what} keys: {sorted(set(entry) - keys)}")
-    try:
-        codes = np.array([KIND_CODE[entry["kind"]] for entry in entries], dtype=np.intp)
-    except (KeyError, TypeError):
-        tags = [entry.get("kind") for entry in entries]
-        bad = next(tag for tag in tags if not isinstance(tag, str) or tag not in KIND_CODE)
-        raise InputError(f"unknown measurement kind tag {bad!r}") from None
-    try:
-        at = location_columns(codes, [entry["at"] for entry in entries])
-        values = [float(entry["value"]) for entry in entries]
-        variances = [float(entry["variance"]) for entry in entries]
-        pairs = [[int(a), int(b)] for a, b in (entry["rows"] for entry in corr)]
-        covs = [float(entry["cov"]) for entry in corr]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed measurement document: {exc!r}") from None
-    return MeasurementSet.from_columns(codes, at, values, variances, pairs, covs)
+    """A MeasurementSet from a measurement document under the rules of
+    ``documents``; every other row rule, finiteness included, is left to
+    the set's own validator, which names the offending row."""
+    doc = fields(doc, "measurement-file", _FILE)
+    kinds, ats, values, variances = rows(doc["measurements"], "measurement", _ROW).values()
+    pairs, covs = rows(doc["correlations"], "correlation", _CORRELATION).values()
+    pairs = _indices(list(itertools.chain.from_iterable(pairs)))
+    if pairs is None:
+        raise InputError("correlation 'rows' must hold integers")
+    codes = kind_codes(kinds, "measurement")
+    return MeasurementSet.from_columns(codes, location_columns(codes, ats),
+                                       values, variances, pairs, covs)
 
 
 def measurements_to_dict(mset: MeasurementSet) -> dict:
@@ -521,9 +528,4 @@ def measurements_to_dict(mset: MeasurementSet) -> dict:
 
 def load_measurements(path) -> MeasurementSet:
     """Load and validate a measurement JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read measurement file {path}: {exc}") from exc
-    return measurements_from_dict(doc)
+    return measurements_from_dict(read_json(path, "measurement file"))

@@ -8,33 +8,24 @@ a common system base; the base MVA is carried for reporting.
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .errors import (
-    DimensionMismatch,
-    InputError,
-    NotConnected,
-    ZeroImpedance,
-)
+from .documents import arrays, fields, flags, integers, numbers, read_json, rows
+from .errors import InputError, NotConnected, ZeroImpedance
 
 
-@dataclass(frozen=True)
-class Bus:
+class Bus(NamedTuple):
     id: int
     shunt_g: float = 0.0
     shunt_b: float = 0.0
     is_slack: bool = False
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     from_bus: int
     to_bus: int
     r: float
@@ -247,88 +238,28 @@ def assemble_admittance(net: NetworkModel) -> csr_matrix:
     return y
 
 
-def injected_current(net: NetworkModel, y: csr_matrix, v: np.ndarray) -> np.ndarray:
-    """Complex injection currents Y @ v for a full voltage vector."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (net.n_buses,):
-        raise DimensionMismatch(f"expected {net.n_buses} voltages, got {v.shape}")
-    return y @ v
-
-
-_NETWORK_KEYS = {"base_mva", "buses", "branches", "slack_angle"}
-_BUS_KEYS = {"id", "shunt_g", "shunt_b", "slack"}
-_BRANCH_KEYS = {"from", "to", "r", "x", "gs_from", "bs_from", "gs_to", "bs_to"}
-
-
-def _number(entry: dict, key: str, default: float | None = None) -> float:
-    """entry[key] (or the default when absent) as a finite float."""
-    raw = entry.get(key, default)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise InputError(f"{key!r} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise InputError(f"{key!r} must be finite, got {value}")
-    return value
+# Schemas of the network file; bus and branch keys in the field order of
+# Bus and Branch.
+_BUS = {"id": integers, "shunt_g": (numbers, 0.0), "shunt_b": (numbers, 0.0),
+        "slack": (flags, False)}
+_BRANCH = {"from": integers, "to": integers, "r": numbers, "x": numbers,
+           "gs_from": (numbers, 0.0), "bs_from": (numbers, 0.0),
+           "gs_to": (numbers, 0.0), "bs_to": (numbers, 0.0)}
+_NETWORK = {"buses": arrays, "branches": arrays, "base_mva": (numbers, 100.0),
+            "slack_angle": (numbers, 0.0)}
 
 
 def network_from_dict(doc: dict) -> NetworkModel:
-    """Build a NetworkModel from the JSON document schema.
-
-    Unknown keys are rejected at every level; absent shunt fields
-    default to zero.  The optional top-level slack_angle (radians)
-    overrides the default slack anchoring of zero.
-    """
-    if not isinstance(doc, dict):
-        raise InputError("network document must be a JSON object")
-    unknown = set(doc) - _NETWORK_KEYS
-    if unknown:
-        raise InputError(f"unknown network keys: {sorted(unknown)}")
-    if "buses" not in doc or "branches" not in doc:
-        raise InputError("network document needs 'buses' and 'branches'")
-    buses = []
-    for entry in doc["buses"]:
-        bad = set(entry) - _BUS_KEYS
-        if bad:
-            raise InputError(f"unknown bus keys: {sorted(bad)}")
-        if "id" not in entry:
-            raise InputError("bus entry missing 'id'")
-        buses.append(Bus(
-            id=int(entry["id"]),
-            shunt_g=_number(entry, "shunt_g", 0.0),
-            shunt_b=_number(entry, "shunt_b", 0.0),
-            is_slack=bool(entry.get("slack", False)),
-        ))
-    branches = []
-    for entry in doc["branches"]:
-        bad = set(entry) - _BRANCH_KEYS
-        if bad:
-            raise InputError(f"unknown branch keys: {sorted(bad)}")
-        for key in ("from", "to", "r", "x"):
-            if key not in entry:
-                raise InputError(f"branch entry missing {key!r}")
-        branches.append(Branch(
-            from_bus=int(entry["from"]),
-            to_bus=int(entry["to"]),
-            r=_number(entry, "r"),
-            x=_number(entry, "x"),
-            gs_from=_number(entry, "gs_from", 0.0),
-            bs_from=_number(entry, "bs_from", 0.0),
-            gs_to=_number(entry, "gs_to", 0.0),
-            bs_to=_number(entry, "bs_to", 0.0),
-        ))
-    return NetworkModel(
-        buses, branches,
-        base_mva=_number(doc, "base_mva", 100.0),
-        slack_angle=_number(doc, "slack_angle", 0.0),
-    )
+    """A NetworkModel from a network document under the rules of
+    ``documents``.  Absent shunt fields default to zero; the optional
+    slack_angle (radians) overrides the default slack anchoring of zero."""
+    doc = fields(doc, "network", _NETWORK)
+    buses = rows(doc["buses"], "bus", _BUS)
+    branches = rows(doc["branches"], "branch", _BRANCH)
+    return NetworkModel(map(Bus, *buses.values()), map(Branch, *branches.values()),
+                        base_mva=doc["base_mva"], slack_angle=doc["slack_angle"])
 
 
 def load_network(path) -> NetworkModel:
     """Load and validate a network JSON file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read network file {path}: {exc}") from exc
-    return network_from_dict(doc)
+    return network_from_dict(read_json(path, "network file"))

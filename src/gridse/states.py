@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, ZeroMagnitude
+from .errors import DimensionMismatch, InputError, ZeroMagnitude
 
 POLAR = "polar"
 RECTANGULAR = "rectangular"
@@ -50,7 +50,7 @@ class StateVector:
             raise DimensionMismatch(f"state needs 2N values, got shape {values.shape}")
         n = values.size // 2
         if not 1 <= slack_bus <= n:
-            raise ValueError(f"slack bus {slack_bus} out of range 1..{n}")
+            raise InputError(f"slack bus {slack_bus} out of range 1..{n}")
         if coordinates == POLAR and np.any(values[n:] <= 0.0):
             raise ZeroMagnitude("polar state requires positive voltage magnitudes")
         self.coordinates = coordinates

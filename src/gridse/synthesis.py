@@ -15,13 +15,13 @@ pre-sampled state does not shift the noise sequence.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
+from .documents import arrays, fields, integers, numbers, objects, read_json, reals, rows, strings
 from .errors import InputError, NonPositiveVariance
 from .functions import MeasurementKernel
 from .measurements import (
@@ -31,6 +31,7 @@ from .measurements import (
     Locations,
     MeasurementKind,
     MeasurementSet,
+    kind_codes,
     kind_mask,
     locate,
     location_columns,
@@ -203,12 +204,11 @@ def _pair_rectangular(codes: np.ndarray, at: np.ndarray) -> np.ndarray:
     return partner
 
 
-def _state_rng(seed):
-    return np.random.default_rng([int(seed), 0])
-
-
-def _noise_rng(seed):
-    return np.random.default_rng([int(seed), 1])
+def _rng(seed: int, stream: int):
+    """The generator of one stream of a seed: 0 for the state, 1 for the noise."""
+    if seed < 0:
+        raise InputError(f"seed {seed} must be >= 0")
+    return np.random.default_rng([int(seed), stream])
 
 
 def sample_true_state(spec: ScenarioSpec) -> StateVector:
@@ -217,7 +217,7 @@ def sample_true_state(spec: ScenarioSpec) -> StateVector:
     Deterministic in the seed; the slack angle is pinned to the network
     value, not sampled.
     """
-    rng = _state_rng(spec.seed)
+    rng = _rng(spec.seed, 0)
     n = spec.network.n_buses
     theta = rng.uniform(spec.theta_range[0], spec.theta_range[1], n)
     vmag = rng.uniform(spec.v_range[0], spec.v_range[1], n)
@@ -244,7 +244,7 @@ def synthesize(spec: ScenarioSpec, x_true: StateVector) -> MeasurementSet:
     """
     plan = spec._resolved
     truth = plan.truth_values.values(x_true)
-    noise = _noise_rng(spec.seed).standard_normal(plan.n_draws)
+    noise = _rng(spec.seed, 1).standard_normal(plan.n_draws)
     values = np.empty(plan.placements.codes.size)
     values[plan.scalar] = truth[plan.scalar_truth]
     values[plan.noisy] += plan.noisy_sigma * noise[plan.noisy_draw]
@@ -282,27 +282,27 @@ def state_to_dict(x: StateVector) -> dict:
     }
 
 
+_STATE = {"coordinates": strings, "slack_bus": integers, "buses": arrays,
+          "slack_value": (reals, 0.0)}
+_STATE_BUS = {POLAR: {"id": integers, "theta": reals, "V": reals},
+              RECTANGULAR: {"id": integers, "re": reals, "im": reals}}
+
+
 def state_from_dict(doc: dict) -> StateVector:
-    try:
-        coords = doc["coordinates"]
-        buses = sorted(doc["buses"], key=lambda b: b["id"])
-        ids = [b["id"] for b in buses]
-        bad = next((i for k, i in enumerate(ids, 1) if i != k), None)
-        if bad is not None:
-            raise InputError(f"state bus ids must be 1..{len(ids)}, each once; "
-                             f"got id {bad!r}")
-        if coords == POLAR:
-            first = np.array([b["theta"] for b in buses], dtype=float)
-            second = np.array([b["V"] for b in buses], dtype=float)
-        elif coords == RECTANGULAR:
-            first = np.array([b["re"] for b in buses], dtype=float)
-            second = np.array([b["im"] for b in buses], dtype=float)
-        else:
-            raise InputError(f"unknown state coordinates {coords!r}")
-        return StateVector(coords, np.concatenate([first, second]),
-                           int(doc["slack_bus"]), float(doc.get("slack_value", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed state document: {exc}") from exc
+    """A StateVector from a state document under the rules of
+    ``documents``, bus ids 1..N each once in any order; whether its
+    values are finite is left to the estimator's start check."""
+    doc = fields(doc, "state", _STATE)
+    coords = doc["coordinates"]
+    if coords not in _STATE_BUS:
+        raise InputError(f"unknown state coordinates {coords!r}")
+    ids, first, second = rows(doc["buses"], "state bus", _STATE_BUS[coords]).values()
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    bad = next((ids[k] for i, k in enumerate(order, 1) if ids[k] != i), None)
+    if bad is not None:
+        raise InputError(f"state bus ids must be 1..{len(ids)}, each once; got id {bad!r}")
+    return StateVector(coords, np.array([first, second])[:, order].ravel(),
+                       doc["slack_bus"], doc["slack_value"])
 
 
 def truth_to_dict(spec: ScenarioSpec, x_true: StateVector) -> dict:
@@ -313,64 +313,34 @@ def truth_to_dict(spec: ScenarioSpec, x_true: StateVector) -> dict:
     }
 
 
-_SCENARIO_KEYS = {"network", "seed", "true_state", "noise", "placements"}
-_TRUE_STATE_KEYS = {"v_range", "theta_range"}
-_PLACEMENT_KEYS = {"kind", "at"}
+_SCENARIO = {"network": strings, "seed": integers, "placements": arrays,
+             "true_state": (objects, {}), "noise": (objects, {})}
+_RANGE = partial(arrays, length=2)
+_TRUE_STATE = {"v_range": (_RANGE, [1.0, 1.0]), "theta_range": (_RANGE, [0.0, 0.0])}
+_PLACEMENT = {"kind": strings, "at": arrays}
 
 
 def scenario_from_dict(doc: dict, base_dir: str = ".") -> ScenarioSpec:
-    if not isinstance(doc, dict):
-        raise InputError("scenario document must be a JSON object")
-    unknown = set(doc) - _SCENARIO_KEYS
-    if unknown:
-        raise InputError(f"unknown scenario keys: {sorted(unknown)}")
-    for key in ("network", "seed", "placements"):
-        if key not in doc:
-            raise InputError(f"scenario document needs {key!r}")
-    net_path = doc["network"]
-    if not os.path.isabs(net_path):
-        net_path = os.path.join(base_dir, net_path)
-    net = load_network(net_path)
-    ts = doc.get("true_state", {})
-    bad = set(ts) - _TRUE_STATE_KEYS
-    if bad:
-        raise InputError(f"unknown true_state keys: {sorted(bad)}")
-    v_range = tuple(float(v) for v in ts.get("v_range", (1.0, 1.0)))
-    theta_range = tuple(float(v) for v in ts.get("theta_range", (0.0, 0.0)))
-    placements = []
-    for entry in doc["placements"]:
-        bad = set(entry) - _PLACEMENT_KEYS
-        if bad:
-            raise InputError(f"unknown placement keys: {sorted(bad)}")
-        try:
-            kind = MeasurementKind(entry["kind"])
-        except (ValueError, KeyError):
-            raise InputError(
-                f"placement has unknown kind {entry.get('kind')!r}") from None
-        placements.append((kind, tuple(int(i) for i in entry["at"])))
-    noise = {}
-    for tag, sigma in doc.get("noise", {}).items():
-        try:
-            kind = MeasurementKind(tag)
-        except ValueError:
-            raise InputError(f"noise entry has unknown kind {tag!r}") from None
-        noise[kind] = float(sigma)
+    """A ScenarioSpec from a scenario document under the rules of
+    ``documents``; a relative network path resolves against ``base_dir``."""
+    doc = fields(doc, "scenario", _SCENARIO)
+    ranges = fields(doc["true_state"], "true_state", _TRUE_STATE)
+    kinds, ats = rows(doc["placements"], "placement", _PLACEMENT).values()
+    noise = doc["noise"]
     return ScenarioSpec(
-        network=net,
-        v_range=v_range,
-        theta_range=theta_range,
-        placements=tuple(placements),
-        noise=noise,
-        seed=int(doc["seed"]),
+        network=load_network(os.path.join(base_dir, doc["network"])),
+        v_range=tuple(numbers(ranges["v_range"], "true_state 'v_range'")),
+        theta_range=tuple(numbers(ranges["theta_range"], "true_state 'theta_range'")),
+        placements=tuple(zip(map(KINDS.__getitem__, kind_codes(kinds, "placement")),
+                             map(tuple, ats))),
+        noise=dict(zip(map(KINDS.__getitem__, kind_codes(list(noise), "noise entry")),
+                       numbers(list(noise.values()), "noise stddev"))),
+        seed=doc["seed"],
         network_path=doc["network"],
     )
 
 
 def load_scenario(path) -> ScenarioSpec:
     """Load a scenario spec; the network path resolves relative to it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read scenario file {path}: {exc}") from exc
-    return scenario_from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    return scenario_from_dict(read_json(path, "scenario file"),
+                              base_dir=os.path.dirname(os.path.abspath(path)))

@@ -12,7 +12,6 @@ from gridse import (
     NetworkModel,
     ScenarioSpec,
     StateVector,
-    assemble_admittance,
     load_network,
 )
 from gridse.states import POLAR
@@ -30,11 +29,6 @@ def net3():
 @pytest.fixture(scope="session")
 def net14():
     return load_network(FIXTURES / "net14.json")
-
-
-@pytest.fixture(scope="session")
-def y3(net3):
-    return assemble_admittance(net3)
 
 
 def random_polar_state(net, rng, v_range=(0.9, 1.1), t_range=(-0.3, 0.3)):

@@ -4,6 +4,7 @@ import math
 import os
 import platform
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,3 +420,88 @@ class TestCheckCommand:
 
     def test_missing_file(self, tmp_path):
         assert main(["check", "--net", str(tmp_path / "nope.json")]) == 1
+
+
+def _set(*path_and_value):
+    """A change that sets doc[p0][p1]...[pn] to the value."""
+    *path, value = path_and_value
+
+    def change(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return doc
+    return change
+
+
+# file -> change that makes its valid document malformed.  Each of these
+# was once read wrongly or ended in a traceback.  Row 12 of the
+# measurement file and of the scenario's placements is V_mag at [1].
+MALFORMED = {
+    "network-id-string": ("network", _set("buses", 1, "id", "x")),
+    "network-id-null": ("network", _set("buses", 1, "id", None)),
+    "network-id-fraction": ("network", _set("buses", 0, "id", 1.5)),
+    "network-from-string": ("network", _set("branches", 0, "from", "a")),
+    "network-buses-number": ("network", _set("buses", 5)),
+    "network-slack-string": ("network", _set("buses", 0, "slack", "false")),
+    "measurements-entry-number": ("measurements", _set("measurements", 0, 5)),
+    "measurements-list-number": ("measurements", _set("measurements", 5)),
+    "measurements-at-fraction": ("measurements", _set("measurements", 12, "at", [1.7])),
+    "measurements-at-string": ("measurements", _set("measurements", 12, "at", ["2"])),
+    "measurements-variance-flag": ("measurements", _set("measurements", 0, "variance", True)),
+    "scenario-at-string": ("scenario", _set("placements", 12, "at", ["a"])),
+    "scenario-seed-string": ("scenario", _set("seed", "x")),
+    "scenario-placement-number": ("scenario", _set("placements", 0, 5)),
+    "scenario-noise-string": ("scenario", _set("noise", "x")),
+    "scenario-range-short": ("scenario", _set("true_state", "v_range", [1])),
+    "init-list": ("init", lambda doc: [1, 2]),
+    "init-slack-fraction": ("init", _set("slack_bus", 1.9)),
+    "manifest-flag-string": ("manifest", _set("config", "neglect_phasor_covariance", "no")),
+}
+
+
+class TestMalformedDocuments:
+    @staticmethod
+    def run(tmp_path, changed=None, change=None):
+        """Write valid network, measurement, scenario, start-state and
+        manifest files, the ``changed`` one after ``change``, and run the
+        command that reads it; with ``changed=None``, run synthesize,
+        estimate from the manifest and estimate with --init."""
+        data = synth(tmp_path)
+        docs = {
+            "network": json.loads(Path(NET3).read_text()),
+            "measurements": json.loads((data / "measurements.json").read_text()),
+            "scenario": json.loads(write_scenario(tmp_path).read_text()),
+            "init": json.loads((data / "truth.json").read_text())["state"],
+            "manifest": {"command": "estimate", "network": "network.json",
+                         "measurements": "measurements.json",
+                         "formulation": "conventional",
+                         "config": {"neglect_phasor_covariance": False}},
+        }
+        if changed:
+            docs[changed] = change(docs[changed])
+        for name, doc in docs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        files = {name: str(tmp_path / f"{name}.json") for name in docs}
+        argvs = {
+            "scenario": ["synthesize", "--spec", files["scenario"]],
+            "manifest": ["estimate", "--manifest", files["manifest"]],
+            "init": ["estimate", "--net", files["network"],
+                     "--measurements", files["measurements"],
+                     "--formulation", "conventional", "--init", files["init"]],
+        }
+        if changed in ("network", "measurements"):
+            argvs[changed] = argvs["init"][:-2]
+        return [main(argv + ["--out", str(tmp_path / "out")])
+                for name, argv in argvs.items() if changed in (None, name)]
+
+    def test_valid_documents_run(self, tmp_path):
+        assert self.run(tmp_path) == [0] * 3
+
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_document_exits_one(self, tmp_path, capsys, name):
+        assert self.run(tmp_path, *MALFORMED[name]) == [1]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err

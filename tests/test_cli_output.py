@@ -12,6 +12,7 @@ benchmark plan and on the same random documents.
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -173,7 +174,7 @@ def run(argv, capsys):
     capsys.readouterr()
     code = main(argv)
     out = argv[argv.index("--out") + 1]
-    files = {name: open(f"{out}/{name}", "rb").read()
+    files = {name: Path(out, name).read_bytes()
              for name in ("manifest.json", "result.json")}
     return code, capsys.readouterr().out, files
 

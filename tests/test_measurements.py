@@ -164,9 +164,16 @@ class TestLocationColumns:
         rng = np.random.default_rng(3)
         codes = rng.integers(0, len(KINDS), 500)
         ats = [tuple(int(i) for i in rng.integers(1, 99, ARITY[c])) for c in codes]
-        ats[::7] = [list(map(float, at)) for at in ats[::7]]  # JSON-style lists
+        ats[::7] = [list(at) for at in ats[::7]]  # JSON-style lists
+        ats[1::7] = [tuple(np.array(at)) for at in ats[1::7]]  # numpy integers
         assert np.array_equal(location_columns(codes, ats), self.per_row(ats))
         assert location_columns(codes[:0], []).shape == (0, 2)
+        # a float, a bool and a string are no index, and the row is named
+        for bad in (1.0, True, "1"):
+            row = list(ats[3])
+            row[-1] = bad
+            with pytest.raises(InputError, match=re.escape(f"got {tuple(row)}")):
+                location_columns(codes, ats[:3] + [row] + ats[4:])
 
     @pytest.mark.parametrize("ats, message", [
         ([(1, 2), (3, 4), (5,)], "P_flow expects 2 location index(es), got (5,)"),
