@@ -1,0 +1,192 @@
+"""Gain factor sweep: RCM + banded Cholesky against SuperLU, per gain.
+
+    python3 bench/gain_factor.py            # writes BENCH_gain_factor.json
+    python3 bench/gain_factor.py --quick    # N <= 2 025, prints, writes nothing
+
+Run from the repository root.  For seeded lattices (``perfbench/lattice.py``)
+at N = 400, 2 025 and 10 000 and for binary trees (radial feeders) of 1 023
+and 4 095 buses, it builds the gain G = J^T R^-1 J of a conventional and a
+linear_rect scenario at the true state, with the benchmark's own scenario
+synthesis (``perfbench/workloads.py``), and records per gain:
+
+* n, nnz(G), the bandwidth under reverse Cuthill-McKee and the ratio of the
+  band's entries n * (bandwidth + 1) to nnz(G);
+* the storage ``gridse.estimators`` picks for it ("band" or "superlu");
+* the best of k factor-plus-solve times of SuperLU, of the shipped rule
+  and of the band: the rule's own time where it picks the band, else a
+  forced band where that takes under 64 MB;
+* the largest difference between the band's and SuperLU's dx, relative to
+  the largest entry of SuperLU's dx.
+
+The exit code is 1 when a band dx differs from SuperLU's by more than 1e-9
+relative, else 0.  BLAS runs on one thread, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import sys
+import time
+from unittest import mock
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ["OMP_NUM_THREADS"] = "1"
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
+                os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+from scipy.sparse import csc_matrix  # noqa: E402
+from scipy.sparse.csgraph import reverse_cuthill_mckee  # noqa: E402
+
+import gridse  # noqa: E402
+import gridse.estimators as E  # noqa: E402
+import workloads  # noqa: E402
+from lattice import lattice_network  # noqa: E402
+
+OUT = os.path.join(ROOT, "BENCH_gain_factor.json")
+SEED = 5
+BAND_MB_CAP = 64.0
+AGREEMENT = 1e-9
+FORMULATIONS = ("conventional", "linear_rect")
+
+
+def binary_tree(n: int, seed: int = 0) -> gridse.NetworkModel:
+    """Buses 1..n, bus i fed from bus i // 2, with the lattice's branch
+    parameter ranges; bus 1 is the slack."""
+    rng = np.random.default_rng([seed, 3])
+    x = rng.uniform(0.04, 0.25, n - 1)
+    r = x / rng.uniform(3.0, 10.0, n - 1)
+    half_charging = rng.uniform(0.005, 0.03, n - 1)
+    branches = [gridse.Branch(i // 2, i, float(r[i - 2]), float(x[i - 2]),
+                              bs_from=float(half_charging[i - 2]),
+                              bs_to=float(half_charging[i - 2]))
+                for i in range(2, n + 1)]
+    buses = [gridse.Bus(i, is_slack=(i == 1)) for i in range(1, n + 1)]
+    return gridse.NetworkModel(buses, branches)
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def networks(quick: bool):
+    yield "lattice", 400, lattice_network(20, 0)
+    yield "lattice", 2025, lattice_network(45, 0)
+    yield "tree", 1023, binary_tree(1023)
+    if not quick:
+        yield "lattice", 10000, lattice_network(100, 0)
+        yield "tree", 4095, binary_tree(4095)
+
+
+def gain(net, formulation: str):
+    """G (CSC) and a right-hand side at the true state of one scenario."""
+    plan, noise = workloads.PLANS[formulation]
+    case = workloads.synthesize_case(net, SEED, 0, formulation, plan, noise)
+    problem = gridse.assemble_problem(net, case.mset, formulation)
+    if problem.is_linear:
+        j = problem.h_matrix
+    else:
+        _, j, _ = problem.rows(case.truth)
+    a = j[:, problem.free_indices]
+    rinv = problem.covariance.inverse()
+    r = problem.residuals(problem.initial_state())
+    return csc_matrix(a.T @ rinv @ a), a.T @ (rinv @ r)
+
+
+def best_of(k: int, factor, g, rhs):
+    """(dx, best seconds) of k factor-plus-solve calls."""
+    times = []
+    for _ in range(k):
+        t = time.perf_counter()
+        dx = factor(g)(rhs)
+        times.append(time.perf_counter() - t)
+    return dx, min(times)
+
+
+def forced_band(g):
+    with mock.patch.object(E, "_BAND_LIMIT", math.inf):
+        return E._factor_gain(g)
+
+
+def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
+    g, rhs = gain(net, formulation)
+    n = g.shape[0]
+    perm = reverse_cuthill_mckee(g, symmetric_mode=True)
+    where = np.empty(n, dtype=np.intp)
+    where[perm] = np.arange(n)
+    bandwidth = int(np.max(np.abs(where[g.indices] - np.repeat(where, np.diff(g.indptr)))))
+    band_mb = n * (bandwidth + 1) * 8 / 2**20
+    out = {
+        "network": kind, "buses": buses, "formulation": formulation,
+        "n": n, "nnz_g": int(g.nnz), "rcm_bandwidth": bandwidth,
+        "band_over_nnz": round(n * (bandwidth + 1) / g.nnz, 2),
+        "band_mb": round(band_mb, 2),
+    }
+    lu_dx, out["superlu_s"] = best_of(k, E._factor_lu, g, rhs)
+    with mock.patch.object(E, "splu", wraps=E.splu) as splu:
+        band_dx, out["rule_s"] = best_of(k, E._factor_gain, g, rhs)
+    out["storage"] = "superlu" if splu.called else "band"
+    if out["storage"] == "band":
+        out["band_s"] = out["rule_s"]
+    elif band_mb < BAND_MB_CAP:
+        band_dx, out["band_s"] = best_of(k, forced_band, g, rhs)
+    else:
+        return out
+    out["dx_rel_diff"] = float(np.max(np.abs(band_dx - lu_dx)) / np.max(np.abs(lu_dx)))
+    return out
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--quick", action="store_true",
+                   help="N <= 2 025 and 3 calls per timing; print, write no file")
+    args = p.parse_args(argv)
+    k = 3 if args.quick else 7
+    entries = []
+    for kind, buses, net in networks(args.quick):
+        for formulation in FORMULATIONS:
+            e = entry(kind, buses, net, formulation, k)
+            entries.append(e)
+            band = f"{1e3 * e['band_s']:.2f} ms" if "band_s" in e else "-"
+            print(f"{kind} {buses} {formulation}: n {e['n']} nnz {e['nnz_g']} "
+                  f"bw {e['rcm_bandwidth']} band/nnz {e['band_over_nnz']} -> "
+                  f"{e['storage']}; superlu {1e3 * e['superlu_s']:.2f} ms, "
+                  f"band {band}, rule {1e3 * e['rule_s']:.2f} ms, "
+                  f"dx diff {e.get('dx_rel_diff', '-')}")
+    doc = {
+        "what": "best-of-k factor+solve of the WLS gain at the true state",
+        "k": k,
+        "band_limit": E._BAND_LIMIT,
+        "environment": {"cpu": cpu_model(), "python": platform.python_version(),
+                        "numpy": np.__version__, "scipy": scipy.__version__,
+                        "machine": platform.machine(), "cpus": os.cpu_count(),
+                        "blas_threads": 1},
+        "entries": entries,
+    }
+    if not args.quick:
+        with open(OUT, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1)
+            fh.write("\n")
+    bad = [e for e in entries if e.get("dx_rel_diff", 0.0) > AGREEMENT]
+    for e in bad:
+        print(f"error: {e['network']} {e['buses']} {e['formulation']}: band and "
+              f"SuperLU dx differ by {e['dx_rel_diff']:.3g} relative", file=sys.stderr)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -25,7 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.sparse import csc_matrix, csr_matrix, issparse
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -90,6 +92,14 @@ _FACTS = {
 
 NORMAL = "normal"
 ORTHOGONAL = "orthogonal"
+
+# A gain goes to band storage unless its band, after the reverse
+# Cuthill-McKee ordering, would hold more than this many times the
+# gain's stored entries.  A meshed lattice's band holds 4-26 times
+# them up to 10 000 buses; a radial feeder's bandwidth is nearly n, and
+# its band 86 (1 023 buses) to 342 (4 095 buses) times, where SuperLU's
+# fill-reducing ordering is far cheaper (BENCH_gain_factor.json).
+_BAND_LIMIT = 32
 
 
 @dataclass
@@ -308,26 +318,74 @@ def objective(problem: EstimationProblem, x: StateVector) -> float:
 
 
 def _solve_normal(a, rinv, r, name_of=None):
-    """Solve (A^T R^-1 A) dx = A^T R^-1 r by sparse LU of the gain."""
+    """Solve (A^T R^-1 A) dx = A^T R^-1 r through a factor of the gain."""
     g = csc_matrix(a.T @ rinv @ a)
     rhs = a.T @ (rinv @ r)
-    return _factor_gain(g, name_of).solve(rhs)
+    return _factor_gain(g, name_of)(rhs)
 
 
-def _factor_gain(g: csc_matrix, name_of=None):
-    """Sparse LU of the symmetric gain with symmetric (diagonal) pivoting.
+def _factor_gain(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the symmetric gain; returns the solve of G dx = b.
+
+    G is permuted by reverse Cuthill-McKee and factored by LAPACK's
+    banded Cholesky (dpbtrf) in band storage, filled straight from G's
+    upper-triangle entries.  Where the permuted band would hold more
+    than ``_BAND_LIMIT`` times G's stored entries, as on a radial
+    feeder whose bandwidth is nearly n, ``_factor_lu`` takes G instead.
+
+    The factor is refused when a pivot (the square of a diagonal entry
+    of the Cholesky factor) is not above n * eps times the diagonal
+    entry of G it was reduced from, or is not positive at all (dpbtrf
+    stops there): below that bound the pivot is rounding noise and its
+    unknown is numerically dependent on the ones eliminated before it.
+    Measuring each pivot against its own diagonal, not against the
+    largest pivot, keeps the test invariant under a rescaling of the
+    unknowns (G -> D G D).  The SingularGain names the first weak
+    unknown in elimination order by ``name_of(k)``, else by its column k.
+    """
+    n = g.shape[0]
+    if not g.nnz:  # nothing to order: no unknowns, or no rows touch them
+        return _factor_lu(g, name_of)
+    perm = reverse_cuthill_mckee(g, symmetric_mode=True)
+    where = np.empty(n, dtype=np.intp)
+    where[perm] = np.arange(n)
+    rows = where[g.indices]
+    cols = np.repeat(where, np.diff(g.indptr))
+    offset = cols - rows
+    kd = int(offset.max())
+    if n * (kd + 1) > _BAND_LIMIT * g.nnz:
+        return _factor_lu(g, name_of)
+    # LAPACK's upper band storage: ab[j, kd + i - j] holds G[i, j], i <= j.
+    upper = offset >= 0
+    ab = np.zeros((n, kd + 1))
+    ab.ravel()[(cols[upper] + 1) * (kd + 1) - 1 - offset[upper]] = g.data[upper]
+    u, info = dpbtrf(ab.T, overwrite_ab=1)
+    pivots = u[kd] ** 2
+    if info > 0:  # dpbtrf stopped at this pivot, which is not positive
+        pivots[info - 1] = min(u[kd, info - 1], 0.0)
+    diag = g.diagonal()[perm]
+    weak = ~(pivots > n * np.finfo(float).eps * diag)
+    if weak.any():
+        k = int(np.argmax(weak))
+        _refuse(pivots[k], int(perm[k]), diag[k], name_of)
+
+    def solve(b):
+        x = np.empty(n)
+        x[perm] = dpbtrs(u, b[perm], overwrite_b=1)[0]
+        return x
+    return solve
+
+
+def _factor_lu(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:
+    """Sparse LU of the symmetric gain with symmetric (diagonal)
+    pivoting, for gains too wide for band storage.
 
     A fill-reducing minimum-degree ordering of G + G^T is applied to rows
     and columns alike.  SuperLU itself only rejects exactly zero pivots,
     so the factor is also refused when the pivoting left the diagonal
-    (G is not numerically positive definite) or when a pivot is not above
-    n * eps times the diagonal entry of G it was reduced from: below
-    that, the pivot is rounding noise and its column is numerically
-    dependent on the ones eliminated before it.  Measuring each pivot
-    against its own diagonal, not against the largest pivot, keeps the
-    test invariant under a rescaling of the unknowns (G -> D G D).
-    The error names the first weak unknown by ``name_of(k)``, else by
-    its column k.
+    (G is not numerically positive definite) or when a pivot fails the
+    test of ``_factor_gain``; the error names the first weak unknown in
+    column order.
     """
     try:
         lu = splu(g, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -341,11 +399,16 @@ def _factor_gain(g: csc_matrix, name_of=None):
     weak = pivots <= pivots.size * np.finfo(float).eps * diag
     if weak.any():
         k = int(np.argmax(weak))
-        unknown = name_of(k) if name_of else f"column {k}"
-        raise SingularGain(
-            f"gain matrix is numerically singular: pivot {pivots[k]:.3g} for "
-            f"{unknown} against its diagonal {diag[k]:.3g}")
-    return lu
+        _refuse(pivots[k], k, diag[k], name_of)
+    return lu.solve
+
+
+def _refuse(pivot, k, diag, name_of):
+    """Raise the SingularGain for a weak pivot of unknown k."""
+    unknown = name_of(k) if name_of else f"column {k}"
+    raise SingularGain(
+        f"gain matrix is numerically singular: pivot {pivot:.3g} for "
+        f"{unknown} against its diagonal {diag:.3g}")
 
 
 def _solve_orthogonal(aw, bw):

@@ -126,9 +126,13 @@ def location_columns(codes: np.ndarray, ats, placement: bool = False) -> np.ndar
     if bad.any():
         r = int(np.argmax(bad))
         kind, want, at = KINDS[codes[r]], ARITY[codes[r]], tuple(ats[r])
+        wrong_count = len(at) != want
         if placement:
-            raise InputError(f"placement {kind} at {list(at)}: expected {want} index(es)")
-        raise InputError(f"{kind} expects {want} location index(es), got {at}")
+            fault = f"expected {want} index(es)" if wrong_count else "indices must be integers"
+            raise InputError(f"placement {kind} at {list(at)}: {fault}")
+        fault = (f"expects {want} location index(es)" if wrong_count
+                 else "location indices must be integers")
+        raise InputError(f"{kind} {fault}, got {at}")
     out = np.zeros((len(lengths), 2), dtype=np.int64)
     out[np.arange(2) < lengths[:, None]] = flat  # row-major: row k's indices in order
     return out

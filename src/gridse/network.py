@@ -79,7 +79,15 @@ class NetworkModel:
             raise InputError("network has no buses")
         ids = [b.id for b in buses]
         if ids != list(range(1, n + 1)):
-            raise InputError(f"bus ids must form a contiguous 1..{n} set, got {ids}")
+            # the first misplaced id in sorted order names the fault
+            k = next(k for k, i in enumerate(ids) if i != k + 1)
+            if ids[k] < 1:
+                fault = f"id {ids[k]} is below 1"
+            elif k and ids[k] == ids[k - 1]:
+                fault = f"id {ids[k]} is repeated"
+            else:
+                fault = f"id {k + 1} is missing"
+            raise InputError(f"bus ids must form a contiguous 1..{n} set: {fault}")
         slacks = [b.id for b in buses if b.is_slack]
         if len(slacks) != 1:
             raise InputError(f"exactly one slack bus required, found {len(slacks)}")

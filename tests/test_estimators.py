@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 import gridse.estimators
 import gridse.functions
@@ -244,6 +246,29 @@ def dense_normal_solution(problem):
     return np.linalg.solve(hr.T @ rinv_h, rinv_h.T @ z)
 
 
+def binary_tree_network(n):
+    """Buses 1..n, bus i fed from bus i // 2: a radial feeder whose gain
+    has a bandwidth of nearly n under any profile-reducing ordering."""
+    rng = np.random.default_rng(5)
+    branches = [Branch(i // 2, i, float(rng.uniform(0.005, 0.03)),
+                       float(rng.uniform(0.05, 0.2))) for i in range(2, n + 1)]
+    return NetworkModel([Bus(1, is_slack=True)] + [Bus(i) for i in range(2, n + 1)],
+                        branches)
+
+
+@pytest.fixture
+def superlu_calls(monkeypatch):
+    """The gains factored by SuperLU while the test runs."""
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g.shape)
+        return splu(g, *args, **kwargs)
+
+    monkeypatch.setattr(gridse.estimators, "splu", counted)
+    return calls
+
+
 class TestSparseGain:
     @pytest.fixture(scope="class")
     def grid12(self):
@@ -261,23 +286,62 @@ class TestSparseGain:
         full = x.angles if problem.formulation == Formulation.DC else x.values
         return full[problem.free_indices]
 
-    def test_dc_matches_dense_oracle(self, grid12):
+    def test_dc_matches_dense_oracle(self, grid12, superlu_calls):
         problem = self.noisy_problem(grid12, dc_plan(grid12), DC_NOISE,
                                      Formulation.DC, seed=12)
         want = dense_normal_solution(problem)
         got = self.free_values(problem, solve(problem))
         assert np.max(np.abs(got - want)) < 1e-10
+        assert superlu_calls == []  # the banded Cholesky solved it
 
-    def test_linear_rect_with_correlated_blocks_matches_dense_oracle(self, grid12):
+    def test_linear_rect_with_correlated_blocks_matches_dense_oracle(
+            self, grid12, superlu_calls):
         problem = self.noisy_problem(grid12, linear_rect_plan(grid12),
                                      PMU_NOISE, Formulation.LINEAR_RECT, seed=13)
         assert len(problem.covariance.blocks) == len(linear_rect_plan(grid12)) // 2
         want = dense_normal_solution(problem)
         normal = self.free_values(problem, solve(problem))
         assert np.max(np.abs(normal - want)) < 1e-10
+        assert superlu_calls == []
         cfg = SolverConfig(linear_system_method="orthogonal")
         orthogonal = self.free_values(problem, solve(problem, cfg))
         assert np.max(np.abs(orthogonal - normal)) < 1e-10
+
+    def test_radial_feeder_gain_goes_to_superlu(self, superlu_calls):
+        # A band over a 1 023-bus binary tree would hold ~85 times the
+        # gain's entries, so SuperLU factors it; the dense oracle needs
+        # no R matrix because DC rows are uncorrelated.
+        tree = binary_tree_network(1023)
+        problem = self.noisy_problem(tree, dc_plan(tree), DC_NOISE,
+                                     Formulation.DC, seed=15)
+        got = self.free_values(problem, solve(problem))
+        assert superlu_calls == [(1022, 1022)]
+        h = problem.h_matrix.toarray()[:, problem.free_indices]
+        w = 1.0 / problem.mset.variances()
+        want = np.linalg.solve(h.T @ (h * w[:, None]), h.T @ (w * problem.z))
+        assert np.max(np.abs(got - want)) < 1e-10
+
+    @pytest.mark.parametrize("g, pivot", [
+        ([[1.0, 1.0], [1.0, 1.0]], "0"),  # the second pivot is exactly 0
+        ([[1.0, 2.0], [2.0, 1.0]], "-3"),  # its square would pass the n * eps test
+    ])
+    def test_non_positive_pivot_names_an_unknown(self, g, pivot):
+        # dpbtrf stops at the first pivot that is not positive
+        with pytest.raises(SingularGain, match=rf"numerically singular: pivot {pivot} "
+                           r"for unknown [01] against its diagonal 1"):
+            gridse.estimators._factor_gain(csc_matrix(g), lambda k: f"unknown {k}")
+
+    @pytest.mark.parametrize("formulation", list(Formulation))
+    def test_normal_agrees_with_orthogonal_on_golden_replays(self, net14, formulation):
+        # The scenarios of tests/test_golden.py: the orthogonal replay
+        # digests do not depend on the gain factor, the normal ones do.
+        problem = assemble_problem(net14, synthesized(net14, formulation.value),
+                                   formulation)
+        normal = solve(problem)
+        orthogonal = solve(problem, SolverConfig(linear_system_method="orthogonal"))
+        assert normal.converged and orthogonal.converged
+        assert normal.iterations == orthogonal.iterations
+        assert np.max(np.abs(normal.x_hat.values - orthogonal.x_hat.values)) <= 1e-9
 
     def test_orthogonal_matches_normal_with_blocks_in_gauss_newton(self, net3):
         spec = make_scenario(net3, simultaneous_rect_plan(net3),

@@ -172,8 +172,18 @@ class TestLocationColumns:
         for bad in (1.0, True, "1"):
             row = list(ats[3])
             row[-1] = bad
-            with pytest.raises(InputError, match=re.escape(f"got {tuple(row)}")):
+            with pytest.raises(InputError, match=re.escape(f"got {tuple(row)}")) as err:
                 location_columns(codes, ats[:3] + [row] + ats[4:])
+            assert f"{KINDS[codes[3]]} location indices must be integers" in str(err.value)
+
+    def test_non_integer_placement_is_worded_as_such(self):
+        codes = np.array([KINDS.index(K.V_MAG), KINDS.index(K.P_FLOW)])
+        with pytest.raises(InputError, match=re.escape(
+                "placement P_flow at [1, 1.7]: indices must be integers")):
+            location_columns(codes, [(1,), (1, 1.7)], placement=True)
+        with pytest.raises(InputError, match=re.escape(
+                "placement P_flow at [1]: expected 2 index(es)")):
+            location_columns(codes, [(1,), (1,)], placement=True)
 
     @pytest.mark.parametrize("ats, message", [
         ([(1, 2), (3, 4), (5,)], "P_flow expects 2 location index(es), got (5,)"),

@@ -158,6 +158,19 @@ class TestNetworkValidation:
             NetworkModel([Bus(1, is_slack=True), Bus(3)],
                          [Branch(1, 3, 0.1, 0.2)])
 
+    @pytest.mark.parametrize("moved, fault", [
+        (401, "id 200 is missing"), (199, "id 199 is repeated"),
+        (0, "id 0 is below 1")])
+    def test_bad_id_named_alone(self, moved, fault):
+        # a 400-bus set with one id moved: the message names that id,
+        # not the whole list
+        ids = [moved if i == 200 else i for i in range(1, 401)]
+        buses = [Bus(i, is_slack=(i == 1)) for i in ids]
+        branches = [Branch(a, b, 0.01, 0.1) for a, b in zip(ids, ids[1:])]
+        with pytest.raises(InputError) as err:
+            NetworkModel(buses, branches)
+        assert str(err.value) == f"bus ids must form a contiguous 1..400 set: {fault}"
+
     def test_no_slack_rejected(self):
         with pytest.raises(InputError, match="slack"):
             NetworkModel([Bus(1), Bus(2)], [Branch(1, 2, 0.1, 0.2)])
