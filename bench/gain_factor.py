@@ -1,13 +1,15 @@
-"""Gain factor sweep: RCM + banded Cholesky against SuperLU, per gain.
+"""Gain factor sweep: RCM + banded Cholesky against SuperLU, and the gain
+plan of a Gauss-Newton iterate against the product path, per gain.
 
     python3 bench/gain_factor.py            # writes BENCH_gain_factor.json
     python3 bench/gain_factor.py --quick    # N <= 2 025, prints, writes nothing
 
 Run from the repository root.  For seeded lattices (``perfbench/lattice.py``)
 at N = 400, 2 025 and 10 000 and for binary trees (radial feeders) of 1 023
-and 4 095 buses, it builds the gain G = J^T R^-1 J of a conventional and a
-linear_rect scenario at the true state, with the benchmark's own scenario
-synthesis (``perfbench/workloads.py``), and records per gain:
+and 4 095 buses, it builds the gain G = J^T R^-1 J of a conventional, a
+simultaneous_rect and a linear_rect scenario at the true state, with the
+benchmark's own scenario synthesis (``perfbench/workloads.py``), and records
+per gain:
 
 * n, nnz(G), the bandwidth under reverse Cuthill-McKee and the ratio of the
   band's entries n * (bandwidth + 1) to nnz(G);
@@ -18,8 +20,17 @@ synthesis (``perfbench/workloads.py``), and records per gain:
 * the largest difference between the band's and SuperLU's dx, relative to
   the largest entry of SuperLU's dx.
 
+For the two nonlinear formulations it also records the path a normal
+Gauss-Newton iterate takes ("plan", or "product" where R^-1 has 2x2 blocks
+or the plan goes stale), the G entries the product path drops because they
+come out exactly zero, and the best of k times per iterate of the product
+path (J's free-column slice, gain, right-hand side, factor and solve) and,
+where the plan applies, of the plan's one-off build and of its solve
+(assembly, factor and solve).
+
 The exit code is 1 when a band dx differs from SuperLU's by more than 1e-9
-relative, else 0.  BLAS runs on one thread, as in the benchmark.
+relative, or when a plan's dx differs from the product path's in any bit,
+else 0.  BLAS runs on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests"),
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-from scipy.sparse import csc_matrix  # noqa: E402
+from scipy.sparse import csc_matrix, csr_matrix  # noqa: E402
 from scipy.sparse.csgraph import reverse_cuthill_mckee  # noqa: E402
 
 import gridse  # noqa: E402
@@ -54,7 +65,7 @@ OUT = os.path.join(ROOT, "BENCH_gain_factor.json")
 SEED = 5
 BAND_MB_CAP = 64.0
 AGREEMENT = 1e-9
-FORMULATIONS = ("conventional", "linear_rect")
+FORMULATIONS = ("conventional", "simultaneous_rect", "linear_rect")
 
 
 def binary_tree(n: int, seed: int = 0) -> gridse.NetworkModel:
@@ -92,8 +103,9 @@ def networks(quick: bool):
         yield "tree", 4095, binary_tree(4095)
 
 
-def gain(net, formulation: str):
-    """G (CSC) and a right-hand side at the true state of one scenario."""
+def linearization(net, formulation: str):
+    """The problem, J, R^-1 and r of one scenario: J at the true state, r
+    at the flat start."""
     plan, noise = workloads.PLANS[formulation]
     case = workloads.synthesize_case(net, SEED, 0, formulation, plan, noise)
     problem = gridse.assemble_problem(net, case.mset, formulation)
@@ -101,20 +113,46 @@ def gain(net, formulation: str):
         j = problem.h_matrix
     else:
         _, j, _ = problem.rows(case.truth)
-    a = j[:, problem.free_indices]
     rinv = problem.covariance.inverse()
-    r = problem.residuals(problem.initial_state())
-    return csc_matrix(a.T @ rinv @ a), a.T @ (rinv @ r)
+    return problem, j, rinv, problem.residuals(problem.initial_state())
 
 
 def best_of(k: int, factor, g, rhs):
     """(dx, best seconds) of k factor-plus-solve calls."""
+    return timed(k, lambda: factor(g)(rhs))
+
+
+def timed(k: int, call):
+    """(result, best seconds) of k calls."""
     times = []
     for _ in range(k):
         t = time.perf_counter()
-        dx = factor(g)(rhs)
+        result = call()
         times.append(time.perf_counter() - t)
-    return dx, min(times)
+    return result, min(times)
+
+
+def dropped_entries(a, rinv, g) -> int:
+    """Entries of the pattern's J^T R^-1 J that G lacks: exact zeros."""
+    def ones(m):
+        return csr_matrix((np.ones(m.nnz), m.indices, m.indptr), shape=m.shape)
+    return int(csc_matrix(ones(a).T @ ones(rinv) @ ones(a)).nnz - g.nnz)
+
+
+def plan_timings(problem, j, rinv, r, k: int) -> dict:
+    """The gain path of a normal iterate at J, and its timings."""
+    free = problem.free_indices
+    product_dx, product_s = timed(k, lambda: E._solve_normal(j[:, free], rinv, r))
+    out = {"product_iter_s": product_s}
+    if not problem.covariance.is_diagonal:
+        out["gain_path"] = "product"
+        return out
+    plan, out["plan_build_s"] = timed(k, lambda: E._GainPlan(j, free, rinv))
+    plan_dx = plan.solve(j, rinv, r)
+    out["gain_path"] = "product" if plan._stale else "plan"
+    _, out["plan_iter_s"] = timed(k, lambda: plan.solve(j, rinv, r))
+    out["plan_dx_equal"] = plan_dx.tobytes() == product_dx.tobytes()
+    return out
 
 
 def forced_band(g):
@@ -123,7 +161,10 @@ def forced_band(g):
 
 
 def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
-    g, rhs = gain(net, formulation)
+    problem, j, rinv, r = linearization(net, formulation)
+    a = j[:, problem.free_indices]
+    g = csc_matrix(a.T @ rinv @ a)
+    rhs = a.T @ (rinv @ r)
     n = g.shape[0]
     perm = reverse_cuthill_mckee(g, symmetric_mode=True)
     where = np.empty(n, dtype=np.intp)
@@ -136,6 +177,9 @@ def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
         "band_over_nnz": round(n * (bandwidth + 1) / g.nnz, 2),
         "band_mb": round(band_mb, 2),
     }
+    if not problem.is_linear:
+        out["dropped_entries"] = dropped_entries(a, rinv, g)
+        out.update(plan_timings(problem, j, rinv, r, k))
     lu_dx, out["superlu_s"] = best_of(k, E._factor_lu, g, rhs)
     with mock.patch.object(E, "splu", wraps=E.splu) as splu:
         band_dx, out["rule_s"] = best_of(k, E._factor_gain, g, rhs)
@@ -150,6 +194,10 @@ def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
     return out
 
 
+def ms(e: dict, key: str) -> str:
+    return f"{1e3 * e[key]:.2f} ms" if key in e else "-"
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--quick", action="store_true",
@@ -161,14 +209,19 @@ def main(argv=None) -> int:
         for formulation in FORMULATIONS:
             e = entry(kind, buses, net, formulation, k)
             entries.append(e)
-            band = f"{1e3 * e['band_s']:.2f} ms" if "band_s" in e else "-"
             print(f"{kind} {buses} {formulation}: n {e['n']} nnz {e['nnz_g']} "
                   f"bw {e['rcm_bandwidth']} band/nnz {e['band_over_nnz']} -> "
-                  f"{e['storage']}; superlu {1e3 * e['superlu_s']:.2f} ms, "
-                  f"band {band}, rule {1e3 * e['rule_s']:.2f} ms, "
+                  f"{e['storage']}; superlu {ms(e, 'superlu_s')}, "
+                  f"band {ms(e, 'band_s')}, rule {ms(e, 'rule_s')}, "
                   f"dx diff {e.get('dx_rel_diff', '-')}")
+            if "gain_path" in e:
+                print(f"  iterate -> {e['gain_path']} ({e['dropped_entries']} exact "
+                      f"zeros in G); product {ms(e, 'product_iter_s')}, plan build "
+                      f"{ms(e, 'plan_build_s')}, plan {ms(e, 'plan_iter_s')}, "
+                      f"same bits {e.get('plan_dx_equal', '-')}")
     doc = {
-        "what": "best-of-k factor+solve of the WLS gain at the true state",
+        "what": "best-of-k factor+solve of the WLS gain at the true state, "
+                "and of a Gauss-Newton iterate's gain plan against the product path",
         "k": k,
         "band_limit": E._BAND_LIMIT,
         "environment": {"cpu": cpu_model(), "python": platform.python_version(),
@@ -185,7 +238,11 @@ def main(argv=None) -> int:
     for e in bad:
         print(f"error: {e['network']} {e['buses']} {e['formulation']}: band and "
               f"SuperLU dx differ by {e['dx_rel_diff']:.3g} relative", file=sys.stderr)
-    return 1 if bad else 0
+    unequal = [e for e in entries if e.get("plan_dx_equal") is False]
+    for e in unequal:
+        print(f"error: {e['network']} {e['buses']} {e['formulation']}: the plan's "
+              f"dx differs from the product path's", file=sys.stderr)
+    return 1 if bad or unequal else 0
 
 
 if __name__ == "__main__":

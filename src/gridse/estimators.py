@@ -9,6 +9,11 @@ minimiser, so the loop stops there.  Assembly works on the measurement
 set's columns: the admissible-kind check, the location check, the
 covariance blocks, z and the angle-row mask are array operations, done
 once per problem.  Rows inactive at an iterate get zero weight in R^-1.
+The normal method forms the gain by sparse products and orders it
+afresh (the product path) for one-shot solves; a nonlinear problem
+analyses the pattern of its gain once, on its first normal solve with
+every row active, and assembles each later iterate's band straight
+from J (``_GainPlan``).
 
 Plain Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
@@ -171,7 +176,26 @@ class GainSystem:
         if active is not None:
             rinv = csr_matrix((np.where(_kept_entries(rinv, active), rinv.data, 0.0),
                                rinv.indices, rinv.indptr), shape=rinv.shape)
+        return self._normal(rinv)
+
+    def _normal(self, rinv):
         return _solve_normal(self.j, rinv, self.r, self.name_of)
+
+
+class _PlannedGain(GainSystem):
+    """The normal-method GainSystem of a kernel problem's iterate with
+    every row active.  j spans all 2N columns; the solve runs on the
+    problem's ``_GainPlan``, which the first such solve builds."""
+
+    def __init__(self, problem: EstimationProblem, j, r: np.ndarray):
+        super().__init__(j, problem.covariance, r, None, problem.unknown_name)
+        self.problem = problem
+
+    def _normal(self, rinv):
+        problem = self.problem
+        if problem._gain_plan is None:
+            problem._gain_plan = _GainPlan(self.j, problem.free_indices, rinv)
+        return problem._gain_plan.solve(self.j, rinv, self.r, self.name_of)
 
 
 def _kept_entries(m: csr_matrix, active: np.ndarray) -> np.ndarray:
@@ -216,6 +240,7 @@ class EstimationProblem:
         self.fixed_value = 0.0 if rect else net.slack_angle
         self.free_indices = np.delete(np.arange(self.full_dim), self.fixed_index)
         self.kernel = self.h_matrix = None
+        self._gain_plan = None
         if facts.family == _KERNEL:
             self.kernel = MeasurementKernel(net, mset.locations(net))
         else:
@@ -284,6 +309,25 @@ class EstimationProblem:
             return self.values(x), self.h_matrix, np.ones(self.m, dtype=bool)
         return self.kernel.rows(x)
 
+    def _gain_system(self, j, r: np.ndarray, active: np.ndarray,
+                     method: str) -> GainSystem:
+        """The gain system of one iterate whose J spans all columns.  A
+        kernel problem's normal solve with every row active and a
+        diagonal R^-1 runs on the problem's gain plan.  The rest get a
+        GainSystem over J's free columns, which the normal method solves
+        by the product path: the orthogonal method; the one-shot DC and
+        linear_rect solves and an iterate that drops rows, whose pattern
+        is used once; and 2x2 blocks, where every
+        simultaneous_rect iterate measured had G entries that cancel to
+        exactly zero or not by rounding (387 on the 400-bus lattice,
+        BENCH_gain_factor.json), so no ordering fixed in advance keeps
+        the product path's bits."""
+        if (self.kernel is not None and method == NORMAL and active.all()
+                and self.covariance.is_diagonal):
+            return _PlannedGain(self, j, r)
+        return GainSystem(j[:, self.free_indices], self.covariance, r, active,
+                          self.unknown_name)
+
 
 def assemble_problem(net: NetworkModel, mset: MeasurementSet,
                      formulation: Formulation, *,
@@ -317,21 +361,66 @@ def objective(problem: EstimationProblem, x: StateVector) -> float:
     return float(r @ (problem.covariance.inverse() @ r))
 
 
+def _normal_system(a, rinv, r):
+    """The gain A^T R^-1 A (CSC) and right-hand side A^T R^-1 r."""
+    return csc_matrix(a.T @ rinv @ a), a.T @ (rinv @ r)
+
+
 def _solve_normal(a, rinv, r, name_of=None):
     """Solve (A^T R^-1 A) dx = A^T R^-1 r through a factor of the gain."""
-    g = csc_matrix(a.T @ rinv @ a)
-    rhs = a.T @ (rinv @ r)
+    g, rhs = _normal_system(a, rinv, r)
     return _factor_gain(g, name_of)(rhs)
+
+
+def _band_order(g: csc_matrix):
+    """The reverse Cuthill-McKee ordering of G and the band it gives:
+    (perm, rows, cols, kd), with the permuted row and column of each
+    stored entry and the half-bandwidth kd.  None where G goes to
+    SuperLU: it has no entries, or its band would hold more than
+    ``_BAND_LIMIT`` times them."""
+    n = g.shape[0]
+    if not g.nnz:  # nothing to order: no unknowns, or no rows touch them
+        return None
+    perm = reverse_cuthill_mckee(g, symmetric_mode=True)
+    where = np.empty(n, dtype=np.intp)
+    where[perm] = np.arange(n)
+    rows = where[g.indices]
+    cols = np.repeat(where, np.diff(g.indptr))
+    kd = int((cols - rows).max())
+    if n * (kd + 1) > _BAND_LIMIT * g.nnz:
+        return None
+    return perm, rows, cols, kd
 
 
 def _factor_gain(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the symmetric gain; returns the solve of G dx = b.
 
-    G is permuted by reverse Cuthill-McKee and factored by LAPACK's
-    banded Cholesky (dpbtrf) in band storage, filled straight from G's
-    upper-triangle entries.  Where the permuted band would hold more
-    than ``_BAND_LIMIT`` times G's stored entries, as on a radial
-    feeder whose bandwidth is nearly n, ``_factor_lu`` takes G instead.
+    G is permuted by reverse Cuthill-McKee and factored by
+    ``_factor_band`` in band storage, filled straight from G's
+    upper-triangle entries.  Where ``_band_order`` finds the band too
+    wide, as on a radial feeder whose bandwidth is nearly n,
+    ``_factor_lu`` takes G instead.
+    """
+    band = _band_order(g)
+    if band is None:
+        return _factor_lu(g, name_of)
+    perm, rows, cols, kd = band
+    upper = rows <= cols
+    ab = np.zeros((g.shape[0], kd + 1))
+    ab.ravel()[_band_slot(rows[upper], cols[upper], kd)] = g.data[upper]
+    return _factor_band(ab, perm, name_of)
+
+
+def _band_slot(rows, cols, kd):
+    """Flat position of permuted G[rows, cols], rows <= cols, in LAPACK's
+    upper band storage ab[j, kd + i - j] = G[i, j], ab of shape (n, kd + 1)."""
+    return (cols + 1) * kd + rows
+
+
+def _factor_band(ab: np.ndarray, perm: np.ndarray,
+                 name_of=None) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the gain permuted by perm, held in upper band storage ab,
+    by LAPACK's banded Cholesky (dpbtrf) in place; returns the solve.
 
     The factor is refused when a pivot (the square of a diagonal entry
     of the Cholesky factor) is not above n * eps times the diagonal
@@ -343,27 +432,12 @@ def _factor_gain(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarr
     unknowns (G -> D G D).  The SingularGain names the first weak
     unknown in elimination order by ``name_of(k)``, else by its column k.
     """
-    n = g.shape[0]
-    if not g.nnz:  # nothing to order: no unknowns, or no rows touch them
-        return _factor_lu(g, name_of)
-    perm = reverse_cuthill_mckee(g, symmetric_mode=True)
-    where = np.empty(n, dtype=np.intp)
-    where[perm] = np.arange(n)
-    rows = where[g.indices]
-    cols = np.repeat(where, np.diff(g.indptr))
-    offset = cols - rows
-    kd = int(offset.max())
-    if n * (kd + 1) > _BAND_LIMIT * g.nnz:
-        return _factor_lu(g, name_of)
-    # LAPACK's upper band storage: ab[j, kd + i - j] holds G[i, j], i <= j.
-    upper = offset >= 0
-    ab = np.zeros((n, kd + 1))
-    ab.ravel()[(cols[upper] + 1) * (kd + 1) - 1 - offset[upper]] = g.data[upper]
+    n, kd = ab.shape[0], ab.shape[1] - 1
+    diag = ab[:, kd].copy()
     u, info = dpbtrf(ab.T, overwrite_ab=1)
     pivots = u[kd] ** 2
     if info > 0:  # dpbtrf stopped at this pivot, which is not positive
         pivots[info - 1] = min(u[kd, info - 1], 0.0)
-    diag = g.diagonal()[perm]
     weak = ~(pivots > n * np.finfo(float).eps * diag)
     if weak.any():
         k = int(np.argmax(weak))
@@ -374,6 +448,126 @@ def _factor_gain(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarr
         x[perm] = dpbtrs(u, b[perm], overwrite_b=1)[0]
         return x
     return solve
+
+
+class _GainPlan:
+    """The symbolic half of a kernel problem's normal-method gain solve.
+
+    J's CSR pattern is fixed and R^-1 is diagonal and built once, so G =
+    A^T R^-1 A (A: J's free columns) keeps one pattern through a
+    Gauss-Newton loop.  The plan analyses it once (George & Liu 1981):
+    the free-column map, the ordering, the band-or-SuperLU decision, and
+    the band slot of each pair of A entries in one row, upper pairs only.
+    An iterate then sums the pairs into the band with one np.bincount and
+    the right-hand side with another, and factors by ``_factor_band``; a
+    wide-profile gain goes to SuperLU by the product path, not reordered.
+
+    Each sum runs in the product path's order (``_solve_normal``), and the
+    ordering is that path's own chain run on the pattern, since reverse
+    Cuthill-McKee breaks ties by the storage order the chain leaves: dx
+    keeps its bits.  The chain drops entries of R^-1 A and G that come
+    out exactly zero and orders the rest.  So the plan goes stale, handing
+    this and every later iterate to the product path, on a zero partial
+    in J, or, on its first iterate, on an upper entry of G near enough to
+    zero to cancel in either triangle by rounding, as where only the P
+    and Q flows of a branch, weighed alike, join a theta and a V.
+
+    Gather and slot arrays are np.intp, which np.bincount and fancy
+    indexing take without a conversion.
+    """
+
+    def __init__(self, j, free: np.ndarray, rinv):
+        m = j.shape[0]
+        self._n = n = free.size
+        self._free = free
+        column = np.full(j.shape[1], -1, dtype=np.intp)
+        column[free] = np.arange(n)
+        col = column[j.indices]
+        # A's entries, in the storage order of j[:, free]: their position
+        # in J's data, row and free column.
+        a = np.flatnonzero(col >= 0)
+        a_row = np.repeat(np.arange(m), np.diff(j.indptr))[a]
+        a_col = col[a]
+        self._a_count = np.bincount(a_row, minlength=m)
+        a_ptr = np.concatenate([[0], np.cumsum(self._a_count)])
+        pattern = csr_matrix((np.ones(a.size), a_col, a_ptr), shape=(m, n))
+        ones = csr_matrix((np.ones(rinv.nnz), rinv.indices, rinv.indptr),
+                          shape=rinv.shape)
+        g = csc_matrix(pattern.T @ ones @ pattern)
+        del pattern, ones  # here and below: less to hold at the pairs' peak
+        band = _band_order(g)
+        self._stale = False
+        self._pattern = None
+        if band is None:  # SuperLU takes every gain: keep G's pattern
+            self._pattern = g.indptr, g.indices
+            return
+        perm, rows, cols, kd = band
+        upper = np.flatnonzero(rows <= cols)
+        terms = int(np.bincount(a_col).max())  # the most rows of one unknown
+        self._first = rows[upper], cols[upper], terms
+        del g, band, rows, cols, upper
+        self._perm = perm
+        self._size = n * (kd + 1)
+        self._w = rinv.diagonal()
+        # A's entries sorted by where within each row (their order in a
+        # row enters no sum): the entries (i, k) that pair with (i, l),
+        # where[l] <= where[k], are then the tail of the row from (i, l).
+        where = np.empty(n, dtype=np.intp)
+        where[perm] = np.arange(n)
+        order = np.argsort(a_row * n + where[a_col], kind="stable")
+        self._a, self._a_col, a_row = a[order], a_col[order], a_row[order]
+        column = where[self._a_col]
+        self._count = count = a_ptr[a_row + 1] - np.arange(a.size)  # pairs of each
+        at = np.repeat(np.arange(a.size) - np.cumsum(count) + count, count)
+        at += np.arange(at.size)
+        self._plain = self._a[at]  # J data position of each pair's plain entry
+        # _band_slot(column[l], column[k], kd), built in place
+        self._slot = slot = column[at]
+        del at
+        slot += 1
+        slot *= kd
+        slot += np.repeat(column, count)
+
+    def _cancels(self, ab: np.ndarray) -> bool:
+        """On the first iterate only, whether an upper entry of G, flat
+        band ab, is within 4 (t + 1) eps of the geometric mean of its
+        diagonal entries, t its number of terms.  Such an entry may
+        cancel to zero in either triangle: the rounding of a sum of t
+        terms is below (t + 1) eps / 2 of their magnitudes, and those
+        add up to at most that mean (Cauchy-Schwarz)."""
+        if self._first is None:
+            return False
+        rows, cols, terms = self._first
+        self._first = None
+        kd = self._size // self._n - 1
+        diag = ab[kd::kd + 1]
+        value = ab[_band_slot(rows, cols, kd)]
+        bound = 4.0 * (terms + 1) * np.finfo(float).eps
+        return bool((value * value <= bound * bound * diag[rows] * diag[cols]).any())
+
+    def _band_of(self, data: np.ndarray, a_data: np.ndarray) -> np.ndarray:
+        """The upper band of G, flat, at J data ``data``, whose entries in
+        A are ``a_data``."""
+        terms = np.repeat(np.repeat(self._w, self._a_count) * a_data, self._count)
+        terms *= data[self._plain]
+        return np.bincount(self._slot, terms, minlength=self._size)
+
+    def solve(self, j, rinv, r: np.ndarray, name_of=None) -> np.ndarray:
+        """dx of the iterate whose J (all columns) is j."""
+        if self._pattern is not None:
+            g, rhs = _normal_system(j[:, self._free], rinv, r)
+            indptr, indices = self._pattern
+            same = np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
+            return (_factor_lu if same else _factor_gain)(g, name_of)(rhs)
+        a_data = j.data[self._a]
+        if not self._stale:
+            ab = self._band_of(j.data, a_data)
+            self._stale = not a_data.all() or self._cancels(ab)
+        if self._stale:
+            return _solve_normal(j[:, self._free], rinv, r, name_of)
+        y = np.repeat(rinv @ r, self._a_count)
+        rhs = np.bincount(self._a_col, a_data * y, minlength=self._n)
+        return _factor_band(ab.reshape(self._n, -1), self._perm, name_of)(rhs)
 
 
 def _factor_lu(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:
@@ -482,8 +676,8 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         if dropped_at_last:
             log.warning("dropping %d flat-singular row(s) for this iteration",
                         int((~active).sum()))
-        dx = GainSystem(j[:, free], problem.covariance, r, active,
-                        problem.unknown_name).solve(cfg.linear_system_method)
+        method = cfg.linear_system_method
+        dx = problem._gain_system(j, r, active, method).solve(method)
         columns[free] += dx
         step = float(np.max(np.abs(dx))) if dx.size else 0.0
         max_step_trace.append(step)

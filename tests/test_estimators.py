@@ -40,6 +40,7 @@ from gridse import (
 from conftest import (
     DC_NOISE,
     FIXTURES,
+    LEGACY_NOISE,
     PMU_NOISE,
     dc_plan,
     legacy_plan,
@@ -49,7 +50,7 @@ from conftest import (
     simultaneous_polar_plan,
     simultaneous_rect_plan,
 )
-from test_golden import NET14, synthesized
+from test_golden import NET14, small_lattice, synthesized
 
 K = MeasurementKind
 
@@ -709,6 +710,198 @@ class TestInactiveRows:
             problem = assemble_problem(net, synthesized(net, formulation), formulation)
             assert solve(problem).converged
             assert calls == [name]
+
+
+@pytest.fixture
+def rcm_calls(monkeypatch):
+    """How often the reverse Cuthill-McKee ordering runs while the test
+    does."""
+    calls = []
+    rcm = gridse.estimators.reverse_cuthill_mckee
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rcm(*args, **kwargs)
+
+    monkeypatch.setattr(gridse.estimators, "reverse_cuthill_mckee", counted)
+    return calls
+
+
+class TestGainPlan:
+    """A kernel problem's normal Gauss-Newton iterates are solved on a
+    gain plan, analysed once per problem, with the bits of the product
+    path _solve_normal(j[:, free], R^-1, r)."""
+
+    NETS = {"lattice6": lambda: small_lattice(6), "net14": lambda: load_network(NET14)}
+
+    def problem(self, net_name, formulation, **kwargs):
+        net = self.NETS[net_name]()
+        return assemble_problem(net, synthesized(net, formulation), formulation, **kwargs)
+
+    def product_dx(self, problem, j, r, active):
+        """The product path, with inactive rows zero-weighted in R^-1."""
+        return GainSystem(j[:, problem.free_indices], problem.covariance, r, active,
+                          problem.unknown_name).solve("normal")
+
+    @pytest.mark.parametrize("net_name", ["lattice6", "net14"])
+    @pytest.mark.parametrize("formulation, neglect", [
+        ("conventional", False), ("simultaneous_polar", False),
+        ("simultaneous_rect", False), ("simultaneous_rect", True)])
+    def test_every_iterate_matches_the_product_path(self, net_name, formulation, neglect):
+        problem = self.problem(net_name, formulation, neglect_phasor_covariance=neglect)
+        free = problem.free_indices
+        x = problem.initial_state()
+        planned = []
+        for _ in range(50):
+            h, j, active = problem.rows(x)
+            r = problem._residuals_of(h)
+            system = problem._gain_system(j, r, active, "normal")
+            dx = system.solve("normal")
+            assert dx.tobytes() == self.product_dx(problem, j, r, active).tobytes()
+            plan = problem._gain_plan
+            planned.append(isinstance(system, gridse.estimators._PlannedGain)
+                           and not plan._stale)
+            x.values[free] += dx
+            if np.max(np.abs(dx)) <= 1e-8:
+                break
+        else:
+            pytest.fail("no convergence")
+        if problem.covariance.is_diagonal and formulation != "simultaneous_rect":
+            # every iterate with all rows active ran on the plan's band
+            assert sum(planned) >= 3
+            assert planned[-1]
+        else:
+            # 2x2 blocks go to the product path; without them, the P and
+            # Q flows and the rectangular PMU rows, weighed alike, leave
+            # G entries that cancel by rounding, and the plan goes stale
+            assert not any(planned)
+
+    def test_iterate_that_drops_rows_matches_the_product_path(self):
+        problem = self.problem("net14", "conventional")
+        h, j, active = problem.rows(problem.initial_state())
+        r = problem._residuals_of(h)
+        assert not active.all()
+        system = problem._gain_system(j, r, active, "normal")
+        assert system.solve("normal").tobytes() == \
+            self.product_dx(problem, j, r, active).tobytes()
+
+    def test_mask_that_cuts_a_block_raises_on_both_paths(self):
+        problem = self.problem("net14", "simultaneous_rect")
+        h, j, active = problem.rows(random_polar_state(problem.net, np.random.default_rng(3)))
+        r = problem._residuals_of(h)
+        a, _, _ = problem.covariance.blocks[2]
+        active[a] = False
+        for solve_it in (lambda: problem._gain_system(j, r, active, "normal").solve("normal"),
+                         lambda: self.product_dx(problem, j, r, active)):
+            with pytest.raises(InputError, match="cannot split a correlated covariance block"):
+                solve_it()
+
+    def test_singular_gain_message_matches_the_product_path(self):
+        # No row reaches theta at bus 14: its pivot is exactly zero.
+        net = load_network(NET14)
+        near = {b for br in net.branches for b in (br.from_bus, br.to_bus)
+                if 14 in (br.from_bus, br.to_bus)}
+        placements = [(K.V_MAG, (b.id,)) for b in net.buses]
+        placements += [(K.P_INJ, (b.id,)) for b in net.buses if b.id not in near]
+        for br in net.branches:
+            if 14 not in (br.from_bus, br.to_bus):
+                placements += [(K.P_FLOW, (br.from_bus, br.to_bus)),
+                               (K.Q_FLOW, (br.from_bus, br.to_bus))]
+        # Q flows weighed unlike P flows, so that no G entry cancels to
+        # zero, and a start off flat, where J has no zero partial
+        noise = {**LEGACY_NOISE, K.Q_FLOW: 0.013}
+        spec = make_scenario(net, placements, noise=noise, seed=9)
+        truth = sample_true_state(spec)
+        problem = assemble_problem(net, synthesize(spec, truth), "conventional")
+        h, j, active = problem.rows(truth)
+        r = problem._residuals_of(h)
+        assert active.all()
+        messages = []
+        for solve_it in (lambda: problem._gain_system(j, r, active, "normal").solve("normal"),
+                         lambda: self.product_dx(problem, j, r, active)):
+            with pytest.raises(SingularGain, match="theta at bus 14") as err:
+                solve_it()
+            messages.append(str(err.value))
+        assert not problem._gain_plan._stale
+        assert messages[0] == messages[1]
+
+    def test_zero_partial_makes_the_plan_stale(self):
+        # An exact zero in J leaves R^-1 A, and may reorder the product
+        # path's G, though every entry of G keeps other terms.
+        problem = self.problem("lattice6", "conventional")
+        rng = np.random.default_rng(2)
+        h, j, active = problem.rows(random_polar_state(problem.net, rng, t_range=(-0.1, 0.1)))
+        r = problem._residuals_of(h)
+        problem._gain_system(j, r, active, "normal").solve("normal")
+        assert not problem._gain_plan._stale
+        row = int(np.flatnonzero(np.diff(j.indptr) > 6)[0])  # an injection row
+        j.data[j.indptr[row] + 3] = 0.0
+        dx = problem._gain_system(j, r, active, "normal").solve("normal")
+        assert problem._gain_plan._stale
+        assert dx.tobytes() == self.product_dx(problem, j, r, active).tobytes()
+
+    def test_entry_that_cancels_makes_the_plan_stale(self):
+        # theta at bus 10 and V at bus 11 share only the P and Q flows of
+        # branch 10-11, weighed alike: in exact arithmetic their gain entry
+        # is zero, in floating point zero or not by rounding, in each
+        # triangle on its own.  The plan finds it on its first iterate.
+        net = load_network(NET14)
+        placements = [(kind, (br.from_bus, br.to_bus)) for br in net.branches
+                      for kind in (K.P_FLOW, K.Q_FLOW)]
+        placements += [(kind, (b.id,)) for b in net.buses
+                       for kind in (K.P_INJ, K.Q_INJ, K.V_MAG) if b.id not in (10, 11)]
+        spec = make_scenario(net, placements, noise=LEGACY_NOISE, seed=4)
+        problem = assemble_problem(net, synthesize(spec, sample_true_state(spec)),
+                                   "conventional")
+        rinv = problem.covariance.inverse()
+        theta10, v11 = 8, 13 + 10  # free columns: theta 2..14, then V 1..14
+        rng = np.random.default_rng(8)
+        both_nonzero = 0
+        for _ in range(8):
+            h, j, active = problem.rows(random_polar_state(net, rng, t_range=(-0.1, 0.1)))
+            r = problem._residuals_of(h)
+            a = j[:, problem.free_indices]
+            g = (a.T @ rinv @ a).toarray()
+            scale = math.sqrt(g[theta10, theta10] * g[v11, v11])
+            assert abs(g[theta10, v11]) < 1e-14 * scale
+            both_nonzero += g[theta10, v11] != 0.0 and g[v11, theta10] != 0.0
+            plan = gridse.estimators._GainPlan(j, problem.free_indices, rinv)
+            dx = plan.solve(j, rinv, r)
+            assert plan._stale
+            assert dx.tobytes() == gridse.estimators._solve_normal(a, rinv, r).tobytes()
+        assert both_nonzero  # found though no triangle held an exact zero
+
+    @pytest.mark.parametrize("net_name, drops", [("lattice6", 0), ("net14", 1)])
+    def test_ordered_once_per_problem(self, rcm_calls, net_name, drops):
+        problem = self.problem(net_name, "conventional")
+        rows = problem.rows
+        dropping = []
+
+        def counted_rows(x):
+            h, j, active = rows(x)
+            dropping.append(not active.all())
+            return h, j, active
+
+        problem.rows = counted_rows
+        result = solve(problem)
+        assert result.converged and result.iterations >= 3
+        assert sum(dropping) == drops  # net14's flat start drops current rows
+        assert not problem._gain_plan._stale
+        # the plan's ordering, plus one per iterate whose masked pattern
+        # the product path orders
+        assert len(rcm_calls) == 1 + drops
+
+    def test_radial_feeder_ordered_once_and_factored_by_superlu_each_iterate(
+            self, rcm_calls, superlu_calls):
+        tree = binary_tree_network(1023)
+        spec = make_scenario(tree, legacy_plan(tree), noise=LEGACY_NOISE, seed=21)
+        problem = assemble_problem(tree, synthesize(spec, sample_true_state(spec)),
+                                   "conventional")
+        x0 = sample_true_state(spec)  # no current row is flat-singular here
+        result = solve(problem, x0=x0)
+        assert result.converged
+        assert len(rcm_calls) == 1
+        assert len(superlu_calls) == len(result.max_step_trace) >= 2
 
 
 class TestResultDocument:
