@@ -50,7 +50,7 @@ from conftest import (
     simultaneous_polar_plan,
     simultaneous_rect_plan,
 )
-from test_golden import NET14, small_lattice, synthesized
+from test_golden import NET14, PLANS, THETA_RANGE, V_RANGE, small_lattice, synthesized
 
 K = MeasurementKind
 
@@ -887,9 +887,10 @@ class TestGainPlan:
         assert result.converged and result.iterations >= 3
         assert sum(dropping) == drops  # net14's flat start drops current rows
         assert not problem._gain_plan._stale
-        # the plan's ordering, plus one per iterate whose masked pattern
+        # the plan's ordering, plus one for the first flat-start iterate,
+        # which leaves the polar current rows out and whose masked pattern
         # the product path orders
-        assert len(rcm_calls) == 1 + drops
+        assert len(rcm_calls) == 2
 
     def test_radial_feeder_ordered_once_and_factored_by_superlu_each_iterate(
             self, rcm_calls, superlu_calls):
@@ -902,6 +903,156 @@ class TestGainPlan:
         assert result.converged
         assert len(rcm_calls) == 1
         assert len(superlu_calls) == len(result.max_step_trace) >= 2
+
+
+POLAR_CURRENT = [K.I_MAG.value, K.I_MAG_PMU.value, K.I_ANG_PMU.value]
+METHODS = ["normal", "orthogonal"]
+
+
+def gain_masks(problem):
+    """The active mask of each gain system the problem's solves build,
+    recorded as they run."""
+    masks = []
+    gain_system = problem._gain_system
+
+    def recorded(j, r, active, method):
+        masks.append(active.copy())
+        return gain_system(j, r, active, method)
+
+    problem._gain_system = recorded
+    return masks
+
+
+class TestFlatStartCurrentRows:
+    """From the flat start the first Gauss-Newton iterate leaves the polar
+    current rows (I_mag, I_mag_pmu, I_ang_pmu) out; every later iterate,
+    and every iterate from another start, keeps every row."""
+
+    def problem(self, formulation, noise=None, v_range=V_RANGE, t_range=THETA_RANGE):
+        # every branch of small_lattice has line charging, so no row is
+        # flat-singular and any row left out is left out by the rule
+        net = small_lattice(6)
+        plan, plan_noise = PLANS[formulation]
+        placements = list(plan(net))
+        if formulation == "simultaneous_rect":
+            placements += [(K.I_MAG, at) for kind, at in placements if kind == K.I_RE]
+        spec = make_scenario(net, placements, noise=plan_noise if noise is None else noise,
+                             seed=11, v_range=v_range, t_range=t_range)
+        return assemble_problem(net, synthesize(spec, sample_true_state(spec)), formulation)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("formulation", ["conventional", "simultaneous_polar",
+                                             "simultaneous_rect"])
+    def test_first_iterate_masks_exactly_the_polar_current_rows(self, formulation, method):
+        problem = self.problem(formulation)
+        masks = gain_masks(problem)
+        result = solve(problem, SolverConfig(linear_system_method=method))
+        assert result.converged
+        tags = np.array(problem.mset.kind_tags())
+        current = np.isin(tags, POLAR_CURRENT)
+        assert current.any()
+        assert np.array_equal(masks[0], ~current)
+        assert set(tags[masks[0]]) & {"I_re", "I_im"} == (
+            {"I_re", "I_im"} if formulation == "simultaneous_rect" else set())
+        assert len(masks) == len(result.max_step_trace) >= 3
+        assert all(mask.all() for mask in masks[1:])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_explicit_flat_start_gives_the_bits_of_the_default(self, method):
+        cfg = SolverConfig(linear_system_method=method)
+        default = solve(self.problem("simultaneous_polar"), cfg)
+        problem = self.problem("simultaneous_polar")
+        explicit = solve(problem, cfg, x0=problem.initial_state())
+        assert explicit.x_hat.values.tobytes() == default.x_hat.values.tobytes()
+        assert explicit.max_step_trace == default.max_step_trace
+        assert explicit.objective_trace == default.objective_trace
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_start_off_flat_masks_nothing(self, method):
+        problem = self.problem("simultaneous_polar")
+        x0 = problem.initial_state()
+        x0.magnitudes[1] += 1e-3
+        masks = gain_masks(problem)
+        result = solve(problem, SolverConfig(linear_system_method=method), x0=x0)
+        assert result.converged
+        assert masks and all(mask.all() for mask in masks)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_masked_step_never_converges(self, method):
+        # Exact data of the flat state: the masked first step is already
+        # below the tolerance, and a full-row iterate must still follow.
+        problem = self.problem("simultaneous_polar", noise={},
+                               v_range=(1.0, 1.0), t_range=(0.0, 0.0))
+        for cap, converged in ((1, False), (2, True)):
+            cfg = SolverConfig(max_iterations=cap, linear_system_method=method)
+            result = solve(problem, cfg)
+            assert result.converged is converged
+            assert result.iterations == 0
+            assert len(result.max_step_trace) == cap
+            assert max(result.max_step_trace) <= cfg.step_tolerance
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_observed_through_current_rows_falls_back(self, method, monkeypatch, caplog):
+        # theta at bus 2 is seen only by the current phasor of branch 1-2:
+        # without it the first gain is singular, and the first iterate is
+        # solved with every row, as it would be with no rule at all.
+        net = NetworkModel([Bus(1, is_slack=True), Bus(2)],
+                           [Branch(1, 2, 0.02, 0.06, bs_from=0.02, bs_to=0.02)])
+        placements = [(K.V_MAG_PMU, (1,)), (K.V_MAG_PMU, (2,)),
+                      (K.I_MAG_PMU, (1, 2)), (K.I_ANG_PMU, (1, 2))]
+        spec = make_scenario(net, placements, noise={}, seed=3)
+        truth = sample_true_state(spec)
+        problem = assemble_problem(net, synthesize(spec, truth), "simultaneous_polar")
+        cfg = SolverConfig(linear_system_method=method)
+        with caplog.at_level("DEBUG", logger="gridse"):
+            result = solve(problem, cfg)
+        assert "current rows carry observability" in caplog.text
+        assert result.converged
+        assert np.max(np.abs(result.x_hat.values - truth.values)) < 1e-8
+        monkeypatch.setattr(gridse.estimators, "_POLAR_CURRENT",
+                            np.zeros_like(gridse.estimators._POLAR_CURRENT))
+        unmasked = solve(problem, cfg)
+        assert result.x_hat.values.tobytes() == unmasked.x_hat.values.tobytes()
+        assert result.max_step_trace == unmasked.max_step_trace
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """The benchmark's scenario synthesis and gate (perfbench/workloads.py)."""
+    monkeypatch.syspath_prepend(str(FIXTURES.parent.parent / "perfbench"))
+    import workloads
+    return workloads
+
+
+class TestFlatStartConvergence:
+    """Benchmark scenarios whose flat-start estimate took the first step
+    with every polar current row and converged slowly or not at all."""
+
+    def estimate(self, workloads, k, seed, index, formulation):
+        """The result of estimate `index` of benchmark seed `seed` on the
+        k x k benchmark lattice, and the gate's reasons to fail it."""
+        lattice = workloads.LatticeWorkload(seed, k, formulation, *workloads.PLANS[formulation])
+        case = lattice.prepare(index)
+        raw = lattice.estimate(case)
+        return raw[1], workloads.gate(case, lattice.outcome(case, raw))
+
+    def test_simultaneous_polar_lattice(self, workloads):
+        # Stopped unconverged after 50 iterations, objective/(m - n) = 86,
+        # with the current rows in the first iterate.
+        result, failures = self.estimate(workloads, 20, 3, 0, "simultaneous_polar")
+        assert result.converged and not failures
+        assert result.iterations <= 6
+
+    @pytest.mark.parametrize("seed, index, before", [(2, 3, 10), (4, 1, 11)])
+    def test_conventional_lattice_with_every_current_row(
+            self, workloads, monkeypatch, seed, index, before):
+        # Current rows on lightly loaded branches too, whose magnitude is
+        # comparable to its noise; `before` iterations with the current
+        # rows in the first iterate.
+        monkeypatch.setattr(workloads, "MIN_CURRENT", 0.0)
+        result, failures = self.estimate(workloads, 30, seed, index, "conventional")
+        assert result.converged and not failures
+        assert result.iterations < before
 
 
 class TestResultDocument:

@@ -138,13 +138,13 @@ SYNTHESIS = {
 
 REPLAY = {
     "conventional/normal":
-        "2d4ce3b6c67e7c48df09b79466e15c79b92b8e319bf709f019a154e5e008cd80",
+        "0f81c9fd4abacdd300fbdd44efacd0a82b92dd8d5c937748b721289ce546a290",
     "conventional/orthogonal":
-        "4c9c1d2437e104128bf1e63648238fa5ce227d9047dee32274a6c96a2e443870",
+        "19e29fdda491b4c8bc29bb1bfe95715b953908cb460d1d0287f8c9c776eeaafd",
     "simultaneous_polar/normal":
-        "6a84a21f8c0c9b32290dfe0f9151e4252a8983cf99154cc9eb62e31ea9aae099",
+        "11d8ec2f757eb7c57ad4a0271b045c671e386fb903cc602ed247c67b5f033d25",
     "simultaneous_polar/orthogonal":
-        "d2240c0df5761af822d45953c9dcbb97589f1b3524ecd890e72b79c25641bfd6",
+        "8fa8a1c17242da4c8921740aea898b550c120156db65b0184025ac330598f6e6",
     "simultaneous_rect/normal":
         "f908b66a36d1f71ebfb334592eae75196509ede1ac2055ddd28b5436d588cb00",
     "simultaneous_rect/orthogonal":
