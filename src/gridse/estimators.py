@@ -9,11 +9,11 @@ minimiser, so the loop stops there.  Assembly works on the measurement
 set's columns: the admissible-kind check, the location check, the
 covariance blocks, z and the angle-row mask are array operations, done
 once per problem.  Rows inactive at an iterate get zero weight in R^-1.
-The normal method forms the gain by sparse products and orders it
-afresh (the product path) for one-shot solves; a nonlinear problem
-analyses the pattern of its gain once, on its first normal solve with
-every row active, and assembles each later iterate's band straight
-from J (``_GainPlan``).
+The normal method forms the gain of a one-shot solve by sparse products
+and orders it (the product path); a nonlinear problem analyses the
+structural pattern of its gain once, on its first normal solve, and
+assembles every iterate's band straight from J and its weights
+(``_GainPlan``).
 
 Plain Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
@@ -199,12 +199,13 @@ class GainSystem:
 
 
 class _PlannedGain(GainSystem):
-    """The normal-method GainSystem of a kernel problem's iterate with
-    every row active.  j spans all 2N columns; the solve runs on the
-    problem's ``_GainPlan``, which the first such solve builds."""
+    """The normal-method GainSystem of a kernel problem's iterate.  j
+    spans all 2N columns; the solve runs on the problem's ``_GainPlan``,
+    which the first such solve builds."""
 
-    def __init__(self, problem: EstimationProblem, j, r: np.ndarray):
-        super().__init__(j, problem.covariance, r, None, problem.unknown_name)
+    def __init__(self, problem: EstimationProblem, j, r: np.ndarray,
+                 active: np.ndarray):
+        super().__init__(j, problem.covariance, r, active, problem.unknown_name)
         self.problem = problem
 
     def _normal(self, rinv):
@@ -328,19 +329,13 @@ class EstimationProblem:
     def _gain_system(self, j, r: np.ndarray, active: np.ndarray,
                      method: str) -> GainSystem:
         """The gain system of one iterate whose J spans all columns.  A
-        kernel problem's normal solve with every row active and a
-        diagonal R^-1 runs on the problem's gain plan.  The rest get a
-        GainSystem over J's free columns, which the normal method solves
-        by the product path: the orthogonal method; the one-shot DC and
-        linear_rect solves and an iterate that drops rows, whose pattern
-        is used once; and 2x2 blocks, where every
-        simultaneous_rect iterate measured had G entries that cancel to
-        exactly zero or not by rounding (387 on the 400-bus lattice,
-        BENCH_gain_factor.json), so no ordering fixed in advance keeps
-        the product path's bits."""
-        if (self.kernel is not None and method == NORMAL and active.all()
-                and self.covariance.is_diagonal):
-            return _PlannedGain(self, j, r)
+        kernel problem's normal solves run on its gain plan.  The rest
+        get a GainSystem over J's free columns: the orthogonal method,
+        and the one-shot DC and linear_rect solves, which the normal
+        method solves by the product path, since a plan's build costs
+        more than one product path does."""
+        if self.kernel is not None and method == NORMAL:
+            return _PlannedGain(self, j, r, active)
         return GainSystem(j[:, self.free_indices], self.covariance, r, active,
                           self.unknown_name)
 
@@ -466,27 +461,30 @@ def _factor_band(ab: np.ndarray, perm: np.ndarray,
     return solve
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges starts[e], ..., starts[e] + counts[e] - 1, one after
+    the other."""
+    out = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    out += np.arange(out.size)
+    return out
+
+
 class _GainPlan:
     """The symbolic half of a kernel problem's normal-method gain solve.
 
-    J's CSR pattern is fixed and R^-1 is diagonal and built once, so G =
-    A^T R^-1 A (A: J's free columns) keeps one pattern through a
-    Gauss-Newton loop.  The plan analyses it once (George & Liu 1981):
-    the free-column map, the ordering, the band-or-SuperLU decision, and
-    the band slot of each pair of A entries in one row, upper pairs only.
-    An iterate then sums the pairs into the band with one np.bincount and
-    the right-hand side with another, and factors by ``_factor_band``; a
-    wide-profile gain goes to SuperLU by the product path, not reordered.
-
-    Each sum runs in the product path's order (``_solve_normal``), and the
-    ordering is that path's own chain run on the pattern, since reverse
-    Cuthill-McKee breaks ties by the storage order the chain leaves: dx
-    keeps its bits.  The chain drops entries of R^-1 A and G that come
-    out exactly zero and orders the rest.  So the plan goes stale, handing
-    this and every later iterate to the product path, on a zero partial
-    in J, or, on its first iterate, on an upper entry of G near enough to
-    zero to cancel in either triangle by rounding, as where only the P
-    and Q flows of a branch, weighed alike, join a theta and a V.
+    J's CSR pattern and R^-1's are fixed through a Gauss-Newton loop, so
+    G = A^T R^-1 A (A: J's free columns) has one structural pattern, the
+    entries that can be nonzero whatever the values of J and the weights.
+    The plan analyses it once (George & Liu 1981): the free-column map,
+    the ordering, the band-or-SuperLU decision and, for each stored entry
+    (i, i') of R^-1 and each pair of A entries (i, k), (i', l) whose
+    product lands in the upper band, its slot.  A diagonal R^-1 is the
+    case i = i'.  An iterate passes its weights, R^-1 with the entries of
+    inactive rows zero, so the masked first iterate, an iterate that
+    drops rows and 2x2 blocks all run on the one plan: it sums the pairs
+    into the band with one np.bincount and the right-hand side with
+    another, and factors by ``_factor_band``.  A wide-profile gain goes
+    to SuperLU, formed by sparse products each iterate, not reordered.
 
     Gather and slot arrays are np.intp, which np.bincount and fancy
     indexing take without a conversion.
@@ -504,85 +502,60 @@ class _GainPlan:
         a = np.flatnonzero(col >= 0)
         a_row = np.repeat(np.arange(m), np.diff(j.indptr))[a]
         a_col = col[a]
-        self._a_count = np.bincount(a_row, minlength=m)
-        a_ptr = np.concatenate([[0], np.cumsum(self._a_count)])
+        self._a_count = a_count = np.bincount(a_row, minlength=m)
+        a_ptr = np.concatenate([[0], np.cumsum(a_count)])
         pattern = csr_matrix((np.ones(a.size), a_col, a_ptr), shape=(m, n))
         ones = csr_matrix((np.ones(rinv.nnz), rinv.indices, rinv.indptr),
                           shape=rinv.shape)
-        g = csc_matrix(pattern.T @ ones @ pattern)
+        band = _band_order(csc_matrix(pattern.T @ ones @ pattern))
         del pattern, ones  # here and below: less to hold at the pairs' peak
-        band = _band_order(g)
-        self._stale = False
-        self._pattern = None
-        if band is None:  # SuperLU takes every gain: keep G's pattern
-            self._pattern = g.indptr, g.indices
+        self._perm = None
+        if band is None:  # SuperLU takes every gain
             return
-        perm, rows, cols, kd = band
-        upper = np.flatnonzero(rows <= cols)
-        terms = int(np.bincount(a_col).max())  # the most rows of one unknown
-        self._first = rows[upper], cols[upper], terms
-        del g, band, rows, cols, upper
-        self._perm = perm
+        self._perm, _, _, kd = band
+        del band
         self._size = n * (kd + 1)
-        self._w = rinv.diagonal()
-        # A's entries sorted by where within each row (their order in a
-        # row enters no sum): the entries (i, k) that pair with (i, l),
-        # where[l] <= where[k], are then the tail of the row from (i, l).
+        # A's entries sorted by where within each row, so that the
+        # entries (i', l) with where[l] >= where[k] are a row's tail
         where = np.empty(n, dtype=np.intp)
-        where[perm] = np.arange(n)
-        order = np.argsort(a_row * n + where[a_col], kind="stable")
-        self._a, self._a_col, a_row = a[order], a_col[order], a_row[order]
+        where[self._perm] = np.arange(n)
+        key = a_row * n + where[a_col]
+        order = np.argsort(key, kind="stable")
+        self._a, self._a_col, key = a[order], a_col[order], key[order]
         column = where[self._a_col]
-        self._count = count = a_ptr[a_row + 1] - np.arange(a.size)  # pairs of each
-        at = np.repeat(np.arange(a.size) - np.cumsum(count) + count, count)
-        at += np.arange(at.size)
-        self._plain = self._a[at]  # J data position of each pair's plain entry
-        # _band_slot(column[l], column[k], kd), built in place
-        self._slot = slot = column[at]
-        del at
+        # a lead (e, k) per entry e = (i, i') of R^-1 and A entry (i, k),
+        # paired with the tail of row i' from where[k] on
+        e_row = np.repeat(np.arange(m), np.diff(rinv.indptr))
+        lead = _ranges(a_ptr[e_row], a_count[e_row])
+        self._lead_w = np.repeat(np.arange(rinv.nnz), a_count[e_row])
+        other = np.repeat(rinv.indices.astype(np.intp), a_count[e_row])
+        start = np.searchsorted(key, other * n + column[lead])
+        del key, e_row
+        self._count = count = a_ptr[other + 1] - start
+        del other
+        partner = _ranges(start, count)
+        del start
+        self._lead = self._a[lead]  # J data position of each lead's entry
+        self._partner = self._a[partner]
+        # _band_slot(column[k], column[l], kd), built in place
+        self._slot = slot = column[partner]
+        del partner
         slot += 1
         slot *= kd
-        slot += np.repeat(column, count)
-
-    def _cancels(self, ab: np.ndarray) -> bool:
-        """On the first iterate only, whether an upper entry of G, flat
-        band ab, is within 4 (t + 1) eps of the geometric mean of its
-        diagonal entries, t its number of terms.  Such an entry may
-        cancel to zero in either triangle: the rounding of a sum of t
-        terms is below (t + 1) eps / 2 of their magnitudes, and those
-        add up to at most that mean (Cauchy-Schwarz)."""
-        if self._first is None:
-            return False
-        rows, cols, terms = self._first
-        self._first = None
-        kd = self._size // self._n - 1
-        diag = ab[kd::kd + 1]
-        value = ab[_band_slot(rows, cols, kd)]
-        bound = 4.0 * (terms + 1) * np.finfo(float).eps
-        return bool((value * value <= bound * bound * diag[rows] * diag[cols]).any())
-
-    def _band_of(self, data: np.ndarray, a_data: np.ndarray) -> np.ndarray:
-        """The upper band of G, flat, at J data ``data``, whose entries in
-        A are ``a_data``."""
-        terms = np.repeat(np.repeat(self._w, self._a_count) * a_data, self._count)
-        terms *= data[self._plain]
-        return np.bincount(self._slot, terms, minlength=self._size)
+        slot += np.repeat(column[lead], count)
 
     def solve(self, j, rinv, r: np.ndarray, name_of=None) -> np.ndarray:
-        """dx of the iterate whose J (all columns) is j."""
-        if self._pattern is not None:
+        """dx of the iterate whose J (all columns) is j, under weights
+        rinv: R^-1 on its own pattern, inactive rows' entries zero."""
+        if self._perm is None:
             g, rhs = _normal_system(j[:, self._free], rinv, r)
-            indptr, indices = self._pattern
-            same = np.array_equal(g.indptr, indptr) and np.array_equal(g.indices, indices)
-            return (_factor_lu if same else _factor_gain)(g, name_of)(rhs)
-        a_data = j.data[self._a]
-        if not self._stale:
-            ab = self._band_of(j.data, a_data)
-            self._stale = not a_data.all() or self._cancels(ab)
-        if self._stale:
-            return _solve_normal(j[:, self._free], rinv, r, name_of)
+            return _factor_lu(g, name_of)(rhs)
+        data = j.data
+        terms = np.repeat(rinv.data[self._lead_w] * data[self._lead], self._count)
+        terms *= data[self._partner]
+        ab = np.bincount(self._slot, terms, minlength=self._size)
         y = np.repeat(rinv @ r, self._a_count)
-        rhs = np.bincount(self._a_col, a_data * y, minlength=self._n)
+        rhs = np.bincount(self._a_col, data[self._a] * y, minlength=self._n)
         return _factor_band(ab.reshape(self._n, -1), self._perm, name_of)(rhs)
 
 
@@ -624,6 +597,8 @@ def _refuse(pivot, k, diag, name_of):
 def _solve_orthogonal(aw, bw):
     """Solve the whitened least-squares system aw dx = bw by QR
     factorization."""
+    if not aw.shape[1]:  # no unknowns: nothing to solve for
+        return np.zeros(0)
     if issparse(aw):
         aw = aw.toarray()
     q, rr = np.linalg.qr(aw)

@@ -1,6 +1,12 @@
 import cmath
 import math
+import os
 from pathlib import Path
+
+# One BLAS thread, set before numpy loads OpenBLAS: its default of one
+# thread per core stalls small banded factors on a busy shared host.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

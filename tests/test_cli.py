@@ -263,6 +263,23 @@ class TestEstimateCommand:
         assert rc == 3
         assert "numerically singular" in capsys.readouterr().err
 
+    def test_no_unknowns_solve_alike_under_both_methods(self, tmp_path):
+        # one slack bus, no branches: DC leaves no angle to solve for
+        net = tmp_path / "net1.json"
+        net.write_text(json.dumps({"buses": [{"id": 1, "slack": True}], "branches": []}))
+        meas = tmp_path / "m.json"
+        meas.write_text(json.dumps({"measurements": [
+            {"kind": "Theta", "at": [1], "value": 0.0, "variance": 1e-4}]}))
+        results = []
+        for method in ("normal", "orthogonal"):
+            out = tmp_path / method
+            assert main(["estimate", "--net", str(net), "--measurements", str(meas),
+                         "--formulation", "dc", "--linear-method", method,
+                         "--out", str(out)]) == 0
+            results.append((out / "result.json").read_bytes())
+        assert results[0] == results[1]
+        assert json.loads(results[0])["objective_trace"] == [0.0]
+
     def test_singular_gain_names_the_weak_bus(self, tmp_path, capsys):
         # the set above: the weak unknown is theta at bus 2 or bus 4, not
         # a position in the slack-reduced state

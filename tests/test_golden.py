@@ -138,15 +138,15 @@ SYNTHESIS = {
 
 REPLAY = {
     "conventional/normal":
-        "0f81c9fd4abacdd300fbdd44efacd0a82b92dd8d5c937748b721289ce546a290",
+        "163a550a96d5786b975f4646dbf22f936b62216d8113bfa8e95e9968aa6e69d9",
     "conventional/orthogonal":
         "19e29fdda491b4c8bc29bb1bfe95715b953908cb460d1d0287f8c9c776eeaafd",
     "simultaneous_polar/normal":
-        "11d8ec2f757eb7c57ad4a0271b045c671e386fb903cc602ed247c67b5f033d25",
+        "c2246ad617e6d82769d08f4fe8899cf3f57390c436cdea043989023a42edeb02",
     "simultaneous_polar/orthogonal":
         "8fa8a1c17242da4c8921740aea898b550c120156db65b0184025ac330598f6e6",
     "simultaneous_rect/normal":
-        "f908b66a36d1f71ebfb334592eae75196509ede1ac2055ddd28b5436d588cb00",
+        "8135d70dbc3a522906c5072c520004e81f26303a640a40b7cb2fa00b0398cd6b",
     "simultaneous_rect/orthogonal":
         "ddf7b5ec2eac06e9a70878c7da9b746a1f76c1372ec3848a2257e3115a73e865",
     "linear_rect/normal":
