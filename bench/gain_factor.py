@@ -150,7 +150,7 @@ def plan_timings(problem, j, rinv, r, lu_dx, k: int) -> dict:
     plan, and how far the plan's dx is from SuperLU's."""
     free = problem.free_indices
     _, product_s = timed(k, lambda: E._solve_normal(j[:, free], rinv, r))
-    plan, build_s = timed(k, lambda: E._GainPlan(j, free, rinv))
+    plan, build_s = timed(k, lambda: E._GainPlan(j, free, rinv, problem._curved))
     plan_dx, plan_s = timed(k, lambda: plan.solve(j, rinv, r))
     return {"gain_path": "plan", "product_iter_s": product_s, "plan_build_s": build_s,
             "plan_iter_s": plan_s, "plan_dx_rel_diff": rel_diff(plan_dx, lu_dx)}

@@ -14,6 +14,10 @@ linear methods, and records per case:
 * how many estimates fail ``workloads.gate`` (not converged, a state error
   beyond three noise sigmas or an objective outside its chi-square
   interval), and how many end in an EstimationError;
+* ``curvature_refused``: how many iterates took the plain Gauss-Newton
+  step because their gain with the current magnitudes' second-order term
+  was refused, counted from gridse's DEBUG records (0 for sources without
+  the term);
 * the median wall time of ``gridse.solve`` in ms (assembly and
   synthesis are not timed; one untimed estimate warms each process up).
 
@@ -69,8 +73,13 @@ def measure(src: str, quick: bool) -> dict:
     import workloads
     from lattice import lattice_network
 
-    # the flat-start warnings, one per estimate, would go to stderr
-    logging.getLogger("gridse").addHandler(logging.NullHandler())
+    # Counts the refused second-order gains; the flat-start warnings, one
+    # per estimate, would otherwise go to stderr.
+    refused = RefusalCount()
+    logger = logging.getLogger("gridse")
+    logger.addHandler(refused)
+    logger.setLevel(logging.DEBUG)
+    logger.propagate = False
 
     nets = {"net14": gridse.load_network(os.path.join(ROOT, "tests", "fixtures", "net14.json")),
             "lattice20": lattice_network(workloads.AC_LATTICE_K,
@@ -86,6 +95,7 @@ def measure(src: str, quick: bool) -> dict:
             for method in METHODS:
                 cfg = gridse.SolverConfig(linear_system_method=method)
                 iterations, seconds, failures, errors, v = [], [], 0, 0, []
+                refused.count = 0
                 for index in range(count):
                     case = workloads.synthesize_case(net, SEED, index, formulation,
                                                      plan, noise, method)
@@ -121,11 +131,24 @@ def measure(src: str, quick: bool) -> dict:
                     "iterations_max": max(iterations, default=None),
                     "gate_failures": failures,
                     "errors": errors,
+                    "curvature_refused": refused.count,
                     "solve_ms_median": round(1e3 * float(np.median(seconds)), 2)
                     if seconds else None,
                     "v": v,
                 }
     return cases
+
+
+class RefusalCount(logging.Handler):
+    """Counts gridse's DEBUG records of a refused second-order gain."""
+
+    def __init__(self):
+        super().__init__(logging.DEBUG)
+        self.count = 0
+
+    def emit(self, record):
+        if record.getMessage().startswith("second-order gain refused"):
+            self.count += 1
 
 
 def column(src: str, quick: bool) -> dict:
@@ -206,11 +229,13 @@ def main(argv=None) -> int:
             entry["max_v_diff"] = max_voltage_diff(now["v"], base[key]["v"])
         entries.append(entry)
         line = (f"{key}: iterations {now['iterations_mean']} (max {now['iterations_max']}), "
-                f"{now['gate_failures']} failed, {now['solve_ms_median']} ms")
+                f"{now['gate_failures']} failed, {now['curvature_refused']} refused, "
+                f"{now['solve_ms_median']} ms")
         if base is not None:
             was = base[key]
             line += (f"; baseline {was['iterations_mean']} (max {was['iterations_max']}), "
-                     f"{was['gate_failures']} failed, {was['solve_ms_median']} ms; "
+                     f"{was['gate_failures']} failed, {was['curvature_refused']} refused, "
+                     f"{was['solve_ms_median']} ms; "
                      f"max |dV| {entry['max_v_diff']:.3g}")
         print(line)
     # gain_factor imports this tree's gridse, so never in a worker

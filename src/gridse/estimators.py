@@ -15,18 +15,33 @@ structural pattern of its gain once, on its first normal solve, and
 assembles every iterate's band straight from J and its weights
 (``_GainPlan``).
 
-Plain Gauss-Newton, no damping or line search: the problem is mildly
+Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
-non-converged result instead of being masked.  The one departure is the
-first iterate from the flat start, which leaves the polar current rows
-out (Abur & Exposito 2004, ch. 2).  There every branch carries only
-its charging current, so |I| sits near its kink and the current's angle
-is some 90 degrees off the flow's: with these rows the first two steps
-on a 20 x 20 lattice were some 0.5 p.u. against a solution within 0.05
-of flat.  Without them a conventional estimate there takes 5.95
-iterations on average instead of 8.05, and a simultaneous_polar one 5.0
-instead of 12.7, where one in 20 never converged
-(BENCH_gn_iterations.json).
+non-converged result instead of being masked.  There are two
+departures.  The current magnitude rows add their exact second-order
+term to every iterate but the first from the flat start, which then
+solves (G - S) dx = J^T R^-1 r, S = sum_i w_i r_i hess |I|_i: Newton's
+step for these rows (``_Curvature``).  Near a lightly loaded branch |I|
+curves like 1/|I|, so the term Gauss-Newton drops is not small next to
+the gain, and its tail was linear, with a ratio near sigma/|I| of the
+weakest such row: a large-residual least-squares problem (Nocedal &
+Wright, Numerical Optimization, ch. 10; Dennis, Gay & Welsch, NL2SOL,
+1981).  With the term a conventional estimate on a 20 x 20 lattice
+takes 4.2 iterations on average instead of 6.0
+(BENCH_gn_iterations.json).  Where the factor refuses G - S, or along
+its step S takes more than half of G, the iterate takes the plain
+Gauss-Newton step.  The current angle rows get no such term: with it,
+simultaneous_polar estimates took more iterations, not fewer.
+
+The other departure is the first iterate from the flat start, which
+leaves the polar current rows out (Abur & Exposito 2004, ch. 2).  There
+every branch carries only its charging current, so |I| sits near its
+kink and the current's angle is some 90 degrees off the flow's: with
+these rows the first two steps on a 20 x 20 lattice were some 0.5 p.u.
+against a solution within 0.05 of flat.  Without them a plain
+Gauss-Newton estimate there took 5.95 iterations on average instead of
+8.05, and a simultaneous_polar one 5.0 instead of 12.7, where one in 20
+never converged.
 """
 
 from __future__ import annotations
@@ -35,11 +50,12 @@ import logging
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs
 from scipy.sparse import csc_matrix, csr_matrix, issparse
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
@@ -114,6 +130,10 @@ ORTHOGONAL = "orthogonal"
 _POLAR_CURRENT = kind_mask({MeasurementKind.I_MAG, MeasurementKind.I_MAG_PMU,
                             MeasurementKind.I_ANG_PMU})
 
+# The DEBUG record of an iterate whose gain with the second-order term
+# was refused, so that it took the Gauss-Newton step.
+_REFUSED = "second-order gain refused (%s): taking the Gauss-Newton step"
+
 # A gain goes to band storage unless its band, after the reverse
 # Cuthill-McKee ordering, would hold more than this many times the
 # gain's stored entries.  A meshed lattice's band holds 4-26 times
@@ -168,13 +188,17 @@ class GainSystem:
     is an InputError.  Observable problems yield a symmetric positive
     definite gain matrix j^T R^-1 j; a failed factorization surfaces as
     SingularGain, which names the weak unknown by ``name_of(k)`` when
-    that is given.
+    that is given.  A kernel problem's iterate may carry the
+    second-order term S of its curved rows (``curvature``): it then
+    solves (G - S) dx = j^T R^-1 r, or the plain system where
+    ``_Curvature.step`` refuses that step.
     """
     j: object
     covariance: CovarianceModel
     r: np.ndarray
     active: np.ndarray | None = None
     name_of: Callable[[int], str] | None = None
+    curvature: _Curvature | None = None
 
     def solve(self, method: str = NORMAL) -> np.ndarray:
         """Least-squares solution dx of j dx = r weighted by R^-1."""
@@ -187,12 +211,17 @@ class GainSystem:
             if active is not None:
                 _kept_entries(w, active)
                 aw, bw = aw[active], bw[active]
-            return _solve_orthogonal(aw, bw)
+            y = None if self.curvature is None else self._weights(active) @ self.r
+            return _solve_orthogonal(aw, bw, self.curvature, y)
+        return self._normal(self._weights(active))
+
+    def _weights(self, active):
+        """R^-1 with the entries of rows outside active zero."""
         rinv = self.covariance.inverse()
         if active is not None:
             rinv = csr_matrix((np.where(_kept_entries(rinv, active), rinv.data, 0.0),
                                rinv.indices, rinv.indptr), shape=rinv.shape)
-        return self._normal(rinv)
+        return rinv
 
     def _normal(self, rinv):
         return _solve_normal(self.j, rinv, self.r, self.name_of)
@@ -204,15 +233,77 @@ class _PlannedGain(GainSystem):
     which the first such solve builds."""
 
     def __init__(self, problem: EstimationProblem, j, r: np.ndarray,
-                 active: np.ndarray):
-        super().__init__(j, problem.covariance, r, active, problem.unknown_name)
+                 active: np.ndarray, curvature: _Curvature | None = None):
+        super().__init__(j, problem.covariance, r, active, problem.unknown_name, curvature)
         self.problem = problem
 
     def _normal(self, rinv):
         problem = self.problem
         if problem._gain_plan is None:
-            problem._gain_plan = _GainPlan(self.j, problem.free_indices, rinv)
-        return problem._gain_plan.solve(self.j, rinv, self.r, self.name_of)
+            problem._gain_plan = _GainPlan(self.j, problem.free_indices, rinv,
+                                           problem._curved)
+        return problem._gain_plan.solve(self.j, rinv, self.r, self.name_of,
+                                        self.curvature)
+
+
+class _CurvedPattern(NamedTuple):
+    """The kernel's curvature pattern on the solved unknowns: the
+    positions ``kept`` in the kernel's pattern of the entries whose two
+    columns are both solved, their rows, their solved columns k and l,
+    and ``half``, 1/2 where k = l and 1 elsewhere.  One triangle of each
+    row's Hessian, as the kernel lists it, so S = H + H^T with H the
+    entries times ``half``, duplicates summed."""
+    kept: np.ndarray
+    row: np.ndarray
+    k: np.ndarray
+    l: np.ndarray
+    half: np.ndarray
+
+
+class _Curvature:
+    """The second-order term of an iterate's curved rows (the kernel's
+    current magnitudes) at the state x: S = sum_i y_i hess h_i(x) over
+    the solved unknowns, with y = R^-1 r and the entries of inactive rows
+    of R^-1 zero.  Its entries s lie on the problem's ``_curved``
+    pattern; the Hessian is evaluated by the solve that asks for them."""
+
+    def __init__(self, problem: EstimationProblem, x: StateVector):
+        self.kernel, self.x, self.n = problem.kernel, x, problem.n
+        self.pattern = problem._curved
+
+    def matrix(self, s: np.ndarray) -> csc_matrix:
+        """S from its entries s."""
+        p = self.pattern
+        h = csc_matrix((s * p.half, (p.k, p.l)), shape=(self.n, self.n))
+        return h + h.T
+
+    def dense(self, s: np.ndarray) -> np.ndarray:
+        """S from its entries s, as a dense array."""
+        p, n = self.pattern, self.n
+        h = np.bincount(p.k * n + p.l, s * p.half, minlength=n * n).reshape(n, n)
+        return h + h.T
+
+    def step(self, y: np.ndarray, rhs: np.ndarray, solve) -> np.ndarray | None:
+        """Newton's step dx of (G - S) dx = rhs, given y and ``solve``,
+        which factors G - S from S's entries and solves.  None, logged at
+        DEBUG, where the factor refuses G - S or where along dx the term
+        takes more than half of the gain, dx^T S dx > dx^T (G - S) dx =
+        dx^T rhs: that far from the Gauss-Newton model the step can run
+        away, as it does from a start whose current rows miss by
+        thousands of sigmas."""
+        p = self.pattern
+        s = y[p.row] * self.kernel.curvature(self.x)[p.kept]
+        try:
+            dx = solve(s)
+        except SingularGain as exc:
+            log.debug(_REFUSED, exc)
+            return None
+        along, left = 2.0 * (s * p.half) @ (dx[p.k] * dx[p.l]), dx @ rhs
+        if along > left:
+            log.debug(_REFUSED, f"along its step it takes {along / (along + left):.3g} "
+                      "of the gain")
+            return None
+        return dx
 
 
 def _kept_entries(m: csr_matrix, active: np.ndarray) -> np.ndarray:
@@ -326,18 +417,33 @@ class EstimationProblem:
             return self.values(x), self.h_matrix, np.ones(self.m, dtype=bool)
         return self.kernel.rows(x)
 
+    @cached_property
+    def _curved(self) -> _CurvedPattern:
+        """The kernel's curvature pattern on the solved unknowns."""
+        row, a, b = self.kernel.curvature_pattern
+        column = np.full(self.full_dim, -1, dtype=np.intp)
+        column[self.free_indices] = np.arange(self.n)
+        k, l = column[a], column[b]
+        kept = np.flatnonzero((k >= 0) & (l >= 0))
+        k, l = k[kept], l[kept]
+        return _CurvedPattern(kept, row[kept], k, l, np.where(k == l, 0.5, 1.0))
+
     def _gain_system(self, j, r: np.ndarray, active: np.ndarray,
-                     method: str) -> GainSystem:
+                     method: str, x: StateVector | None = None) -> GainSystem:
         """The gain system of one iterate whose J spans all columns.  A
         kernel problem's normal solves run on its gain plan.  The rest
         get a GainSystem over J's free columns: the orthogonal method,
         and the one-shot DC and linear_rect solves, which the normal
         method solves by the product path, since a plan's build costs
-        more than one product path does."""
+        more than one product path does.  Given the iterate's state x, a
+        kernel problem with curved rows gets their second-order term."""
+        curvature = None
+        if x is not None and self.kernel is not None and self._curved.kept.size:
+            curvature = _Curvature(self, x)
         if self.kernel is not None and method == NORMAL:
-            return _PlannedGain(self, j, r, active)
+            return _PlannedGain(self, j, r, active, curvature)
         return GainSystem(j[:, self.free_indices], self.covariance, r, active,
-                          self.unknown_name)
+                          self.unknown_name, curvature)
 
 
 def assemble_problem(net: NetworkModel, mset: MeasurementSet,
@@ -486,11 +592,18 @@ class _GainPlan:
     another, and factors by ``_factor_band``.  A wide-profile gain goes
     to SuperLU, formed by sparse products each iterate, not reordered.
 
+    The second-order term S of an iterate's curved rows (``_Curvature``)
+    lands only in slots that the row's own J^T J term fills, so the plan
+    also maps the problem's curvature pattern (``_CurvedPattern``) to
+    band slots, and an iterate that carries S subtracts it there by
+    np.subtract.at.  Where G - S is refused, the band is summed again
+    for the Gauss-Newton step, as dpbtrf has overwritten it.
+
     Gather and slot arrays are np.intp, which np.bincount and fancy
     indexing take without a conversion.
     """
 
-    def __init__(self, j, free: np.ndarray, rinv):
+    def __init__(self, j, free: np.ndarray, rinv, curved: _CurvedPattern):
         m = j.shape[0]
         self._n = n = free.size
         self._free = free
@@ -526,11 +639,16 @@ class _GainPlan:
         # a lead (e, k) per entry e = (i, i') of R^-1 and A entry (i, k),
         # paired with the tail of row i' from where[k] on
         e_row = np.repeat(np.arange(m), np.diff(rinv.indptr))
-        lead = _ranges(a_ptr[e_row], a_count[e_row])
-        self._lead_w = np.repeat(np.arange(rinv.nnz), a_count[e_row])
-        other = np.repeat(rinv.indices.astype(np.intp), a_count[e_row])
-        start = np.searchsorted(key, other * n + column[lead])
-        del key, e_row
+        e_other = rinv.indices.astype(np.intp)
+        leads = a_count[e_row]
+        lead = _ranges(a_ptr[e_row], leads)
+        self._lead_w = np.repeat(np.arange(rinv.nnz), leads)
+        other = np.repeat(e_other, leads)
+        # on the diagonal of R^-1 (i' = i) the tail starts at the lead
+        start = lead.copy()
+        off = np.flatnonzero(np.repeat(e_other != e_row, leads))
+        start[off] = np.searchsorted(key, other[off] * n + column[lead[off]])
+        del key, e_row, e_other, leads, off
         self._count = count = a_ptr[other + 1] - start
         del other
         partner = _ranges(start, count)
@@ -543,20 +661,42 @@ class _GainPlan:
         slot += 1
         slot *= kd
         slot += np.repeat(column[lead], count)
+        # the slot of each curvature entry
+        k, l = where[curved.k], where[curved.l]
+        self._s_slot = _band_slot(np.minimum(k, l), np.maximum(k, l), kd)
 
-    def solve(self, j, rinv, r: np.ndarray, name_of=None) -> np.ndarray:
+    def solve(self, j, rinv, r: np.ndarray, name_of=None,
+              curvature: _Curvature | None = None) -> np.ndarray:
         """dx of the iterate whose J (all columns) is j, under weights
-        rinv: R^-1 on its own pattern, inactive rows' entries zero."""
+        rinv: R^-1 on its own pattern, inactive rows' entries zero; with
+        the second-order term of ``curvature`` unless that is refused."""
+        y = rinv @ r
         if self._perm is None:
             g, rhs = _normal_system(j[:, self._free], rinv, r)
+            if curvature is not None:
+                dx = curvature.step(y, rhs, lambda s: _factor_lu(
+                    g - curvature.matrix(s), name_of)(rhs))
+                if dx is not None:
+                    return dx
             return _factor_lu(g, name_of)(rhs)
         data = j.data
-        terms = np.repeat(rinv.data[self._lead_w] * data[self._lead], self._count)
-        terms *= data[self._partner]
-        ab = np.bincount(self._slot, terms, minlength=self._size)
-        y = np.repeat(rinv @ r, self._a_count)
-        rhs = np.bincount(self._a_col, data[self._a] * y, minlength=self._n)
-        return _factor_band(ab.reshape(self._n, -1), self._perm, name_of)(rhs)
+        rhs = np.bincount(self._a_col, data[self._a] * np.repeat(y, self._a_count),
+                          minlength=self._n)
+
+        def solve(s=None):
+            """Sum G's upper band, less S's entries s, and solve."""
+            terms = np.repeat(rinv.data[self._lead_w] * data[self._lead], self._count)
+            terms *= data[self._partner]
+            ab = np.bincount(self._slot, terms, minlength=self._size)
+            if s is not None:
+                np.subtract.at(ab, self._s_slot, s)
+            return _factor_band(ab.reshape(self._n, -1), self._perm, name_of)(rhs)
+
+        if curvature is not None:
+            dx = curvature.step(y, rhs, solve)
+            if dx is not None:
+                return dx
+        return solve()
 
 
 def _factor_lu(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:
@@ -594,18 +734,40 @@ def _refuse(pivot, k, diag, name_of):
         f"{unknown} against its diagonal {diag:.3g}")
 
 
-def _solve_orthogonal(aw, bw):
+def _solve_orthogonal(aw, bw, curvature: _Curvature | None = None, y=None):
     """Solve the whitened least-squares system aw dx = bw by QR
-    factorization."""
-    if not aw.shape[1]:  # no unknowns: nothing to solve for
+    factorization, aw = Q R.
+
+    Given a second-order term S (``curvature``, with y = R^-1 r) it
+    takes the normal method's iterate (G - S) dx = aw^T bw instead, from
+    the same triangular factor: (I - R^-T S R^-1) u = Q^T bw by a
+    Cholesky factor, then R dx = u.  Where that step is refused (see
+    ``_Curvature.step``; a failed Cholesky factor refuses it too) it
+    takes the plain QR step.
+    """
+    n = aw.shape[1]
+    if not n:  # no unknowns: nothing to solve for
         return np.zeros(0)
     if issparse(aw):
         aw = aw.toarray()
     q, rr = np.linalg.qr(aw)
     diag = np.abs(np.diag(rr))
-    if aw.shape[0] < aw.shape[1] or diag.min() <= aw.shape[1] * np.finfo(float).eps * max(diag.max(), 1.0):
+    if aw.shape[0] < n or diag.min() <= n * np.finfo(float).eps * max(diag.max(), 1.0):
         raise SingularGain("whitened Jacobian is rank deficient")
-    return scipy.linalg.solve_triangular(rr, q.T @ bw)
+    qb = q.T @ bw
+    if curvature is not None:
+        def solve(s):
+            # R^-T S R^-1, S symmetric
+            c = dtrtrs(rr, dtrtrs(rr, curvature.dense(s), trans=1)[0].T, trans=1)[0]
+            low, info = dpotrf(np.eye(n) - c, lower=1)
+            if info:
+                raise SingularGain(f"I - R^-T S R^-1 is not positive definite at pivot {info}")
+            return dtrtrs(rr, dpotrs(low, qb, lower=1)[0])[0]
+
+        dx = curvature.step(y, rr.T @ qb, solve)
+        if dx is not None:
+            return dx
+    return scipy.linalg.solve_triangular(rr, qb)
 
 
 def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
@@ -618,7 +780,11 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     I_mag_pmu and I_ang_pmu row out, logged at DEBUG; that step never
     ends the loop, so a full-row iterate always follows it, and where
     the rows left out carried observability (a SingularGain) the iterate
-    is solved again with them.  Rows with undefined gradients (flat-start
+    is solved again with them.  Every other iterate adds the I_mag and
+    I_mag_pmu rows' second-order term to the gain, and takes the plain
+    Gauss-Newton step, logged at DEBUG, where that gain is refused (see
+    the module docstring); only a refused plain gain raises
+    SingularGain.  Rows with undefined gradients (flat-start
     current singularities) are dropped for the affected iteration only,
     with a logged warning; if any were dropped at the converging iterate
     the result is marked not converged.  h(x) is evaluated once per
@@ -650,9 +816,10 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     free = problem.free_indices
     columns = problem._state_columns(x)
     rinv = problem.covariance.inverse()
+    flat = np.array_equal(x.values, problem.initial_state().values)
     # the rows the first iterate leaves out, None once it is taken
     current = _POLAR_CURRENT[problem.mset.codes]
-    if not (current.any() and np.array_equal(x.values, problem.initial_state().values)):
+    if not (current.any() and flat):
         current = None
     converged = False
     iterations = 0
@@ -667,7 +834,9 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
                       objective_trace[-1], obj)
         objective_trace.append(obj)
 
-    for _ in range(cfg.max_iterations):
+    for k in range(cfg.max_iterations):
+        # the curved rows' second-order term, but not at the flat start
+        second_order = None if flat and not k else x
         h, j, active = problem.rows(x)
         r = problem._residuals_of(h)
         if max_step_trace:
@@ -689,7 +858,7 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
             current = None
         masked = dx is not None
         if not masked:
-            dx = problem._gain_system(j, r, active, method).solve(method)
+            dx = problem._gain_system(j, r, active, method, second_order).solve(method)
         columns[free] += dx
         step = float(np.max(np.abs(dx))) if dx.size else 0.0
         max_step_trace.append(step)

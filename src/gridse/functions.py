@@ -37,6 +37,12 @@ Current magnitude and current angle rows divide by the current
 magnitude; below ``CURRENT_GUARD`` the value is still defined but the
 partials are not: the kernel marks such rows inactive with zero
 partials, and ``evaluate_row`` raises FlatStartSingularity.
+
+The current magnitude rows are the kernel's curved rows: it also gives
+their analytic Hessian (``MeasurementKernel.curvature``), ten upper
+entries per row on a pattern fixed at compile time, for the
+second-order term of the Gauss-Newton iterate.  Below the guard it is
+zero, as the partials are.
 """
 
 from __future__ import annotations
@@ -169,6 +175,34 @@ def _i_mag(e, ti, tj, vi, vj, jac):
                                   (vi * cross + k.b_c * vj) / den), ok
 
 
+# The upper entries (a, b), a <= b, of a branch row's 4 x 4 Hessian over
+# (theta_i, theta_j, V_i, V_j), row by row.
+_UPPER = np.triu_indices(4)
+
+
+def _i_mag_hessian(e, ti, tj, vi, vj):
+    """The Hessian of |I| at its ``_UPPER`` entries, a (10, rows) array.
+    With sq = |I|^2 and g = grad |I| = grad sq / (2 |I|) it is
+    (hess sq / 2 - g g^T) / |I|; zero below CURRENT_GUARD."""
+    k = e.k
+    c, s = np.cos(ti - tj), np.sin(ti - tj)
+    cross = k.d_c * s - k.c_c * c
+    turn = k.c_c * s + k.d_c * c
+    vv = vi * vj
+    value = np.sqrt(np.maximum(k.a_c * vi * vi + k.b_c * vj * vj + 2.0 * vv * cross, 0.0))
+    inv = np.divide(1.0, value, out=np.zeros_like(value), where=value >= CURRENT_GUARD)
+    g = np.array([vv * turn, -vv * turn, vj * cross + k.a_c * vi, vi * cross + k.b_c * vj])
+    g *= inv
+    tt = -vv * cross
+    # hess sq / 2 at the _UPPER entries
+    half = np.array([tt, -tt, vj * turn, vi * turn, tt, -vj * turn, -vi * turn,
+                     k.a_c, cross, k.b_c])
+    a, b = _UPPER
+    half -= g[a] * g[b]
+    half *= inv
+    return half
+
+
 def _current_rect(k, ti, tj, vi, vj):
     ci, si, cj, sj = np.cos(ti), np.sin(ti), np.cos(tj), np.sin(tj)
     re = vi * (k.a_a * ci - k.b_a * si) - vj * (k.c_a * cj - k.d_a * sj)
@@ -216,11 +250,13 @@ def _i_im(e, ti, tj, vi, vj, jac):
 
 class _BranchRows:
     """Rows of one branch formula: four partials each, at columns
-    (theta_i, theta_j, V_i, V_j)."""
+    (theta_i, theta_j, V_i, V_j), and where the formula has one, the
+    ``_UPPER`` entries of the Hessian over them."""
 
-    def __init__(self, loc, rows, formula):
+    def __init__(self, loc, rows, formula, hessian=None):
         self.rows = rows
         self.formula = formula
+        self.hessian = hessian
         self.i, self.j, self.g, self.b, self.gs, self.bs = _end_params(loc, rows)
         n = loc.net.n_buses
         self.cols = np.concatenate([self.i, self.j, n + self.i, n + self.j])
@@ -236,6 +272,14 @@ class _BranchRows:
         value, parts, ok = self.formula(self, th[self.i], th[self.j],
                                         v[self.i], v[self.j], jac)
         return value, (np.concatenate(parts) if jac else None), ok
+
+    def curvature_pattern(self):
+        cols = self.cols.reshape(4, -1)
+        a, b = _UPPER
+        return (np.concatenate((self.rows,) * a.size), cols[a].ravel(), cols[b].ravel())
+
+    def curvature(self, th, v):
+        return self.hessian(self, th[self.i], th[self.j], v[self.i], v[self.j]).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +402,7 @@ class _DCRows:
 _GROUPS = [
     ((K.P_FLOW,), partial(_BranchRows, formula=_p_flow)),
     ((K.Q_FLOW,), partial(_BranchRows, formula=_q_flow)),
-    ((K.I_MAG, K.I_MAG_PMU), partial(_BranchRows, formula=_i_mag)),
+    ((K.I_MAG, K.I_MAG_PMU), partial(_BranchRows, formula=_i_mag, hessian=_i_mag_hessian)),
     ((K.I_ANG_PMU,), partial(_BranchRows, formula=_i_ang)),
     ((K.I_RE,), partial(_BranchRows, formula=_i_re)),
     ((K.I_IM,), partial(_BranchRows, formula=_i_im)),
@@ -382,7 +426,8 @@ class MeasurementKernel:
 
     Compiled once from (net, placements), where placements are resolved
     Locations or (kind, at) pairs; rows keep their order.  The Jacobian's CSR
-    pattern (``indptr``, ``indices``) is the same at every state.
+    pattern (``indptr``, ``indices``) is the same at every state, and so
+    is the curved rows' Hessian pattern (``curvature_pattern``).
     Injection rows read ``net.admittance``; DC rows are ``dc_rows`` on
     the angle columns.  A branch row on a missing or parallel branch, a
     bus row outside 1..N and a DC row on a zero-reactance branch are
@@ -407,6 +452,12 @@ class MeasurementKernel:
         self.indices = cols[self._order]
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(rows, minlength=self.m))])
+        self._curved_groups = [grp for grp in self._groups
+                               if isinstance(grp, _BranchRows) and grp.hessian is not None]
+        patterns = [grp.curvature_pattern() for grp in self._curved_groups]
+        # (row, column a, column b) of each upper Hessian entry of a curved row
+        self.curvature_pattern = tuple(np.concatenate([p[k] for p in patterns] + empty)
+                                       for k in range(3))
 
     def _evaluate(self, x: StateVector, jac: bool):
         if x.coordinates != POLAR:
@@ -439,6 +490,15 @@ class MeasurementKernel:
         j = csr_matrix((data, self.indices, self.indptr),
                        shape=(self.m, self.n_columns))
         return h, j, active
+
+    def curvature(self, x: StateVector) -> np.ndarray:
+        """The Hessian entries of the curved rows (current magnitudes) at
+        a polar state, on ``curvature_pattern``; zero for rows whose
+        current is below CURRENT_GUARD."""
+        n = x.n_buses
+        th, v = x.values[:n], x.values[n:]
+        return np.concatenate([grp.curvature(th, v) for grp in self._curved_groups]
+                              + [np.zeros(0)])
 
 
 # ---------------------------------------------------------------------------

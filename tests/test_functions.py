@@ -575,3 +575,61 @@ class TestMeasurementKernel:
                 lo, hi = h_dc.indptr[r], h_dc.indptr[r + 1]
                 assert row.gradient == dict(zip(h_dc.indices[lo:hi].tolist(),
                                                 h_dc.data[lo:hi].tolist()))
+
+
+class TestCurrentMagnitudeCurvature:
+    """The kernel's curvature: the upper Hessian entries of every I_mag and
+    I_mag_pmu row, on a fixed pattern, and nothing for any other kind."""
+
+    @pytest.fixture(params=["net3", "parallel_reversed"])
+    def net_and_ends(self, request, net3):
+        # parallel_reversed: shunts at both ends, branches stored against
+        # bus order, each measured from both of its ends
+        if request.param == "parallel_reversed":
+            return parallel_reversed_net(np.random.default_rng(44))
+        return net3, _both_directions(net3)
+
+    def test_hessian_matches_central_differences_of_the_partials(self, net_and_ends):
+        net, ends = net_and_ends
+        rng = np.random.default_rng(45)
+        placements = all_polar_kinds(net, ends, rng)
+        kernel = MeasurementKernel(net, placements)
+        curved = [r for r, (kind, _) in enumerate(placements)
+                  if kind in (K.I_MAG, K.I_MAG_PMU)]
+        row, a, b = kernel.curvature_pattern
+        assert row.size == 10 * len(curved)
+        assert sorted(set(row.tolist())) == curved
+        step = 1e-6
+        for _ in range(3):
+            x = random_polar_state(net, rng)
+            hess = coo_matrix((kernel.curvature(x), (row * kernel.n_columns + a, b)),
+                              shape=(kernel.m * kernel.n_columns, kernel.n_columns)).toarray()
+            hess = hess.reshape(kernel.m, kernel.n_columns, kernel.n_columns)
+            # one triangle per row in local (theta_i, theta_j, V_i, V_j) order
+            hess = hess + hess.transpose(0, 2, 1) * (1 - np.eye(kernel.n_columns))
+            for c in range(kernel.n_columns):
+                base = x.values[c]
+                x.values[c] = base + step
+                plus = kernel.rows(x)[1].toarray()
+                x.values[c] = base - step
+                minus = kernel.rows(x)[1].toarray()
+                x.values[c] = base
+                fd = (plus - minus) / (2 * step)
+                for r in curved:
+                    scale = max(np.max(np.abs(fd[r])), 1.0)
+                    assert np.max(np.abs(hess[r, :, c] - fd[r])) <= 1e-6 * scale, (
+                        placements[r], c)
+
+    def test_no_curvature_below_the_guard_or_for_other_kinds(self, net14):
+        placements = [(kind, at) for at in _both_directions(net14)
+                      for kind in NONLINEAR_BRANCH_KINDS if kind not in (K.I_MAG, K.I_MAG_PMU)]
+        placements += [(kind, (b.id,)) for b in net14.buses for kind in NONLINEAR_BUS_KINDS]
+        kernel = MeasurementKernel(net14, placements)
+        assert all(p.size == 0 for p in kernel.curvature_pattern)
+        assert kernel.curvature(random_polar_state(net14, np.random.default_rng(46))).size == 0
+        # no shunts: a flat start carries no current
+        net = single_branch_net(1.0, -10.0)
+        kernel = MeasurementKernel(net, [(K.I_MAG, (1, 2)), (K.I_MAG_PMU, (2, 1))])
+        assert kernel.curvature(flat(net)).tolist() == [0.0] * 20
+        assert np.abs(kernel.curvature(state(net, np.array([0.0, 0.1]),
+                                             np.array([1.0, 1.0])))).max() > 0.0

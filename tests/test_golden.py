@@ -10,7 +10,9 @@ within one version.
 
 The numbers come from numpy's elementary functions, from LAPACK's
 banded Cholesky (dpbtrf/dpbtrs) behind the normal method and from
-numpy's QR behind the orthogonal one, so the digests hold for one
+numpy's QR behind the orthogonal one, with LAPACK's dense triangular
+and Cholesky solves (dtrtrs, dpotrf/dpotrs) where it takes the current
+magnitudes' second-order term, so the digests hold for one
 numerical stack: they were recorded with Python 3.11, numpy 2.4 and
 scipy 1.17 (OpenBLAS 0.3.30) on x86-64 Linux.  The gain of every
 replay here fits the band, so SuperLU, which the normal method keeps
@@ -138,13 +140,13 @@ SYNTHESIS = {
 
 REPLAY = {
     "conventional/normal":
-        "163a550a96d5786b975f4646dbf22f936b62216d8113bfa8e95e9968aa6e69d9",
+        "ae83d067d49269294d6c44e0b43ff0beff3f0a1dccc7088304c0bf290e8c352a",
     "conventional/orthogonal":
-        "19e29fdda491b4c8bc29bb1bfe95715b953908cb460d1d0287f8c9c776eeaafd",
+        "affd7ce0811576a407dd37d8c16b68f3c3d088ec7d83b7ad52781a02f1bef321",
     "simultaneous_polar/normal":
-        "c2246ad617e6d82769d08f4fe8899cf3f57390c436cdea043989023a42edeb02",
+        "9d6cb446b293271e5f707d9adda33e64fd7d8e97491b4adc133c25426a0e1522",
     "simultaneous_polar/orthogonal":
-        "8fa8a1c17242da4c8921740aea898b550c120156db65b0184025ac330598f6e6",
+        "6649af18ba74e9665528b4baebe9eb5111f6f1568557419a7c79434c332a816b",
     "simultaneous_rect/normal":
         "8135d70dbc3a522906c5072c520004e81f26303a640a40b7cb2fa00b0398cd6b",
     "simultaneous_rect/orthogonal":
