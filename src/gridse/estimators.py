@@ -784,10 +784,11 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     I_mag_pmu rows' second-order term to the gain, and takes the plain
     Gauss-Newton step, logged at DEBUG, where that gain is refused (see
     the module docstring); only a refused plain gain raises
-    SingularGain.  Rows with undefined gradients (flat-start
-    current singularities) are dropped for the affected iteration only,
-    with a logged warning; if any were dropped at the converging iterate
-    the result is marked not converged.  h(x) is evaluated once per
+    SingularGain.  Rows with undefined gradients (currents below the
+    guard) are dropped for the affected iteration only, with a logged
+    warning unless the masked first iterate leaves them out anyway; if
+    any were dropped at the converging iterate the result is marked not
+    converged.  h(x) is evaluated once per
     iterate: each objective_trace entry comes from the residual of the
     next linearization, the last one from the final residuals.  A start
     in the wrong coordinates, of the wrong size, with a non-finite entry
@@ -842,9 +843,6 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         if max_step_trace:
             record_objective(r)
         dropped_at_last = not active.all()
-        if dropped_at_last:
-            log.warning("dropping %d flat-singular row(s) for this iteration",
-                        int((~active).sum()))
         method = cfg.linear_system_method
         dx = None
         if current is not None:
@@ -858,6 +856,9 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
             current = None
         masked = dx is not None
         if not masked:
+            if dropped_at_last:
+                log.warning("dropping %d flat-singular row(s) for this iteration",
+                            int((~active).sum()))
             dx = problem._gain_system(j, r, active, method, second_order).solve(method)
         columns[free] += dx
         step = float(np.max(np.abs(dx))) if dx.size else 0.0

@@ -33,6 +33,12 @@ Python.  ``evaluate_row``, ``evaluate_values`` and ``evaluate_value``
 compile a kernel for the rows they are given, so every caller runs the
 same formulas.
 
+Every current row (I_mag, I_mag_pmu, I_ang_pmu, I_re, I_im) is built
+on one branch current, I = (y + ys) V_i - y V_j, computed with its
+partials in the near-end frame I' = I e^(-j theta_i) by ``_current``:
+|I| = hypot(Re I', Im I'), the partials of |I| and of angle I follow
+from those of I', and Re I and Im I turn I' back by theta_i.  A current
+that is zero comes out at rounding level, so the guard sees it.
 Current magnitude and current angle rows divide by the current
 magnitude; below ``CURRENT_GUARD`` the value is still defined but the
 partials are not: the kernel marks such rows inactive with zero
@@ -48,7 +54,7 @@ zero, as the partials are.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
@@ -70,40 +76,8 @@ K = MeasurementKind
 
 # Below this current magnitude (p.u.) the magnitude/angle partials are
 # treated as undefined; the classic hazard is a flat start across a
-# branch with no shunts.
+# branch with no shunts, or equal voltages at its ends off the flat start.
 CURRENT_GUARD = 1e-9
-
-
-@dataclass(frozen=True)
-class BranchCoefficients:
-    """Directed-end coefficients for current magnitude/angle rows.
-
-    The *_a set describes the current phasor as a linear map of the end
-    voltages; the *_c set is its quadratic counterpart for the squared
-    magnitude.  They satisfy a_c = a_a**2 + b_a**2, b_c = c_a**2 +
-    d_a**2, c_c = a_a*c_a + b_a*d_a and d_c = c_a*b_a - d_a*a_a.  The
-    fields are floats or, elementwise, arrays over many branch ends.
-    """
-    a_a: float
-    b_a: float
-    c_a: float
-    d_a: float
-    a_c: float
-    b_c: float
-    c_c: float
-    d_c: float
-
-    @classmethod
-    def from_params(cls, g, b, gs, bs) -> "BranchCoefficients":
-        a_a, b_a = g + gs, b + bs
-        c_a, d_a = g, b
-        return cls(
-            a_a=a_a, b_a=b_a, c_a=c_a, d_a=d_a,
-            a_c=a_a * a_a + b_a * b_a,
-            b_c=c_a * c_a + d_a * d_a,
-            c_c=a_a * c_a + b_a * d_a,
-            d_c=c_a * b_a - d_a * a_a,
-        )
 
 
 @dataclass
@@ -155,24 +129,52 @@ def _q_flow(e, ti, tj, vi, vj, jac):
     return value, (d_ti, -d_ti, -vj * gsbc - 2.0 * vi * (b + bs), -vi * gsbc), None
 
 
-def _zero_where_not(ok, *parts):
-    """Partials of rows below the current guard set to zero."""
-    return tuple(np.where(ok, p, 0.0) for p in parts)
+def _current(e, ti, tj, vi, vj, jac):
+    """The branch-end current in the near-end frame, I' = I e^(-j theta_i)
+    = (y + ys) V_i - y V_j e^(-j delta) with delta = theta_i - theta_j:
+    its real and imaginary parts and, with ``jac``, their partials over
+    (theta_i, theta_j, V_i, V_j), two (4, rows) arrays.  The frame turns
+    with theta_i, so the two angle partials are negatives of each other."""
+    c, s = np.cos(ti - tj), np.sin(ti - tj)
+    # y + ys, and y e^(-j delta)
+    ar, ai = e.g + e.gs, e.b + e.bs
+    yr, yi = e.g * c + e.b * s, e.b * c - e.g * s
+    re, im = vi * ar - vj * yr, vi * ai - vj * yi
+    if not jac:
+        return re, im, None, None
+    rt, it = -vj * yi, vj * yr
+    return re, im, np.array([rt, -rt, ar, -yr]), np.array([it, -it, ai, -yi])
+
+
+def _absolute(re, im, turn):
+    """(re, im) of the near-end frame turned back to the network's frame
+    by ``turn``, the (cos, sin) of theta_i."""
+    c, s = turn
+    return re * c - im * s, re * s + im * c
+
+
+def _guarded(value):
+    """1 / value and the rows where value is at least CURRENT_GUARD; the
+    inverse is 0 below the guard, which zeroes the partials it scales."""
+    ok = value >= CURRENT_GUARD
+    return ok / np.where(ok, value, 1.0), ok
+
+
+def _angle_partials(re, im, d_re, d_im):
+    """|I|, the rows where it is at least CURRENT_GUARD, and the partials
+    of angle I', (re grad im - im grad re) / |I|^2, zero below the guard."""
+    mag = np.hypot(re, im)
+    inv, ok = _guarded(mag)
+    return mag, ok, (re * d_im - im * d_re) * (inv * inv)
 
 
 def _i_mag(e, ti, tj, vi, vj, jac):
-    k = e.k
-    c, s = np.cos(ti - tj), np.sin(ti - tj)
-    sq = k.a_c * vi * vi + k.b_c * vj * vj - 2.0 * vi * vj * (k.c_c * c - k.d_c * s)
-    value = np.sqrt(np.maximum(sq, 0.0))
+    re, im, d_re, d_im = _current(e, ti, tj, vi, vj, jac)
+    value = np.hypot(re, im)
     if not jac:
         return value, None, None
-    ok = value >= CURRENT_GUARD
-    den = np.where(ok, value, 1.0)
-    cross = k.d_c * s - k.c_c * c
-    d_ti = vi * vj * (k.d_c * c + k.c_c * s) / den
-    return value, _zero_where_not(ok, d_ti, -d_ti, (vj * cross + k.a_c * vi) / den,
-                                  (vi * cross + k.b_c * vj) / den), ok
+    inv, ok = _guarded(value)
+    return value, (re * d_re + im * d_im) * inv, ok
 
 
 # The upper entries (a, b), a <= b, of a branch row's 4 x 4 Hessian over
@@ -181,71 +183,46 @@ _UPPER = np.triu_indices(4)
 
 
 def _i_mag_hessian(e, ti, tj, vi, vj):
-    """The Hessian of |I| at its ``_UPPER`` entries, a (10, rows) array.
-    With sq = |I|^2 and g = grad |I| = grad sq / (2 |I|) it is
-    (hess sq / 2 - g g^T) / |I|; zero below CURRENT_GUARD."""
-    k = e.k
-    c, s = np.cos(ti - tj), np.sin(ti - tj)
-    cross = k.d_c * s - k.c_c * c
-    turn = k.c_c * s + k.d_c * c
-    vv = vi * vj
-    value = np.sqrt(np.maximum(k.a_c * vi * vi + k.b_c * vj * vj + 2.0 * vv * cross, 0.0))
-    inv = np.divide(1.0, value, out=np.zeros_like(value), where=value >= CURRENT_GUARD)
-    g = np.array([vv * turn, -vv * turn, vj * cross + k.a_c * vi, vi * cross + k.b_c * vj])
-    g *= inv
-    tt = -vv * cross
-    # hess sq / 2 at the _UPPER entries
-    half = np.array([tt, -tt, vj * turn, vi * turn, tt, -vj * turn, -vi * turn,
-                     k.a_c, cross, k.b_c])
-    a, b = _UPPER
-    half -= g[a] * g[b]
-    half *= inv
-    return half
-
-
-def _current_rect(k, ti, tj, vi, vj):
-    ci, si, cj, sj = np.cos(ti), np.sin(ti), np.cos(tj), np.sin(tj)
-    re = vi * (k.a_a * ci - k.b_a * si) - vj * (k.c_a * cj - k.d_a * sj)
-    im = vi * (k.a_a * si + k.b_a * ci) - vj * (k.c_a * sj + k.d_a * cj)
-    return re, im, ci, si, cj, sj
+    """The Hessian of |I| at its ``_UPPER`` entries, a (10, rows) array;
+    zero below CURRENT_GUARD.  With p = grad angle I' it is
+    |I| (p p^T + E): the Gram terms of grad re and grad im less
+    grad |I| grad |I|^T leave |I| p p^T, and I' has only the second
+    partials d2I'/d delta2 = -j dI'/d delta and d2I'/(d delta dV_j) =
+    -j dI'/dV_j, which give E = p_delta at (delta, delta) and p_Vj at
+    (delta, V_j).  The theta_j entries are the theta_i ones negated."""
+    mag, _, (pt, _, pi, pj) = _angle_partials(*_current(e, ti, tj, vi, vj, jac=True))
+    st, si, sj = mag * pt, mag * pi, mag * pj
+    tt, t_vi, t_vj = st * (pt + 1.0), st * pi, sj * (pt + 1.0)
+    return np.array([tt, -tt, t_vi, t_vj, tt, -t_vi, -t_vj, si * pi, si * pj, sj * pj])
 
 
 def _i_ang(e, ti, tj, vi, vj, jac):
-    """Four-quadrant arctangent of the current phasor.  Partials divide
-    by the squared magnitude, which makes the two angle partials sum to
+    """Four-quadrant arctangent of the current phasor.  In the near-end
+    frame angle I = angle I' + theta_i, so the two angle partials sum to
     one: rotating both end voltages rotates the current with them."""
-    k = e.k
-    re, im, *_ = _current_rect(k, ti, tj, vi, vj)
-    value = np.arctan2(im, re)
+    re, im, d_re, d_im = _current(e, ti, tj, vi, vj, jac)
+    re_abs, im_abs = _absolute(re, im, (np.cos(ti), np.sin(ti)))
+    value = np.arctan2(im_abs, re_abs)
     if not jac:
         return value, None, None
-    sq = re * re + im * im
-    ok = np.sqrt(sq) >= CURRENT_GUARD
-    den = np.where(ok, sq, 1.0)
-    c, s = np.cos(ti - tj), np.sin(ti - tj)
-    cross = k.d_c * s - k.c_c * c
-    d_v = k.c_c * s + k.d_c * c
-    return value, _zero_where_not(
-        ok, (k.a_c * vi * vi + cross * vi * vj) / den,
-        (k.b_c * vj * vj + cross * vi * vj) / den, -vj * d_v / den, vi * d_v / den), ok
+    _, ok, parts = _angle_partials(re, im, d_re, d_im)
+    parts[0] += ok
+    return value, parts, ok
 
 
-def _i_re(e, ti, tj, vi, vj, jac):
-    k = e.k
-    re, _, ci, si, cj, sj = _current_rect(k, ti, tj, vi, vj)
+def _i_rect(e, ti, tj, vi, vj, jac, part):
+    """Re I (part 0) or Im I (part 1) in the network's frame,
+    I = I' e^(j theta_i)."""
+    re, im, d_re, d_im = _current(e, ti, tj, vi, vj, jac)
+    turn = np.cos(ti), np.sin(ti)
+    value = _absolute(re, im, turn)
     if not jac:
-        return re, None, None
-    return re, (-vi * (k.a_a * si + k.b_a * ci), vj * (k.c_a * sj + k.d_a * cj),
-                k.a_a * ci - k.b_a * si, -k.c_a * cj + k.d_a * sj), None
-
-
-def _i_im(e, ti, tj, vi, vj, jac):
-    k = e.k
-    _, im, ci, si, cj, sj = _current_rect(k, ti, tj, vi, vj)
-    if not jac:
-        return im, None, None
-    return im, (vi * (k.a_a * ci - k.b_a * si), -vj * (k.c_a * cj - k.d_a * sj),
-                k.a_a * si + k.b_a * ci, -k.c_a * sj - k.d_a * cj), None
+        return value[part], None, None
+    parts = _absolute(d_re, d_im, turn)
+    # turning the frame by theta_i adds j I to dI/dtheta_i
+    parts[0][0] -= value[1]
+    parts[1][0] += value[0]
+    return value[part], parts[part], None
 
 
 class _BranchRows:
@@ -260,10 +237,6 @@ class _BranchRows:
         self.i, self.j, self.g, self.b, self.gs, self.bs = _end_params(loc, rows)
         n = loc.net.n_buses
         self.cols = np.concatenate([self.i, self.j, n + self.i, n + self.j])
-
-    @cached_property
-    def k(self) -> BranchCoefficients:
-        return BranchCoefficients.from_params(self.g, self.b, self.gs, self.bs)
 
     def pattern(self):
         return np.concatenate((self.rows,) * 4), self.cols
@@ -404,8 +377,8 @@ _GROUPS = [
     ((K.Q_FLOW,), partial(_BranchRows, formula=_q_flow)),
     ((K.I_MAG, K.I_MAG_PMU), partial(_BranchRows, formula=_i_mag, hessian=_i_mag_hessian)),
     ((K.I_ANG_PMU,), partial(_BranchRows, formula=_i_ang)),
-    ((K.I_RE,), partial(_BranchRows, formula=_i_re)),
-    ((K.I_IM,), partial(_BranchRows, formula=_i_im)),
+    ((K.I_RE,), partial(_BranchRows, formula=partial(_i_rect, part=0))),
+    ((K.I_IM,), partial(_BranchRows, formula=partial(_i_rect, part=1))),
     ((K.V_MAG, K.V_MAG_PMU), partial(_BusRows, formula=_v_mag, layout=(1,))),
     ((K.V_ANG_PMU,), partial(_BusRows, formula=_v_ang, layout=(0,))),
     ((K.V_RE,), partial(_BusRows, formula=_v_re, layout=(0, 1))),

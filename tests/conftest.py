@@ -57,9 +57,8 @@ def oracle_value(net, x, kind, at):
 
     Pure complex arithmetic from the branch parameters: currents via
     I = (y + ys) V_i - y V_j, apparent powers via V conj(I).  Shares no
-    code with the package kernel and avoids its coefficient forms, so
-    it both cross-checks the formulas and keeps finite differences
-    well conditioned.
+    code with the package kernel, so it cross-checks the formulas, and
+    its complex arithmetic keeps finite differences well conditioned.
     """
     n = net.n_buses
     th, vm = x.values[:n], x.values[n:]

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import math
 import os
 import platform
@@ -13,7 +14,7 @@ import scipy
 from gridse import SolverConfig
 from gridse.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, legacy_plan
 
 NET3 = str(FIXTURES / "net3.json")
 NET14 = str(FIXTURES / "net14.json")
@@ -124,6 +125,31 @@ class TestEstimateCommand:
         for bus in truth["state"]["buses"]:
             assert got[bus["id"]]["V"] == pytest.approx(bus["V"], abs=1e-8)
             assert got[bus["id"]]["theta"] == pytest.approx(bus["theta"], abs=1e-8)
+
+    def test_flat_start_estimate_writes_nothing_to_stderr(self, tmp_path, capsys, net14):
+        """net14's shuntless branches carry no current at the flat start;
+        the first iterate leaves their I_mag rows out, so nothing warns."""
+        placements = [{"kind": str(kind), "at": list(at)} for kind, at in legacy_plan(net14)]
+        spec = tmp_path / "scenario.json"
+        spec.write_text(json.dumps({
+            "network": NET14, "seed": 5, "placements": placements,
+            "true_state": {"v_range": [0.97, 1.03], "theta_range": [-0.05, 0.05]}}))
+        assert main(["synthesize", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+        capsys.readouterr()
+        # as in a plain process: no handler on the root logger, so a
+        # warning would reach stderr through logging's last resort
+        handlers = logging.root.handlers[:]
+        for handler in handlers:
+            logging.root.removeHandler(handler)
+        try:
+            rc = main(["estimate", "--net", NET14,
+                       "--measurements", str(tmp_path / "data" / "measurements.json"),
+                       "--formulation", "conventional", "--out", str(tmp_path / "run")])
+        finally:
+            for handler in handlers:
+                logging.root.addHandler(handler)
+        assert rc == 0
+        assert capsys.readouterr().err == ""
 
     def test_json_summary(self, tmp_path, capsys):
         data = synth(tmp_path)

@@ -22,7 +22,6 @@ from gridse import (
     SolverConfig,
 )
 from gridse.functions import (
-    BranchCoefficients,
     CURRENT_GUARD,
     MeasurementKernel,
     dc_rows,
@@ -121,6 +120,43 @@ class TestCurrentMagnitude:
         assert evaluate_value(net, x, K.I_MAG, (1, 2)) < CURRENT_GUARD
         with pytest.raises(FlatStartSingularity):
             evaluate_row(net, x, K.I_MAG, (1, 2))
+
+    @staticmethod
+    def branch_with_current(rng, current):
+        """A two-bus branch with shunts at both ends and a state off the
+        flat start whose current leaving bus 1 is ``current``, up to the
+        rounding of the state."""
+        net = single_branch_net(rng.uniform(0.5, 5.0), rng.uniform(-20.0, -2.0),
+                                gs=rng.uniform(0.0, 0.01), bs=rng.uniform(0.0, 0.05),
+                                gs_to=rng.uniform(0.0, 0.01), bs_to=rng.uniform(0.0, 0.05))
+        br = net.branches[0]
+        y = 1.0 / complex(br.r, br.x)
+        vi = rng.uniform(0.9, 1.1) * cmath.exp(1j * rng.uniform(-0.5, 0.5))
+        vj = ((y + complex(br.gs_from, br.bs_from)) * vi - current) / y
+        return net, state(net, np.array([cmath.phase(vi), cmath.phase(vj)]),
+                          np.array([abs(vi), abs(vj)]))
+
+    def test_zero_current_off_the_flat_start_is_below_the_guard(self):
+        placements = [(K.I_MAG, (1, 2)), (K.I_MAG_PMU, (1, 2)), (K.I_ANG_PMU, (1, 2))]
+        rng = np.random.default_rng(46)
+        for _ in range(200):
+            net, x = self.branch_with_current(rng, 0.0)
+            h, j, active = MeasurementKernel(net, placements).rows(x)
+            assert h[0] < CURRENT_GUARD
+            assert not active.any()
+            assert (j.data == 0.0).all()
+            for kind, at in placements:
+                with pytest.raises(FlatStartSingularity):
+                    evaluate_row(net, x, kind, at)
+
+    @pytest.mark.parametrize("level", [1e-3, 1e-4, 1e-5, 1e-6])
+    def test_small_current_matches_the_oracle(self, level):
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            current = level * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+            net, x = self.branch_with_current(rng, current)
+            want = oracle_value(net, x, K.I_MAG, (1, 2))
+            assert abs(evaluate_value(net, x, K.I_MAG, (1, 2)) - want) <= 1e-8 * want
 
 
 class TestInjections:
@@ -299,19 +335,6 @@ def test_bus_outside_network_rejected(net3, kind, bus):
     if kind == K.V_RE:
         with pytest.raises(InputError, match="bus does not exist"):
             linear_rows_rectstate(net3, MeasurementSet([Measurement(kind, (bus,), 0.0, 1e-4)]))
-
-
-class TestBranchCoefficients:
-    def test_internal_identities(self):
-        rng = np.random.default_rng(33)
-        for _ in range(200):
-            g, b = rng.uniform(0.1, 10), rng.uniform(-30, -0.1)
-            gs, bs = rng.uniform(0, 0.5), rng.uniform(-0.5, 0.5)
-            k = BranchCoefficients.from_params(g, b, gs, bs)
-            assert k.a_c == k.a_a ** 2 + k.b_a ** 2
-            assert k.b_c == k.c_a ** 2 + k.d_a ** 2
-            assert k.c_c == k.a_a * k.c_a + k.b_a * k.d_a
-            assert k.d_c == k.c_a * k.b_a - k.d_a * k.a_a
 
 
 class TestLinearRectRows:
@@ -526,6 +549,25 @@ class TestMeasurementKernel:
             assert np.array_equal(j.indices, kernel.indices)
             assert np.isfinite(j.data).all()
 
+    def test_turning_both_ends_turns_the_current(self, net14):
+        """Adding one angle to every bus leaves P, Q and |I| unchanged,
+        adds it to angle I and turns I by it, so the two angle partials
+        of a branch row sum to 0, to 1 for angle I, and to -Im I and
+        Re I for Re I and Im I."""
+        rng = np.random.default_rng(48)
+        placements = [(kind, at) for at in _both_directions(net14)
+                      for kind in NONLINEAR_BRANCH_KINDS]
+        kernel = MeasurementKernel(net14, placements)
+        for _ in range(3):
+            x = random_polar_state(net14, rng)
+            dense = kernel.rows(x)[1].toarray()
+            for r, (kind, (i, j)) in enumerate(placements):
+                d_ti, d_tj = dense[r, i - 1], dense[r, j - 1]
+                cur = complex(oracle_value(net14, x, K.I_RE, (i, j)),
+                              oracle_value(net14, x, K.I_IM, (i, j)))
+                want = {K.I_ANG_PMU: 1.0, K.I_RE: -cur.imag, K.I_IM: cur.real}.get(kind, 0.0)
+                assert abs(d_ti + d_tj - want) <= 1e-12 * max(abs(d_ti), abs(d_tj)), (kind, i, j)
+
     def test_flat_start_drops_singular_current_rows(self, net14, caplog):
         plan = legacy_plan(net14)
         mset = MeasurementSet([Measurement(kind, at, 0.0, 1e-4) for kind, at in plan])
@@ -543,8 +585,17 @@ class TestMeasurementKernel:
         lo, hi = j.indptr[want], j.indptr[np.array(want) + 1]
         assert (hi - lo == 4).all()
         assert all((j.data[a:b] == 0.0).all() for a, b in zip(lo, hi))
+        # the masked first iterate leaves these rows out anyway: no warning
         with caplog.at_level("WARNING", logger="gridse"):
             gauss_newton(problem, cfg=SolverConfig(max_iterations=1))
+        assert "flat-singular" not in caplog.text
+        # off the flat start, equal end voltages still carry no current
+        # on the shuntless branches, and that iterate drops their rows
+        x0 = problem.initial_state()
+        x0.values[net14.n_buses:] = 1.05
+        assert np.array_equal(problem.rows(x0)[2], active)
+        with caplog.at_level("WARNING", logger="gridse"):
+            gauss_newton(problem, x0, SolverConfig(max_iterations=1))
         assert f"dropping {len(want)} flat-singular row(s)" in caplog.text
 
     def test_dc_rows_are_dc_rows_on_the_angle_columns(self, net14):

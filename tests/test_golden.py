@@ -117,44 +117,44 @@ def replay_digests(tmp_path):
 
 SYNTHESIS = {
     "net14/conventional":
-        "01a3f1bc19526ac88ea7b8927e2c2734b5e74a8057a2f1dea05aec9c2f796dce",
+        "cde44b4f6d168cd9a7bb1214db310997a8eda3daa4ba35096a005a5ecdb020be",
     "net14/simultaneous_polar":
-        "553a3921cc7c86793a2336864d656e81dd904b28836a89805dd8180062fb3951",
+        "5a849a1945ee3d9fa5de1fc4c552673519e6b6d5ff4522f5fc37fca44dbd2be5",
     "net14/simultaneous_rect":
-        "0966a0ca3cb79f6bddcb74e73653c17e1d958936189fc7846de2dc3f937e20da",
+        "5a555c54cd1a8b297c265f1771a2168865b485fe7a22c131cf2233741378c028",
     "net14/linear_rect":
-        "9168f19960a6a717a704ca49f7bcb6817264c1f8028f8d547c34ee92457166a4",
+        "04ac10d06da184dbe09dc87c95ebf6fc030739447a29c8be48c77c618c70adb1",
     "net14/dc":
         "bb79f12090d1b7903d377d1b4e5eca5e95944039b85fa80e81dd623267829df2",
     "lattice4/conventional":
-        "6c5bc6ae28d204ce9a43e7d17135db5e2841bd6160becf5a68ae46b7c66a4515",
+        "9240a83515b9b37d0d96d864b7371c240cdb86d0354cb24770d3e3ffe073aa1d",
     "lattice4/simultaneous_polar":
-        "991df411f77ec9e6d5417925743b47f70d70875023a0c098b23a050e21df083c",
+        "8fa90cbdca2f0558c0c461a45bdf268a5b7dfccfab6e4210dc7e4e16bbc6b94b",
     "lattice4/simultaneous_rect":
-        "b731331843343994c09122d81b50316835fbde3b995e641eeaa1d85b0cde8306",
+        "4a0c69f872b82a75330c104c195e172747ad40a76bbcabe12a705b2173e2ce55",
     "lattice4/linear_rect":
-        "69686158d84773061e880514d8b8756d032c2fdb7266c000f80e34ac7578b61f",
+        "d0426bef8ad388ee6887d60875a5067e044c507af7792feb31fdc4fc06b3c956",
     "lattice4/dc":
         "edde789f522c20ef9d86271dfc5260addeab404db3ed319f7162114d11df36d6",
 }
 
 REPLAY = {
     "conventional/normal":
-        "ae83d067d49269294d6c44e0b43ff0beff3f0a1dccc7088304c0bf290e8c352a",
+        "34019560c5e03a7aa1341bd041b3de929224217a7c778f41c15707cb3c87141f",
     "conventional/orthogonal":
-        "affd7ce0811576a407dd37d8c16b68f3c3d088ec7d83b7ad52781a02f1bef321",
+        "d67d761c33d23da1d51e7e7af4bed2822d5443e2579105d8eaca2cdd4c7d57a6",
     "simultaneous_polar/normal":
-        "9d6cb446b293271e5f707d9adda33e64fd7d8e97491b4adc133c25426a0e1522",
+        "250a7c6bf2cbe0cae69724a9250f4346581aa770a5bc50abee3d644a00f87dc8",
     "simultaneous_polar/orthogonal":
-        "6649af18ba74e9665528b4baebe9eb5111f6f1568557419a7c79434c332a816b",
+        "fdebc9e087a823ac6ac148f81d68c2a7a7f880115fa357189b0da9878d70d089",
     "simultaneous_rect/normal":
-        "8135d70dbc3a522906c5072c520004e81f26303a640a40b7cb2fa00b0398cd6b",
+        "843b4c57dda6c25980d2ec94607e512a15778e45b5e8da7d867cd9982ac50652",
     "simultaneous_rect/orthogonal":
-        "ddf7b5ec2eac06e9a70878c7da9b746a1f76c1372ec3848a2257e3115a73e865",
+        "44f4d28483d1c151d1fef40bef1b67ec08e0149ff733eeb5aedece2c4fa8c8f2",
     "linear_rect/normal":
-        "664b485e197a0862556c7cfc22f79ac64424c3c186860a7c6ecf6d00ea2349d3",
+        "a0e80bbeda4acfe1553b141a9117f6574bd8c9a5ef8c3f06b837b179cec56aff",
     "linear_rect/orthogonal":
-        "e10e9ad1c77dd58bfefc638187ec357afef0954abc135603ac8ad36002f12062",
+        "0239c1a12a1e407ae2fffb1da92a4a2ff6ab52befe5e07bbdeec4b5a069766b4",
     "dc/normal":
         "a0bc07031e7d7c14ae46a2641a9ff3573faf8681b3a38d3f27b965697df6e104",
     "dc/orthogonal":
