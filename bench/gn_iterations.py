@@ -18,6 +18,12 @@ linear methods, and records per case:
   step because their gain with the current magnitudes' second-order term
   was refused, counted from gridse's DEBUG records (0 for sources without
   the term);
+* ``factorizations_mean``: gain factorizations per estimate, the calls of
+  ``_factor_band`` and ``_factor_lu`` (0 under the orthogonal method,
+  which factors by QR);
+* ``kept_factor_converged``: how many estimates converged on the factor
+  their gain plan kept from the iterate before, counted from gridse's
+  DEBUG records (0 for sources without it);
 * the median wall time of ``gridse.solve`` in ms (assembly and
   synthesis are not timed; one untimed estimate warms each process up).
 
@@ -73,13 +79,14 @@ def measure(src: str, quick: bool) -> dict:
     import workloads
     from lattice import lattice_network
 
-    # Counts the refused second-order gains; the flat-start warnings, one
-    # per estimate, would otherwise go to stderr.
-    refused = RefusalCount()
+    # Counts the DEBUG records; the flat-start warnings, one per
+    # estimate, would otherwise go to stderr.
+    records = RecordCount()
     logger = logging.getLogger("gridse")
-    logger.addHandler(refused)
+    logger.addHandler(records)
     logger.setLevel(logging.DEBUG)
     logger.propagate = False
+    factors = count_factors(gridse.estimators)
 
     nets = {"net14": gridse.load_network(os.path.join(ROOT, "tests", "fixtures", "net14.json")),
             "lattice20": lattice_network(workloads.AC_LATTICE_K,
@@ -95,11 +102,13 @@ def measure(src: str, quick: bool) -> dict:
             for method in METHODS:
                 cfg = gridse.SolverConfig(linear_system_method=method)
                 iterations, seconds, failures, errors, v = [], [], 0, 0, []
-                refused.count = 0
+                factorizations = []
+                records.refused = records.confirmed = 0
                 for index in range(count):
                     case = workloads.synthesize_case(net, SEED, index, formulation,
                                                      plan, noise, method)
                     problem = gridse.assemble_problem(net, case.mset, formulation)
+                    factors[0] = 0
                     t = time.perf_counter()
                     try:
                         result = gridse.solve(problem, cfg)
@@ -109,6 +118,7 @@ def measure(src: str, quick: bool) -> dict:
                         v.append(None)
                         continue
                     seconds.append(time.perf_counter() - t)
+                    factorizations.append(factors[0])
                     x = result.x_hat
                     out = workloads.Outcome(
                         exit_code=0, converged=bool(result.converged),
@@ -131,7 +141,10 @@ def measure(src: str, quick: bool) -> dict:
                     "iterations_max": max(iterations, default=None),
                     "gate_failures": failures,
                     "errors": errors,
-                    "curvature_refused": refused.count,
+                    "curvature_refused": records.refused,
+                    "factorizations_mean": round(float(np.mean(factorizations)), 3)
+                    if factorizations else None,
+                    "kept_factor_converged": records.confirmed,
                     "solve_ms_median": round(1e3 * float(np.median(seconds)), 2)
                     if seconds else None,
                     "v": v,
@@ -139,16 +152,34 @@ def measure(src: str, quick: bool) -> dict:
     return cases
 
 
-class RefusalCount(logging.Handler):
-    """Counts gridse's DEBUG records of a refused second-order gain."""
+class RecordCount(logging.Handler):
+    """Counts gridse's DEBUG records of a refused second-order gain and of
+    an estimate that converged on its kept factor."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.count = 0
+        self.refused = self.confirmed = 0
 
     def emit(self, record):
-        if record.getMessage().startswith("second-order gain refused"):
-            self.count += 1
+        message = record.getMessage()
+        if message.startswith("second-order gain refused"):
+            self.refused += 1
+        elif message.startswith("converged on the kept factor"):
+            self.confirmed += 1
+
+
+def count_factors(estimators) -> list:
+    """Wraps the gain factors of the module ``estimators``, which look
+    each other up as its globals; the one entry of the list returned
+    counts their calls."""
+    count = [0]
+    for name in ("_factor_band", "_factor_lu"):
+        def counted(*args, _factor=getattr(estimators, name)):
+            count[0] += 1
+            return _factor(*args)
+
+        setattr(estimators, name, counted)
+    return count
 
 
 def column(src: str, quick: bool) -> dict:
@@ -230,19 +261,21 @@ def main(argv=None) -> int:
         entries.append(entry)
         line = (f"{key}: iterations {now['iterations_mean']} (max {now['iterations_max']}), "
                 f"{now['gate_failures']} failed, {now['curvature_refused']} refused, "
-                f"{now['solve_ms_median']} ms")
+                f"{now['factorizations_mean']} factors, {now['kept_factor_converged']} "
+                f"on the kept factor, {now['solve_ms_median']} ms")
         if base is not None:
             was = base[key]
             line += (f"; baseline {was['iterations_mean']} (max {was['iterations_max']}), "
                      f"{was['gate_failures']} failed, {was['curvature_refused']} refused, "
+                     f"{was['factorizations_mean']} factors, "
                      f"{was['solve_ms_median']} ms; "
                      f"max |dV| {entry['max_v_diff']:.3g}")
         print(line)
     # gain_factor imports this tree's gridse, so never in a worker
     from gain_factor import cpu_model
     doc = {
-        "what": "Gauss-Newton iterations, gate failures and solve time per "
-                "estimate from the flat start, benchmark scenarios",
+        "what": "Gauss-Newton iterations, gain factorizations, gate failures and "
+                "solve time per estimate from the flat start, benchmark scenarios",
         "seed": SEED,
         "scenarios": {name: counts[0] for name, counts in SCENARIOS.items()},
         "baseline_commit": commit,

@@ -17,7 +17,7 @@ assembles every iterate's band straight from J and its weights
 
 Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
-non-converged result instead of being masked.  There are two
+non-converged result instead of being masked.  There are three
 departures.  The current magnitude rows add their exact second-order
 term to every iterate but the first from the flat start, which then
 solves (G - S) dx = J^T R^-1 r, S = sum_i w_i r_i hess |I|_i: Newton's
@@ -33,7 +33,7 @@ its step S takes more than half of G, the iterate takes the plain
 Gauss-Newton step.  The current angle rows get no such term: with it,
 simultaneous_polar estimates took more iterations, not fewer.
 
-The other departure is the first iterate from the flat start, which
+The second departure is the first iterate from the flat start, which
 leaves the polar current rows out (Abur & Exposito 2004, ch. 2).  There
 every branch carries only its charging current, so |I| sits near its
 kink and the current's angle is some 90 degrees off the flow's: with
@@ -42,11 +42,24 @@ against a solution within 0.05 of flat.  Without them a plain
 Gauss-Newton estimate there took 5.95 iterations on average instead of
 8.05, and a simultaneous_polar one 5.0 instead of 12.7, where one in 20
 never converged.
+
+The third is the last step of a normal-method estimate, which an
+iterate after a step of at most sqrt(tol) first takes with the factor
+of the iterate before, where that was taken under its weights: the
+chord step (Kelley, Iterative Methods for Linear and Nonlinear
+Equations, 1995, ch. 5).  A chord step of at most tol ends the
+estimate without a gain of its own, and a longer one is discarded, so
+the iterations and every step but the last are those of the iterate's
+own gain.  Near the solution the chord step and the iterate's own
+step differ by a small fraction of the tolerance.  A conventional
+estimate on a 20 x 20 lattice factors 4.2 gains instead of 5.2
+(BENCH_gn_iterations.json).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -134,6 +147,9 @@ _POLAR_CURRENT = kind_mask({MeasurementKind.I_MAG, MeasurementKind.I_MAG_PMU,
 # was refused, so that it took the Gauss-Newton step.
 _REFUSED = "second-order gain refused (%s): taking the Gauss-Newton step"
 
+# The DEBUG record of an estimate that converged on the kept factor.
+_CONFIRMED = "converged on the kept factor: step %.3g"
+
 # A gain goes to band storage unless its band, after the reverse
 # Cuthill-McKee ordering, would hold more than this many times the
 # gain's stored entries.  A meshed lattice's band holds 4-26 times
@@ -166,8 +182,10 @@ class EstimationResult:
     x_hat is the full StateVector in the formulation's coordinates.
     iterations counts the Gauss-Newton updates larger than the step
     tolerance; the final sub-tolerance increment is applied but not
-    counted.  A constant-Jacobian model takes a single step, so from a
-    start off the solution it reports exactly one iteration.
+    counted.  Under the normal method a nonlinear problem usually takes
+    that increment from the factor of the iterate before (see
+    gauss_newton).  A constant-Jacobian model takes a single step, so
+    from a start off the solution it reports exactly one iteration.
     """
     x_hat: StateVector
     converged: bool
@@ -233,9 +251,11 @@ class _PlannedGain(GainSystem):
     which the first such solve builds."""
 
     def __init__(self, problem: EstimationProblem, j, r: np.ndarray,
-                 active: np.ndarray, curvature: _Curvature | None = None):
+                 active: np.ndarray, curvature: _Curvature | None = None,
+                 tolerance: float | None = None):
         super().__init__(j, problem.covariance, r, active, problem.unknown_name, curvature)
         self.problem = problem
+        self.tolerance = tolerance
 
     def _normal(self, rinv):
         problem = self.problem
@@ -243,7 +263,7 @@ class _PlannedGain(GainSystem):
             problem._gain_plan = _GainPlan(self.j, problem.free_indices, rinv,
                                            problem._curved)
         return problem._gain_plan.solve(self.j, rinv, self.r, self.name_of,
-                                        self.curvature)
+                                        self.curvature, tolerance=self.tolerance)
 
 
 class _CurvedPattern(NamedTuple):
@@ -429,19 +449,22 @@ class EstimationProblem:
         return _CurvedPattern(kept, row[kept], k, l, np.where(k == l, 0.5, 1.0))
 
     def _gain_system(self, j, r: np.ndarray, active: np.ndarray,
-                     method: str, x: StateVector | None = None) -> GainSystem:
+                     method: str, x: StateVector | None = None,
+                     tolerance: float | None = None) -> GainSystem:
         """The gain system of one iterate whose J spans all columns.  A
-        kernel problem's normal solves run on its gain plan.  The rest
-        get a GainSystem over J's free columns: the orthogonal method,
-        and the one-shot DC and linear_rect solves, which the normal
-        method solves by the product path, since a plan's build costs
-        more than one product path does.  Given the iterate's state x, a
-        kernel problem with curved rows gets their second-order term."""
+        kernel problem's normal solves run on its gain plan, which first
+        tries its kept factor given a ``tolerance`` (``_GainPlan.solve``).
+        The rest get a GainSystem over J's free columns: the orthogonal
+        method, and the one-shot DC and linear_rect solves, which the
+        normal method solves by the product path, since a plan's build
+        costs more than one product path does.  Given the iterate's state
+        x, a kernel problem with curved rows gets their second-order
+        term."""
         curvature = None
         if x is not None and self.kernel is not None and self._curved.kept.size:
             curvature = _Curvature(self, x)
         if self.kernel is not None and method == NORMAL:
-            return _PlannedGain(self, j, r, active, curvature)
+            return _PlannedGain(self, j, r, active, curvature, tolerance)
         return GainSystem(j[:, self.free_indices], self.covariance, r, active,
                           self.unknown_name, curvature)
 
@@ -478,15 +501,9 @@ def objective(problem: EstimationProblem, x: StateVector) -> float:
     return float(r @ (problem.covariance.inverse() @ r))
 
 
-def _normal_system(a, rinv, r):
-    """The gain A^T R^-1 A (CSC) and right-hand side A^T R^-1 r."""
-    return csc_matrix(a.T @ rinv @ a), a.T @ (rinv @ r)
-
-
 def _solve_normal(a, rinv, r, name_of=None):
     """Solve (A^T R^-1 A) dx = A^T R^-1 r through a factor of the gain."""
-    g, rhs = _normal_system(a, rinv, r)
-    return _factor_gain(g, name_of)(rhs)
+    return _factor_gain(csc_matrix(a.T @ rinv @ a), name_of)(a.T @ (rinv @ r))
 
 
 def _band_order(g: csc_matrix):
@@ -607,6 +624,7 @@ class _GainPlan:
         m = j.shape[0]
         self._n = n = free.size
         self._free = free
+        self.kept = None  # (solve, weights) of the last factor
         column = np.full(j.shape[1], -1, dtype=np.intp)
         column[free] = np.arange(n)
         col = column[j.indices]
@@ -666,31 +684,55 @@ class _GainPlan:
         self._s_slot = _band_slot(np.minimum(k, l), np.maximum(k, l), kd)
 
     def solve(self, j, rinv, r: np.ndarray, name_of=None,
-              curvature: _Curvature | None = None) -> np.ndarray:
+              curvature: _Curvature | None = None,
+              tolerance: float | None = None) -> np.ndarray:
         """dx of the iterate whose J (all columns) is j, under weights
         rinv: R^-1 on its own pattern, inactive rows' entries zero; with
-        the second-order term of ``curvature`` unless that is refused."""
+        the second-order term of ``curvature`` unless that is refused.
+
+        The plan keeps the solve of its last factor with the weights it
+        was taken under.  Given ``tolerance``, it first solves this
+        iterate's right-hand side with that factor, if its weights are
+        these: a step of at most ``tolerance`` is returned, logged at
+        DEBUG, and a longer one discarded (the chord step; Kelley,
+        Iterative Methods for Linear and Nonlinear Equations, 1995,
+        ch. 5).  The kept factor is released before a new gain is
+        formed, so that two never coexist."""
         y = rinv @ r
         if self._perm is None:
-            g, rhs = _normal_system(j[:, self._free], rinv, r)
-            if curvature is not None:
-                dx = curvature.step(y, rhs, lambda s: _factor_lu(
-                    g - curvature.matrix(s), name_of)(rhs))
-                if dx is not None:
-                    return dx
-            return _factor_lu(g, name_of)(rhs)
-        data = j.data
-        rhs = np.bincount(self._a_col, data[self._a] * np.repeat(y, self._a_count),
-                          minlength=self._n)
+            a = j[:, self._free]
+            rhs = a.T @ y
+        else:
+            data = j.data
+            rhs = np.bincount(self._a_col, data[self._a] * np.repeat(y, self._a_count),
+                              minlength=self._n)
+        kept, self.kept = self.kept, None
+        if tolerance is not None and kept is not None and np.array_equal(kept[1], rinv.data):
+            dx = kept[0](rhs)
+            step = float(np.max(np.abs(dx))) if dx.size else 0.0
+            if step <= tolerance:
+                log.debug(_CONFIRMED, step)
+                return dx
+            del dx
+        del kept
+        if self._perm is None:
+            g = csc_matrix(a.T @ rinv @ a)
 
         def solve(s=None):
-            """Sum G's upper band, less S's entries s, and solve."""
-            terms = np.repeat(rinv.data[self._lead_w] * data[self._lead], self._count)
-            terms *= data[self._partner]
-            ab = np.bincount(self._slot, terms, minlength=self._size)
-            if s is not None:
-                np.subtract.at(ab, self._s_slot, s)
-            return _factor_band(ab.reshape(self._n, -1), self._perm, name_of)(rhs)
+            """Factor G less S's entries s, keep the factor and solve: by
+            SuperLU, or from G's upper band summed from J."""
+            self.kept = None  # the factor of a refused step
+            if self._perm is None:
+                factor = _factor_lu(g if s is None else g - curvature.matrix(s), name_of)
+            else:
+                terms = np.repeat(rinv.data[self._lead_w] * data[self._lead], self._count)
+                terms *= data[self._partner]
+                ab = np.bincount(self._slot, terms, minlength=self._size)
+                if s is not None:
+                    np.subtract.at(ab, self._s_slot, s)
+                factor = _factor_band(ab.reshape(self._n, -1), self._perm, name_of)
+            self.kept = factor, rinv.data
+            return factor(rhs)
 
         if curvature is not None:
             dx = curvature.step(y, rhs, solve)
@@ -784,17 +826,21 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     I_mag_pmu rows' second-order term to the gain, and takes the plain
     Gauss-Newton step, logged at DEBUG, where that gain is refused (see
     the module docstring); only a refused plain gain raises
-    SingularGain.  Rows with undefined gradients (currents below the
-    guard) are dropped for the affected iteration only, with a logged
-    warning unless the masked first iterate leaves them out anyway; if
-    any were dropped at the converging iterate the result is marked not
-    converged.  h(x) is evaluated once per
-    iterate: each objective_trace entry comes from the residual of the
-    next linearization, the last one from the final residuals.  A start
-    in the wrong coordinates, of the wrong size, with a non-finite entry
-    or with another slack anchor raises InputError, a singular gain
-    SingularGain; hitting the iteration cap returns the partial result
-    with converged=False.
+    SingularGain.  An iterate whose previous step was at most
+    sqrt(step_tolerance) hands the tolerance to its gain plan under the
+    normal method: the final sub-tolerance increment then comes from the
+    factor the plan kept from the iterate before, where that was taken
+    under the same weights, logged at DEBUG (``_GainPlan.solve``).
+    Rows with undefined gradients (currents below the guard) are
+    dropped for the affected iteration only, with a logged warning
+    unless the masked first iterate leaves them out anyway; if any were
+    dropped at the converging iterate the result is marked not
+    converged.  h(x) is evaluated once per iterate: each objective_trace
+    entry comes from the residual of the next linearization, the last
+    one from the final residuals.  A start in the wrong coordinates, of
+    the wrong size, with a non-finite entry or with another slack anchor
+    raises InputError, a singular gain SingularGain; hitting the
+    iteration cap returns the partial result with converged=False.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x = (x0 if x0 is not None else problem.initial_state()).copy()
@@ -859,7 +905,13 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
             if dropped_at_last:
                 log.warning("dropping %d flat-singular row(s) for this iteration",
                             int((~active).sum()))
-            dx = problem._gain_system(j, r, active, method, second_order).solve(method)
+            # a step at most sqrt(tol) earns the next one a try of the
+            # kept factor
+            confirm = None
+            if max_step_trace and max_step_trace[-1] <= math.sqrt(cfg.step_tolerance):
+                confirm = cfg.step_tolerance
+            dx = problem._gain_system(j, r, active, method, second_order,
+                                      tolerance=confirm).solve(method)
         columns[free] += dx
         step = float(np.max(np.abs(dx))) if dx.size else 0.0
         max_step_trace.append(step)
@@ -870,6 +922,8 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         if step <= cfg.step_tolerance or problem.is_linear:
             converged = not dropped_at_last
             break
+    if problem._gain_plan is not None:
+        problem._gain_plan.kept = None  # a factor serves one estimate
     residuals = problem.residuals(x)
     record_objective(residuals)
     return EstimationResult(

@@ -940,16 +940,19 @@ class TestGainPlan:
         assert plan._slot.tolist() == slot
 
     def test_radial_feeder_ordered_once_and_factored_by_superlu_each_iterate(
-            self, rcm_calls, superlu_calls):
+            self, rcm_calls, superlu_calls, caplog):
         tree = binary_tree_network(1023)
         spec = make_scenario(tree, legacy_plan(tree), noise=LEGACY_NOISE, seed=21)
         problem = assemble_problem(tree, synthesize(spec, sample_true_state(spec)),
                                    "conventional")
         x0 = sample_true_state(spec)  # no current row is flat-singular here
-        result = solve(problem, x0=x0)
+        with caplog.at_level("DEBUG", logger="gridse"):
+            result = solve(problem, x0=x0)
         assert result.converged
         assert len(rcm_calls) == 1
-        assert len(superlu_calls) == len(result.max_step_trace) >= 2
+        # every iterate but the last, which converges on the kept LU
+        assert CONFIRMED in caplog.text
+        assert len(superlu_calls) == len(result.max_step_trace) - 1 >= 2
 
 
 POLAR_CURRENT = [K.I_MAG.value, K.I_MAG_PMU.value, K.I_ANG_PMU.value]
@@ -962,9 +965,9 @@ def gain_masks(problem):
     masks = []
     gain_system = problem._gain_system
 
-    def recorded(j, r, active, *args):
+    def recorded(j, r, active, *args, **kwargs):
         masks.append(active.copy())
-        return gain_system(j, r, active, *args)
+        return gain_system(j, r, active, *args, **kwargs)
 
     problem._gain_system = recorded
     return masks
@@ -1102,6 +1105,7 @@ def band_to_upper(ab):
 
 
 REFUSED = "second-order gain refused"
+CONFIRMED = "converged on the kept factor"
 
 
 def current_phasor_problem():
@@ -1206,8 +1210,8 @@ class TestSecondOrderTerm:
         calls = []
         gain_system = problem._gain_system
 
-        def recorded(j, r, active, method, x=None):
-            system = gain_system(j, r, active, method, x)
+        def recorded(j, r, active, method, x=None, **kwargs):
+            system = gain_system(j, r, active, method, x, **kwargs)
             calls.append(system.curvature is not None)
             return system
 
@@ -1219,6 +1223,123 @@ class TestSecondOrderTerm:
         calls.clear()
         solve(problem, SolverConfig(linear_system_method=method), x0=result.x_hat)
         assert all(calls)
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """How often a gain is factored, by the banded Cholesky or SuperLU,
+    while the test runs."""
+    calls = []
+    for name in ("_factor_band", "_factor_lu"):
+        def counted(*args, _factor=getattr(gridse.estimators, name)):
+            calls.append(1)
+            return _factor(*args)
+
+        monkeypatch.setattr(gridse.estimators, name, counted)
+    return calls
+
+
+def without_kept_factor(monkeypatch):
+    """Let no gain plan try its kept factor."""
+    solve_on_plan = gridse.estimators._GainPlan.solve
+
+    def plain(self, *args, tolerance=None):
+        return solve_on_plan(self, *args)
+
+    monkeypatch.setattr(gridse.estimators._GainPlan, "solve", plain)
+
+
+class TestKeptFactor:
+    """A normal-method iterate that follows a step of at most sqrt(tol)
+    first solves with the factor its gain plan kept from the iterate
+    before, if that was taken under the same weights: a step of at most
+    tol ends the estimate without a gain of its own, a longer one is
+    discarded."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("net_name", ["lattice6", "net14"])
+    @pytest.mark.parametrize("formulation", ["conventional", "simultaneous_polar",
+                                             "simultaneous_rect"])
+    def test_only_the_last_step_changes(self, monkeypatch, factor_calls, caplog,
+                                        formulation, net_name, method):
+        cfg = SolverConfig(linear_system_method=method)
+        with caplog.at_level("DEBUG", logger="gridse"):
+            kept = solve(TestGainPlan.problem(net_name, formulation), cfg)
+        factors = len(factor_calls)
+        factor_calls.clear()
+        without_kept_factor(monkeypatch)
+        plain = solve(TestGainPlan.problem(net_name, formulation), cfg)
+        assert kept.converged and plain.converged
+        assert kept.iterations == plain.iterations
+        if method == "orthogonal":  # a QR every iterate, as before
+            assert CONFIRMED not in caplog.text
+            assert factors == len(factor_calls) == 0
+            assert kept.x_hat.values.tobytes() == plain.x_hat.values.tobytes()
+            assert kept.max_step_trace == plain.max_step_trace
+            assert kept.objective_trace == plain.objective_trace
+            return
+        assert CONFIRMED in caplog.text
+        assert factors == len(factor_calls) - 1
+        assert kept.max_step_trace[:-1] == plain.max_step_trace[:-1]
+        assert kept.objective_trace[:-1] == plain.objective_trace[:-1]
+        assert kept.max_step_trace[-1] <= cfg.step_tolerance
+        assert np.max(np.abs(kept.x_hat.values - plain.x_hat.values)) <= 1e-9
+
+    def test_tried_only_after_a_step_of_at_most_the_root_of_tol(self):
+        problem = TestGainPlan.problem("net14", "simultaneous_polar")
+        given = []
+        gain_system = problem._gain_system
+
+        def recorded(*args, tolerance=None):
+            given.append(tolerance)
+            return gain_system(*args, tolerance=tolerance)
+
+        problem._gain_system = recorded
+        cfg = SolverConfig()
+        steps = solve(problem, cfg).max_step_trace
+        root = math.sqrt(cfg.step_tolerance)
+        assert given == [None] + [cfg.step_tolerance if step <= root else None
+                                  for step in steps[:-1]]
+        assert given[-1] == cfg.step_tolerance
+        assert problem._gain_plan.kept is None  # released when the estimate ends
+
+    def test_masked_flat_start_factor_is_never_used(self, factor_calls, caplog):
+        # Exact data of the flat state: the masked first step is below the
+        # tolerance, and so would the kept factor's be, but the full-row
+        # iterate weighs the current rows.
+        problem = TestFlatStartCurrentRows().problem(
+            "simultaneous_polar", noise={}, v_range=(1.0, 1.0), t_range=(0.0, 0.0))
+        with caplog.at_level("DEBUG", logger="gridse"):
+            result = solve(problem, SolverConfig(max_iterations=2))
+        assert result.converged and max(result.max_step_trace) <= 1e-8
+        assert CONFIRMED not in caplog.text
+        assert len(factor_calls) == 2
+
+    def test_factor_under_dropped_rows_is_never_used(self, factor_calls, caplog):
+        problem = TestGainPlan.problem("net14", "conventional")
+        x = solve(problem).x_hat
+        # equal end voltages: the shuntless branches carry no current, and
+        # their current rows are dropped
+        dropping = problem.initial_state()
+        dropping.values[problem.net.n_buses:] = 1.05
+        assert not problem.rows(dropping)[2].all()
+        factor_calls.clear()
+
+        def planned(at, tolerance=None):
+            h, j, active = problem.rows(at)
+            system = problem._gain_system(j, problem._residuals_of(h), active, "normal",
+                                          tolerance=tolerance)
+            return system.solve("normal")
+
+        with caplog.at_level("DEBUG", logger="gridse"):
+            full = planned(x)
+            dropped = planned(dropping, np.inf)  # under every row's weights
+            again = planned(x, np.inf)  # under the dropped rows'
+            assert len(factor_calls) == 3 and CONFIRMED not in caplog.text
+            assert again.tobytes() == full.tobytes()
+            assert planned(x, np.inf).tobytes() == full.tobytes()  # the kept factor
+            assert len(factor_calls) == 3 and CONFIRMED in caplog.text
+        assert planned(dropping).tobytes() == dropped.tobytes()
 
 
 @pytest.fixture

@@ -41,6 +41,7 @@ from conftest import (
     parallel_reversed_net,
     random_polar_state,
 )
+from test_golden import small_lattice, synthesized
 
 K = MeasurementKind
 
@@ -548,6 +549,22 @@ class TestMeasurementKernel:
             assert np.array_equal(j.indptr, kernel.indptr)
             assert np.array_equal(j.indices, kernel.indices)
             assert np.isfinite(j.data).all()
+
+    @pytest.mark.parametrize("net_name", ["net14", "lattice6"])
+    @pytest.mark.parametrize("formulation", ["conventional", "simultaneous_polar",
+                                             "simultaneous_rect"])
+    def test_pattern_order_is_the_lexsort_of_rows_and_columns(self, net14, net_name,
+                                                              formulation):
+        net = net14 if net_name == "net14" else small_lattice(6)
+        kernel = assemble_problem(net, synthesized(net, formulation), formulation).kernel
+        patterns = [grp.pattern() for grp in kernel._groups]
+        rows = np.concatenate([p[0] for p in patterns])
+        cols = np.concatenate([p[1] for p in patterns])
+        order = np.lexsort((cols, rows))
+        assert np.array_equal(kernel._order, order)
+        assert np.array_equal(kernel.indices, cols[order])
+        assert np.array_equal(kernel.indptr,
+                              np.searchsorted(rows[order], np.arange(kernel.m + 1)))
 
     def test_turning_both_ends_turns_the_current(self, net14):
         """Adding one angle to every bus leaves P, Q and |I| unchanged,

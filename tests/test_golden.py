@@ -140,15 +140,15 @@ SYNTHESIS = {
 
 REPLAY = {
     "conventional/normal":
-        "34019560c5e03a7aa1341bd041b3de929224217a7c778f41c15707cb3c87141f",
+        "8cae610ea6ef5f4487147f41432c7c6b3763bc0c5314bc74bbe32d31d2c185dc",
     "conventional/orthogonal":
         "d67d761c33d23da1d51e7e7af4bed2822d5443e2579105d8eaca2cdd4c7d57a6",
     "simultaneous_polar/normal":
-        "250a7c6bf2cbe0cae69724a9250f4346581aa770a5bc50abee3d644a00f87dc8",
+        "8eedd0aa97abee1e21ba73aadf3e7c131583a992f06c49bcf666fec40ef29669",
     "simultaneous_polar/orthogonal":
         "fdebc9e087a823ac6ac148f81d68c2a7a7f880115fa357189b0da9878d70d089",
     "simultaneous_rect/normal":
-        "843b4c57dda6c25980d2ec94607e512a15778e45b5e8da7d867cd9982ac50652",
+        "50cd15a08605aecf92cb7973d757d3309a534e7a2c94c84340b298e9d4a58a9d",
     "simultaneous_rect/orthogonal":
         "44f4d28483d1c151d1fef40bef1b67ec08e0149ff733eeb5aedece2c4fa8c8f2",
     "linear_rect/normal":
