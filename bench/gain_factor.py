@@ -1,6 +1,6 @@
-"""Gain factor sweep: RCM + banded Cholesky against SuperLU, and the gain
-plan of a Gauss-Newton iterate against the product path and SuperLU, per
-gain.
+"""Gain factor sweep: the band ordering, the banded Cholesky against
+SuperLU, and the gain plan of a Gauss-Newton iterate against the product
+path and SuperLU, per gain.
 
     python3 bench/gain_factor.py            # writes BENCH_gain_factor.json
     python3 bench/gain_factor.py --quick    # N <= 2 025, prints, writes nothing
@@ -12,8 +12,11 @@ simultaneous_rect and a linear_rect scenario at the true state, with the
 benchmark's own scenario synthesis (``perfbench/workloads.py``), and records
 per gain:
 
-* n, nnz(G), the bandwidth under reverse Cuthill-McKee and the ratio of the
-  band's entries n * (bandwidth + 1) to nnz(G);
+* n, nnz(G) and G's bandwidth under three orders: the one gridse ships
+  (``EstimationProblem.order``, from the network's ``bus_order``), reverse
+  Cuthill-McKee on G's own graph, and the network file's bus order
+  expanded to the unknowns; and the ratio of the shipped band's entries
+  n * (bandwidth + 1) to nnz(G);
 * the storage ``gridse.estimators`` picks for it ("band" or "superlu");
 * the best of k factor-plus-solve times of SuperLU, of the shipped rule
   and of the band: the rule's own time where it picks the band, else a
@@ -31,7 +34,9 @@ solve (assembly, factor and solve), and the largest difference between
 the plan's and SuperLU's dx, relative to the largest entry of SuperLU's.
 
 The exit code is 1 when a band's or a plan's dx differs from SuperLU's by
-more than 1e-9 relative, else 0.  BLAS runs on one thread, as in the benchmark.
+more than 1e-9 relative, or when a gain kept in band storage has a shipped
+band of more than 1.05 times the entries of RCM's on G, else 0.  BLAS runs
+on one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from scipy.sparse import csc_matrix, csr_matrix  # noqa: E402
 from scipy.sparse.csgraph import reverse_cuthill_mckee  # noqa: E402
+from gridse.network import bandwidth  # noqa: E402
 
 import gridse  # noqa: E402
 import gridse.estimators as E  # noqa: E402
@@ -66,6 +72,9 @@ OUT = os.path.join(ROOT, "BENCH_gain_factor.json")
 SEED = 5
 BAND_MB_CAP = 64.0
 AGREEMENT = 1e-9
+# The shipped order's band may hold at most this many times the entries
+# of RCM's on G, where the gain stays in band storage.
+BAND_OVER_RCM = 1.05
 FORMULATIONS = ("conventional", "simultaneous_rect", "linear_rect")
 
 
@@ -148,17 +157,19 @@ def rel_diff(dx, want) -> float:
 def plan_timings(problem, j, rinv, r, lu_dx, k: int) -> dict:
     """A normal iterate's timings at J on the product path and on the gain
     plan, and how far the plan's dx is from SuperLU's."""
-    free = problem.free_indices
-    _, product_s = timed(k, lambda: E._solve_normal(j[:, free], rinv, r))
-    plan, build_s = timed(k, lambda: E._GainPlan(j, free, rinv, problem._curved))
+    free, order = problem.free_indices, problem.order
+    _, product_s = timed(k, lambda: E._solve_normal(j[:, free], rinv, r, order=order))
+    plan, build_s = timed(k, lambda: E._GainPlan(j, free, rinv, problem._curved, order))
     plan_dx, plan_s = timed(k, lambda: plan.solve(j, rinv, r))
     return {"gain_path": "plan", "product_iter_s": product_s, "plan_build_s": build_s,
             "plan_iter_s": plan_s, "plan_dx_rel_diff": rel_diff(plan_dx, lu_dx)}
 
 
-def forced_band(g):
-    with mock.patch.object(E, "_BAND_LIMIT", math.inf):
-        return E._factor_gain(g)
+def band_width(g, perm) -> int:
+    """G's bandwidth with unknown perm[k] at position k."""
+    where = np.empty(g.shape[0], dtype=np.intp)
+    where[perm] = np.arange(g.shape[0])
+    return bandwidth(g, where)
 
 
 def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
@@ -167,23 +178,34 @@ def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
     g = csc_matrix(a.T @ rinv @ a)
     rhs = a.T @ (rinv @ r)
     n = g.shape[0]
-    perm = reverse_cuthill_mckee(g, symmetric_mode=True)
-    where = np.empty(n, dtype=np.intp)
-    where[perm] = np.arange(n)
-    bandwidth = int(np.max(np.abs(where[g.indices] - np.repeat(where, np.diff(g.indptr)))))
-    band_mb = n * (bandwidth + 1) * 8 / 2**20
+    order = problem.order
+    widths = {"shipped": band_width(g, order),
+              "rcm_on_g": band_width(g, reverse_cuthill_mckee(g, symmetric_mode=True)),
+              "file_order": band_width(g, problem.unknown_order(np.arange(net.n_buses)))}
+    band_mb = n * (widths["shipped"] + 1) * 8 / 2**20
     out = {
         "network": kind, "buses": buses, "formulation": formulation,
-        "n": n, "nnz_g": int(g.nnz), "rcm_bandwidth": bandwidth,
-        "band_over_nnz": round(n * (bandwidth + 1) / g.nnz, 2),
+        "n": n, "nnz_g": int(g.nnz), "bandwidth": widths,
+        "bus_order": "file" if np.array_equal(net.bus_order, np.arange(net.n_buses))
+        else "rcm",
+        "band_over_nnz": round(n * (widths["shipped"] + 1) / g.nnz, 2),
+        "band_over_rcm": round((widths["shipped"] + 1) / (widths["rcm_on_g"] + 1), 3),
         "band_mb": round(band_mb, 2),
     }
     lu_dx, out["superlu_s"] = best_of(k, E._factor_lu, g, rhs)
     if not problem.is_linear:
         out["dropped_entries"] = dropped_entries(a, rinv, g)
         out.update(plan_timings(problem, j, rinv, r, lu_dx, k))
+
+    def factor(g):
+        return E._factor_gain(g, order)
+
+    def forced_band(g):
+        with mock.patch.object(E, "_BAND_LIMIT", math.inf):
+            return factor(g)
+
     with mock.patch.object(E, "splu", wraps=E.splu) as splu:
-        band_dx, out["rule_s"] = best_of(k, E._factor_gain, g, rhs)
+        band_dx, out["rule_s"] = best_of(k, factor, g, rhs)
     out["storage"] = "superlu" if splu.called else "band"
     if out["storage"] == "band":
         out["band_s"] = out["rule_s"]
@@ -210,8 +232,11 @@ def main(argv=None) -> int:
         for formulation in FORMULATIONS:
             e = entry(kind, buses, net, formulation, k)
             entries.append(e)
+            bw = e["bandwidth"]
             print(f"{kind} {buses} {formulation}: n {e['n']} nnz {e['nnz_g']} "
-                  f"bw {e['rcm_bandwidth']} band/nnz {e['band_over_nnz']} -> "
+                  f"bw {bw['shipped']} ({e['bus_order']} bus order; RCM on G "
+                  f"{bw['rcm_on_g']}, file order {bw['file_order']}) "
+                  f"band/nnz {e['band_over_nnz']} -> "
                   f"{e['storage']}; superlu {ms(e, 'superlu_s')}, "
                   f"band {ms(e, 'band_s')}, rule {ms(e, 'rule_s')}, "
                   f"dx diff {e.get('dx_rel_diff', '-')}")
@@ -235,12 +260,17 @@ def main(argv=None) -> int:
         with open(OUT, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
-    bad = [(e, what, e[key]) for e in entries
+    bad = [(e, f"the {what}'s and SuperLU's dx differ by {e[key]:.3g} relative")
+           for e in entries
            for key, what in (("dx_rel_diff", "band"), ("plan_dx_rel_diff", "plan"))
            if e.get(key, 0.0) > AGREEMENT]
-    for e, what, diff in bad:
-        print(f"error: {e['network']} {e['buses']} {e['formulation']}: the {what}'s "
-              f"and SuperLU's dx differ by {diff:.3g} relative", file=sys.stderr)
+    bad += [(e, f"the shipped band holds {e['band_over_rcm']} times RCM's on G")
+            for e in entries
+            if e["storage"] == "band" and e["bandwidth"]["shipped"] + 1
+            > BAND_OVER_RCM * (e["bandwidth"]["rcm_on_g"] + 1)]
+    for e, what in bad:
+        print(f"error: {e['network']} {e['buses']} {e['formulation']}: {what}",
+              file=sys.stderr)
     return 1 if bad else 0
 
 

@@ -48,6 +48,9 @@ from .synthesis import (
 
 FORMULATION_TAGS = [f.value for f in Formulation]
 SOLVER_DEFAULTS = SolverConfig()
+# The BLAS numpy was built against, read once for the estimate manifest.
+_BLAS_BUILD = np.__config__.CONFIG["Build Dependencies"]["blas"]
+BLAS = f"{_BLAS_BUILD.get('name')} {_BLAS_BUILD.get('version')}"
 
 
 # Every file the CLI writes is json.dumps(doc, indent=2); in result and
@@ -187,7 +190,10 @@ def _cmd_estimate(args) -> int:
         "command": "estimate",
         "tool_version": __version__,
         "environment": {"python": platform.python_version(),
-                        "numpy": np.__version__, "scipy": scipy.__version__},
+                        "numpy": np.__version__, "scipy": scipy.__version__,
+                        "blas": BLAS,
+                        "blas_threads": {name: os.environ.get(name) for name in
+                                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}},
         "network": os.path.abspath(net_path),
         "measurements": os.path.abspath(meas_path),
         "formulation": formulation.value,

@@ -9,11 +9,16 @@ minimiser, so the loop stops there.  Assembly works on the measurement
 set's columns: the admissible-kind check, the location check, the
 covariance blocks, z and the angle-row mask are array operations, done
 once per problem.  Rows inactive at an iterate get zero weight in R^-1.
-The normal method forms the gain of a one-shot solve by sparse products
-and orders it (the product path); a nonlinear problem analyses the
-structural pattern of its gain once, on its first normal solve, and
-assembles every iterate's band straight from J and its weights
-(``_GainPlan``).
+The normal method factors every gain of a network in a band under one
+elimination order: whichever of reverse Cuthill-McKee and the file's
+own bus order is narrower on the bus graph (``NetworkModel.bus_order``),
+expanded to the problem's unknowns (``EstimationProblem.order``).  On a
+60 x 60 lattice the file order gives the linear_rect gain a
+half-bandwidth of 123, against 157 under RCM on the gain itself.  A
+one-shot DC or linear_rect solve forms its gain by sparse products (the
+product path); a nonlinear problem pairs J's entries in their storage
+order once, on its first normal solve, and assembles every iterate's
+band straight from J and its weights (``_GainPlan``).
 
 Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
@@ -70,7 +75,6 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs
 from scipy.sparse import csc_matrix, csr_matrix, issparse
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 from .errors import (
@@ -92,7 +96,7 @@ from .measurements import (
     MeasurementSet,
     kind_mask,
 )
-from .network import NetworkModel
+from .network import NetworkModel, narrow_order
 from .states import POLAR, RECTANGULAR, StateVector, wrap_angles
 
 log = logging.getLogger(__name__)
@@ -150,12 +154,12 @@ _REFUSED = "second-order gain refused (%s): taking the Gauss-Newton step"
 # The DEBUG record of an estimate that converged on the kept factor.
 _CONFIRMED = "converged on the kept factor: step %.3g"
 
-# A gain goes to band storage unless its band, after the reverse
-# Cuthill-McKee ordering, would hold more than this many times the
-# gain's stored entries.  A meshed lattice's band holds 4-26 times
-# them up to 10 000 buses; a radial feeder's bandwidth is nearly n, and
-# its band 86 (1 023 buses) to 342 (4 095 buses) times, where SuperLU's
-# fill-reducing ordering is far cheaper (BENCH_gain_factor.json).
+# A gain goes to band storage unless its band, under its elimination
+# order, would hold more than this many times the gain's stored entries.
+# A meshed lattice's band holds 3-21 times them up to 10 000 buses; a
+# radial feeder's bandwidth is nearly n, and its band 86 (1 023 buses)
+# to 342 (4 095 buses) times, where SuperLU's fill-reducing ordering is
+# far cheaper (BENCH_gain_factor.json).
 _BAND_LIMIT = 32
 
 
@@ -209,7 +213,10 @@ class GainSystem:
     that is given.  A kernel problem's iterate may carry the
     second-order term S of its curved rows (``curvature``): it then
     solves (G - S) dx = j^T R^-1 r, or the plain system where
-    ``_Curvature.step`` refuses that step.
+    ``_Curvature.step`` refuses that step.  The normal path factors G
+    under the elimination order ``order`` (perm: unknown perm[k] at
+    position k), a problem's ``EstimationProblem.order``; without one,
+    ``narrow_order`` of G's own graph.
     """
     j: object
     covariance: CovarianceModel
@@ -217,6 +224,7 @@ class GainSystem:
     active: np.ndarray | None = None
     name_of: Callable[[int], str] | None = None
     curvature: _Curvature | None = None
+    order: np.ndarray | None = None
 
     def solve(self, method: str = NORMAL) -> np.ndarray:
         """Least-squares solution dx of j dx = r weighted by R^-1."""
@@ -242,7 +250,7 @@ class GainSystem:
         return rinv
 
     def _normal(self, rinv):
-        return _solve_normal(self.j, rinv, self.r, self.name_of)
+        return _solve_normal(self.j, rinv, self.r, self.name_of, self.order)
 
 
 class _PlannedGain(GainSystem):
@@ -261,7 +269,7 @@ class _PlannedGain(GainSystem):
         problem = self.problem
         if problem._gain_plan is None:
             problem._gain_plan = _GainPlan(self.j, problem.free_indices, rinv,
-                                           problem._curved)
+                                           problem._curved, problem.order)
         return problem._gain_plan.solve(self.j, rinv, self.r, self.name_of,
                                         self.curvature, tolerance=self.tolerance)
 
@@ -401,6 +409,22 @@ class EstimationProblem:
         return StateVector.flat(self.net.n_buses, self.net.slack_bus,
                                 self.fixed_value, self._facts.coordinates)
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """The elimination order of the solved unknowns for a banded
+        gain: ``unknown_order`` of the network's bus order
+        (``NetworkModel.bus_order``).  Unknown order[k] takes position k."""
+        return self.unknown_order(self.net.bus_order)
+
+    def unknown_order(self, bus_order: np.ndarray) -> np.ndarray:
+        """The solved unknowns in the order of the 0-based buses
+        bus_order: each bus's halves side by side, the fixed column
+        dropped."""
+        n = self.net.n_buses
+        full = (bus_order[:, None] + n * np.arange(len(self._facts.halves))).ravel()
+        full = full[full != self.fixed_index]
+        return full - (full > self.fixed_index)
+
     def _state_columns(self, x: StateVector) -> np.ndarray:
         """The state entries the rows span, as a view of x.values."""
         return x.values[:self.full_dim]
@@ -466,7 +490,8 @@ class EstimationProblem:
         if self.kernel is not None and method == NORMAL:
             return _PlannedGain(self, j, r, active, curvature, tolerance)
         return GainSystem(j[:, self.free_indices], self.covariance, r, active,
-                          self.unknown_name, curvature)
+                          self.unknown_name, curvature,
+                          self.order if method == NORMAL else None)
 
 
 def assemble_problem(net: NetworkModel, mset: MeasurementSet,
@@ -501,46 +526,42 @@ def objective(problem: EstimationProblem, x: StateVector) -> float:
     return float(r @ (problem.covariance.inverse() @ r))
 
 
-def _solve_normal(a, rinv, r, name_of=None):
-    """Solve (A^T R^-1 A) dx = A^T R^-1 r through a factor of the gain."""
-    return _factor_gain(csc_matrix(a.T @ rinv @ a), name_of)(a.T @ (rinv @ r))
+def _solve_normal(a, rinv, r, name_of=None, order=None):
+    """Solve (A^T R^-1 A) dx = A^T R^-1 r through a factor of the gain,
+    under the elimination order ``order``, else ``narrow_order`` of the
+    gain's own graph."""
+    g = csc_matrix(a.T @ rinv @ a)
+    return _factor_gain(g, narrow_order(g) if order is None else order,
+                        name_of)(a.T @ (rinv @ r))
 
 
-def _band_order(g: csc_matrix):
-    """The reverse Cuthill-McKee ordering of G and the band it gives:
-    (perm, rows, cols, kd), with the permuted row and column of each
-    stored entry and the half-bandwidth kd.  None where G goes to
-    SuperLU: it has no entries, or its band would hold more than
-    ``_BAND_LIMIT`` times them."""
+def _band_fits(n: int, kd: int, nnz: int) -> bool:
+    """Whether a gain of n unknowns and nnz stored entries goes to band
+    storage under an order that gives it the half-bandwidth kd: it has
+    entries, and its band holds at most ``_BAND_LIMIT`` times them."""
+    return 0 < n * (kd + 1) <= _BAND_LIMIT * nnz
+
+
+def _factor_gain(g: csc_matrix, perm: np.ndarray,
+                 name_of=None) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the symmetric gain under the elimination order perm
+    (unknown perm[k] at position k); returns the solve of G dx = b.
+
+    G is factored by ``_factor_band`` in band storage, filled straight
+    from its upper-triangle entries.  Where the band does not fit
+    (``_band_fits``), as on a radial feeder whose bandwidth is nearly n,
+    ``_factor_lu`` takes G instead.
+    """
     n = g.shape[0]
-    if not g.nnz:  # nothing to order: no unknowns, or no rows touch them
-        return None
-    perm = reverse_cuthill_mckee(g, symmetric_mode=True)
     where = np.empty(n, dtype=np.intp)
     where[perm] = np.arange(n)
     rows = where[g.indices]
     cols = np.repeat(where, np.diff(g.indptr))
-    kd = int((cols - rows).max())
-    if n * (kd + 1) > _BAND_LIMIT * g.nnz:
-        return None
-    return perm, rows, cols, kd
-
-
-def _factor_gain(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the symmetric gain; returns the solve of G dx = b.
-
-    G is permuted by reverse Cuthill-McKee and factored by
-    ``_factor_band`` in band storage, filled straight from G's
-    upper-triangle entries.  Where ``_band_order`` finds the band too
-    wide, as on a radial feeder whose bandwidth is nearly n,
-    ``_factor_lu`` takes G instead.
-    """
-    band = _band_order(g)
-    if band is None:
+    kd = int((cols - rows).max(initial=0))
+    if not _band_fits(n, kd, g.nnz):
         return _factor_lu(g, name_of)
-    perm, rows, cols, kd = band
     upper = rows <= cols
-    ab = np.zeros((g.shape[0], kd + 1))
+    ab = np.zeros((n, kd + 1))
     ab.ravel()[_band_slot(rows[upper], cols[upper], kd)] = g.data[upper]
     return _factor_band(ab, perm, name_of)
 
@@ -598,16 +619,22 @@ class _GainPlan:
     J's CSR pattern and R^-1's are fixed through a Gauss-Newton loop, so
     G = A^T R^-1 A (A: J's free columns) has one structural pattern, the
     entries that can be nonzero whatever the values of J and the weights.
-    The plan analyses it once (George & Liu 1981): the free-column map,
-    the ordering, the band-or-SuperLU decision and, for each stored entry
-    (i, i') of R^-1 and each pair of A entries (i, k), (i', l) whose
-    product lands in the upper band, its slot.  A diagonal R^-1 is the
-    case i = i'.  An iterate passes its weights, R^-1 with the entries of
+    Given the problem's elimination order (``EstimationProblem.order``),
+    the plan pairs A's entries once, in J's storage order (George & Liu
+    1981).  Each stored entry (i, i') of R^-1 leads with every A entry
+    (i, k) of row i.  On the diagonal of R^-1 (i' = i) the lead's
+    partners are the rest of its row, itself included; for an entry of a
+    2x2 block they are the A entries (i', l) of row i' at or right of k
+    in the band.  So each product of G's upper band comes from one pair,
+    and a pair's slot is that of the min and the max of its two band
+    positions.  The pairs also give the band-or-SuperLU decision
+    (``_band_fits``): kd from the widest pair, nnz(G) from the distinct
+    slots.  An iterate passes its weights, R^-1 with the entries of
     inactive rows zero, so the masked first iterate, an iterate that
     drops rows and 2x2 blocks all run on the one plan: it sums the pairs
     into the band with one np.bincount and the right-hand side with
     another, and factors by ``_factor_band``.  A wide-profile gain goes
-    to SuperLU, formed by sparse products each iterate, not reordered.
+    to SuperLU, formed by sparse products each iterate.
 
     The second-order term S of an iterate's curved rows (``_Curvature``)
     lands only in slots that the row's own J^T J term fills, so the plan
@@ -616,71 +643,71 @@ class _GainPlan:
     np.subtract.at.  Where G - S is refused, the band is summed again
     for the Gauss-Newton step, as dpbtrf has overwritten it.
 
+    Per lead the plan keeps its J entry, its R^-1 entry and its count of
+    partners, and per pair only the partner's J entry and the slot.
     Gather and slot arrays are np.intp, which np.bincount and fancy
     indexing take without a conversion.
     """
 
-    def __init__(self, j, free: np.ndarray, rinv, curved: _CurvedPattern):
+    def __init__(self, j, free: np.ndarray, rinv, curved: _CurvedPattern,
+                 order: np.ndarray):
         m = j.shape[0]
         self._n = n = free.size
-        self._free = free
+        self._free, self._perm = free, None  # None: SuperLU takes every gain
         self.kept = None  # (solve, weights) of the last factor
         column = np.full(j.shape[1], -1, dtype=np.intp)
         column[free] = np.arange(n)
         col = column[j.indices]
-        # A's entries, in the storage order of j[:, free]: their position
-        # in J's data, row and free column.
-        a = np.flatnonzero(col >= 0)
-        a_row = np.repeat(np.arange(m), np.diff(j.indptr))[a]
-        a_col = col[a]
-        self._a_count = a_count = np.bincount(a_row, minlength=m)
-        a_ptr = np.concatenate([[0], np.cumsum(a_count)])
-        pattern = csr_matrix((np.ones(a.size), a_col, a_ptr), shape=(m, n))
-        ones = csr_matrix((np.ones(rinv.nnz), rinv.indices, rinv.indptr),
-                          shape=rinv.shape)
-        band = _band_order(csc_matrix(pattern.T @ ones @ pattern))
-        del pattern, ones  # here and below: less to hold at the pairs' peak
-        self._perm = None
-        if band is None:  # SuperLU takes every gain
-            return
-        self._perm, _, _, kd = band
-        del band
-        self._size = n * (kd + 1)
-        # A's entries sorted by where within each row, so that the
-        # entries (i', l) with where[l] >= where[k] are a row's tail
+        # A's entries, in J's storage order: their position in J's data,
+        # row pointer, count per row, free column and band position
+        self._a = a = np.flatnonzero(col >= 0)
+        a_ptr = np.concatenate([[0], np.cumsum(col >= 0)])[j.indptr]
+        self._a_count = a_count = np.diff(a_ptr)
+        self._a_col = col[a]
         where = np.empty(n, dtype=np.intp)
-        where[self._perm] = np.arange(n)
-        key = a_row * n + where[a_col]
-        order = np.argsort(key, kind="stable")
-        self._a, self._a_col, key = a[order], a_col[order], key[order]
-        column = where[self._a_col]
-        # a lead (e, k) per entry e = (i, i') of R^-1 and A entry (i, k),
-        # paired with the tail of row i' from where[k] on
+        where[order] = np.arange(n)
+        at = where[self._a_col]
+        # a lead (e, k) per entry e = (i, i') of R^-1 and A entry (i, k);
+        # its partners are the rest of row i where i' = i, else row i'
         e_row = np.repeat(np.arange(m), np.diff(rinv.indptr))
-        e_other = rinv.indices.astype(np.intp)
         leads = a_count[e_row]
         lead = _ranges(a_ptr[e_row], leads)
-        self._lead_w = np.repeat(np.arange(rinv.nnz), leads)
-        other = np.repeat(e_other, leads)
-        # on the diagonal of R^-1 (i' = i) the tail starts at the lead
-        start = lead.copy()
-        off = np.flatnonzero(np.repeat(e_other != e_row, leads))
-        start[off] = np.searchsorted(key, other[off] * n + column[lead[off]])
-        del key, e_row, e_other, leads, off
-        self._count = count = a_ptr[other + 1] - start
-        del other
+        block = np.repeat(rinv.indices != e_row, leads)
+        other = np.repeat(rinv.indices, leads)
+        start = np.where(block, a_ptr[other], lead)
+        count = a_ptr[other + 1] - start
         partner = _ranges(start, count)
-        del start
-        self._lead = self._a[lead]  # J data position of each lead's entry
-        self._partner = self._a[partner]
-        # _band_slot(column[k], column[l], kd), built in place
-        self._slot = slot = column[partner]
-        del partner
+        del col, other, start  # here and below: less to hold at the pairs' peak
+        # per pair: the partner's band position less the lead's
+        hi, partner = at[partner], a[partner]  # J data positions from here on
+        hi -= np.repeat(at[lead], count)
+        if block.any():  # a 2x2 entry's partners at or right of the lead
+            left = np.repeat(block, count) & (hi < 0)
+            count -= np.bincount(np.repeat(np.arange(lead.size), count)[left],
+                                 minlength=lead.size)
+            partner, hi = partner[~left], hi[~left]
+        lo = np.repeat(at[lead], count)
+        np.add(lo, hi, out=lo, where=hi < 0)  # the min of the two positions
+        np.abs(hi, out=hi)  # and the max less it
+        kd = int(hi.max(initial=0))
+        # nnz(G) <= 2 pairs: a band too wide for that many is left uncounted
+        size = n * (kd + 1)
+        if not _band_fits(n, kd, 2 * partner.size):
+            return
+        slot = hi  # _band_slot(lo, lo + hi, kd), built in place
+        slot += lo
         slot += 1
         slot *= kd
-        slot += np.repeat(column[lead], count)
-        # the slot of each curvature entry
-        k, l = where[curved.k], where[curved.l]
+        slot += lo
+        del lo
+        filled = np.bincount(slot, minlength=size).reshape(n, kd + 1) > 0
+        if not _band_fits(n, kd, 2 * np.count_nonzero(filled)
+                          - np.count_nonzero(filled[:, kd])):
+            return
+        self._perm, self._size, self._count = order, size, count
+        self._lead, self._partner, self._slot = a[lead], partner, slot
+        self._lead_w = np.repeat(np.arange(rinv.nnz), leads)
+        k, l = where[curved.k], where[curved.l]  # the curvature entries' positions
         self._s_slot = _band_slot(np.minimum(k, l), np.maximum(k, l), kd)
 
     def solve(self, j, rinv, r: np.ndarray, name_of=None,

@@ -390,7 +390,9 @@ class TestEstimateCommand:
         assert rc == 1
         assert message in capsys.readouterr().err
 
-    def test_manifest_records_environment(self, tmp_path):
+    def test_manifest_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         data = synth(tmp_path)
         outdir = tmp_path / "run"
         assert main(["estimate", "--net", NET3,
@@ -398,9 +400,12 @@ class TestEstimateCommand:
                      "--formulation", "conventional",
                      "--out", str(outdir)]) == 0
         manifest = json.loads((outdir / "manifest.json").read_text())
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         assert manifest["environment"] == {
             "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__}
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas['name']} {blas['version']}",
+            "blas_threads": {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}}
         # manifests written before the key existed still replay
         del manifest["environment"]
         old = tmp_path / "old.json"

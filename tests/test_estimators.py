@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 from scipy.sparse import csc_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
 import gridse.estimators
@@ -210,6 +211,26 @@ class TestLinearWls:
         b = linear_wls(h, variances, z, method="orthogonal")
         assert np.max(np.abs(a - b)) < 1e-10
 
+    def test_orders_its_own_gain(self, net14, monkeypatch):
+        # no network: the narrower-of-two rule runs on the gain's graph
+        graphs = []
+        narrow_order = gridse.estimators.narrow_order
+
+        def recorded(graph):
+            graphs.append(graph.toarray())
+            return narrow_order(graph)
+
+        monkeypatch.setattr(gridse.estimators, "narrow_order", recorded)
+        problem = assemble_problem(net14, synthesized(net14, "dc"), "dc")
+        h = problem.h_matrix[:, problem.free_indices]
+        got = linear_wls(h, problem.mset.variances(), problem.z)
+        w = 1.0 / problem.mset.variances()
+        g = (h.T @ (h.multiply(w[:, None]))).toarray()
+        assert len(graphs) == 1 and np.array_equal(graphs[0] != 0, g != 0)
+        assert np.max(np.abs(got - np.linalg.solve(g, h.T @ (w * problem.z)))) < 1e-12
+        # a problem on the network takes the network's order, not G's
+        assert solve(problem).converged and len(graphs) == 1
+
     def test_rank_deficient_raises_singular_gain(self):
         h = np.array([[1.0, 0.0, 0.0]])  # 1 row, 3 unknowns
         with pytest.raises(SingularGain):
@@ -330,7 +351,8 @@ class TestSparseGain:
         # dpbtrf stops at the first pivot that is not positive
         with pytest.raises(SingularGain, match=rf"numerically singular: pivot {pivot} "
                            r"for unknown [01] against its diagonal 1"):
-            gridse.estimators._factor_gain(csc_matrix(g), lambda k: f"unknown {k}")
+            gridse.estimators._factor_gain(csc_matrix(g), np.arange(2),
+                                           lambda k: f"unknown {k}")
 
     @pytest.mark.parametrize("formulation", list(Formulation))
     def test_normal_agrees_with_orthogonal_on_golden_replays(self, net14, formulation):
@@ -717,21 +739,71 @@ def rcm_calls(monkeypatch):
     """How often the reverse Cuthill-McKee ordering runs while the test
     does."""
     calls = []
-    rcm = gridse.estimators.reverse_cuthill_mckee
+    rcm = gridse.network.reverse_cuthill_mckee
 
     def counted(*args, **kwargs):
         calls.append(1)
         return rcm(*args, **kwargs)
 
-    monkeypatch.setattr(gridse.estimators, "reverse_cuthill_mckee", counted)
+    monkeypatch.setattr(gridse.network, "reverse_cuthill_mckee", counted)
     return calls
+
+
+class TestBandOrder:
+    """One band ordering per network: on the bus graph of the branch ends,
+    the narrower of reverse Cuthill-McKee and the file's own bus order,
+    the file's on a tie; each problem expands it to its unknowns."""
+
+    @staticmethod
+    def bus_graph(net):
+        n = net.n_buses
+        ends = np.array([(br.from_bus - 1, br.to_bus - 1) for br in net.branches])
+        return csc_matrix((np.ones(2 * len(ends)), (ends.ravel(), ends[:, ::-1].ravel())),
+                          shape=(n, n))
+
+    @staticmethod
+    def width(graph, perm):
+        where = np.empty(len(perm), dtype=np.intp)
+        where[perm] = np.arange(len(perm))
+        rows, cols = graph.nonzero()
+        return int(np.max(np.abs(where[rows] - where[cols])))
+
+    @pytest.mark.parametrize("name, takes_rcm, widths", [
+        ("net14", True, (5, 7)),
+        ("grid12", False, (12, 12)),  # a tie goes to the file order
+        ("lattice20", False, (25, 21)),
+        ("tree1023", True, (256, 512)),  # its gains still go to SuperLU
+    ])
+    def test_never_wider_than_either_candidate(self, workloads, name, takes_rcm, widths):
+        from lattice import lattice_network
+        net = {"net14": lambda: load_network(NET14), "grid12": lambda: grid_network(12),
+               "lattice20": lambda: lattice_network(20, 0),
+               "tree1023": lambda: binary_tree_network(1023)}[name]()
+        graph = self.bus_graph(net)
+        rcm = reverse_cuthill_mckee(graph, symmetric_mode=True)
+        own = np.arange(net.n_buses)
+        assert (self.width(graph, rcm), self.width(graph, own)) == widths
+        assert np.array_equal(net.bus_order, rcm if takes_rcm else own)
+        assert self.width(graph, net.bus_order) == min(widths)
+        assert net.bus_order is net.bus_order  # cached
+
+    @pytest.mark.parametrize("formulation", list(Formulation))
+    def test_unknowns_follow_the_bus_order(self, net14, formulation):
+        problem = assemble_problem(net14, synthesized(net14, formulation.value), formulation)
+        halves = {"dc": ["theta"], "linear_rect": ["Re V", "Im V"]}.get(
+            formulation.value, ["theta", "V"])
+        want = [f"{half} at bus {b + 1}" for b in net14.bus_order for half in halves]
+        fixed = "Im V" if formulation == Formulation.LINEAR_RECT else halves[0]
+        want.remove(f"{fixed} at bus {net14.slack_bus}")
+        assert sorted(problem.order.tolist()) == list(range(problem.n))
+        assert [problem.unknown_name(k) for k in problem.order] == want
 
 
 class TestGainPlan:
     """A kernel problem's normal Gauss-Newton iterates all run on one gain
-    plan, analysed once per problem on the structural pattern of its
-    gain, and agree with the product path _solve_normal(j[:, free],
-    R^-1, r) to rounding."""
+    plan, built once per problem under the network's band order, and
+    agree with the product path _solve_normal(j[:, free], R^-1, r) under
+    that order to rounding."""
 
     NETS = {"lattice6": lambda: small_lattice(6), "net14": lambda: load_network(NET14)}
     AGREEMENT = 1e-12  # relative to the largest entry of the product path's dx
@@ -742,9 +814,10 @@ class TestGainPlan:
         return assemble_problem(net, synthesized(net, formulation), formulation, **kwargs)
 
     def product_dx(self, problem, j, r, active):
-        """The product path, with inactive rows zero-weighted in R^-1."""
+        """The product path under the problem's order, with inactive rows
+        zero-weighted in R^-1."""
         return GainSystem(j[:, problem.free_indices], problem.covariance, r, active,
-                          problem.unknown_name).solve("normal")
+                          problem.unknown_name, order=problem.order).solve("normal")
 
     def planned_dx(self, problem, j, r, active):
         """dx of the problem's gain plan, checked against the product path."""
@@ -792,8 +865,28 @@ class TestGainPlan:
         h, j, active = problem.rows(random_polar_state(problem.net, np.random.default_rng(4)))
         assert active.all()
         self.planned_dx(problem, j, problem._residuals_of(h), active)
-        # the plan's ordering and the product path's two
-        assert len(rcm_calls) == 3
+        # the network's bus order serves the plan and the product path
+        assert len(rcm_calls) == 1
+
+    @pytest.mark.parametrize("formulation", ["conventional", "simultaneous_rect"])
+    def test_kept_factor_step_agrees_with_the_product_path(self, formulation, caplog):
+        # the chord step: the factor of the iterate before, this iterate's
+        # right-hand side
+        problem = self.problem("lattice6", formulation)
+        free, rinv = problem.free_indices, problem.covariance.inverse()
+        x = random_polar_state(problem.net, np.random.default_rng(7), t_range=(-0.1, 0.1))
+        h, j, active = problem.rows(x)
+        self.planned_dx(problem, j, problem._residuals_of(h), active)
+        a = j[:, free]
+        x.values[free] += 1e-3
+        h, j, active = problem.rows(x)
+        r = problem._residuals_of(h)
+        with caplog.at_level("DEBUG", logger="gridse"):
+            dx = problem._gain_system(j, r, active, "normal", tolerance=np.inf).solve("normal")
+        assert CONFIRMED in caplog.text
+        factor = gridse.estimators._factor_gain(csc_matrix(a.T @ rinv @ a), problem.order)
+        want = factor(j[:, free].T @ (rinv @ r))
+        assert np.max(np.abs(dx - want)) <= self.AGREEMENT * np.max(np.abs(want))
 
     def test_mask_that_cuts_a_block_raises_on_both_paths(self):
         problem = self.problem("net14", "simultaneous_rect")
@@ -840,7 +933,7 @@ class TestGainPlan:
         row = int(np.flatnonzero(np.diff(j.indptr) > 6)[0])  # an injection row
         j.data[j.indptr[row] + 3] = 0.0
         self.planned_dx(problem, j, r, active)
-        assert len(rcm_calls) == 2  # the plan's ordering and the product path's
+        assert len(rcm_calls) == 1  # the network's, for the plan and the product path
 
     def test_entry_that_cancels_stays_on_the_plan(self):
         # theta at bus 10 and V at bus 11 share only the P and Q flows of
@@ -874,7 +967,7 @@ class TestGainPlan:
     @pytest.mark.parametrize("net_name, formulation, drops", [
         ("lattice6", "conventional", 0), ("net14", "conventional", 1),
         ("net14", "simultaneous_rect", 0)])
-    def test_ordered_once_per_problem(self, rcm_calls, net_name, formulation, drops):
+    def test_ordered_once_per_network(self, rcm_calls, net_name, formulation, drops):
         problem = self.problem(net_name, formulation)
         rows = problem.rows
         dropping = []
@@ -894,20 +987,27 @@ class TestGainPlan:
         # the masked first iterate, the dropping ones and 2x2 blocks
         # all run on the plan, ordered once
         assert len(rcm_calls) == 1
+        # and a second problem on the network, on the product path, takes
+        # the same bus order
+        other = assemble_problem(problem.net, synthesized(problem.net, "dc"), "dc")
+        assert solve(other).converged
+        assert len(rcm_calls) == 1
 
     @pytest.mark.parametrize("net_name, formulation", [
         ("lattice6", "conventional"), ("net14", "simultaneous_rect")])
-    def test_pairs_match_a_search_over_every_lead(self, net_name, formulation):
+    def test_pairs_match_a_loop_over_every_lead(self, net_name, formulation):
         # For each stored entry (i, i') of R^-1 and each A entry (i, k) in
-        # elimination order, the partners are row i''s A entries (i', l)
-        # with where[l] >= where[k]; on the diagonal of R^-1 the plan
-        # starts them at the lead without a search.
+        # J's storage order, the partners are the rest of row i from k on
+        # where i' = i, else row i''s A entries (i', l) with where[l] >=
+        # where[k]; the slot is that of the min and max of the two
+        # positions.
         problem = self.problem(net_name, formulation)
         assert problem.covariance.is_diagonal == (formulation == "conventional")
         rng = np.random.default_rng(5)
         _, j, _ = problem.rows(random_polar_state(problem.net, rng))
         rinv = problem.covariance.inverse()
-        plan = gridse.estimators._GainPlan(j, problem.free_indices, rinv, problem._curved)
+        plan = gridse.estimators._GainPlan(j, problem.free_indices, rinv, problem._curved,
+                                           problem.order)
         n = problem.n
         kd = plan._size // n - 1
         where = np.empty(n, dtype=np.intp)
@@ -915,25 +1015,25 @@ class TestGainPlan:
         column = np.full(j.shape[1], -1)
         column[problem.free_indices] = np.arange(n)
 
-        def ordered(i):
-            """Row i's A entries (positions in J's data), by where of
-            their free column, and that where."""
+        def entries(i):
+            """Row i's A entries (positions in J's data), in storage
+            order, and where of their free column."""
             pos = np.arange(j.indptr[i], j.indptr[i + 1])
             pos = pos[column[j.indices[pos]] >= 0]
-            at = where[column[j.indices[pos]]]
-            order = np.argsort(at, kind="stable")
-            return pos[order], at[order]
+            return pos, where[column[j.indices[pos]]]
 
         lead, count, partner, slot = [], [], [], []
         for i in range(problem.m):
             for i2 in rinv.indices[rinv.indptr[i]:rinv.indptr[i + 1]]:
-                tail, tail_at = ordered(i2)
-                for p, at in zip(*ordered(i)):
-                    keep = tail_at >= at
+                tail, tail_at = entries(i2)
+                for q, (p, at) in enumerate(zip(*entries(i))):
+                    keep = np.arange(tail.size) >= q if i2 == i else tail_at >= at
                     lead.append(p)
                     count.append(int(keep.sum()))
                     partner += tail[keep].tolist()
-                    slot += ((tail_at[keep] + 1) * kd + at).tolist()
+                    lo = np.minimum(tail_at[keep], at)
+                    hi = np.maximum(tail_at[keep], at)
+                    slot += ((hi + 1) * kd + lo).tolist()
         assert plan._lead.tolist() == lead
         assert plan._count.tolist() == count
         assert plan._partner.tolist() == partner

@@ -140,23 +140,23 @@ SYNTHESIS = {
 
 REPLAY = {
     "conventional/normal":
-        "8cae610ea6ef5f4487147f41432c7c6b3763bc0c5314bc74bbe32d31d2c185dc",
+        "1dec9049fc2ea5721aac15997638817909d2494196ab603a78aac704a75c2b0f",
     "conventional/orthogonal":
         "d67d761c33d23da1d51e7e7af4bed2822d5443e2579105d8eaca2cdd4c7d57a6",
     "simultaneous_polar/normal":
-        "8eedd0aa97abee1e21ba73aadf3e7c131583a992f06c49bcf666fec40ef29669",
+        "503c269acc9dbd69ccf2562708b29d801e9b9a75924ad3afaaab97c110bef8b4",
     "simultaneous_polar/orthogonal":
         "fdebc9e087a823ac6ac148f81d68c2a7a7f880115fa357189b0da9878d70d089",
     "simultaneous_rect/normal":
-        "50cd15a08605aecf92cb7973d757d3309a534e7a2c94c84340b298e9d4a58a9d",
+        "d444a64ae668796f9d305f59984db7158653342645493752bc0b4d99ce1151b1",
     "simultaneous_rect/orthogonal":
         "44f4d28483d1c151d1fef40bef1b67ec08e0149ff733eeb5aedece2c4fa8c8f2",
     "linear_rect/normal":
-        "a0e80bbeda4acfe1553b141a9117f6574bd8c9a5ef8c3f06b837b179cec56aff",
+        "6fca241855b0f2108786f601a9505782f77ec73e7ecc88c7cae0d6bd99921b76",
     "linear_rect/orthogonal":
         "0239c1a12a1e407ae2fffb1da92a4a2ff6ab52befe5e07bbdeec4b5a069766b4",
     "dc/normal":
-        "a0bc07031e7d7c14ae46a2641a9ff3573faf8681b3a38d3f27b965697df6e104",
+        "ddc610f00c759bcf8f2ca2df92007522341303dcc747c5011476ebecc0f6caa2",
     "dc/orthogonal":
         "5d432b74bd521c70d55767e872bdffc58dcabebb34a4274d8cce18f7bcca3dee",
 }
