@@ -172,8 +172,9 @@ class SolverConfig:
     def __post_init__(self):
         if self.max_iterations < 1:
             raise InputError("invalid solver configuration: max_iterations must be >= 1")
-        if self.step_tolerance <= 0.0:
-            raise InputError("invalid solver configuration: step_tolerance must be > 0")
+        if not 0.0 < self.step_tolerance < math.inf:
+            raise InputError("invalid solver configuration: step_tolerance must be "
+                             "finite and > 0")
         if self.linear_system_method not in (NORMAL, ORTHOGONAL):
             raise InputError("invalid solver configuration: linear_system_method must "
                              f"be {NORMAL!r} or {ORTHOGONAL!r}")
@@ -425,16 +426,12 @@ class EstimationProblem:
         full = full[full != self.fixed_index]
         return full - (full > self.fixed_index)
 
-    def _state_columns(self, x: StateVector) -> np.ndarray:
-        """The state entries the rows span, as a view of x.values."""
-        return x.values[:self.full_dim]
-
     def values(self, x: StateVector) -> np.ndarray:
         """h(x) for every row, in measurement order: one kernel call
         without the Jacobian, or H @ x for a constant-Jacobian problem.
         Never raises on flat-singular currents."""
         if self.is_linear:
-            return self.h_matrix @ self._state_columns(x)
+            return self.h_matrix @ x.values[:self.full_dim]
         return self.kernel.values(x)
 
     def residuals(self, x: StateVector) -> np.ndarray:
@@ -888,7 +885,6 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
             f"{problem.formulation} formulation anchors it at {problem.fixed_value:g}")
     x.values[x.slack_index] = x.slack_value
     free = problem.free_indices
-    columns = problem._state_columns(x)
     rinv = problem.covariance.inverse()
     flat = np.array_equal(x.values, problem.initial_state().values)
     # the rows the first iterate leaves out, None once it is taken
@@ -939,7 +935,7 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
                 confirm = cfg.step_tolerance
             dx = problem._gain_system(j, r, active, method, second_order,
                                       tolerance=confirm).solve(method)
-        columns[free] += dx
+        x.values[free] += dx
         step = float(np.max(np.abs(dx))) if dx.size else 0.0
         max_step_trace.append(step)
         if step > cfg.step_tolerance:

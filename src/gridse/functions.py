@@ -18,7 +18,8 @@ columns.
 
 All 17 kinds are evaluated at a polar state by a ``MeasurementKernel``,
 compiled once per measurement set: rows are grouped by kind into index
-arrays (branch-end rows with their (g, b, gs, bs), injection rows with
+arrays (branch-end rows with their two-port (A, B) from
+``net.two_port``, injection rows with
 their rows of ``net.admittance``, bus rows, and the DC rows of
 ``dc_rows`` over the angle columns), and the CSR sparsity pattern of
 the Jacobian is fixed at compile time.  Each evaluation computes h and
@@ -34,7 +35,7 @@ compile a kernel for the rows they are given, so every caller runs the
 same formulas.
 
 Every current row (I_mag, I_mag_pmu, I_ang_pmu, I_re, I_im) is built
-on one branch current, I = (y + ys) V_i - y V_j, computed with its
+on one branch current, I = A V_i + B V_j, computed with its
 partials in the near-end frame I' = I e^(-j theta_i) by ``_current``:
 |I| = hypot(Re I', Im I'), the partials of |I| and of angle I follow
 from those of I', and Re I and Im I turn I' back by theta_i.  A current
@@ -87,63 +88,56 @@ class FunctionRow:
     gradient: dict[int, float]
 
 
-def _end_params(loc: Locations, rows) -> tuple[np.ndarray, ...]:
-    """0-based end buses i, j and the (g, b, gs, bs) arrays of the
-    resolved branch-end rows at positions ``rows``; gs and bs are the
-    shunt at end i."""
-    t = loc.net.branch_table[loc.branch[rows]]
-    reverse = loc.reverse[rows]
-    return (loc.i[rows], loc.j[rows], t[:, 0], t[:, 1],
-            np.where(reverse, t[:, 4], t[:, 2]), np.where(reverse, t[:, 5], t[:, 3]))
-
-
-def locate_placements(net: NetworkModel, placements) -> Locations:
-    """(kind, at) placements resolved against the network."""
-    placements = list(placements)
-    codes = np.array([KIND_CODE[kind] for kind, _ in placements], dtype=np.intp)
-    return locate(net, codes, location_columns(codes, [at for _, at in placements]))
+def _end_params(loc: Locations, rows) -> tuple:
+    """0-based end buses i, j and the two-port (A, B) of the resolved
+    branch-end rows at positions ``rows``, I = A V_i + B V_j; A and B
+    are (re, im) pairs of arrays read from ``net.two_port``."""
+    ar, ai, br, bi = loc.net.two_port[2 * loc.branch[rows] + loc.reverse[rows]].T
+    return loc.i[rows], loc.j[rows], (ar, ai), (br, bi)
 
 
 # ---------------------------------------------------------------------------
 # branch-end rows: value and partials over (theta_i, theta_j, V_i, V_j)
 
+def _far(e, ti, tj):
+    """B e^(-j delta) with delta = theta_i - theta_j, as (re, im)."""
+    (br, bi), c, s = e.b, np.cos(ti - tj), np.sin(ti - tj)
+    return br * c + bi * s, bi * c - br * s
+
+
 def _p_flow(e, ti, tj, vi, vj, jac):
-    g, b, gs = e.g, e.b, e.gs
-    c, s = np.cos(ti - tj), np.sin(ti - tj)
-    gcbs = g * c + b * s
-    value = vi * vi * (g + gs) - vi * vj * gcbs
+    ar = e.a[0]
+    wr, wi = _far(e, ti, tj)
+    value = vi * vi * ar + vi * vj * wr
     if not jac:
         return value, None, None
-    d_ti = vi * vj * (g * s - b * c)
-    return value, (d_ti, -d_ti, -vj * gcbs + 2.0 * vi * (g + gs), -vi * gcbs), None
+    d_ti = vi * vj * wi
+    return value, (d_ti, -d_ti, vj * wr + 2.0 * vi * ar, vi * wr), None
 
 
 def _q_flow(e, ti, tj, vi, vj, jac):
-    g, b, bs = e.g, e.b, e.bs
-    c, s = np.cos(ti - tj), np.sin(ti - tj)
-    gsbc = g * s - b * c
-    value = -vi * vi * (b + bs) - vi * vj * gsbc
+    ai = e.a[1]
+    wr, wi = _far(e, ti, tj)
+    value = -vi * vi * ai - vi * vj * wi
     if not jac:
         return value, None, None
-    d_ti = -vi * vj * (g * c + b * s)
-    return value, (d_ti, -d_ti, -vj * gsbc - 2.0 * vi * (b + bs), -vi * gsbc), None
+    d_ti = vi * vj * wr
+    return value, (d_ti, -d_ti, -vj * wi - 2.0 * vi * ai, -vi * wi), None
 
 
 def _current(e, ti, tj, vi, vj, jac):
     """The branch-end current in the near-end frame, I' = I e^(-j theta_i)
-    = (y + ys) V_i - y V_j e^(-j delta) with delta = theta_i - theta_j:
-    its real and imaginary parts and, with ``jac``, their partials over
+    = A V_i + B V_j e^(-j delta) with delta = theta_i - theta_j: its real
+    and imaginary parts and, with ``jac``, their partials over
     (theta_i, theta_j, V_i, V_j), two (4, rows) arrays.  The frame turns
     with theta_i, so the two angle partials are negatives of each other."""
-    c, s = np.cos(ti - tj), np.sin(ti - tj)
-    # y + ys, and y e^(-j delta)
-    ar, ai = e.g + e.gs, e.b + e.bs
-    yr, yi = e.g * c + e.b * s, e.b * c - e.g * s
-    re, im = vi * ar - vj * yr, vi * ai - vj * yi
+    ar, ai = e.a
+    wr, wi = _far(e, ti, tj)
+    re, im = vi * ar + vj * wr, vi * ai + vj * wi
     if not jac:
         return re, im, None, None
-    rt, it = -vj * yi, vj * yr
-    return re, im, np.array([rt, -rt, ar, -yr]), np.array([it, -it, ai, -yi])
+    rt, it = vj * wi, -vj * wr
+    return re, im, np.array([rt, -rt, ar, wr]), np.array([it, -it, ai, wi])
 
 
 def _absolute(re, im, turn):
@@ -234,7 +228,7 @@ class _BranchRows:
         self.rows = rows
         self.formula = formula
         self.hessian = hessian
-        self.i, self.j, self.g, self.b, self.gs, self.bs = _end_params(loc, rows)
+        self.i, self.j, self.a, self.b = _end_params(loc, rows)
         n = loc.net.n_buses
         self.cols = np.concatenate([self.i, self.j, n + self.i, n + self.j])
 
@@ -408,8 +402,12 @@ class MeasurementKernel:
     """
 
     def __init__(self, net: NetworkModel, placements):
-        loc = (placements if isinstance(placements, Locations)
-               else locate_placements(net, placements))
+        if isinstance(placements, Locations):
+            loc = placements
+        else:
+            placements = list(placements)
+            codes = np.array([KIND_CODE[kind] for kind, _ in placements], dtype=np.intp)
+            loc = locate(net, codes, location_columns(codes, [at for _, at in placements]))
         self.m = loc.codes.size
         self.n_columns = 2 * net.n_buses
         group = _GROUP_OF[loc.codes]
@@ -519,13 +517,13 @@ def linear_rows_rectstate(net: NetworkModel, mset: MeasurementSet) -> csr_matrix
     volt = np.flatnonzero(code < 2)
     cur = np.flatnonzero(code >= 2)
     bus = loc.i[volt]
-    i, j, g, b, gs, bs = _end_params(loc, cur)
+    i, j, (ar, ai), (br, bi) = _end_params(loc, cur)
     im = code[cur] == 3
-    # I = (y + ys) V_i - y V_j over (Re V_i, Im V_i, Re V_j, Im V_j)
+    # I = A V_i + B V_j over (Re V_i, Im V_i, Re V_j, Im V_j)
     data = np.concatenate([
         np.ones(volt.size),
-        np.where(im, b + bs, g + gs), np.where(im, g + gs, -(b + bs)),
-        np.where(im, -b, -g), np.where(im, -g, b)])
+        np.where(im, ai, ar), np.where(im, ar, -ai),
+        np.where(im, bi, br), np.where(im, br, -bi)])
     rows = np.concatenate([volt, cur, cur, cur, cur])
     cols = np.concatenate([bus + n * code[volt], i, n + i, j, n + j])
     return coo_matrix((data, (rows, cols)), shape=(len(mset), 2 * n)).tocsr()
@@ -557,7 +555,7 @@ def _dc_matrix(loc: Locations) -> csr_matrix:
     net = loc.net
     n = net.n_buses
     code = _DC_CODE[loc.codes]
-    x = net.branch_table[:, 6]
+    x = np.array([br.x for br in net.branches], dtype=float)
     flow = np.flatnonzero(code == _DC_FLOW)
     inj = np.flatnonzero(code == _DC_INJ)
     theta = np.flatnonzero(code == _DC_THETA)

@@ -1,10 +1,16 @@
 """Bus/branch grid model, nodal admittance matrix assembly and the
 buses' band ordering.
 
-Branches follow the two-port pi model: a series admittance obtained by
-inverting r + jx, plus independent shunt admittances at each end.  Bus
-shunts add to the matrix diagonal only.  All quantities are per-unit on
-a common system base; the base MVA is carried for reporting.
+Branches follow the two-port pi model: a series admittance y obtained
+by inverting r + jx, plus independent shunt admittances ys at each end.
+``NetworkModel.two_port`` forms it once, per directed branch end: the
+current leaving the near end is I = A V_near + B V_far with
+A = y + ys_near and B = -y (MATPOWER's Yff/Yft and Ytt/Ytf; Zimmerman,
+Murillo-Sanchez & Thomas, IEEE Trans. Power Syst. 2011).  The
+admittance matrix and every branch-end measurement row read these
+pairs.  Bus shunts add to the matrix diagonal only.  All quantities are
+per-unit on a common system base; the base MVA is carried for
+reporting.
 """
 
 from __future__ import annotations
@@ -190,13 +196,15 @@ class NetworkModel:
         return self.branches[k], reverse
 
     @cached_property
-    def branch_table(self) -> np.ndarray:
-        """Per branch, in input order: series admittance (g, b), then
-        the shunt (gs, bs) at the from end and at the to end, then the
-        series reactance x."""
-        return np.array([(*branch_admittance(br.r, br.x), br.gs_from, br.bs_from,
-                           br.gs_to, br.bs_to, br.x) for br in self.branches],
-                        dtype=float).reshape(-1, 7)
+    def two_port(self) -> np.ndarray:
+        """The pi model per directed branch end: row 2k is branch k seen
+        from its from bus, row 2k + 1 from its to bus, each
+        (Re A, Im A, Re B, Im B) with A = y + ys_near and B = -y, so that
+        the current leaving the near end is A V_near + B V_far."""
+        return np.array([(g + gs, b + bs, -g, -b) for br in self.branches
+                         for g, b in [branch_admittance(br.r, br.x)]
+                         for gs, bs in [(br.gs_from, br.bs_from), (br.gs_to, br.bs_to)]],
+                        dtype=float).reshape(-1, 4)
 
     @cached_property
     def bus_order(self) -> np.ndarray:
@@ -257,30 +265,21 @@ def assemble_admittance(net: NetworkModel) -> csr_matrix:
 
     Coordinate-list assembly into a complex CSR matrix with duplicate
     entries summed and column indices sorted, so parallel branches
-    accumulate on the off-diagonals.  Each branch adds its
-    series-plus-shunt admittance to both end diagonals and minus the
-    series admittance to both off-diagonal positions; bus shunts add to
-    the diagonal last.
+    accumulate on the off-diagonals.  Each branch adds its two ends'
+    ``net.two_port`` pairs, branch by branch: A at (from, from) and
+    (to, to), then B at (from, to) and (to, from); bus shunts add to the
+    diagonal last.
     """
-    rows, cols, data = [], [], []
-
-    def add(i, j, y):
-        rows.append(i - 1)
-        cols.append(j - 1)
-        data.append(y)
-
-    for br in net.branches:
-        g, b = branch_admittance(br.r, br.x)
-        y = complex(g, b)
-        f, t = br.from_bus, br.to_bus
-        add(f, f, y + complex(br.gs_from, br.bs_from))
-        add(t, t, y + complex(br.gs_to, br.bs_to))
-        add(f, t, -y)
-        add(t, f, -y)
-    for bus in net.buses:
-        if bus.shunt_g != 0.0 or bus.shunt_b != 0.0:
-            add(bus.id, bus.id, complex(bus.shunt_g, bus.shunt_b))
     n = net.n_buses
+    ends = np.array([(br.from_bus, br.to_bus) for br in net.branches],
+                    dtype=np.int64).reshape(-1, 2) - 1
+    # per branch [[A_from, A_to], [B_from, B_to]]
+    pairs = net.two_port.view(complex).reshape(-1, 2, 2).transpose(0, 2, 1)
+    shunt = np.array([(bus.shunt_g, bus.shunt_b) for bus in net.buses], dtype=float)
+    at = np.flatnonzero((shunt != 0.0).any(axis=1))
+    rows = np.concatenate([ends[:, [0, 1, 0, 1]].ravel(), at])
+    cols = np.concatenate([ends[:, [0, 1, 1, 0]].ravel(), at])
+    data = np.concatenate([pairs.ravel(), shunt.view(complex)[at, 0]])
     y = coo_matrix((data, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
     y.sum_duplicates()
     return y

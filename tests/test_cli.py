@@ -230,6 +230,19 @@ class TestEstimateCommand:
         assert main(["estimate", "--manifest", str(manifest),
                      "--out", str(tmp_path / "o")]) == 1
 
+    # an infinite step tolerance would stop at once and call the start
+    # converged, a NaN one would never stop
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_step_tolerance_exits_one(self, tmp_path, capsys, tol):
+        data = synth(tmp_path)
+        out = tmp_path / "o"
+        rc = main(["estimate", "--net", NET3,
+                   "--measurements", str(data / "measurements.json"),
+                   "--formulation", "conventional", "--tol", tol, "--out", str(out)])
+        assert rc == 1
+        assert "error: invalid solver configuration: step_tolerance" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("change", [
         {"network": None}, {"measurements": None}, {"formulation": None},
         {"config": []}, {"network": 5}, {"out": ["o"]}],

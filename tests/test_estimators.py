@@ -393,6 +393,11 @@ class TestSparseGain:
 
 
 class TestGaussNewton:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -math.inf, 0.0])
+    def test_step_tolerance_must_be_finite_and_positive(self, tol):
+        with pytest.raises(InputError, match="step_tolerance must be finite and > 0"):
+            SolverConfig(step_tolerance=tol)
+
     def test_linear_rows_converge_in_one_iteration(self, net3):
         # V_mag + V_ang rows only: the model is linear in the polar state
         rows = []

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from gridse import (
     Branch,
@@ -16,7 +17,7 @@ from gridse import (
 )
 from gridse.network import network_from_dict
 
-from conftest import incident_ends, random_polar_state
+from conftest import incident_ends, parallel_reversed_net, random_polar_state
 
 
 def two_bus_net(**bus1_kwargs):
@@ -94,6 +95,58 @@ class TestAssembleAdmittance:
         y = assemble_admittance(NetworkModel(buses, branches)).toarray()
         assert y[0, 1] == pytest.approx(1j * 6.0, abs=1e-12)
         assert y[0, 0] == pytest.approx(-1j * 6.0, abs=1e-12)
+
+
+def per_branch_admittance(net):
+    """The admittance matrix added up branch by branch, entry by entry:
+    the reference whose bits the vectorized assembly keeps."""
+    rows, cols, data = [], [], []
+
+    def add(i, j, y):
+        rows.append(i - 1)
+        cols.append(j - 1)
+        data.append(y)
+
+    for br in net.branches:
+        y = complex(*branch_admittance(br.r, br.x))
+        f, t = br.from_bus, br.to_bus
+        add(f, f, y + complex(br.gs_from, br.bs_from))
+        add(t, t, y + complex(br.gs_to, br.bs_to))
+        add(f, t, -y)
+        add(t, f, -y)
+    for bus in net.buses:
+        if bus.shunt_g != 0.0 or bus.shunt_b != 0.0:
+            add(bus.id, bus.id, complex(bus.shunt_g, bus.shunt_b))
+    n = net.n_buses
+    y = coo_matrix((data, (rows, cols)), shape=(n, n), dtype=complex).tocsr()
+    y.sum_duplicates()
+    return y
+
+
+class TestTwoPort:
+    @pytest.fixture(params=["net3", "net14", "parallel-reversed", "one-bus"])
+    def net(self, request):
+        if request.param == "parallel-reversed":
+            return parallel_reversed_net(np.random.default_rng(12), n=12)[0]
+        if request.param == "one-bus":
+            return NetworkModel([Bus(1, shunt_b=0.1, is_slack=True)], [])
+        return request.getfixturevalue(request.param)
+
+    def test_admittance_keeps_the_per_branch_bits(self, net):
+        got, want = assemble_admittance(net), per_branch_admittance(net)
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+    def test_rows_are_series_admittance_plus_near_end_shunt(self, net):
+        two_port = net.two_port
+        assert two_port.shape == (2 * len(net.branches), 4)
+        for k, br in enumerate(net.branches):
+            g, b = branch_admittance(br.r, br.x)
+            shunts = [(br.gs_from, br.bs_from), (br.gs_to, br.bs_to)]
+            for row, (gs, bs) in zip(two_port[2 * k:2 * k + 2], shunts):
+                assert row.tobytes() == np.array([g + gs, b + bs, -g, -b]).tobytes()
 
 
 class TestInjectedCurrent:
