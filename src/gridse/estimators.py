@@ -20,6 +20,16 @@ product path); a nonlinear problem pairs J's entries in their storage
 order once, on its first normal solve, and assembles every iterate's
 band straight from J and its weights (``_GainPlan``).
 
+What a measurement set's layout decides is analysed once per network
+and formulation (``_Layout``).  The layout is the set's kind codes, its
+locations and its correlated row pairs, with whether the phasor
+covariance is neglected; the analysis holds the checked kinds and
+locations, the compiled rows and the product path's band map.  The
+network keeps its last analysis per formulation, and a set of the same
+layout reuses it, as PMU frames on fixed placements do, 10-20 ms apart.
+Values, variances, covariances, R^-1 and every gain's numbers and
+factor are never cached.
+
 Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
 non-converged result instead of being masked.  There are three
@@ -217,7 +227,8 @@ class GainSystem:
     ``_Curvature.step`` refuses that step.  The normal path factors G
     under the elimination order ``order`` (perm: unknown perm[k] at
     position k), a problem's ``EstimationProblem.order``; without one,
-    ``narrow_order`` of G's own graph.
+    ``narrow_order`` of G's own graph.  Given the problem's ``layout``,
+    it takes G's band map from there (``_Layout.band_map``).
     """
     j: object
     covariance: CovarianceModel
@@ -226,6 +237,7 @@ class GainSystem:
     name_of: Callable[[int], str] | None = None
     curvature: _Curvature | None = None
     order: np.ndarray | None = None
+    layout: _Layout | None = None
 
     def solve(self, method: str = NORMAL) -> np.ndarray:
         """Least-squares solution dx of j dx = r weighted by R^-1."""
@@ -251,7 +263,7 @@ class GainSystem:
         return rinv
 
     def _normal(self, rinv):
-        return _solve_normal(self.j, rinv, self.r, self.name_of, self.order)
+        return _solve_normal(self.j, rinv, self.r, self.name_of, self.order, self.layout)
 
 
 class _PlannedGain(GainSystem):
@@ -345,44 +357,110 @@ def _kept_entries(m: csr_matrix, active: np.ndarray) -> np.ndarray:
     return kept
 
 
+def _read_only(*arrays):
+    for array in arrays:
+        array.flags.writeable = False
+
+
+class _Layout:
+    """The analysis of one measurement layout on one network under one
+    formulation: what the layout determines, worked out once.  A set's
+    values, variances and covariances, and so R^-1 and every gain's
+    numbers, are never held here.
+
+    The layout is the key ``holds`` compares: the set's kind codes, its
+    locations, its correlated row pairs, and whether the phasor
+    covariance is neglected.  The analysis checks the kinds against the
+    formulation and the locations against the network, then holds the
+    solved (slack-eliminated) columns ``free`` and the compiled rows: a
+    polar-state formulation's MeasurementKernel, or the constant H of
+    DC and linear_rect (``h_matrix``) with its free columns
+    (``h_free``).  For the product path it keeps the band map of the
+    last gain it factored (``band_map``).  Its arrays are read-only.
+    Analysing a sparsity pattern once and computing numbers on it many
+    times is the classic split of sparse factorization (George & Liu,
+    Computer Solution of Large Sparse Positive Definite Systems, 1981).
+    """
+
+    def __init__(self, net: NetworkModel, mset: MeasurementSet,
+                 formulation: Formulation, neglect: bool = False):
+        facts = _FACTS[formulation]
+        banned = ~facts.admissible[mset.codes]
+        if banned.any():
+            raise UnsupportedKind(f"{KINDS[mset.codes[np.argmax(banned)]]} is not "
+                                  f"admissible in the {formulation} formulation")
+        mset.validate_against(net)
+        rect = facts.coordinates == RECTANGULAR
+        if rect and net.slack_angle != 0.0:
+            raise InputError(
+                "the rectangular-state formulation anchors the slack "
+                "imaginary part and needs a zero slack angle")
+        self.codes, self.at, self.pairs, self.neglect = mset.codes, mset.at, mset.pairs, neglect
+        n = net.n_buses
+        self.full_dim = n * len(facts.halves)
+        # The slack angle is pinned, or in a rectangular state the
+        # slack's imaginary part.
+        self.fixed_index = net.slack_bus - 1 + (n if rect else 0)
+        self.free = np.delete(np.arange(self.full_dim), self.fixed_index)
+        self.angle_rows = IS_ANGLE[mset.codes]
+        _read_only(self.free, self.angle_rows)
+        self.kernel = self.h_matrix = self.h_free = None
+        if facts.family == _KERNEL:
+            self.kernel = MeasurementKernel(net, mset.locations(net))
+        else:
+            rows = dc_rows if facts.family == _DC else linear_rows_rectstate
+            self.h_matrix = rows(net, mset)
+            self.h_free = self.h_matrix[:, self.free]
+            for h in (self.h_matrix, self.h_free):
+                _read_only(h.data, h.indices, h.indptr)
+        self._band = None
+
+    def holds(self, mset: MeasurementSet, neglect: bool) -> bool:
+        """Whether the set, with its phasor covariance neglected or not,
+        has this layout."""
+        return (neglect == self.neglect and np.array_equal(mset.codes, self.codes)
+                and np.array_equal(mset.at, self.at) and np.array_equal(mset.pairs, self.pairs))
+
+    def band_map(self, g: csc_matrix, order: np.ndarray) -> _BandMap:
+        """The band map of the gain g under ``order``: the last gain's
+        where it serves g, else a new one, which replaces it."""
+        if self._band is None or not self._band.serves(g, order):
+            self._band = None  # released before the new one is built
+            self._band = _BandMap(g, order)
+        return self._band
+
+
 class EstimationProblem:
     """A measurement set bound to a network under one formulation.
 
     Exposes h(x), the Jacobian rows, wrapped residuals, and the free
     (slack-eliminated) column set that the solvers work with.  The
     formulation's row family (``_FACTS``) decides the rows: the
-    polar-state formulations compile them once into a
-    MeasurementKernel; DC and linear_rect keep a constant h_matrix.
+    polar-state formulations compile them into a MeasurementKernel; DC
+    and linear_rect keep a constant h_matrix.  The rows, like all that
+    the set's layout decides, come from the layout analysis ``layout``
+    (``_Layout``; ``assemble_problem`` passes the network's), else from
+    a new one.
     """
 
     def __init__(self, net: NetworkModel, mset: MeasurementSet,
-                 formulation: Formulation, covariance: CovarianceModel):
+                 formulation: Formulation, covariance: CovarianceModel,
+                 layout: _Layout | None = None):
+        if layout is None:
+            layout = _Layout(net, mset, formulation)
         self.net = net
         self.mset = mset
         self.formulation = formulation
         self.covariance = covariance
-        self._facts = facts = _FACTS[formulation]
-        n = net.n_buses
+        self._layout = layout
+        self._facts = _FACTS[formulation]
         self.z = mset.values()
-        self._angle_rows = IS_ANGLE[mset.codes]
-        rect = facts.coordinates == RECTANGULAR
-        if rect and net.slack_angle != 0.0:
-            raise InputError(
-                "the rectangular-state formulation anchors the slack "
-                "imaginary part and needs a zero slack angle")
-        # The slack angle is pinned, or in a rectangular state the
-        # slack's imaginary part.
-        self.full_dim = n * len(facts.halves)
-        self.fixed_index = net.slack_bus - 1 + (n if rect else 0)
-        self.fixed_value = 0.0 if rect else net.slack_angle
-        self.free_indices = np.delete(np.arange(self.full_dim), self.fixed_index)
-        self.kernel = self.h_matrix = None
+        self._angle_rows = layout.angle_rows
+        self.full_dim, self.fixed_index = layout.full_dim, layout.fixed_index
+        self.fixed_value = 0.0 if self._facts.coordinates == RECTANGULAR else net.slack_angle
+        self.free_indices = layout.free
+        self.kernel, self.h_matrix = layout.kernel, layout.h_matrix
         self._gain_plan = None
-        if facts.family == _KERNEL:
-            self.kernel = MeasurementKernel(net, mset.locations(net))
-        else:
-            rows = dc_rows if facts.family == _DC else linear_rows_rectstate
-            self.h_matrix = rows(net, mset)
 
     @property
     def m(self) -> int:
@@ -475,10 +553,11 @@ class EstimationProblem:
         """The gain system of one iterate whose J spans all columns.  A
         kernel problem's normal solves run on its gain plan, which first
         tries its kept factor given a ``tolerance`` (``_GainPlan.solve``).
-        The rest get a GainSystem over J's free columns: the orthogonal
-        method, and the one-shot DC and linear_rect solves, which the
-        normal method solves by the product path, since a plan's build
-        costs more than one product path does.  Given the iterate's state
+        The rest get a GainSystem over J's free columns, a constant H's
+        from the layout analysis: the orthogonal method, and the one-shot
+        DC and linear_rect solves, which the normal method solves by the
+        product path, since a plan's build costs more than one product
+        path does.  Given the iterate's state
         x, a kernel problem with curved rows gets their second-order
         term."""
         curvature = None
@@ -486,9 +565,9 @@ class EstimationProblem:
             curvature = _Curvature(self, x)
         if self.kernel is not None and method == NORMAL:
             return _PlannedGain(self, j, r, active, curvature, tolerance)
-        return GainSystem(j[:, self.free_indices], self.covariance, r, active,
-                          self.unknown_name, curvature,
-                          self.order if method == NORMAL else None)
+        a = self._layout.h_free if j is self.h_matrix else j[:, self.free_indices]
+        return GainSystem(a, self.covariance, r, active, self.unknown_name, curvature,
+                          self.order if method == NORMAL else None, self._layout)
 
 
 def assemble_problem(net: NetworkModel, mset: MeasurementSet,
@@ -500,21 +579,27 @@ def assemble_problem(net: NetworkModel, mset: MeasurementSet,
     empty sets; builds the covariance as a diagonal of the recorded
     variances, keeping the 2x2 rectangular-phasor blocks unless they
     are explicitly neglected.
+
+    The network keeps its last layout analysis per formulation
+    (``_Layout``).  A set with that analysis's kind codes, locations and
+    correlated pairs, under the same neglect_phasor_covariance, reuses
+    it, checks included; any other set's analysis replaces it, and the
+    old one is released before the new one is built.
     """
     formulation = Formulation(formulation)
     if len(mset) == 0:
         raise EmptyMeasurementSet("cannot estimate from an empty measurement set")
-    banned = ~_FACTS[formulation].admissible[mset.codes]
-    if banned.any():
-        raise UnsupportedKind(f"{KINDS[mset.codes[np.argmax(banned)]]} is not "
-                              f"admissible in the {formulation} formulation")
-    mset.validate_against(net)
+    layout = net.layouts.get(formulation)
+    if layout is None or not layout.holds(mset, neglect_phasor_covariance):
+        layout = net.layouts[formulation] = None  # released before the new one is built
+        layout = net.layouts[formulation] = _Layout(net, mset, formulation,
+                                                    neglect_phasor_covariance)
     if neglect_phasor_covariance:
         blocks = ()
     else:
         blocks = np.column_stack([mset.pairs, mset.covs])
     covariance = CovarianceModel(mset.variances(), blocks)
-    return EstimationProblem(net, mset, formulation, covariance)
+    return EstimationProblem(net, mset, formulation, covariance, layout)
 
 
 def objective(problem: EstimationProblem, x: StateVector) -> float:
@@ -523,13 +608,15 @@ def objective(problem: EstimationProblem, x: StateVector) -> float:
     return float(r @ (problem.covariance.inverse() @ r))
 
 
-def _solve_normal(a, rinv, r, name_of=None, order=None):
+def _solve_normal(a, rinv, r, name_of=None, order=None, layout=None):
     """Solve (A^T R^-1 A) dx = A^T R^-1 r through a factor of the gain,
     under the elimination order ``order``, else ``narrow_order`` of the
-    gain's own graph."""
+    gain's own graph; with the band map of ``layout``, if given."""
     g = csc_matrix(a.T @ rinv @ a)
-    return _factor_gain(g, narrow_order(g) if order is None else order,
-                        name_of)(a.T @ (rinv @ r))
+    if order is None:
+        order = narrow_order(g)
+    band = _BandMap(g, order) if layout is None else layout.band_map(g, order)
+    return band.factor(g, name_of)(a.T @ (rinv @ r))
 
 
 def _band_fits(n: int, kd: int, nnz: int) -> bool:
@@ -539,28 +626,61 @@ def _band_fits(n: int, kd: int, nnz: int) -> bool:
     return 0 < n * (kd + 1) <= _BAND_LIMIT * nnz
 
 
+class _BandMap:
+    """Where the stored entries of one gain pattern go under the
+    elimination order perm (unknown perm[k] at position k): the symbolic
+    half of ``_factor_gain``.
+
+    It fixes the half-bandwidth kd and whether the gain goes to band
+    storage (``_band_fits``), and for a band the stored entries of the
+    upper triangle (``upper``) with their flat slots in LAPACK's band
+    storage (``slot``).  It keeps the pattern's indptr and indices, so
+    that ``serves`` can tell a later gain of the same pattern: scipy's
+    sparse product drops the entries that sum to exactly zero, so the
+    gains of one layout need not share one pattern.
+    """
+
+    def __init__(self, g: csc_matrix, perm: np.ndarray):
+        self.n = n = g.shape[0]
+        self.perm = np.array(perm, dtype=np.intp)
+        self.indptr, self.indices = g.indptr.copy(), g.indices.copy()
+        where = np.empty(n, dtype=np.intp)
+        where[perm] = np.arange(n)
+        rows = where[g.indices]
+        cols = np.repeat(where, np.diff(g.indptr))
+        self.kd = kd = int((cols - rows).max(initial=0))
+        self.upper = self.slot = None  # None: the gain goes to SuperLU
+        if _band_fits(n, kd, g.nnz):
+            self.upper = np.flatnonzero(rows <= cols)
+            self.slot = _band_slot(rows[self.upper], cols[self.upper], kd)
+            _read_only(self.upper, self.slot)
+        _read_only(self.perm, self.indptr, self.indices)
+
+    def serves(self, g: csc_matrix, perm: np.ndarray) -> bool:
+        """Whether g under perm has this map's pattern and order."""
+        return (np.array_equal(self.perm, perm) and np.array_equal(self.indptr, g.indptr)
+                and np.array_equal(self.indices, g.indices))
+
+    def factor(self, g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:
+        """Factor g, a gain this map serves; returns the solve of G dx = b."""
+        if self.slot is None:
+            return _factor_lu(g, name_of)
+        ab = np.zeros((self.n, self.kd + 1))
+        ab.ravel()[self.slot] = g.data[self.upper]
+        return _factor_band(ab, self.perm, name_of)
+
+
 def _factor_gain(g: csc_matrix, perm: np.ndarray,
                  name_of=None) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the symmetric gain under the elimination order perm
     (unknown perm[k] at position k); returns the solve of G dx = b.
 
     G is factored by ``_factor_band`` in band storage, filled straight
-    from its upper-triangle entries.  Where the band does not fit
-    (``_band_fits``), as on a radial feeder whose bandwidth is nearly n,
-    ``_factor_lu`` takes G instead.
+    from its upper-triangle entries (``_BandMap``).  Where the band does
+    not fit (``_band_fits``), as on a radial feeder whose bandwidth is
+    nearly n, ``_factor_lu`` takes G instead.
     """
-    n = g.shape[0]
-    where = np.empty(n, dtype=np.intp)
-    where[perm] = np.arange(n)
-    rows = where[g.indices]
-    cols = np.repeat(where, np.diff(g.indptr))
-    kd = int((cols - rows).max(initial=0))
-    if not _band_fits(n, kd, g.nnz):
-        return _factor_lu(g, name_of)
-    upper = rows <= cols
-    ab = np.zeros((n, kd + 1))
-    ab.ravel()[_band_slot(rows[upper], cols[upper], kd)] = g.data[upper]
-    return _factor_band(ab, perm, name_of)
+    return _BandMap(g, perm).factor(g, name_of)
 
 
 def _band_slot(rows, cols, kd):

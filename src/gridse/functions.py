@@ -394,7 +394,8 @@ class MeasurementKernel:
     Compiled once from (net, placements), where placements are resolved
     Locations or (kind, at) pairs; rows keep their order.  The Jacobian's CSR
     pattern (``indptr``, ``indices``) is the same at every state, and so
-    is the curved rows' Hessian pattern (``curvature_pattern``).
+    is the curved rows' Hessian pattern (``curvature_pattern``); these
+    arrays are read-only.
     Injection rows read ``net.admittance``; DC rows are ``dc_rows`` on
     the angle columns.  A branch row on a missing or parallel branch, a
     bus row outside 1..N and a DC row on a zero-reactance branch are
@@ -431,6 +432,8 @@ class MeasurementKernel:
         # (row, column a, column b) of each upper Hessian entry of a curved row
         self.curvature_pattern = tuple(np.concatenate([p[k] for p in patterns] + empty)
                                        for k in range(3))
+        for array in (self.indices, self.indptr, self._order, *self.curvature_pattern):
+            array.flags.writeable = False
 
     def _evaluate(self, x: StateVector, jac: bool):
         if x.coordinates != POLAR:

@@ -76,7 +76,10 @@ class NetworkModel:
 
     Buses must carry contiguous ids 1..N with exactly one slack bus,
     branches must join distinct existing buses with invertible series
-    impedance, and the undirected graph must be connected.
+    impedance, and the undirected graph must be connected.  What is
+    derived from the model is cached on it (the admittance matrix, the
+    bus order, the estimator's last layout analyses), so it must not be
+    mutated once estimated on.
     """
 
     def __init__(self, buses, branches, base_mva: float = 100.0, slack_angle: float = 0.0):
@@ -112,6 +115,9 @@ class NetworkModel:
         self.slack_bus = slacks[0]
         self.slack_angle = float(slack_angle)
         self._check_connected()
+        # Per formulation, the last measurement layout the estimator
+        # analysed on this network (estimators.assemble_problem).
+        self.layouts: dict = {}
 
     @property
     def n_buses(self) -> int:

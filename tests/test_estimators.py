@@ -7,6 +7,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
 
+import gridse.cli
 import gridse.estimators
 import gridse.functions
 import gridse.network
@@ -37,6 +38,7 @@ from gridse import (
     synthesize,
     to_rectangular,
 )
+from gridse.measurements import KIND_CODE
 
 from conftest import (
     DC_NOISE,
@@ -54,6 +56,16 @@ from conftest import (
 from test_golden import NET14, PLANS, THETA_RANGE, V_RANGE, small_lattice, synthesized
 
 K = MeasurementKind
+
+
+def other_values(net, formulation, plan=None, seed=7):
+    """A set of the golden set's layout, or of ``plan``'s, under another
+    seed: the same kind codes, locations and correlated pairs, other
+    values, variances and covariances."""
+    builder, noise = PLANS[formulation]
+    spec = make_scenario(net, builder(net) if plan is None else plan, noise=noise,
+                         seed=seed, v_range=V_RANGE, t_range=THETA_RANGE)
+    return synthesize(spec, sample_true_state(spec))
 
 
 def zero_noise_problem(net, plan, formulation, seed=3, **kwargs):
@@ -737,6 +749,126 @@ class TestInactiveRows:
             problem = assemble_problem(net, synthesized(net, formulation), formulation)
             assert solve(problem).converged
             assert calls == [name]
+            # another set of the same layout reuses the network's analysis
+            problem = assemble_problem(net, other_values(net, formulation), formulation)
+            assert solve(problem).converged
+            assert calls == [name]
+
+
+class TestLayoutAnalysis:
+    """A network keeps its last layout analysis per formulation: a set of
+    the same kind codes, locations and correlated pairs, under the same
+    neglect_phasor_covariance, reuses its rows and band map, and gives
+    the bits it gives on a network of its own."""
+
+    @staticmethod
+    def outputs(problem, method="normal"):
+        """x-hat, residuals, objective trace and result.json bytes."""
+        result = solve(problem, SolverConfig(linear_system_method=method))
+        return (result.x_hat.values.tobytes(), result.residuals.tobytes(),
+                result.objective_trace, gridse.cli._encode(result_to_dict(problem, result)))
+
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    @pytest.mark.parametrize("formulation", list(PLANS))
+    def test_hit_matches_a_fresh_network(self, formulation, method):
+        net = load_network(NET14)
+        first = assemble_problem(net, synthesized(net, formulation), formulation)
+        self.outputs(first, method)
+        band = first._layout._band
+        mset = other_values(net, formulation)
+        hit = assemble_problem(net, mset, formulation)
+        assert hit._layout is first._layout
+        assert hit.h_matrix is first.h_matrix and hit.kernel is first.kernel
+        fresh = assemble_problem(load_network(NET14), mset, formulation)
+        assert fresh._layout is not hit._layout
+        assert self.outputs(hit, method) == self.outputs(fresh, method)
+        # a one-shot normal solve reuses the band map of the gain before
+        assert (band is not None) == (hit.is_linear and method == "normal")
+        assert hit._layout._band is band
+
+    @staticmethod
+    def changed(mset, part):
+        """The set with one part of its layout changed."""
+        rows = np.arange(len(mset))
+        at, pairs, covs = mset.at.copy(), mset.pairs, mset.covs
+        if part == "codes":  # the first flow's P and Q rows trade places
+            k = int(np.argmax(mset.codes == KIND_CODE["P_flow"]))
+            rows[[k, k + 1]] = k + 1, k
+        elif part == "at":  # a V_mag row moves to the next bus
+            k = int(np.argmax(mset.codes == KIND_CODE["V_mag"]))
+            at[k, 0] = at[k, 0] % 14 + 1
+        else:  # the first pair loses its correlation
+            pairs, covs = pairs[1:], covs[1:]
+        return MeasurementSet.from_columns(mset.codes[rows], at[rows], mset.values()[rows],
+                                           mset.variances()[rows], pairs, covs)
+
+    @pytest.mark.parametrize("part", ["codes", "at", "pairs", "neglect", "formulation"])
+    def test_any_change_of_the_key_misses(self, part):
+        net = load_network(NET14)
+        mset = synthesized(net, "simultaneous_rect")
+        base = assemble_problem(net, mset, "simultaneous_rect")
+        assert assemble_problem(net, mset, "simultaneous_rect")._layout is base._layout
+        formulation, neglect = "simultaneous_rect", part == "neglect"
+        if part == "formulation":  # the legacy rows alone admit conventional too
+            legacy = synthesized(net, "conventional")
+            base = assemble_problem(net, legacy, "simultaneous_rect")
+            mset, formulation = legacy, "conventional"
+        elif not neglect:
+            mset = self.changed(mset, part)
+        other = assemble_problem(net, mset, formulation, neglect_phasor_covariance=neglect)
+        assert other._layout is not base._layout
+        assert net.layouts[formulation] is other._layout
+        assert (net.layouts["simultaneous_rect"] is base._layout) == (part == "formulation")
+        assert self.outputs(other) == self.outputs(assemble_problem(
+            load_network(NET14), mset, formulation, neglect_phasor_covariance=neglect))
+
+    def test_gain_that_loses_entries_gets_its_own_band_map(self):
+        # Voltage phasors alone: each off-diagonal of G comes from one
+        # pair's covariance, so a set whose covariances are 0 has a
+        # diagonal G, since the sparse product drops the zero products.
+        net = load_network(NET14)
+        plan = [(kind, (b.id,)) for b in net.buses for kind in (K.V_RE, K.V_IM)]
+        mset = other_values(net, "linear_rect", plan)
+        diagonal = MeasurementSet.from_columns(mset.codes, mset.at, mset.values(),
+                                               mset.variances(), mset.pairs,
+                                               np.zeros_like(mset.covs))
+        first = assemble_problem(net, mset, "linear_rect")
+        self.outputs(first)
+        band = first._layout._band
+        hit = assemble_problem(net, diagonal, "linear_rect")
+        assert hit._layout is first._layout
+        h = hit._layout.h_free
+        gains = [csc_matrix(h.T @ p.covariance.inverse() @ h) for p in (first, hit)]
+        assert gains[1].nnz == hit.n < gains[0].nnz
+        assert band.serves(gains[0], first.order) and not band.serves(gains[1], hit.order)
+        fresh = assemble_problem(load_network(NET14), diagonal, "linear_rect")
+        assert self.outputs(hit) == self.outputs(fresh)
+        assert hit._layout._band is not band and hit._layout._band.serves(gains[1], hit.order)
+
+    @pytest.mark.parametrize("formulation", ["dc", "linear_rect", "conventional"])
+    def test_cached_arrays_are_read_only(self, net14, formulation):
+        layout = assemble_problem(net14, synthesized(net14, formulation), formulation)._layout
+        arrays = [layout.free, layout.angle_rows]
+        if layout.kernel is None:
+            arrays += [layout.h_matrix.data, layout.h_free.data, layout.h_matrix.indices]
+        else:
+            arrays += [layout.kernel.indices, layout.kernel.indptr]
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+
+    @pytest.mark.parametrize("formulation", ["linear_rect", "conventional", "dc"])
+    def test_alternating_layouts_match_separate_networks(self, formulation):
+        net = load_network(NET14)
+        plans = [PLANS[formulation][0](net), PLANS[formulation][0](net)[:-2]]
+        layouts = []
+        for seed in (1, 2, 3, 4):
+            mset = other_values(net, formulation, plans[seed % 2], seed)
+            problem = assemble_problem(net, mset, formulation)
+            layouts.append(problem._layout)
+            alone = assemble_problem(load_network(NET14), mset, formulation)
+            assert self.outputs(problem) == self.outputs(alone)
+        assert len({id(layout) for layout in layouts}) == 4
 
 
 @pytest.fixture
