@@ -381,21 +381,29 @@ def locate(net: NetworkModel, codes: np.ndarray, at: np.ndarray,
 
 
 def polar_to_rect_variance(z_mag, v_mag, z_ang, v_ang):
-    """First-order propagation of polar phasor variances to rectangular.
+    """Second-order propagation of polar phasor variances to rectangular.
 
     Given a measured magnitude/angle pair and their variances, returns
-    (v_re, v_im, cov_re_im) of the converted real/imaginary pair.  The
-    resulting 2x2 block has determinant v_mag * v_ang * z_mag**2, so it
-    stays positive (semi)definite.  Works elementwise on arrays.
+    (v_re, v_im, cov_re_im) of the converted real/imaginary pair.  Along
+    the measured angle the variance is v_mag; across it, it is
+    v_ang * (z_mag**2 + v_mag): the first-order v_ang * z_mag**2 plus the
+    second moment of the magnitude error turned by the angle error
+    (Lerro & Bar-Shalom, "Tracking with debiased consistent converted
+    measurements versus EKF", IEEE Trans. AES, 1993).  The first-order
+    block's determinant, v_mag * v_ang * z_mag**2, goes to 0 with the
+    measured magnitude, whose angle then carries no information, and its
+    inverse weighs the across component as nearly exact.  This block's
+    determinant is v_mag * v_ang * (z_mag**2 + v_mag), never below
+    v_mag**2 * v_ang, so it is positive definite and its condition stays
+    below about 1/v_ang where v_ang < 1.  Works elementwise on arrays.
     """
     if np.any(np.asarray(v_mag) <= 0.0) or np.any(np.asarray(v_ang) <= 0.0):
         raise NonPositiveVariance("polar variances must be > 0")
     c, s = np.cos(z_ang), np.sin(z_ang)
-    # float_power squares with the C library's pow, as Python's ** on a
-    # float does; np.square can differ from it in the last bit.
-    v_re = v_mag * c * c + v_ang * np.float_power(z_mag * s, 2)
-    v_im = v_mag * s * s + v_ang * np.float_power(z_mag * c, 2)
-    cov = (v_mag - v_ang * z_mag * z_mag) * s * c
+    across = v_ang * (z_mag * z_mag + v_mag)
+    v_re = v_mag * c * c + across * s * s
+    v_im = v_mag * s * s + across * c * c
+    cov = (v_mag - across) * s * c
     return v_re, v_im, cov
 
 
@@ -405,6 +413,16 @@ class CovarianceModel:
     The model is immutable; R^-1 and the whitener are built on first use
     and cached, so every Gauss-Newton iteration and objective evaluation
     shares one matrix.  Callers must not modify the returned matrices.
+
+    A block is taken as stated, as a file from another converter states
+    it: no meter bound is applied, since a rectangular block no longer
+    tells its polar variances apart.  A block is refused as not positive
+    definite (NonPositiveVariance) where its determinant
+    va vb - cov^2 is not above 4 eps va vb: rounding the two products
+    moves it by up to about eps va vb, so there its sign and the block's
+    inverse are noise.  A block above that bound is used however near
+    singular it is; where its weights make the gain fail the pivot test,
+    the solve refuses it with SingularGain.
     """
 
     def __init__(self, variances: np.ndarray, blocks=()):
@@ -418,8 +436,8 @@ class CovarianceModel:
         self._a = table[:, 0].astype(np.intp)
         self._b = table[:, 1].astype(np.intp)
         self._cov = table[:, 2]
-        det = variances[self._a] * variances[self._b] - self._cov * self._cov
-        bad = ~(det > 0.0)
+        product = variances[self._a] * variances[self._b]
+        bad = ~(product - self._cov * self._cov > 4.0 * np.finfo(float).eps * product)
         if bad.any():
             k = int(np.argmax(bad))
             raise NonPositiveVariance(f"correlated block for rows ({self._a[k]}, "

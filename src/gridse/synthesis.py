@@ -234,8 +234,9 @@ def synthesize(spec: ScenarioSpec, x_true: StateVector) -> MeasurementSet:
 
     Scalar kinds get independent Gaussian errors with the configured
     stddev.  Rectangular phasor pairs share one polar draw per device;
-    their recorded variances and cross-covariance come from first-order
-    propagation at the measured polar values.  Zero stddev gives the
+    their recorded variances and cross-covariance come from second-order
+    propagation at the measured polar values (``polar_to_rect_variance``),
+    so a pair of near-zero magnitude does not get a near-singular block.  Zero stddev gives the
     exact function value with a small default recorded variance.
     Every true value, including the polar magnitude and angle behind
     each rectangular pair, comes from one evaluation of h(x_true).  The

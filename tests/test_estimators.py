@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -31,6 +32,7 @@ from gridse import (
     gauss_newton,
     linear_wls,
     load_network,
+    measurements_to_dict,
     objective,
     result_to_dict,
     solve,
@@ -38,7 +40,7 @@ from gridse import (
     synthesize,
     to_rectangular,
 )
-from gridse.measurements import KIND_CODE
+from gridse.measurements import KIND_CODE, measurements_from_dict
 
 from conftest import (
     DC_NOISE,
@@ -1617,6 +1619,60 @@ class TestFlatStartConvergence:
         result, failures = self.estimate(workloads, 30, seed, index, "conventional")
         assert result.converged and not failures
         assert result.iterations <= now < before
+
+
+class TestConvertedPhasorCovariance:
+    """pmu_lattice frames with a rectangular current pair of near-zero
+    magnitude.  Propagated to first order, its 2x2 block weighed the
+    across component up to ~4e17; the pivot test refused an observable
+    gain (seed 102) or x-hat moved by 6e-5 with the elimination order
+    (seed 82).  Synthesized to second order, the largest weight is ~1e10."""
+
+    @staticmethod
+    def frame(workloads, seed, index):
+        lattice = workloads.make_workload("pmu_lattice", seed, ".", ".")
+        return lattice, lattice.prepare(index)
+
+    @pytest.mark.parametrize("seed, index", [(82, 55), (102, 619)])
+    def test_frame_passes_under_either_order(self, workloads, seed, index):
+        lattice, case = self.frame(workloads, seed, index)
+        problem, result = lattice.estimate(case)
+        assert not workloads.gate(case, lattice.outcome(case, (problem, result)))
+        assert problem.covariance.inverse().diagonal().max() < 1e11
+        # the same set under the reverse Cuthill-McKee order of the buses
+        net = problem.net
+        n, key = net.n_buses, net.directed_ends.key
+        rcm = reverse_cuthill_mckee(csc_matrix((np.ones(key.size), (key // n, key % n)),
+                                               shape=(n, n)), symmetric_mode=True)
+        again = assemble_problem(net, case.mset, "linear_rect")
+        again.order = again.unknown_order(rcm.astype(np.intp))
+        assert not np.array_equal(again.order, problem.order)
+        step = np.max(np.abs(solve(again).x_hat.values - result.x_hat.values))
+        assert step <= SolverConfig().step_tolerance
+
+    def test_first_order_blocks_from_a_file_are_refused(self, workloads):
+        # The seed-102 frame as a converter that propagates to first order
+        # writes it.  Each block is positive definite, so it is taken as
+        # stated, and the solve refuses the gain it makes.
+        lattice, case = self.frame(workloads, 102, 619)
+        mset = case.mset
+        a, b = mset.pairs.T
+        assert np.isin(mset.codes[a], [KIND_CODE["V_re"], KIND_CODE["I_re"]]).all()
+        current = mset.codes[a] == KIND_CODE["I_re"]
+        v_mag = np.where(current, PMU_NOISE[K.I_MAG_PMU], PMU_NOISE[K.V_MAG_PMU]) ** 2
+        v_ang = np.where(current, PMU_NOISE[K.I_ANG_PMU], PMU_NOISE[K.V_ANG_PMU]) ** 2
+        z_re, z_im = mset.values()[a], mset.values()[b]
+        square, angle = z_re * z_re + z_im * z_im, np.arctan2(z_im, z_re)
+        c, s = np.cos(angle), np.sin(angle)
+        variances = mset.variances().copy()
+        variances[a] = v_mag * c * c + v_ang * square * s * s
+        variances[b] = v_mag * s * s + v_ang * square * c * c
+        first = MeasurementSet.from_columns(mset.codes, mset.at, mset.values(), variances,
+                                            mset.pairs, (v_mag - v_ang * square) * s * c)
+        read = measurements_from_dict(json.loads(json.dumps(measurements_to_dict(first))))
+        problem = assemble_problem(lattice.net, read, "linear_rect")
+        with pytest.raises(SingularGain, match="Im V at bus 2058"):
+            solve(problem)
 
 
 class TestResultDocument:

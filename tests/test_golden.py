@@ -121,9 +121,9 @@ SYNTHESIS = {
     "net14/simultaneous_polar":
         "5a849a1945ee3d9fa5de1fc4c552673519e6b6d5ff4522f5fc37fca44dbd2be5",
     "net14/simultaneous_rect":
-        "5a555c54cd1a8b297c265f1771a2168865b485fe7a22c131cf2233741378c028",
+        "779e2628333ae86b2a52ccdb23ee3ec81e6cb9180fc6c3dd364bf9027c12c54d",
     "net14/linear_rect":
-        "04ac10d06da184dbe09dc87c95ebf6fc030739447a29c8be48c77c618c70adb1",
+        "d54818eb42d59bf3c89e736830fc102c5fc0028335cd081fee6407abb82e8508",
     "net14/dc":
         "bb79f12090d1b7903d377d1b4e5eca5e95944039b85fa80e81dd623267829df2",
     "lattice4/conventional":
@@ -131,9 +131,9 @@ SYNTHESIS = {
     "lattice4/simultaneous_polar":
         "8fa90cbdca2f0558c0c461a45bdf268a5b7dfccfab6e4210dc7e4e16bbc6b94b",
     "lattice4/simultaneous_rect":
-        "4a0c69f872b82a75330c104c195e172747ad40a76bbcabe12a705b2173e2ce55",
+        "862130fcf35037260a07c9e5d434182923283cf7916b4401e3fde67e3fa81ad4",
     "lattice4/linear_rect":
-        "d0426bef8ad388ee6887d60875a5067e044c507af7792feb31fdc4fc06b3c956",
+        "0bb4b19ad537fecf2636ee36662ef65f47607e667c98836a6522329e4861ec6e",
     "lattice4/dc":
         "edde789f522c20ef9d86271dfc5260addeab404db3ed319f7162114d11df36d6",
 }
@@ -148,13 +148,13 @@ REPLAY = {
     "simultaneous_polar/orthogonal":
         "fdebc9e087a823ac6ac148f81d68c2a7a7f880115fa357189b0da9878d70d089",
     "simultaneous_rect/normal":
-        "d444a64ae668796f9d305f59984db7158653342645493752bc0b4d99ce1151b1",
+        "f88108fbeb591b27fcf82946bd746655916fecb6d11947169d85aa539e4e27be",
     "simultaneous_rect/orthogonal":
-        "44f4d28483d1c151d1fef40bef1b67ec08e0149ff733eeb5aedece2c4fa8c8f2",
+        "7ea41fea464691126810e7c5e11577b1ac22f3f5ab74b578d2a799289c777f80",
     "linear_rect/normal":
-        "6fca241855b0f2108786f601a9505782f77ec73e7ecc88c7cae0d6bd99921b76",
+        "c8c9cb36882e3c2b35942dd1011b6f2124591bae2b04777d14298dcd7161217c",
     "linear_rect/orthogonal":
-        "0239c1a12a1e407ae2fffb1da92a4a2ff6ab52befe5e07bbdeec4b5a069766b4",
+        "ed7acb25b68b3b068cb9e41790ba6d33860c59bfda8e1fae079583fc35366c89",
     "dc/normal":
         "ddc610f00c759bcf8f2ca2df92007522341303dcc747c5011476ebecc0f6caa2",
     "dc/orthogonal":

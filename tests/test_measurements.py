@@ -93,24 +93,40 @@ class TestStateConversions:
 class TestPolarToRectVariance:
     def test_zero_angle_symmetry(self):
         v_re, v_im, cov = polar_to_rect_variance(1.0, 1e-4, 0.0, 1e-4)
-        assert v_re == pytest.approx(1e-4)
-        assert v_im == pytest.approx(1e-4)
+        assert v_re == pytest.approx(1e-4, rel=1e-12)
+        assert v_im == pytest.approx(1e-4 * (1.0 + 1e-4), rel=1e-12)
         assert cov == pytest.approx(0.0, abs=1e-20)
 
     def test_quarter_turn_swaps_axes(self):
         v, w = 3e-4, 7e-6
         v_re, v_im, cov = polar_to_rect_variance(1.0, v, math.pi / 2, w)
-        assert v_re == pytest.approx(w, rel=1e-12)
+        assert v_re == pytest.approx(w * (1.0 + v), rel=1e-12)
         assert v_im == pytest.approx(v, rel=1e-12)
         assert cov == pytest.approx(0.0, abs=1e-19)
 
     def test_diagonal_case_values(self):
-        # frozen from first-order propagation; the Monte-Carlo check
-        # lives in the acceptance suite
+        # second-order propagation: across the angle v_ang (z^2 + v_mag)
+        # = 4.0001e-4; the Monte-Carlo check lives in the acceptance suite
         v_re, v_im, cov = polar_to_rect_variance(2.0, 1e-4, math.pi / 4, 1e-4)
-        assert v_re == pytest.approx(2.5e-4, rel=1e-12)
-        assert v_im == pytest.approx(2.5e-4, rel=1e-12)
-        assert cov == pytest.approx(-1.5e-4, rel=1e-12)
+        assert v_re == pytest.approx(2.50005e-4, rel=1e-12)
+        assert v_im == pytest.approx(2.50005e-4, rel=1e-12)
+        assert cov == pytest.approx(-1.50005e-4, rel=1e-12)
+
+    @pytest.mark.parametrize("z_mag", [0.0, 1e-9, 1.7e-4])
+    def test_zero_magnitude_keeps_the_block_regular(self, z_mag):
+        # At a measured magnitude near 0 the angle carries no information:
+        # the block's across variance stays at v_ang v_mag, its
+        # determinant at v_mag^2 v_ang and more, where first order went
+        # to 0 with z_mag.
+        v_mag, v_ang = 9e-6, 9e-6
+        rng = np.random.default_rng(11)
+        for z_ang in rng.uniform(-math.pi, math.pi, 20):
+            v_re, v_im, cov = polar_to_rect_variance(z_mag, v_mag, z_ang, v_ang)
+            det = v_re * v_im - cov * cov
+            assert det == pytest.approx(v_mag * v_ang * (z_mag ** 2 + v_mag), rel=1e-6)
+            assert det >= 0.999 * v_mag ** 2 * v_ang
+            eig = np.linalg.eigvalsh([[v_re, cov], [cov, v_im]])
+            assert eig[1] / eig[0] <= 1.001 / v_ang
 
     def test_blocks_stay_positive_semidefinite(self):
         rng = np.random.default_rng(5)
@@ -120,7 +136,7 @@ class TestPolarToRectVariance:
             v_mag = rng.uniform(1e-8, 1e-2)
             v_ang = rng.uniform(1e-8, 1e-2)
             v_re, v_im, cov = polar_to_rect_variance(z_mag, v_mag, z_ang, v_ang)
-            assert v_re * v_im - cov * cov >= -1e-15
+            assert v_re * v_im - cov * cov > 0.0
 
     def test_rejects_bad_variances(self):
         with pytest.raises(NonPositiveVariance):
@@ -290,6 +306,15 @@ class TestCovarianceModel:
     def test_indefinite_block_rejected(self):
         with pytest.raises(NonPositiveVariance):
             CovarianceModel(np.array([1e-4, 1e-4]), blocks=[(0, 1, 2e-4)])
+
+    def test_block_singular_to_rounding_rejected(self):
+        # |rho| = 1 - 1e-17 rounds to 1: the determinant is noise
+        with pytest.raises(NonPositiveVariance, match="not positive definite"):
+            CovarianceModel(np.array([1e-4, 1e-4]), blocks=[(0, 1, 1e-4 * (1.0 - 1e-17))])
+        # 1 - rho^2 = 1e-12 is far above rounding: near singular, kept as stated
+        cov = CovarianceModel(np.array([1e-4, 1e-4]), blocks=[(0, 1, 1e-4 * math.sqrt(1.0 - 1e-12))])
+        dense = np.array([[1e-4, cov.blocks[0][2]], [cov.blocks[0][2], 1e-4]])
+        assert np.allclose(cov.inverse().toarray() @ dense, np.eye(2), atol=1e-3)
 
     def test_non_finite_entries_rejected(self):
         with pytest.raises(NonPositiveVariance):

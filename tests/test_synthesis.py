@@ -125,7 +125,7 @@ class TestSynthesize:
         z = complex(mset[0].value, mset[1].value)
         # invert the conversion: the polar draw must sit near the truth
         assert abs(abs(z) - x_true.magnitudes[1]) < 5 * 0.01
-        # covariance recorded via first-order propagation at the draw
+        # covariance recorded via second-order propagation at the draw
         v_re, v_im, cov = polar_to_rect_variance(
             abs(z), 0.01 ** 2, math.atan2(z.imag, z.real), 0.02 ** 2)
         assert mset[0].variance == pytest.approx(v_re, rel=1e-12)
