@@ -159,8 +159,9 @@ def plan_timings(problem, j, rinv, r, lu_dx, k: int) -> dict:
     plan, and how far the plan's dx is from SuperLU's."""
     free, order = problem.free_indices, problem.order
     _, product_s = timed(k, lambda: E._solve_normal(j[:, free], rinv, r, order=order))
-    plan, build_s = timed(k, lambda: E._GainPlan(j, free, rinv, problem._curved, order))
-    plan_dx, plan_s = timed(k, lambda: plan.solve(j, rinv, r))
+    curved = problem._layout.curved
+    plan, build_s = timed(k, lambda: E._GainPlan(j, free, rinv, curved, order))
+    plan_dx, plan_s = timed(k, lambda: plan.solve(problem, j, rinv, r))
     return {"gain_path": "plan", "product_iter_s": product_s, "plan_build_s": build_s,
             "plan_iter_s": plan_s, "plan_dx_rel_diff": rel_diff(plan_dx, lu_dx)}
 
@@ -198,7 +199,7 @@ def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
         out.update(plan_timings(problem, j, rinv, r, lu_dx, k))
 
     def factor(g):
-        return E._factor_gain(g, order)
+        return E._BandMap(g, order).factor(g)
 
     def forced_band(g):
         with mock.patch.object(E, "_BAND_LIMIT", math.inf):

@@ -16,19 +16,20 @@ expanded to the problem's unknowns (``EstimationProblem.order``).  On a
 60 x 60 lattice the file order gives the linear_rect gain a
 half-bandwidth of 123, against 157 under RCM on the gain itself.  A
 one-shot DC or linear_rect solve forms its gain by sparse products (the
-product path); a nonlinear problem pairs J's entries in their storage
-order once, on its first normal solve, and assembles every iterate's
+product path); a nonlinear layout pairs J's entries in their storage
+order once, on its first normal solve, and every iterate assembles its
 band straight from J and its weights (``_GainPlan``).
 
 What a measurement set's layout decides is analysed once per network
 and formulation (``_Layout``).  The layout is the set's kind codes, its
 locations and its correlated row pairs, with whether the phasor
 covariance is neglected; the analysis holds the checked kinds and
-locations, the compiled rows and the product path's band map.  The
-network keeps its last analysis per formulation, and a set of the same
-layout reuses it, as PMU frames on fixed placements do, 10-20 ms apart.
-Values, variances, covariances, R^-1 and every gain's numbers and
-factor are never cached.
+locations, the compiled rows, the curvature pattern, the gain plan and
+the product path's band map.  The network keeps its last analysis per
+formulation, and a set of the same layout reuses it, as SCADA snapshots
+and PMU frames on fixed placements do.  Values, variances, covariances,
+R^-1 and every gain's numbers are the problem's; so is the factor it
+keeps for its estimate's last step.
 
 Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
@@ -225,10 +226,8 @@ class GainSystem:
     second-order term S of its curved rows (``curvature``): it then
     solves (G - S) dx = j^T R^-1 r, or the plain system where
     ``_Curvature.step`` refuses that step.  The normal path factors G
-    under the elimination order ``order`` (perm: unknown perm[k] at
-    position k), a problem's ``EstimationProblem.order``; without one,
-    ``narrow_order`` of G's own graph.  Given the problem's ``layout``,
-    it takes G's band map from there (``_Layout.band_map``).
+    under ``narrow_order`` of G's own graph; a problem's iterate takes
+    its network's order instead (``_ProblemGain``).
     """
     j: object
     covariance: CovarianceModel
@@ -236,8 +235,6 @@ class GainSystem:
     active: np.ndarray | None = None
     name_of: Callable[[int], str] | None = None
     curvature: _Curvature | None = None
-    order: np.ndarray | None = None
-    layout: _Layout | None = None
 
     def solve(self, method: str = NORMAL) -> np.ndarray:
         """Least-squares solution dx of j dx = r weighted by R^-1."""
@@ -263,13 +260,15 @@ class GainSystem:
         return rinv
 
     def _normal(self, rinv):
-        return _solve_normal(self.j, rinv, self.r, self.name_of, self.order, self.layout)
+        return _solve_normal(self.j, rinv, self.r, self.name_of)
 
 
-class _PlannedGain(GainSystem):
-    """The normal-method GainSystem of a kernel problem's iterate.  j
-    spans all 2N columns; the solve runs on the problem's ``_GainPlan``,
-    which the first such solve builds."""
+class _ProblemGain(GainSystem):
+    """The normal-method GainSystem of a problem's iterate; j spans all
+    columns.  A kernel problem's solve runs on its layout's gain plan,
+    with the factor the problem keeps (``_GainPlan.solve``); a DC or
+    linear_rect one by the product path over the layout's free columns
+    of H, under the problem's order and with the layout's band map."""
 
     def __init__(self, problem: EstimationProblem, j, r: np.ndarray,
                  active: np.ndarray, curvature: _Curvature | None = None,
@@ -279,12 +278,13 @@ class _PlannedGain(GainSystem):
         self.tolerance = tolerance
 
     def _normal(self, rinv):
-        problem = self.problem
-        if problem._gain_plan is None:
-            problem._gain_plan = _GainPlan(self.j, problem.free_indices, rinv,
-                                           problem._curved, problem.order)
-        return problem._gain_plan.solve(self.j, rinv, self.r, self.name_of,
-                                        self.curvature, tolerance=self.tolerance)
+        problem, layout = self.problem, self.problem._layout
+        if problem.kernel is None:
+            return _solve_normal(layout.h_free, rinv, self.r, self.name_of,
+                                 problem.order, layout)
+        plan = layout.gain_plan(self.j, rinv, problem.order)
+        return plan.solve(problem, self.j, rinv, self.r, self.curvature,
+                          tolerance=self.tolerance)
 
 
 class _CurvedPattern(NamedTuple):
@@ -305,12 +305,13 @@ class _Curvature:
     """The second-order term of an iterate's curved rows (the kernel's
     current magnitudes) at the state x: S = sum_i y_i hess h_i(x) over
     the solved unknowns, with y = R^-1 r and the entries of inactive rows
-    of R^-1 zero.  Its entries s lie on the problem's ``_curved``
-    pattern; the Hessian is evaluated by the solve that asks for them."""
+    of R^-1 zero.  Its entries s lie on the layout's curvature pattern
+    (``_Layout.curved``); the Hessian is evaluated by the solve that asks
+    for them."""
 
     def __init__(self, problem: EstimationProblem, x: StateVector):
         self.kernel, self.x, self.n = problem.kernel, x, problem.n
-        self.pattern = problem._curved
+        self.pattern = problem._layout.curved
 
     def matrix(self, s: np.ndarray) -> csc_matrix:
         """S from its entries s."""
@@ -375,11 +376,14 @@ class _Layout:
     solved (slack-eliminated) columns ``free`` and the compiled rows: a
     polar-state formulation's MeasurementKernel, or the constant H of
     DC and linear_rect (``h_matrix``) with its free columns
-    (``h_free``).  For the product path it keeps the band map of the
-    last gain it factored (``band_map``).  Its arrays are read-only.
-    Analysing a sparsity pattern once and computing numbers on it many
-    times is the classic split of sparse factorization (George & Liu,
-    Computer Solution of Large Sparse Positive Definite Systems, 1981).
+    (``h_free``).  The first normal solve that needs them builds the
+    rest: a kernel layout's curvature pattern (``curved``) and gain plan
+    (``gain_plan``), and for the product path the band map of the last
+    gain it factored (``band_map``).  Its arrays are read-only, so every
+    problem of the layout shares them.  Analysing a sparsity pattern
+    once and computing numbers on it many times is the classic split of
+    sparse factorization (George & Liu, Computer Solution of Large
+    Sparse Positive Definite Systems, 1981).
     """
 
     def __init__(self, net: NetworkModel, mset: MeasurementSet,
@@ -413,7 +417,7 @@ class _Layout:
             self.h_free = self.h_matrix[:, self.free]
             for h in (self.h_matrix, self.h_free):
                 _read_only(h.data, h.indices, h.indptr)
-        self._band = None
+        self._band = self._plan = None
 
     def holds(self, mset: MeasurementSet, neglect: bool) -> bool:
         """Whether the set, with its phasor covariance neglected or not,
@@ -429,6 +433,28 @@ class _Layout:
             self._band = _BandMap(g, order)
         return self._band
 
+    @cached_property
+    def curved(self) -> _CurvedPattern:
+        """The kernel's curvature pattern on the solved unknowns."""
+        row, a, b = self.kernel.curvature_pattern
+        column = np.full(self.full_dim, -1, dtype=np.intp)
+        column[self.free] = np.arange(self.free.size)
+        k, l = column[a], column[b]
+        kept = np.flatnonzero((k >= 0) & (l >= 0))
+        k, l = k[kept], l[kept]
+        curved = _CurvedPattern(kept, row[kept], k, l, np.where(k == l, 0.5, 1.0))
+        _read_only(*curved)
+        return curved
+
+    def gain_plan(self, j, rinv: csr_matrix, order: np.ndarray) -> _GainPlan:
+        """The gain plan of a kernel iterate whose J is j, with weights on
+        R^-1's pattern rinv, under the network's order: built by the
+        first call, since the kernel fixes J's pattern and the
+        correlated pairs R^-1's."""
+        if self._plan is None:
+            self._plan = _GainPlan(j, self.free, rinv, self.curved, order)
+        return self._plan
+
 
 class EstimationProblem:
     """A measurement set bound to a network under one formulation.
@@ -439,15 +465,14 @@ class EstimationProblem:
     polar-state formulations compile them into a MeasurementKernel; DC
     and linear_rect keep a constant h_matrix.  The rows, like all that
     the set's layout decides, come from the layout analysis ``layout``
-    (``_Layout``; ``assemble_problem`` passes the network's), else from
-    a new one.
+    (``_Layout``), which ``assemble_problem`` takes from the network.
+    The problem holds the numbers of one estimate: z, the covariance,
+    and the factor its last normal solve kept (see gauss_newton).
     """
 
     def __init__(self, net: NetworkModel, mset: MeasurementSet,
                  formulation: Formulation, covariance: CovarianceModel,
-                 layout: _Layout | None = None):
-        if layout is None:
-            layout = _Layout(net, mset, formulation)
+                 layout: _Layout):
         self.net = net
         self.mset = mset
         self.formulation = formulation
@@ -460,7 +485,7 @@ class EstimationProblem:
         self.fixed_value = 0.0 if self._facts.coordinates == RECTANGULAR else net.slack_angle
         self.free_indices = layout.free
         self.kernel, self.h_matrix = layout.kernel, layout.h_matrix
-        self._gain_plan = None
+        self._kept = None  # (solve, weights) of the last factor (_GainPlan.solve)
 
     @property
     def m(self) -> int:
@@ -536,38 +561,26 @@ class EstimationProblem:
             return self.values(x), self.h_matrix, np.ones(self.m, dtype=bool)
         return self.kernel.rows(x)
 
-    @cached_property
-    def _curved(self) -> _CurvedPattern:
-        """The kernel's curvature pattern on the solved unknowns."""
-        row, a, b = self.kernel.curvature_pattern
-        column = np.full(self.full_dim, -1, dtype=np.intp)
-        column[self.free_indices] = np.arange(self.n)
-        k, l = column[a], column[b]
-        kept = np.flatnonzero((k >= 0) & (l >= 0))
-        k, l = k[kept], l[kept]
-        return _CurvedPattern(kept, row[kept], k, l, np.where(k == l, 0.5, 1.0))
-
     def _gain_system(self, j, r: np.ndarray, active: np.ndarray,
                      method: str, x: StateVector | None = None,
                      tolerance: float | None = None) -> GainSystem:
-        """The gain system of one iterate whose J spans all columns.  A
-        kernel problem's normal solves run on its gain plan, which first
-        tries its kept factor given a ``tolerance`` (``_GainPlan.solve``).
-        The rest get a GainSystem over J's free columns, a constant H's
-        from the layout analysis: the orthogonal method, and the one-shot
-        DC and linear_rect solves, which the normal method solves by the
-        product path, since a plan's build costs more than one product
-        path does.  Given the iterate's state
+        """The gain system of one iterate whose J spans all columns.  The
+        normal method solves it as the problem's (``_ProblemGain``): a
+        kernel problem on its layout's gain plan, which first tries the
+        kept factor given a ``tolerance`` (``_GainPlan.solve``), and the
+        one-shot DC and linear_rect solves by the product path, since a
+        plan's build costs more than one product path does.  The
+        orthogonal method gets a GainSystem over J's free columns, a
+        constant H's from the layout analysis.  Given the iterate's state
         x, a kernel problem with curved rows gets their second-order
         term."""
         curvature = None
-        if x is not None and self.kernel is not None and self._curved.kept.size:
+        if x is not None and self.kernel is not None and self._layout.curved.kept.size:
             curvature = _Curvature(self, x)
-        if self.kernel is not None and method == NORMAL:
-            return _PlannedGain(self, j, r, active, curvature, tolerance)
+        if method == NORMAL:
+            return _ProblemGain(self, j, r, active, curvature, tolerance)
         a = self._layout.h_free if j is self.h_matrix else j[:, self.free_indices]
-        return GainSystem(a, self.covariance, r, active, self.unknown_name, curvature,
-                          self.order if method == NORMAL else None, self._layout)
+        return GainSystem(a, self.covariance, r, active, self.unknown_name, curvature)
 
 
 def assemble_problem(net: NetworkModel, mset: MeasurementSet,
@@ -629,7 +642,7 @@ def _band_fits(n: int, kd: int, nnz: int) -> bool:
 class _BandMap:
     """Where the stored entries of one gain pattern go under the
     elimination order perm (unknown perm[k] at position k): the symbolic
-    half of ``_factor_gain``.
+    half of the product path's factor (``factor``).
 
     It fixes the half-bandwidth kd and whether the gain goes to band
     storage (``_band_fits``), and for a band the stored entries of the
@@ -662,25 +675,15 @@ class _BandMap:
                 and np.array_equal(self.indices, g.indices))
 
     def factor(self, g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:
-        """Factor g, a gain this map serves; returns the solve of G dx = b."""
+        """Factor g, a gain this map serves; returns the solve of G dx = b.
+        G is factored by ``_factor_band`` in band storage, filled straight
+        from its upper-triangle entries; where the band does not fit, as
+        on a radial feeder whose bandwidth is nearly n, by ``_factor_lu``."""
         if self.slot is None:
             return _factor_lu(g, name_of)
         ab = np.zeros((self.n, self.kd + 1))
         ab.ravel()[self.slot] = g.data[self.upper]
         return _factor_band(ab, self.perm, name_of)
-
-
-def _factor_gain(g: csc_matrix, perm: np.ndarray,
-                 name_of=None) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the symmetric gain under the elimination order perm
-    (unknown perm[k] at position k); returns the solve of G dx = b.
-
-    G is factored by ``_factor_band`` in band storage, filled straight
-    from its upper-triangle entries (``_BandMap``).  Where the band does
-    not fit (``_band_fits``), as on a radial feeder whose bandwidth is
-    nearly n, ``_factor_lu`` takes G instead.
-    """
-    return _BandMap(g, perm).factor(g, name_of)
 
 
 def _band_slot(rows, cols, kd):
@@ -731,13 +734,14 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class _GainPlan:
-    """The symbolic half of a kernel problem's normal-method gain solve.
+    """The symbolic half of a kernel layout's normal-method gain solve.
 
-    J's CSR pattern and R^-1's are fixed through a Gauss-Newton loop, so
-    G = A^T R^-1 A (A: J's free columns) has one structural pattern, the
-    entries that can be nonzero whatever the values of J and the weights.
-    Given the problem's elimination order (``EstimationProblem.order``),
-    the plan pairs A's entries once, in J's storage order (George & Liu
+    The layout fixes J's CSR pattern (the kernel's) and R^-1's (the
+    correlated pairs'), so every G = A^T R^-1 A (A: J's free columns) of
+    every problem of the layout has one structural pattern, the entries
+    that can be nonzero whatever the values of J and the weights.  Given
+    the network's elimination order (``EstimationProblem.order``), the
+    plan pairs A's entries once, in J's storage order (George & Liu
     1981).  Each stored entry (i, i') of R^-1 leads with every A entry
     (i, k) of row i.  On the diagonal of R^-1 (i' = i) the lead's
     partners are the rest of its row, itself included; for an entry of a
@@ -749,21 +753,27 @@ class _GainPlan:
     slots.  An iterate passes its weights, R^-1 with the entries of
     inactive rows zero, so the masked first iterate, an iterate that
     drops rows and 2x2 blocks all run on the one plan: it sums the pairs
-    into the band with one np.bincount and the right-hand side with
+    into the band with one np.add.at and the right-hand side with
     another, and factors by ``_factor_band``.  A wide-profile gain goes
     to SuperLU, formed by sparse products each iterate.
 
     The second-order term S of an iterate's curved rows (``_Curvature``)
     lands only in slots that the row's own J^T J term fills, so the plan
-    also maps the problem's curvature pattern (``_CurvedPattern``) to
+    also maps the layout's curvature pattern (``_CurvedPattern``) to
     band slots, and an iterate that carries S subtracts it there by
     np.subtract.at.  Where G - S is refused, the band is summed again
     for the Gauss-Newton step, as dpbtrf has overwritten it.
 
     Per lead the plan keeps its J entry, its R^-1 entry and its count of
     partners, and per pair only the partner's J entry and the slot.
-    Gather and slot arrays are np.intp, which np.bincount and fancy
-    indexing take without a conversion.
+    Gather and slot arrays are np.intp, which np.add.at and fancy
+    indexing take without a conversion.  The plan holds no numbers: its
+    arrays are read-only and its solve writes none of them, so the
+    problems of one layout share it (``_Layout.gain_plan``).  Its sums
+    run by np.add.at, which adds in np.bincount's order: np.bincount
+    copies a read-only index array on every call, and on the 400-bus
+    lattice that took an iterate's solve from ~1.5 to ~2.1 ms (numpy
+    2.4, 2 vCPU).
     """
 
     def __init__(self, j, free: np.ndarray, rinv, curved: _CurvedPattern,
@@ -771,7 +781,6 @@ class _GainPlan:
         m = j.shape[0]
         self._n = n = free.size
         self._free, self._perm = free, None  # None: SuperLU takes every gain
-        self.kept = None  # (solve, weights) of the last factor
         column = np.full(j.shape[1], -1, dtype=np.intp)
         column[free] = np.arange(n)
         col = column[j.indices]
@@ -781,6 +790,7 @@ class _GainPlan:
         a_ptr = np.concatenate([[0], np.cumsum(col >= 0)])[j.indptr]
         self._a_count = a_count = np.diff(a_ptr)
         self._a_col = col[a]
+        _read_only(a, a_count, self._a_col)
         where = np.empty(n, dtype=np.intp)
         where[order] = np.arange(n)
         at = where[self._a_col]
@@ -821,36 +831,39 @@ class _GainPlan:
         if not _band_fits(n, kd, 2 * np.count_nonzero(filled)
                           - np.count_nonzero(filled[:, kd])):
             return
-        self._perm, self._size, self._count = order, size, count
+        self._perm, self._size, self._count = np.array(order, dtype=np.intp), size, count
         self._lead, self._partner, self._slot = a[lead], partner, slot
         self._lead_w = np.repeat(np.arange(rinv.nnz), leads)
         k, l = where[curved.k], where[curved.l]  # the curvature entries' positions
         self._s_slot = _band_slot(np.minimum(k, l), np.maximum(k, l), kd)
+        _read_only(self._perm, count, self._lead, partner, slot, self._lead_w, self._s_slot)
 
-    def solve(self, j, rinv, r: np.ndarray, name_of=None,
+    def solve(self, problem: EstimationProblem, j, rinv, r: np.ndarray,
               curvature: _Curvature | None = None,
               tolerance: float | None = None) -> np.ndarray:
-        """dx of the iterate whose J (all columns) is j, under weights
-        rinv: R^-1 on its own pattern, inactive rows' entries zero; with
-        the second-order term of ``curvature`` unless that is refused.
+        """dx of the problem's iterate whose J (all columns) is j, under
+        weights rinv: R^-1 on its own pattern, inactive rows' entries
+        zero; with the second-order term of ``curvature`` unless that is
+        refused.  A SingularGain names the unknown by
+        ``problem.unknown_name``.
 
-        The plan keeps the solve of its last factor with the weights it
-        was taken under.  Given ``tolerance``, it first solves this
-        iterate's right-hand side with that factor, if its weights are
-        these: a step of at most ``tolerance`` is returned, logged at
-        DEBUG, and a longer one discarded (the chord step; Kelley,
-        Iterative Methods for Linear and Nonlinear Equations, 1995,
-        ch. 5).  The kept factor is released before a new gain is
-        formed, so that two never coexist."""
+        The problem keeps the solve of its last factor with the weights
+        it was taken under (``problem._kept``).  Given ``tolerance``,
+        this first solves the iterate's right-hand side with that factor,
+        if its weights are these: a step of at most ``tolerance`` is
+        returned, logged at DEBUG, and a longer one discarded (the chord
+        step; Kelley, Iterative Methods for Linear and Nonlinear
+        Equations, 1995, ch. 5).  The kept factor is released before a
+        new gain is formed, so that two never coexist."""
         y = rinv @ r
         if self._perm is None:
             a = j[:, self._free]
             rhs = a.T @ y
         else:
             data = j.data
-            rhs = np.bincount(self._a_col, data[self._a] * np.repeat(y, self._a_count),
-                              minlength=self._n)
-        kept, self.kept = self.kept, None
+            rhs = np.zeros(self._n)
+            np.add.at(rhs, self._a_col, data[self._a] * np.repeat(y, self._a_count))
+        kept, problem._kept = problem._kept, None
         if tolerance is not None and kept is not None and np.array_equal(kept[1], rinv.data):
             dx = kept[0](rhs)
             step = float(np.max(np.abs(dx))) if dx.size else 0.0
@@ -865,17 +878,20 @@ class _GainPlan:
         def solve(s=None):
             """Factor G less S's entries s, keep the factor and solve: by
             SuperLU, or from G's upper band summed from J."""
-            self.kept = None  # the factor of a refused step
+            problem._kept = None  # the factor of a refused step
             if self._perm is None:
-                factor = _factor_lu(g if s is None else g - curvature.matrix(s), name_of)
+                factor = _factor_lu(g if s is None else g - curvature.matrix(s),
+                                    problem.unknown_name)
             else:
                 terms = np.repeat(rinv.data[self._lead_w] * data[self._lead], self._count)
                 terms *= data[self._partner]
-                ab = np.bincount(self._slot, terms, minlength=self._size)
+                ab = np.zeros(self._size)
+                np.add.at(ab, self._slot, terms)
                 if s is not None:
                     np.subtract.at(ab, self._s_slot, s)
-                factor = _factor_band(ab.reshape(self._n, -1), self._perm, name_of)
-            self.kept = factor, rinv.data
+                factor = _factor_band(ab.reshape(self._n, -1), self._perm,
+                                      problem.unknown_name)
+            problem._kept = factor, rinv.data
             return factor(rhs)
 
         if curvature is not None:
@@ -893,7 +909,7 @@ def _factor_lu(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray
     and columns alike.  SuperLU itself only rejects exactly zero pivots,
     so the factor is also refused when the pivoting left the diagonal
     (G is not numerically positive definite) or when a pivot fails the
-    test of ``_factor_gain``; the error names the first weak unknown in
+    test of ``_factor_band``; the error names the first weak unknown in
     column order.
     """
     try:
@@ -973,8 +989,9 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     SingularGain.  An iterate whose previous step was at most
     sqrt(step_tolerance) hands the tolerance to its gain plan under the
     normal method: the final sub-tolerance increment then comes from the
-    factor the plan kept from the iterate before, where that was taken
-    under the same weights, logged at DEBUG (``_GainPlan.solve``).
+    factor the problem kept from the iterate before, where that was
+    taken under the same weights, logged at DEBUG (``_GainPlan.solve``).
+    The kept factor is released when the estimate ends.
     Rows with undefined gradients (currents below the guard) are
     dropped for the affected iteration only, with a logged warning
     unless the masked first iterate leaves them out anyway; if any were
@@ -1065,8 +1082,7 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         if step <= cfg.step_tolerance or problem.is_linear:
             converged = not dropped_at_last
             break
-    if problem._gain_plan is not None:
-        problem._gain_plan.kept = None  # a factor serves one estimate
+    problem._kept = None  # a factor serves one estimate
     residuals = problem.residuals(x)
     record_objective(residuals)
     return EstimationResult(

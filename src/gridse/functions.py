@@ -30,9 +30,8 @@ their Derivatives using Complex Matrix Notation", MATPOWER TN2, 2010).
 The kernel, ``linear_rows_rectstate`` and ``dc_rows`` read the rows'
 locations already resolved against the network (``Locations``), so
 compiling them is array work with a small fixed cost and no per-row
-Python.  ``evaluate_row``, ``evaluate_values`` and ``evaluate_value``
-compile a kernel for the rows they are given, so every caller runs the
-same formulas.
+Python.  ``evaluate_row`` and ``evaluate_value`` compile a kernel for
+the row they are given, so every caller runs the same formulas.
 
 Every current row (I_mag, I_mag_pmu, I_ang_pmu, I_re, I_im) is built
 on one branch current, I = A V_i + B V_j, computed with its
@@ -596,16 +595,9 @@ def _dc_matrix(loc: Locations) -> csr_matrix:
 # ---------------------------------------------------------------------------
 # values of any kind at a polar state
 
-def evaluate_values(net: NetworkModel, x: StateVector, placements) -> np.ndarray:
-    """h(x) at a polar state for (kind, at) placements of any kind, by
-    one kernel call.  DC kinds are the DC family's rows applied to the
-    state angles.  Current magnitude and angle values never raise.
-    """
-    return MeasurementKernel(net, placements).values(x)
-
-
 def evaluate_value(net: NetworkModel, x: StateVector, kind: MeasurementKind,
                    at: tuple[int, ...]) -> float:
-    """Value of any measurement function at a polar state; see
-    evaluate_values."""
-    return float(evaluate_values(net, x, [(kind, tuple(at))])[0])
+    """Value of any measurement function at a polar state, by one kernel
+    call.  DC kinds are the DC family's rows applied to the state angles.
+    Current magnitude and angle values never raise."""
+    return float(MeasurementKernel(net, [(kind, tuple(at))]).values(x)[0])

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
 
 from .documents import arrays, fields, flags, integers, numbers, read_json, rows
 from .errors import InputError, NotConnected, ZeroImpedance
@@ -124,22 +124,13 @@ class NetworkModel:
         return len(self.buses)
 
     def _check_connected(self):
-        # Union-find over the undirected branch graph.
-        parent = list(range(self.n_buses + 1))
-
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for br in self.branches:
-            ra, rb = find(br.from_bus), find(br.to_bus)
-            if ra != rb:
-                parent[ra] = rb
-        roots = {find(i) for i in range(1, self.n_buses + 1)}
-        if len(roots) != 1:
-            raise NotConnected(f"network not connected: {len(roots)} islands")
+        # the bus graph from directed_ends, which the location lookups need anyway
+        n, ends = self.n_buses, self.directed_ends
+        graph = csr_matrix((np.ones(ends.key.size), ends.key % n, ends.incident_ptr),
+                           shape=(n, n))
+        islands, _ = connected_components(graph, directed=False)
+        if islands != 1:
+            raise NotConnected(f"network not connected: {islands} islands")
 
     @cached_property
     def directed_ends(self) -> DirectedEnds:

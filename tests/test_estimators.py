@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+import itertools
 import json
 import math
 import sys
@@ -365,8 +368,8 @@ class TestSparseGain:
         # dpbtrf stops at the first pivot that is not positive
         with pytest.raises(SingularGain, match=rf"numerically singular: pivot {pivot} "
                            r"for unknown [01] against its diagonal 1"):
-            gridse.estimators._factor_gain(csc_matrix(g), np.arange(2),
-                                           lambda k: f"unknown {k}")
+            g = csc_matrix(g)
+            gridse.estimators._BandMap(g, np.arange(2)).factor(g, lambda k: f"unknown {k}")
 
     @pytest.mark.parametrize("formulation", list(Formulation))
     def test_normal_agrees_with_orthogonal_on_golden_replays(self, net14, formulation):
@@ -874,6 +877,130 @@ class TestLayoutAnalysis:
 
 
 @pytest.fixture
+def plan_builds(monkeypatch):
+    """How often a gain plan is built while the test runs."""
+    calls = []
+
+    class Counted(gridse.estimators._GainPlan):
+        def __init__(self, *args):
+            calls.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gridse.estimators, "_GainPlan", Counted)
+    return calls
+
+
+class TestLayoutGainPlan:
+    """A kernel layout builds its curvature pattern and gain plan once,
+    on its first normal solve, and every problem of the layout shares
+    them; each problem keeps its own factor for its estimate's last
+    step and releases it when the estimate ends."""
+
+    KERNEL = ["conventional", "simultaneous_polar", "simultaneous_rect"]
+
+    @staticmethod
+    def estimate(problem):
+        """x-hat bytes, iterations and objective trace of a normal solve."""
+        result = solve(problem)
+        assert problem._kept is None  # released when the estimate ends
+        return result.x_hat.values.tobytes(), result.iterations, result.objective_trace
+
+    @pytest.mark.parametrize("formulation", KERNEL)
+    def test_one_plan_serves_every_set_of_the_layout(self, plan_builds, formulation):
+        net = load_network(NET14)
+        problems = [assemble_problem(net, other_values(net, formulation, seed=seed),
+                                     formulation) for seed in (1, 2, 3)]
+        layout = problems[0]._layout
+        assert all(p._layout is layout for p in problems) and layout._plan is None
+        got = [self.estimate(problems[0])]
+        plan = dict(vars(layout._plan))
+        got += [self.estimate(p) for p in problems[1:]]
+        assert len(plan_builds) == 1
+        # the later estimates set no attribute of the plan
+        assert vars(layout._plan).keys() == plan.keys()
+        assert all(vars(layout._plan)[key] is value for key, value in plan.items())
+        want = [self.estimate(assemble_problem(load_network(NET14), p.mset, formulation))
+                for p in problems]
+        assert got == want
+        assert len(plan_builds) == 4  # one per fresh network
+
+    @staticmethod
+    def iterates(problem, tol=1e-8):
+        """gauss_newton's normal iterates from a warm start, one dx per
+        step, trying the kept factor after a step of at most sqrt(tol)."""
+        x = random_polar_state(problem.net, np.random.default_rng(6), t_range=(-0.1, 0.1))
+        step = math.inf
+        while step > tol:
+            h, j, active = problem.rows(x)
+            system = problem._gain_system(j, problem._residuals_of(h), active, "normal", x,
+                                          tolerance=tol if step <= math.sqrt(tol) else None)
+            dx = system.solve("normal")
+            x.values[problem.free_indices] += dx
+            step = float(np.max(np.abs(dx)))
+            yield dx.tobytes()
+
+    @pytest.mark.parametrize("formulation", KERNEL)
+    def test_alternating_problems_match_separate_networks(self, formulation, caplog):
+        net = load_network(NET14)
+        msets = [other_values(net, formulation, seed=seed) for seed in (4, 5)]
+        problems = [assemble_problem(net, mset, formulation) for mset in msets]
+        assert problems[0]._layout is problems[1]._layout
+        with caplog.at_level("DEBUG", logger="gridse"):
+            # the two problems' iterates taken in turn
+            turns = itertools.zip_longest(*(self.iterates(p) for p in problems))
+            steps = [[dx for dx in column if dx is not None] for column in zip(*turns)]
+            chords = caplog.text.count(CONFIRMED)
+            caplog.clear()
+            alone = [list(self.iterates(assemble_problem(load_network(NET14), mset,
+                                                         formulation))) for mset in msets]
+        assert steps == alone
+        assert chords == caplog.text.count(CONFIRMED) > 0
+        # and whole estimates in turn
+        for problem in problems + problems:
+            assert self.estimate(problem) == self.estimate(
+                assemble_problem(load_network(NET14), problem.mset, formulation))
+
+    def test_zero_covariance_keeps_the_plan(self, plan_builds):
+        net = load_network(NET14)
+        first = assemble_problem(net, synthesized(net, "simultaneous_rect"),
+                                 "simultaneous_rect")
+        self.estimate(first)
+        plan = first._layout._plan
+        mset = other_values(net, "simultaneous_rect")
+        covs = mset.covs.copy()
+        covs[0] = 0.0
+        zero = MeasurementSet.from_columns(mset.codes, mset.at, mset.values(),
+                                           mset.variances(), mset.pairs, covs)
+        hit = assemble_problem(net, zero, "simultaneous_rect")
+        assert hit._layout is first._layout
+        assert hit.covariance.inverse().nnz == first.covariance.inverse().nnz
+        got = self.estimate(hit)
+        assert hit._layout._plan is plan and len(plan_builds) == 1
+        assert got == self.estimate(assemble_problem(load_network(NET14), zero,
+                                                     "simultaneous_rect"))
+
+    @pytest.mark.parametrize("formulation", KERNEL)
+    def test_plan_and_curvature_arrays_are_read_only(self, net14, formulation):
+        problem = assemble_problem(net14, synthesized(net14, formulation), formulation)
+        self.estimate(problem)
+        layout = problem._layout
+        arrays = [v for v in vars(layout._plan).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 11
+        arrays += list(layout.curved)
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+
+    def test_gain_system_holds_no_problem_fields(self):
+        assert [f.name for f in dataclasses.fields(GainSystem)] == [
+            "j", "covariance", "r", "active", "name_of", "curvature"]
+        # perfbench/spans.py traces GainSystem.solve for every iterate
+        assert "solve" not in vars(gridse.estimators._ProblemGain)
+        layout = inspect.signature(gridse.estimators.EstimationProblem).parameters["layout"]
+        assert layout.default is inspect.Parameter.empty
+
+
+@pytest.fixture
 def rcm_calls(monkeypatch):
     """How often the reverse Cuthill-McKee ordering runs while the test
     does."""
@@ -939,8 +1066,8 @@ class TestBandOrder:
 
 
 class TestGainPlan:
-    """A kernel problem's normal Gauss-Newton iterates all run on one gain
-    plan, built once per problem under the network's band order, and
+    """A kernel problem's normal Gauss-Newton iterates all run on its
+    layout's gain plan, built once under the network's band order, and
     agree with the product path _solve_normal(j[:, free], R^-1, r) under
     that order to rounding."""
 
@@ -955,13 +1082,14 @@ class TestGainPlan:
     def product_dx(self, problem, j, r, active):
         """The product path under the problem's order, with inactive rows
         zero-weighted in R^-1."""
-        return GainSystem(j[:, problem.free_indices], problem.covariance, r, active,
-                          problem.unknown_name, order=problem.order).solve("normal")
+        rinv = GainSystem(j, problem.covariance, r)._weights(active)
+        return gridse.estimators._solve_normal(j[:, problem.free_indices], rinv, r,
+                                               problem.unknown_name, order=problem.order)
 
     def planned_dx(self, problem, j, r, active):
         """dx of the problem's gain plan, checked against the product path."""
         system = problem._gain_system(j, r, active, "normal")
-        assert isinstance(system, gridse.estimators._PlannedGain)
+        assert isinstance(system, gridse.estimators._ProblemGain)
         dx = system.solve("normal")
         want = self.product_dx(problem, j, r, active)
         assert np.max(np.abs(dx - want)) <= self.AGREEMENT * np.max(np.abs(want))
@@ -984,9 +1112,9 @@ class TestGainPlan:
             if not masked:  # the first flat-start iterate, as gauss_newton takes it
                 active &= ~current
             masked.append(not active.all())
-            plan = problem._gain_plan
+            plan = problem._layout._plan
             dx = self.planned_dx(problem, j, r, active)
-            assert plan is None or problem._gain_plan is plan
+            assert plan is None or problem._layout._plan is plan
             x.values[free] += dx
             if np.max(np.abs(dx)) <= 1e-8:
                 break
@@ -1023,7 +1151,8 @@ class TestGainPlan:
         with caplog.at_level("DEBUG", logger="gridse"):
             dx = problem._gain_system(j, r, active, "normal", tolerance=np.inf).solve("normal")
         assert CONFIRMED in caplog.text
-        factor = gridse.estimators._factor_gain(csc_matrix(a.T @ rinv @ a), problem.order)
+        g = csc_matrix(a.T @ rinv @ a)
+        factor = gridse.estimators._BandMap(g, problem.order).factor(g)
         want = factor(j[:, free].T @ (rinv @ r))
         assert np.max(np.abs(dx - want)) <= self.AGREEMENT * np.max(np.abs(want))
 
@@ -1145,8 +1274,8 @@ class TestGainPlan:
         rng = np.random.default_rng(5)
         _, j, _ = problem.rows(random_polar_state(problem.net, rng))
         rinv = problem.covariance.inverse()
-        plan = gridse.estimators._GainPlan(j, problem.free_indices, rinv, problem._curved,
-                                           problem.order)
+        plan = gridse.estimators._GainPlan(j, problem.free_indices, rinv,
+                                           problem._layout.curved, problem.order)
         n = problem.n
         kd = plan._size // n - 1
         where = np.empty(n, dtype=np.intp)
@@ -1479,7 +1608,7 @@ def factor_calls(monkeypatch):
 
 
 def without_kept_factor(monkeypatch):
-    """Let no gain plan try its kept factor."""
+    """Let no problem try its kept factor."""
     solve_on_plan = gridse.estimators._GainPlan.solve
 
     def plain(self, *args, tolerance=None):
@@ -1540,7 +1669,7 @@ class TestKeptFactor:
         assert given == [None] + [cfg.step_tolerance if step <= root else None
                                   for step in steps[:-1]]
         assert given[-1] == cfg.step_tolerance
-        assert problem._gain_plan.kept is None  # released when the estimate ends
+        assert problem._kept is None  # released when the estimate ends
 
     def test_masked_flat_start_factor_is_never_used(self, factor_calls, caplog):
         # Exact data of the flat state: the masked first step is below the

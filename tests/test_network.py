@@ -249,6 +249,41 @@ class TestNetworkValidation:
                 [Bus(1, is_slack=True), Bus(2), Bus(3), Bus(4)],
                 [Branch(1, 2, 0.1, 0.2), Branch(3, 4, 0.1, 0.2)])
 
+    @pytest.mark.parametrize("branches, islands", [
+        ([(1, 2), (2, 3), (4, 5), (5, 6)], 2),
+        ([(1, 2), (2, 3), (4, 5), (5, 4), (6, 5)], 2),  # parallel branches
+        ([(1, 2), (3, 5), (4, 5)], 3),  # bus 6 on its own
+        ([], 6),
+    ])
+    def test_islands_are_counted(self, branches, islands):
+        with pytest.raises(NotConnected, match=f"not connected: {islands} islands$"):
+            NetworkModel([Bus(i, is_slack=i == 1) for i in range(1, 7)],
+                         [Branch(i, j, 0.1, 0.2) for i, j in branches])
+
+    def test_islands_match_a_union_find(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            n = int(rng.integers(2, 30))
+            ends = [tuple(int(b) for b in rng.choice(np.arange(1, n + 1), 2, replace=False))
+                    for _ in range(int(rng.integers(0, 2 * n)))]
+            parent = list(range(n + 1))
+
+            def root(a):
+                while parent[a] != a:
+                    a = parent[a]
+                return a
+
+            for i, j in ends:
+                parent[root(i)] = root(j)
+            islands = len({root(i) for i in range(1, n + 1)})
+            buses = [Bus(i, is_slack=i == 1) for i in range(1, n + 1)]
+            branches = [Branch(i, j, 0.1, 0.2) for i, j in ends]
+            if islands == 1:
+                NetworkModel(buses, branches)
+            else:
+                with pytest.raises(NotConnected, match=f": {islands} islands$"):
+                    NetworkModel(buses, branches)
+
     def test_zero_impedance_branch_rejected(self):
         with pytest.raises(ZeroImpedance):
             NetworkModel([Bus(1, is_slack=True), Bus(2)],
