@@ -1,6 +1,6 @@
 """Gain factor sweep: the band ordering, the banded Cholesky against
-SuperLU, and the gain plan of a Gauss-Newton iterate against the product
-path and SuperLU, per gain.
+SuperLU, the gain plan of a Gauss-Newton iterate and the gain map of a
+linear_rect estimate against the product path and SuperLU, per gain.
 
     python3 bench/gain_factor.py            # writes BENCH_gain_factor.json
     python3 bench/gain_factor.py --quick    # N <= 2 025, prints, writes nothing
@@ -33,8 +33,17 @@ right-hand side, factor and solve), of the plan's one-off build and of its
 solve (assembly, factor and solve), and the largest difference between
 the plan's and SuperLU's dx, relative to the largest entry of SuperLU's.
 
-The exit code is 1 when a band's or a plan's dx differs from SuperLU's by
-more than 1e-9 relative, or when a gain kept in band storage has a shipped
+For linear_rect it records the path its normal solve takes ("map": the
+layout's gain map forms the band, "superlu": the band does not fit, and
+the gain is formed by sparse products), the best of k times of the
+map's one-off build, of one estimate's gain solve on the map (band by
+one sparse product, right-hand side, factor and solve) and on the
+product path (gain by sparse products, right-hand side, factor and
+solve), and the largest difference between the map's and SuperLU's dx,
+relative to the largest entry of SuperLU's.
+
+The exit code is 1 when a band's, a plan's or a map's dx differs from
+SuperLU's by more than 1e-9 relative, or when a gain kept in band storage has a shipped
 band of more than 1.05 times the entries of RCM's on G, else 0.  BLAS runs
 on one thread, as in the benchmark.
 """
@@ -166,6 +175,20 @@ def plan_timings(problem, j, rinv, r, lu_dx, k: int) -> dict:
             "plan_iter_s": plan_s, "plan_dx_rel_diff": rel_diff(plan_dx, lu_dx)}
 
 
+def map_timings(problem, rinv, r, lu_dx, k: int) -> dict:
+    """A linear_rect estimate's gain solve timings on the product path and
+    on the layout's gain map, and how far the map's dx is from SuperLU's."""
+    layout, order = problem._layout, problem.order
+    a = layout.h_free
+    _, product_s = timed(k, lambda: E._solve_normal(a, rinv, r, order=order))
+    gain_map, build_s = timed(k, lambda: E._GainMap(layout.h_matrix, layout.free,
+                                                    layout.inverse_pattern, order))
+    map_dx, map_s = timed(k, lambda: gain_map.solve(a, rinv, r))
+    return {"gain_path": "superlu" if gain_map.perm is None else "map",
+            "product_iter_s": product_s, "map_build_s": build_s, "map_iter_s": map_s,
+            "map_dx_rel_diff": rel_diff(map_dx, lu_dx)}
+
+
 def band_width(g, perm) -> int:
     """G's bandwidth with unknown perm[k] at position k."""
     where = np.empty(g.shape[0], dtype=np.intp)
@@ -182,7 +205,8 @@ def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
     order = problem.order
     widths = {"shipped": band_width(g, order),
               "rcm_on_g": band_width(g, reverse_cuthill_mckee(g, symmetric_mode=True)),
-              "file_order": band_width(g, problem.unknown_order(np.arange(net.n_buses)))}
+              "file_order": band_width(g, problem._layout.unknown_order(
+                  np.arange(net.n_buses)))}
     band_mb = n * (widths["shipped"] + 1) * 8 / 2**20
     out = {
         "network": kind, "buses": buses, "formulation": formulation,
@@ -197,9 +221,11 @@ def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
     if not problem.is_linear:
         out["dropped_entries"] = dropped_entries(a, rinv, g)
         out.update(plan_timings(problem, j, rinv, r, lu_dx, k))
+    else:
+        out.update(map_timings(problem, rinv, r, lu_dx, k))
 
     def factor(g):
-        return E._BandMap(g, order).factor(g)
+        return E._factor_gain(g, order)
 
     def forced_band(g):
         with mock.patch.object(E, "_BAND_LIMIT", math.inf):
@@ -241,14 +267,19 @@ def main(argv=None) -> int:
                   f"{e['storage']}; superlu {ms(e, 'superlu_s')}, "
                   f"band {ms(e, 'band_s')}, rule {ms(e, 'rule_s')}, "
                   f"dx diff {e.get('dx_rel_diff', '-')}")
-            if "gain_path" in e:
+            if "plan_iter_s" in e:
                 print(f"  iterate -> {e['gain_path']} ({e['dropped_entries']} exact "
                       f"zeros in G); product {ms(e, 'product_iter_s')}, plan build "
                       f"{ms(e, 'plan_build_s')}, plan {ms(e, 'plan_iter_s')}, "
                       f"plan dx diff {e['plan_dx_rel_diff']}")
+            else:
+                print(f"  estimate -> {e['gain_path']}; product {ms(e, 'product_iter_s')}, "
+                      f"map build {ms(e, 'map_build_s')}, map {ms(e, 'map_iter_s')}, "
+                      f"map dx diff {e['map_dx_rel_diff']}")
     doc = {
         "what": "best-of-k factor+solve of the WLS gain at the true state, "
-                "and of a Gauss-Newton iterate's gain plan against the product path",
+                "and of a Gauss-Newton iterate's gain plan and a linear_rect "
+                "estimate's gain map against the product path",
         "k": k,
         "band_limit": E._BAND_LIMIT,
         "environment": {"cpu": cpu_model(), "python": platform.python_version(),
@@ -263,7 +294,8 @@ def main(argv=None) -> int:
             fh.write("\n")
     bad = [(e, f"the {what}'s and SuperLU's dx differ by {e[key]:.3g} relative")
            for e in entries
-           for key, what in (("dx_rel_diff", "band"), ("plan_dx_rel_diff", "plan"))
+           for key, what in (("dx_rel_diff", "band"), ("plan_dx_rel_diff", "plan"),
+                             ("map_dx_rel_diff", "map"))
            if e.get(key, 0.0) > AGREEMENT]
     bad += [(e, f"the shipped band holds {e['band_over_rcm']} times RCM's on G")
             for e in entries

@@ -12,24 +12,28 @@ once per problem.  Rows inactive at an iterate get zero weight in R^-1.
 The normal method factors every gain of a network in a band under one
 elimination order: whichever of reverse Cuthill-McKee and the file's
 own bus order is narrower on the bus graph (``NetworkModel.bus_order``),
-expanded to the problem's unknowns (``EstimationProblem.order``).  On a
-60 x 60 lattice the file order gives the linear_rect gain a
-half-bandwidth of 123, against 157 under RCM on the gain itself.  A
-one-shot DC or linear_rect solve forms its gain by sparse products (the
-product path); a nonlinear layout pairs J's entries in their storage
-order once, on its first normal solve, and every iterate assembles its
-band straight from J and its weights (``_GainPlan``).
+expanded to the layout's unknowns (``_Layout.order``).  On a 60 x 60
+lattice the file order gives the linear_rect gain a half-bandwidth of
+123, against 157 under RCM on the gain itself.  A layout pairs J's
+entries in their storage order once, on its first normal solve
+(``_GainPlan``).  A nonlinear layout's iterates assemble their band
+from the pairs, J and the weights.  A DC or linear_rect layout, whose
+J is constant, folds each pair's product of J entries into a map from
+R^-1's stored entries to the band, so an estimate forms its band by one
+sparse product (``_GainMap``).  A gain too wide for the band, and a
+standalone system (``linear_wls``), are formed by sparse products (the
+product path).
 
 What a measurement set's layout decides is analysed once per network
 and formulation (``_Layout``).  The layout is the set's kind codes, its
 locations and its correlated row pairs, with whether the phasor
 covariance is neglected; the analysis holds the checked kinds and
-locations, the compiled rows, the curvature pattern, the gain plan and
-the product path's band map.  The network keeps its last analysis per
-formulation, and a set of the same layout reuses it, as SCADA snapshots
-and PMU frames on fixed placements do.  Values, variances, covariances,
-R^-1 and every gain's numbers are the problem's; so is the factor it
-keeps for its estimate's last step.
+locations, R^-1's pattern, the compiled rows, the elimination order,
+the curvature pattern, and the gain plan or map.  The network keeps
+its last analysis per formulation, and a set of the same layout reuses
+it, as SCADA snapshots and PMU frames on fixed placements do.  Values,
+variances, covariances, R^-1's numbers and every gain's numbers are the
+problem's; so is the factor it keeps for its estimate's last step.
 
 Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
@@ -104,6 +108,7 @@ from .measurements import (
     PHASOR_POLAR_KINDS,
     PHASOR_RECT_KINDS,
     CovarianceModel,
+    InversePattern,
     MeasurementSet,
     kind_mask,
 )
@@ -227,7 +232,7 @@ class GainSystem:
     solves (G - S) dx = j^T R^-1 r, or the plain system where
     ``_Curvature.step`` refuses that step.  The normal path factors G
     under ``narrow_order`` of G's own graph; a problem's iterate takes
-    its network's order instead (``_ProblemGain``).
+    its layout's order instead (``_ProblemGain``).
     """
     j: object
     covariance: CovarianceModel
@@ -267,8 +272,8 @@ class _ProblemGain(GainSystem):
     """The normal-method GainSystem of a problem's iterate; j spans all
     columns.  A kernel problem's solve runs on its layout's gain plan,
     with the factor the problem keeps (``_GainPlan.solve``); a DC or
-    linear_rect one by the product path over the layout's free columns
-    of H, under the problem's order and with the layout's band map."""
+    linear_rect one on its layout's gain map (``_GainMap.solve``).  Both
+    are built under the layout's order."""
 
     def __init__(self, problem: EstimationProblem, j, r: np.ndarray,
                  active: np.ndarray, curvature: _Curvature | None = None,
@@ -280,9 +285,9 @@ class _ProblemGain(GainSystem):
     def _normal(self, rinv):
         problem, layout = self.problem, self.problem._layout
         if problem.kernel is None:
-            return _solve_normal(layout.h_free, rinv, self.r, self.name_of,
-                                 problem.order, layout)
-        plan = layout.gain_plan(self.j, rinv, problem.order)
+            return layout.gain_map(problem.order).solve(layout.h_free, rinv, self.r,
+                                                        self.name_of)
+        plan = layout.gain_plan(self.j, problem.order)
         return plan.solve(problem, self.j, rinv, self.r, self.curvature,
                           tolerance=self.tolerance)
 
@@ -373,14 +378,16 @@ class _Layout:
     locations, its correlated row pairs, and whether the phasor
     covariance is neglected.  The analysis checks the kinds against the
     formulation and the locations against the network, then holds the
-    solved (slack-eliminated) columns ``free`` and the compiled rows: a
-    polar-state formulation's MeasurementKernel, or the constant H of
-    DC and linear_rect (``h_matrix``) with its free columns
-    (``h_free``).  The first normal solve that needs them builds the
-    rest: a kernel layout's curvature pattern (``curved``) and gain plan
-    (``gain_plan``), and for the product path the band map of the last
-    gain it factored (``band_map``).  Its arrays are read-only, so every
-    problem of the layout shares them.  Analysing a sparsity pattern
+    solved (slack-eliminated) columns ``free``, R^-1's pattern
+    (``inverse_pattern``, whose build checks that no row is in two
+    correlated pairs) and the compiled rows: a polar-state formulation's
+    MeasurementKernel, or the constant H of DC and linear_rect
+    (``h_matrix``) with its free columns (``h_free``).  The first call
+    that needs them builds the rest: the elimination order of the solved
+    unknowns (``order``), a kernel layout's curvature pattern
+    (``curved``) and gain plan (``gain_plan``), and a constant-Jacobian
+    layout's gain map (``gain_map``).  Its arrays are read-only, so
+    every problem of the layout shares them.  Analysing a sparsity pattern
     once and computing numbers on it many times is the classic split of
     sparse factorization (George & Liu, Computer Solution of Large
     Sparse Positive Definite Systems, 1981).
@@ -400,8 +407,11 @@ class _Layout:
                 "the rectangular-state formulation anchors the slack "
                 "imaginary part and needs a zero slack angle")
         self.codes, self.at, self.pairs, self.neglect = mset.codes, mset.at, mset.pairs, neglect
-        n = net.n_buses
-        self.full_dim = n * len(facts.halves)
+        a, b = np.ascontiguousarray((mset.pairs[:0] if neglect else mset.pairs).T, np.intp)
+        self.inverse_pattern = InversePattern(mset.codes.size, a, b)
+        self.n_buses = n = net.n_buses
+        self.halves = len(facts.halves)
+        self.full_dim = n * self.halves
         # The slack angle is pinned, or in a rectangular state the
         # slack's imaginary part.
         self.fixed_index = net.slack_bus - 1 + (n if rect else 0)
@@ -417,7 +427,7 @@ class _Layout:
             self.h_free = self.h_matrix[:, self.free]
             for h in (self.h_matrix, self.h_free):
                 _read_only(h.data, h.indices, h.indptr)
-        self._band = self._plan = None
+        self._order = self._plan = self._map = None
 
     def holds(self, mset: MeasurementSet, neglect: bool) -> bool:
         """Whether the set, with its phasor covariance neglected or not,
@@ -425,13 +435,23 @@ class _Layout:
         return (neglect == self.neglect and np.array_equal(mset.codes, self.codes)
                 and np.array_equal(mset.at, self.at) and np.array_equal(mset.pairs, self.pairs))
 
-    def band_map(self, g: csc_matrix, order: np.ndarray) -> _BandMap:
-        """The band map of the gain g under ``order``: the last gain's
-        where it serves g, else a new one, which replaces it."""
-        if self._band is None or not self._band.serves(g, order):
-            self._band = None  # released before the new one is built
-            self._band = _BandMap(g, order)
-        return self._band
+    def order(self, net: NetworkModel) -> np.ndarray:
+        """The elimination order of the solved unknowns for a banded gain
+        on net, the layout's network: ``unknown_order`` of its bus order
+        (``NetworkModel.bus_order``), built on the first call.  Unknown
+        order[k] takes position k."""
+        if self._order is None:
+            self._order = self.unknown_order(net.bus_order)
+            _read_only(self._order)
+        return self._order
+
+    def unknown_order(self, bus_order: np.ndarray) -> np.ndarray:
+        """The solved unknowns in the order of the 0-based buses
+        bus_order: each bus's halves side by side, the fixed column
+        dropped."""
+        full = (bus_order[:, None] + self.n_buses * np.arange(self.halves)).ravel()
+        full = full[full != self.fixed_index]
+        return full - (full > self.fixed_index)
 
     @cached_property
     def curved(self) -> _CurvedPattern:
@@ -446,14 +466,20 @@ class _Layout:
         _read_only(*curved)
         return curved
 
-    def gain_plan(self, j, rinv: csr_matrix, order: np.ndarray) -> _GainPlan:
-        """The gain plan of a kernel iterate whose J is j, with weights on
-        R^-1's pattern rinv, under the network's order: built by the
-        first call, since the kernel fixes J's pattern and the
-        correlated pairs R^-1's."""
+    def gain_plan(self, j, order: np.ndarray) -> _GainPlan:
+        """The gain plan of a kernel iterate whose J is j, under the
+        layout's order: built by the first call, since the kernel fixes
+        J's pattern and the correlated pairs R^-1's."""
         if self._plan is None:
-            self._plan = _GainPlan(j, self.free, rinv, self.curved, order)
+            self._plan = _GainPlan(j, self.free, self.inverse_pattern, self.curved, order)
         return self._plan
+
+    def gain_map(self, order: np.ndarray) -> _GainMap:
+        """The gain map of a constant-Jacobian layout under the layout's
+        order: built by the first call."""
+        if self._map is None:
+            self._map = _GainMap(self.h_matrix, self.free, self.inverse_pattern, order)
+        return self._map
 
 
 class EstimationProblem:
@@ -467,7 +493,9 @@ class EstimationProblem:
     the set's layout decides, come from the layout analysis ``layout``
     (``_Layout``), which ``assemble_problem`` takes from the network.
     The problem holds the numbers of one estimate: z, the covariance,
-    and the factor its last normal solve kept (see gauss_newton).
+    on the layout's pattern of R^-1 (``_Layout.inverse_pattern``), which
+    the layout's gain plan and map assume, and the factor its last
+    normal solve kept (see gauss_newton).
     """
 
     def __init__(self, net: NetworkModel, mset: MeasurementSet,
@@ -513,21 +541,12 @@ class EstimationProblem:
         return StateVector.flat(self.net.n_buses, self.net.slack_bus,
                                 self.fixed_value, self._facts.coordinates)
 
-    @cached_property
+    @property
     def order(self) -> np.ndarray:
         """The elimination order of the solved unknowns for a banded
-        gain: ``unknown_order`` of the network's bus order
-        (``NetworkModel.bus_order``).  Unknown order[k] takes position k."""
-        return self.unknown_order(self.net.bus_order)
-
-    def unknown_order(self, bus_order: np.ndarray) -> np.ndarray:
-        """The solved unknowns in the order of the 0-based buses
-        bus_order: each bus's halves side by side, the fixed column
-        dropped."""
-        n = self.net.n_buses
-        full = (bus_order[:, None] + n * np.arange(len(self._facts.halves))).ravel()
-        full = full[full != self.fixed_index]
-        return full - (full > self.fixed_index)
+        gain, the layout's (``_Layout.order``): read-only, and it cannot
+        be set.  Unknown order[k] takes position k."""
+        return self._layout.order(self.net)
 
     def values(self, x: StateVector) -> np.ndarray:
         """h(x) for every row, in measurement order: one kernel call
@@ -568,8 +587,8 @@ class EstimationProblem:
         normal method solves it as the problem's (``_ProblemGain``): a
         kernel problem on its layout's gain plan, which first tries the
         kept factor given a ``tolerance`` (``_GainPlan.solve``), and the
-        one-shot DC and linear_rect solves by the product path, since a
-        plan's build costs more than one product path does.  The
+        one-shot DC and linear_rect solves on their layout's gain map
+        (``_GainMap.solve``).  The
         orthogonal method gets a GainSystem over J's free columns, a
         constant H's from the layout analysis.  Given the iterate's state
         x, a kernel problem with curved rows gets their second-order
@@ -591,7 +610,7 @@ def assemble_problem(net: NetworkModel, mset: MeasurementSet,
     Rejects measurement kinds outside the formulation's family and
     empty sets; builds the covariance as a diagonal of the recorded
     variances, keeping the 2x2 rectangular-phasor blocks unless they
-    are explicitly neglected.
+    are explicitly neglected, on the layout's pattern of R^-1.
 
     The network keeps its last layout analysis per formulation
     (``_Layout``).  A set with that analysis's kind codes, locations and
@@ -607,11 +626,9 @@ def assemble_problem(net: NetworkModel, mset: MeasurementSet,
         layout = net.layouts[formulation] = None  # released before the new one is built
         layout = net.layouts[formulation] = _Layout(net, mset, formulation,
                                                     neglect_phasor_covariance)
-    if neglect_phasor_covariance:
-        blocks = ()
-    else:
-        blocks = np.column_stack([mset.pairs, mset.covs])
-    covariance = CovarianceModel(mset.variances(), blocks)
+    covariance = CovarianceModel.on_pattern(layout.inverse_pattern, mset.variances(),
+                                            mset.covs[:0] if neglect_phasor_covariance
+                                            else mset.covs)
     return EstimationProblem(net, mset, formulation, covariance, layout)
 
 
@@ -621,15 +638,14 @@ def objective(problem: EstimationProblem, x: StateVector) -> float:
     return float(r @ (problem.covariance.inverse() @ r))
 
 
-def _solve_normal(a, rinv, r, name_of=None, order=None, layout=None):
-    """Solve (A^T R^-1 A) dx = A^T R^-1 r through a factor of the gain,
-    under the elimination order ``order``, else ``narrow_order`` of the
-    gain's own graph; with the band map of ``layout``, if given."""
+def _solve_normal(a, rinv, r, name_of=None, order=None):
+    """Solve (A^T R^-1 A) dx = A^T R^-1 r through a factor of the gain
+    formed by sparse products (the product path), under the elimination
+    order ``order``, else ``narrow_order`` of the gain's own graph."""
     g = csc_matrix(a.T @ rinv @ a)
     if order is None:
         order = narrow_order(g)
-    band = _BandMap(g, order) if layout is None else layout.band_map(g, order)
-    return band.factor(g, name_of)(a.T @ (rinv @ r))
+    return _factor_gain(g, order, name_of)(a.T @ (rinv @ r))
 
 
 def _band_fits(n: int, kd: int, nnz: int) -> bool:
@@ -639,51 +655,26 @@ def _band_fits(n: int, kd: int, nnz: int) -> bool:
     return 0 < n * (kd + 1) <= _BAND_LIMIT * nnz
 
 
-class _BandMap:
-    """Where the stored entries of one gain pattern go under the
-    elimination order perm (unknown perm[k] at position k): the symbolic
-    half of the product path's factor (``factor``).
-
-    It fixes the half-bandwidth kd and whether the gain goes to band
-    storage (``_band_fits``), and for a band the stored entries of the
-    upper triangle (``upper``) with their flat slots in LAPACK's band
-    storage (``slot``).  It keeps the pattern's indptr and indices, so
-    that ``serves`` can tell a later gain of the same pattern: scipy's
-    sparse product drops the entries that sum to exactly zero, so the
-    gains of one layout need not share one pattern.
-    """
-
-    def __init__(self, g: csc_matrix, perm: np.ndarray):
-        self.n = n = g.shape[0]
-        self.perm = np.array(perm, dtype=np.intp)
-        self.indptr, self.indices = g.indptr.copy(), g.indices.copy()
-        where = np.empty(n, dtype=np.intp)
-        where[perm] = np.arange(n)
-        rows = where[g.indices]
-        cols = np.repeat(where, np.diff(g.indptr))
-        self.kd = kd = int((cols - rows).max(initial=0))
-        self.upper = self.slot = None  # None: the gain goes to SuperLU
-        if _band_fits(n, kd, g.nnz):
-            self.upper = np.flatnonzero(rows <= cols)
-            self.slot = _band_slot(rows[self.upper], cols[self.upper], kd)
-            _read_only(self.upper, self.slot)
-        _read_only(self.perm, self.indptr, self.indices)
-
-    def serves(self, g: csc_matrix, perm: np.ndarray) -> bool:
-        """Whether g under perm has this map's pattern and order."""
-        return (np.array_equal(self.perm, perm) and np.array_equal(self.indptr, g.indptr)
-                and np.array_equal(self.indices, g.indices))
-
-    def factor(self, g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:
-        """Factor g, a gain this map serves; returns the solve of G dx = b.
-        G is factored by ``_factor_band`` in band storage, filled straight
-        from its upper-triangle entries; where the band does not fit, as
-        on a radial feeder whose bandwidth is nearly n, by ``_factor_lu``."""
-        if self.slot is None:
-            return _factor_lu(g, name_of)
-        ab = np.zeros((self.n, self.kd + 1))
-        ab.ravel()[self.slot] = g.data[self.upper]
-        return _factor_band(ab, self.perm, name_of)
+def _factor_gain(g: csc_matrix, perm: np.ndarray,
+                 name_of=None) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the gain g under the elimination order perm (unknown
+    perm[k] at position k); returns the solve of G dx = b.  G goes to
+    band storage where it fits (``_band_fits``), filled straight from
+    its upper-triangle entries and factored by ``_factor_band``; where
+    it does not, as on a radial feeder whose bandwidth is nearly n, it
+    is factored by ``_factor_lu``."""
+    n = g.shape[0]
+    where = np.empty(n, dtype=np.intp)
+    where[perm] = np.arange(n)
+    rows = where[g.indices]
+    cols = np.repeat(where, np.diff(g.indptr))
+    kd = int((cols - rows).max(initial=0))
+    if not _band_fits(n, kd, g.nnz):
+        return _factor_lu(g, name_of)
+    upper = rows <= cols
+    ab = np.zeros((n, kd + 1))
+    ab.ravel()[_band_slot(rows[upper], cols[upper], kd)] = g.data[upper]
+    return _factor_band(ab, np.asarray(perm, dtype=np.intp), name_of)
 
 
 def _band_slot(rows, cols, kd):
@@ -734,19 +725,19 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 class _GainPlan:
-    """The symbolic half of a kernel layout's normal-method gain solve.
+    """The symbolic half of a layout's normal-method gain solve.
 
-    The layout fixes J's CSR pattern (the kernel's) and R^-1's (the
-    correlated pairs'), so every G = A^T R^-1 A (A: J's free columns) of
-    every problem of the layout has one structural pattern, the entries
-    that can be nonzero whatever the values of J and the weights.  Given
-    the network's elimination order (``EstimationProblem.order``), the
-    plan pairs A's entries once, in J's storage order (George & Liu
-    1981).  Each stored entry (i, i') of R^-1 leads with every A entry
-    (i, k) of row i.  On the diagonal of R^-1 (i' = i) the lead's
-    partners are the rest of its row, itself included; for an entry of a
-    2x2 block they are the A entries (i', l) of row i' at or right of k
-    in the band.  So each product of G's upper band comes from one pair,
+    The layout fixes J's CSR pattern (the kernel's, or the constant H's)
+    and R^-1's (the correlated pairs', ``_Layout.inverse_pattern``), so
+    every G = A^T R^-1 A (A: J's free columns) of every problem of the
+    layout has one structural pattern, the entries that can be nonzero
+    whatever the values of J and the weights.  Given the layout's
+    elimination order (``_Layout.order``), the plan pairs A's entries
+    once, in J's storage order (George & Liu 1981).  Each stored entry
+    (i, i') of R^-1 leads with every A entry (i, k) of row i.  On the
+    diagonal of R^-1 (i' = i) the lead's partners are the rest of its
+    row, itself included; for an entry of a 2x2 block they are the A
+    entries (i', l) of row i' at or right of k in the band.  So each product of G's upper band comes from one pair,
     and a pair's slot is that of the min and the max of its two band
     positions.  The pairs also give the band-or-SuperLU decision
     (``_band_fits``): kd from the widest pair, nnz(G) from the distinct
@@ -755,7 +746,9 @@ class _GainPlan:
     drops rows and 2x2 blocks all run on the one plan: it sums the pairs
     into the band with one np.add.at and the right-hand side with
     another, and factors by ``_factor_band``.  A wide-profile gain goes
-    to SuperLU, formed by sparse products each iterate.
+    to SuperLU, formed by sparse products each iterate.  A
+    constant-Jacobian layout folds the pairs into its gain map
+    (``_GainMap``) and drops the plan.
 
     The second-order term S of an iterate's curved rows (``_Curvature``)
     lands only in slots that the row's own J^T J term fills, so the plan
@@ -776,8 +769,11 @@ class _GainPlan:
     2.4, 2 vCPU).
     """
 
-    def __init__(self, j, free: np.ndarray, rinv, curved: _CurvedPattern,
+    def __init__(self, j, free: np.ndarray, rinv, curved: _CurvedPattern | None,
                  order: np.ndarray):
+        """The plan of J's pattern j (a CSR matrix over all columns) and
+        R^-1's pattern rinv (its CSR indptr, indices and nnz), with the
+        curvature pattern ``curved``, if any."""
         m = j.shape[0]
         self._n = n = free.size
         self._free, self._perm = free, None  # None: SuperLU takes every gain
@@ -809,10 +805,11 @@ class _GainPlan:
         hi, partner = at[partner], a[partner]  # J data positions from here on
         hi -= np.repeat(at[lead], count)
         if block.any():  # a 2x2 entry's partners at or right of the lead
-            left = np.repeat(block, count) & (hi < 0)
-            count -= np.bincount(np.repeat(np.arange(lead.size), count)[left],
+            keep = np.repeat(~block, count) | (hi >= 0)
+            count -= np.bincount(np.repeat(np.arange(lead.size), count)[~keep],
                                  minlength=lead.size)
-            partner, hi = partner[~left], hi[~left]
+            partner = partner[keep]  # one at a time: less to hold
+            hi = hi[keep]
         lo = np.repeat(at[lead], count)
         np.add(lo, hi, out=lo, where=hi < 0)  # the min of the two positions
         np.abs(hi, out=hi)  # and the max less it
@@ -827,16 +824,19 @@ class _GainPlan:
         slot *= kd
         slot += lo
         del lo
-        filled = np.bincount(slot, minlength=size).reshape(n, kd + 1) > 0
+        filled = np.zeros(size, dtype=bool)
+        filled[slot] = True
         if not _band_fits(n, kd, 2 * np.count_nonzero(filled)
-                          - np.count_nonzero(filled[:, kd])):
+                          - np.count_nonzero(filled[kd::kd + 1])):
             return
         self._perm, self._size, self._count = np.array(order, dtype=np.intp), size, count
         self._lead, self._partner, self._slot = a[lead], partner, slot
         self._lead_w = np.repeat(np.arange(rinv.nnz), leads)
-        k, l = where[curved.k], where[curved.l]  # the curvature entries' positions
-        self._s_slot = _band_slot(np.minimum(k, l), np.maximum(k, l), kd)
-        _read_only(self._perm, count, self._lead, partner, slot, self._lead_w, self._s_slot)
+        _read_only(self._perm, count, self._lead, partner, slot, self._lead_w)
+        if curved is not None:
+            k, l = where[curved.k], where[curved.l]  # the curvature entries' positions
+            self._s_slot = _band_slot(np.minimum(k, l), np.maximum(k, l), kd)
+            _read_only(self._s_slot)
 
     def solve(self, problem: EstimationProblem, j, rinv, r: np.ndarray,
               curvature: _Curvature | None = None,
@@ -899,6 +899,57 @@ class _GainPlan:
             if dx is not None:
                 return dx
         return solve()
+
+
+class _GainMap:
+    """The gain of a constant-Jacobian layout as a linear map of its
+    weights: the band of G = A^T R^-1 A (A: H's free columns) from R^-1's
+    stored entries w in one sparse product.
+
+    With H fixed, each upper band entry of G is a fixed combination of w,
+    G[k, l] = sum over the gain plan's pairs (i, k), (i', l) of
+    H[i, k] H[i', l] w_ii' (``_GainPlan``).  So the map folds each pair's
+    product of H entries into ``matrix``, a CSC matrix with a column per
+    stored entry of R^-1 and a row per distinct band slot (``slots``) of
+    the layout's structural gain pattern, and drops the pairs.  An
+    estimate's band is then ``matrix @ w`` scattered to the slots, which
+    ``_factor_band`` factors under the layout's order.  Where the band
+    does not fit (``_band_fits``), as on a radial feeder, the map holds
+    nothing, and the solve forms G by sparse products and factors it by
+    ``_factor_lu``.  Its arrays are read-only, so every problem of the
+    layout shares it (``_Layout.gain_map``).
+    """
+
+    def __init__(self, h: csr_matrix, free: np.ndarray, rinv, order: np.ndarray):
+        plan = _GainPlan(h, free, rinv, None, order)
+        self.perm = plan._perm
+        if self.perm is None:  # SuperLU forms and factors every gain
+            return
+        self.shape = (plan._n, plan._size // plan._n)
+        filled = np.zeros(plan._size, dtype=bool)
+        filled[plan._slot] = True
+        self.slots = np.flatnonzero(filled)
+        del filled
+        # per stored entry of R^-1, its leads' pairs, in order
+        lead_at = np.searchsorted(plan._lead_w, np.arange(rinv.nnz + 1))
+        pair_at = np.concatenate([[0], np.cumsum(plan._count)])
+        products = np.repeat(h.data[plan._lead], plan._count)
+        products *= h.data[plan._partner]
+        self.matrix = csc_matrix(
+            (products, np.searchsorted(self.slots, plan._slot).astype(np.int32),
+             pair_at[lead_at].astype(np.int32)), shape=(self.slots.size, rinv.nnz))
+        _read_only(self.slots, self.matrix.data, self.matrix.indices, self.matrix.indptr)
+
+    def solve(self, a: csr_matrix, rinv: csr_matrix, r: np.ndarray,
+              name_of=None) -> np.ndarray:
+        """dx of (A^T R^-1 A) dx = A^T R^-1 r, A the layout's free
+        columns of H and rinv R^-1 on the layout's pattern."""
+        rhs = a.T @ (rinv @ r)
+        if self.perm is None:
+            return _factor_lu(csc_matrix(a.T @ rinv @ a), name_of)(rhs)
+        ab = np.zeros(self.shape)
+        ab.ravel()[self.slots] = self.matrix @ rinv.data
+        return _factor_band(ab, self.perm, name_of)(rhs)
 
 
 def _factor_lu(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:

@@ -407,12 +407,55 @@ def polar_to_rect_variance(z_mag, v_mag, z_ang, v_ang):
     return v_re, v_im, cov
 
 
+class InversePattern:
+    """The CSR pattern of R^-1 for m rows and the correlated blocks
+    (a[k], b[k]): the diagonal, and (a[k], b[k]) and (b[k], a[k]) for
+    every block.  A row in more than one block is an InputError.
+
+    ``source`` says which entry each stored entry of R^-1 holds, as a
+    position in the concatenation of the m diagonal entries, the (a, b)
+    entries and the (b, a) entries.  The pattern is the one a COO -> CSR
+    conversion of those entries gives, so ``matrix`` fills R^-1 with the
+    bits that conversion gives.  Its arrays are read-only: a measurement
+    layout keeps one pattern, and every CovarianceModel of the layout
+    shares it (``CovarianceModel.on_pattern``).
+    """
+
+    def __init__(self, m: int, a: np.ndarray, b: np.ndarray):
+        rows = np.stack([a, b], axis=1).ravel()
+        r = _first_repeat(rows)
+        if r >= 0:
+            raise InputError(f"row {rows[r]} appears in more than one correlated block")
+        self.m, self.a, self.b = m, a, b
+        diag = np.arange(m)
+        source = coo_matrix((np.arange(m + 2 * a.size, dtype=float),
+                             (np.concatenate([diag, a, b]), np.concatenate([diag, b, a]))),
+                            shape=(m, m)).tocsr()
+        self.indptr, self.indices = source.indptr, source.indices
+        self.source = source.data.astype(np.intp)
+        for array in (a, b, self.indptr, self.indices, self.source):
+            array.flags.writeable = False
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def matrix(self, diag: np.ndarray, off: np.ndarray) -> csr_matrix:
+        """R^-1 with diag on the diagonal and off at (a, b) and (b, a)."""
+        data = np.concatenate([diag, off, off])[self.source]
+        return csr_matrix((data, self.indices, self.indptr), shape=(self.m, self.m))
+
+
 class CovarianceModel:
     """Diagonal variances plus optional symmetric 2x2 pair blocks.
 
     The model is immutable; R^-1 and the whitener are built on first use
     and cached, so every Gauss-Newton iteration and objective evaluation
     shares one matrix.  Callers must not modify the returned matrices.
+    R^-1's pattern (``InversePattern``) depends only on the rows and the
+    blocks, so a model may take it from a measurement layout
+    (``on_pattern``) and fill only the numbers; a model built from its
+    blocks builds its own.
 
     A block is taken as stated, as a file from another converter states
     it: no meter bound is applied, since a rectangular block no longer
@@ -426,26 +469,37 @@ class CovarianceModel:
     """
 
     def __init__(self, variances: np.ndarray, blocks=()):
+        # (row_a, row_b, cov) per block, as three columns
+        table = np.asarray(blocks, dtype=float).reshape(-1, 3)
+        a, b = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp)
+        self._fill(variances, a, b, table[:, 2])
+        self.pattern = InversePattern(self.m, a, b)
+
+    @classmethod
+    def on_pattern(cls, pattern: InversePattern, variances: np.ndarray,
+                   covs: np.ndarray) -> "CovarianceModel":
+        """The model of the variances and of the block covariances covs,
+        in the order of the pattern's blocks, on that pattern."""
+        model = cls.__new__(cls)
+        model._fill(variances, pattern.a, pattern.b, covs)
+        model.pattern = pattern
+        return model
+
+    def _fill(self, variances, a, b, cov):
+        """Check and keep the numbers: the variances and the blocks'
+        rows a, b and covariances cov."""
         variances = np.asarray(variances, dtype=float)
         if not np.all(variances > 0.0) or not np.all(np.isfinite(variances)):
             raise NonPositiveVariance(
                 "covariance diagonal must be positive and finite")
         self.variances = variances
-        # (row_a, row_b, cov) per block, as three columns
-        table = np.asarray(blocks, dtype=float).reshape(-1, 3)
-        self._a = table[:, 0].astype(np.intp)
-        self._b = table[:, 1].astype(np.intp)
-        self._cov = table[:, 2]
-        product = variances[self._a] * variances[self._b]
+        self._a, self._b, self._cov = a, b, np.asarray(cov, dtype=float)
+        product = variances[a] * variances[b]
         bad = ~(product - self._cov * self._cov > 4.0 * np.finfo(float).eps * product)
         if bad.any():
             k = int(np.argmax(bad))
-            raise NonPositiveVariance(f"correlated block for rows ({self._a[k]}, "
-                                      f"{self._b[k]}) is not positive definite")
-        rows = np.stack([self._a, self._b], axis=1).ravel()
-        r = _first_repeat(rows)
-        if r >= 0:
-            raise InputError(f"row {rows[r]} appears in more than one correlated block")
+            raise NonPositiveVariance(f"correlated block for rows ({a[k]}, "
+                                      f"{b[k]}) is not positive definite")
         self._inverse = None
         self._whitener = None
 
@@ -468,28 +522,16 @@ class CovarianceModel:
         return (self._a, self._b, self._cov,
                 self.variances[self._a], self.variances[self._b])
 
-    def _sparse(self, diag, rows, cols, off) -> csr_matrix:
-        """m x m CSR matrix: diag on the diagonal, off at (rows, cols)."""
-        m = self.m
-        return coo_matrix(
-            (np.concatenate([diag, off]),
-             (np.concatenate([np.arange(m), rows]),
-              np.concatenate([np.arange(m), cols]))),
-            shape=(m, m)).tocsr()
-
     def inverse(self) -> csr_matrix:
-        """Sparse R^-1: elementwise reciprocals on the diagonal, closed
-        form 2x2 inverses for the correlated blocks."""
+        """Sparse R^-1 on its pattern: elementwise reciprocals on the
+        diagonal, closed form 2x2 inverses for the correlated blocks."""
         if self._inverse is None:
             a, b, cov, va, vb = self._block_arrays()
             det = va * vb - cov * cov
             diag = 1.0 / self.variances
             diag[a] = vb / det
             diag[b] = va / det
-            off = -cov / det
-            self._inverse = self._sparse(diag, np.concatenate([a, b]),
-                                         np.concatenate([b, a]),
-                                         np.concatenate([off, off]))
+            self._inverse = self.pattern.matrix(diag, -cov / det)
         return self._inverse
 
     def whitener(self) -> csr_matrix:
@@ -507,7 +549,11 @@ class CovarianceModel:
             diag = 1.0 / np.sqrt(self.variances)
             diag[a] = 1.0 / l11
             diag[b] = 1.0 / l22
-            self._whitener = self._sparse(diag, b, a, -l21 / (l11 * l22))
+            m, rows = self.m, np.arange(self.m)
+            self._whitener = coo_matrix(
+                (np.concatenate([diag, -l21 / (l11 * l22)]),
+                 (np.concatenate([rows, b]), np.concatenate([rows, a]))),
+                shape=(m, m)).tocsr()
         return self._whitener
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse.csgraph import connected_components, reverse_cuthill_mckee
+from scipy.sparse.csgraph import breadth_first_order, connected_components, reverse_cuthill_mckee
 
 from .documents import arrays, fields, flags, integers, numbers, read_json, rows
 from .errors import InputError, NotConnected, ZeroImpedance
@@ -124,12 +124,15 @@ class NetworkModel:
         return len(self.buses)
 
     def _check_connected(self):
-        # the bus graph from directed_ends, which the location lookups need anyway
+        # the bus graph from directed_ends, which the location lookups need
+        # anyway; it holds both orientations of every branch, so a search
+        # along them from bus 1 reaches its island, and the islands are
+        # counted only where it misses a bus
         n, ends = self.n_buses, self.directed_ends
         graph = csr_matrix((np.ones(ends.key.size), ends.key % n, ends.incident_ptr),
                            shape=(n, n))
-        islands, _ = connected_components(graph, directed=False)
-        if islands != 1:
+        if breadth_first_order(graph, 0, return_predecessors=False).size < n:
+            islands, _ = connected_components(graph, directed=False)
             raise NotConnected(f"network not connected: {islands} islands")
 
     @cached_property

@@ -368,8 +368,7 @@ class TestSparseGain:
         # dpbtrf stops at the first pivot that is not positive
         with pytest.raises(SingularGain, match=rf"numerically singular: pivot {pivot} "
                            r"for unknown [01] against its diagonal 1"):
-            g = csc_matrix(g)
-            gridse.estimators._BandMap(g, np.arange(2)).factor(g, lambda k: f"unknown {k}")
+            gridse.estimators._factor_gain(csc_matrix(g), np.arange(2), lambda k: f"unknown {k}")
 
     @pytest.mark.parametrize("formulation", list(Formulation))
     def test_normal_agrees_with_orthogonal_on_golden_replays(self, net14, formulation):
@@ -763,8 +762,9 @@ class TestInactiveRows:
 class TestLayoutAnalysis:
     """A network keeps its last layout analysis per formulation: a set of
     the same kind codes, locations and correlated pairs, under the same
-    neglect_phasor_covariance, reuses its rows and band map, and gives
-    the bits it gives on a network of its own."""
+    neglect_phasor_covariance, reuses its rows, R^-1's pattern, its order
+    and its gain map, and gives the bits it gives on a network of its
+    own."""
 
     @staticmethod
     def outputs(problem, method="normal"):
@@ -779,17 +779,18 @@ class TestLayoutAnalysis:
         net = load_network(NET14)
         first = assemble_problem(net, synthesized(net, formulation), formulation)
         self.outputs(first, method)
-        band = first._layout._band
+        gain_map = first._layout._map
         mset = other_values(net, formulation)
         hit = assemble_problem(net, mset, formulation)
         assert hit._layout is first._layout
         assert hit.h_matrix is first.h_matrix and hit.kernel is first.kernel
+        assert hit.covariance.pattern is first.covariance.pattern
         fresh = assemble_problem(load_network(NET14), mset, formulation)
         assert fresh._layout is not hit._layout
         assert self.outputs(hit, method) == self.outputs(fresh, method)
-        # a one-shot normal solve reuses the band map of the gain before
-        assert (band is not None) == (hit.is_linear and method == "normal")
-        assert hit._layout._band is band
+        # a one-shot normal solve reuses the layout's gain map
+        assert (gain_map is not None) == (hit.is_linear and method == "normal")
+        assert hit._layout._map is gain_map
 
     @staticmethod
     def changed(mset, part):
@@ -827,10 +828,11 @@ class TestLayoutAnalysis:
         assert self.outputs(other) == self.outputs(assemble_problem(
             load_network(NET14), mset, formulation, neglect_phasor_covariance=neglect))
 
-    def test_gain_that_loses_entries_gets_its_own_band_map(self):
+    def test_gain_that_loses_entries_keeps_the_map(self, bands):
         # Voltage phasors alone: each off-diagonal of G comes from one
         # pair's covariance, so a set whose covariances are 0 has a
         # diagonal G, since the sparse product drops the zero products.
+        # The map's pattern is structural: it keeps those entries, as 0.
         net = load_network(NET14)
         plan = [(kind, (b.id,)) for b in net.buses for kind in (K.V_RE, K.V_IM)]
         mset = other_values(net, "linear_rect", plan)
@@ -839,21 +841,45 @@ class TestLayoutAnalysis:
                                                np.zeros_like(mset.covs))
         first = assemble_problem(net, mset, "linear_rect")
         self.outputs(first)
-        band = first._layout._band
+        gain_map = first._layout._map
         hit = assemble_problem(net, diagonal, "linear_rect")
         assert hit._layout is first._layout
         h = hit._layout.h_free
         gains = [csc_matrix(h.T @ p.covariance.inverse() @ h) for p in (first, hit)]
         assert gains[1].nnz == hit.n < gains[0].nnz
-        assert band.serves(gains[0], first.order) and not band.serves(gains[1], hit.order)
         fresh = assemble_problem(load_network(NET14), diagonal, "linear_rect")
+        bands.clear()
         assert self.outputs(hit) == self.outputs(fresh)
-        assert hit._layout._band is not band and hit._layout._band.serves(gains[1], hit.order)
+        assert hit._layout._map is gain_map
+        # both bands hold the structural slots, the dropped entries as 0
+        (ab, _), (again, _) = bands
+        assert np.array_equal(ab, again)
+        upper = band_to_upper(ab)
+        assert np.count_nonzero(upper) == hit.n
+        assert np.array_equal(upper[np.argsort(hit.order)][:, np.argsort(hit.order)],
+                              np.triu(gains[1].toarray()))
+
+    def test_row_in_two_pairs_is_refused_by_the_layout(self):
+        net = load_network(NET14)
+        mset = synthesized(net, "linear_rect")
+        b, c = int(mset.pairs[0, 1]), int(mset.pairs[1, 0])
+        twice = MeasurementSet.from_columns(
+            mset.codes, mset.at, mset.values(), mset.variances(),
+            np.vstack([mset.pairs, [[b, c]]]), np.append(mset.covs, 0.0))
+        with pytest.raises(InputError, match=f"row {b} appears in more than one correlated"):
+            assemble_problem(net, twice, "linear_rect")
+        assert net.layouts.get("linear_rect") is None
+        # neglected, the pairs make no blocks
+        problem = assemble_problem(net, twice, "linear_rect", neglect_phasor_covariance=True)
+        assert problem.covariance.is_diagonal
 
     @pytest.mark.parametrize("formulation", ["dc", "linear_rect", "conventional"])
     def test_cached_arrays_are_read_only(self, net14, formulation):
-        layout = assemble_problem(net14, synthesized(net14, formulation), formulation)._layout
-        arrays = [layout.free, layout.angle_rows]
+        problem = assemble_problem(net14, synthesized(net14, formulation), formulation)
+        layout = problem._layout
+        pattern = layout.inverse_pattern
+        arrays = [layout.free, layout.angle_rows, problem.order, pattern.indptr,
+                  pattern.indices, pattern.source, pattern.a, pattern.b]
         if layout.kernel is None:
             arrays += [layout.h_matrix.data, layout.h_free.data, layout.h_matrix.indices]
         else:
@@ -1001,6 +1027,89 @@ class TestLayoutGainPlan:
 
 
 @pytest.fixture
+def map_builds(monkeypatch):
+    """How often a gain map is built while the test runs."""
+    calls = []
+
+    class Counted(gridse.estimators._GainMap):
+        def __init__(self, *args):
+            calls.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gridse.estimators, "_GainMap", Counted)
+    return calls
+
+
+class TestGainMap:
+    """A DC or linear_rect layout forms every gain's band from R^-1's
+    stored entries by one sparse product, with a map built once, on the
+    layout's first normal solve; where the band does not fit, its solve
+    forms the gain by sparse products and factors it by SuperLU."""
+
+    NETS = {"net14": lambda: load_network(NET14), "lattice6": lambda: small_lattice(6),
+            "tree31": lambda: binary_tree_network(31),
+            "tree1023": lambda: binary_tree_network(1023)}
+    AGREEMENT = 1e-13  # relative to the product path's largest band entry
+
+    @pytest.mark.parametrize("net_name", list(NETS))
+    @pytest.mark.parametrize("formulation", ["dc", "linear_rect"])
+    def test_band_agrees_with_the_product_path(self, bands, superlu_calls, net_name,
+                                               formulation):
+        net = self.NETS[net_name]()
+        problem = assemble_problem(net, synthesized(net, formulation), formulation)
+        x = problem.initial_state()
+        r = problem.residuals(x)
+        rinv = problem.covariance.inverse()
+        dx = problem._gain_system(problem.h_matrix, r, np.ones(problem.m, bool),
+                                  "normal").solve("normal")
+        want = gridse.estimators._solve_normal(problem._layout.h_free, rinv, r,
+                                               order=problem.order)
+        gain_map = problem._layout._map
+        if net_name == "tree1023":  # both paths form G and factor it by SuperLU
+            assert gain_map.perm is None and not bands and len(superlu_calls) == 2
+            assert dx.tobytes() == want.tobytes()
+            return
+        (got, _), (ab, _) = bands
+        assert got.shape == ab.shape and not superlu_calls
+        assert np.max(np.abs(got - ab)) <= self.AGREEMENT * np.max(np.abs(ab))
+        assert np.max(np.abs(dx - want)) <= 1e-10 * np.max(np.abs(want))
+        # one stored value per pair of the layout's gain pattern
+        assert gain_map.matrix.shape == (gain_map.slots.size, rinv.nnz)
+        assert np.count_nonzero(got) <= gain_map.slots.size
+
+    @pytest.mark.parametrize("formulation", ["dc", "linear_rect"])
+    def test_one_map_serves_every_set_of_the_layout(self, map_builds, formulation):
+        net = load_network(NET14)
+        first = assemble_problem(net, other_values(net, formulation, seed=1), formulation)
+        assert first._layout._map is None
+        solve(first)
+        gain_map = first._layout._map
+        assert len(map_builds) == 1
+        second = assemble_problem(net, other_values(net, formulation, seed=2), formulation)
+        assert second._layout is first._layout
+        alone = assemble_problem(load_network(NET14), second.mset, formulation)
+        assert (solve(second).x_hat.values.tobytes()
+                == solve(alone).x_hat.values.tobytes())
+        assert second._layout._map is gain_map and len(map_builds) == 2  # alone's
+
+    def test_orthogonal_solve_builds_no_map(self, map_builds):
+        net = load_network(NET14)
+        problem = assemble_problem(net, synthesized(net, "linear_rect"), "linear_rect")
+        solve(problem, SolverConfig(linear_system_method="orthogonal"))
+        assert not map_builds and problem._layout._map is None
+
+    @pytest.mark.parametrize("formulation", ["dc", "linear_rect"])
+    def test_map_arrays_are_read_only(self, net14, formulation):
+        problem = assemble_problem(net14, synthesized(net14, formulation), formulation)
+        solve(problem)
+        gain_map = problem._layout._map
+        for array in (gain_map.perm, gain_map.slots, gain_map.matrix.data,
+                      gain_map.matrix.indices, gain_map.matrix.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+
+
+@pytest.fixture
 def rcm_calls(monkeypatch):
     """How often the reverse Cuthill-McKee ordering runs while the test
     does."""
@@ -1063,6 +1172,17 @@ class TestBandOrder:
         want.remove(f"{fixed} at bus {net14.slack_bus}")
         assert sorted(problem.order.tolist()) == list(range(problem.n))
         assert [problem.unknown_name(k) for k in problem.order] == want
+
+    @pytest.mark.parametrize("formulation", ["conventional", "linear_rect"])
+    def test_order_is_the_layouts_and_cannot_be_set(self, formulation):
+        # a problem whose order could be set would solve under another
+        # order than its layout's plan was built under
+        net = load_network(NET14)
+        first = assemble_problem(net, synthesized(net, formulation), formulation)
+        second = assemble_problem(net, other_values(net, formulation), formulation)
+        assert second._layout is first._layout and second.order is first.order
+        with pytest.raises(AttributeError):
+            second.order = second.order[::-1].copy()
 
 
 class TestGainPlan:
@@ -1151,8 +1271,7 @@ class TestGainPlan:
         with caplog.at_level("DEBUG", logger="gridse"):
             dx = problem._gain_system(j, r, active, "normal", tolerance=np.inf).solve("normal")
         assert CONFIRMED in caplog.text
-        g = csc_matrix(a.T @ rinv @ a)
-        factor = gridse.estimators._BandMap(g, problem.order).factor(g)
+        factor = gridse.estimators._factor_gain(csc_matrix(a.T @ rinv @ a), problem.order)
         want = factor(j[:, free].T @ (rinv @ r))
         assert np.max(np.abs(dx - want)) <= self.AGREEMENT * np.max(np.abs(want))
 
@@ -1773,10 +1892,13 @@ class TestConvertedPhasorCovariance:
         n, key = net.n_buses, net.directed_ends.key
         rcm = reverse_cuthill_mckee(csc_matrix((np.ones(key.size), (key // n, key % n)),
                                                shape=(n, n)), symmetric_mode=True)
-        again = assemble_problem(net, case.mset, "linear_rect")
-        again.order = again.unknown_order(rcm.astype(np.intp))
-        assert not np.array_equal(again.order, problem.order)
-        step = np.max(np.abs(solve(again).x_hat.values - result.x_hat.values))
+        order = problem._layout.unknown_order(rcm.astype(np.intp))
+        assert not np.array_equal(order, problem.order)
+        x = problem.initial_state()
+        x.values[problem.free_indices] += gridse.estimators._solve_normal(
+            problem._layout.h_free, problem.covariance.inverse(), problem.residuals(x),
+            problem.unknown_name, order=order)
+        step = np.max(np.abs(x.values - result.x_hat.values))
         assert step <= SolverConfig().step_tolerance
 
     def test_first_order_blocks_from_a_file_are_refused(self, workloads):

@@ -152,11 +152,11 @@ REPLAY = {
     "simultaneous_rect/orthogonal":
         "7ea41fea464691126810e7c5e11577b1ac22f3f5ab74b578d2a799289c777f80",
     "linear_rect/normal":
-        "c8c9cb36882e3c2b35942dd1011b6f2124591bae2b04777d14298dcd7161217c",
+        "96a40e80f3cc35cb38697ec45713a8723c7a39ad6304ad6a029be8609a39bea3",
     "linear_rect/orthogonal":
         "ed7acb25b68b3b068cb9e41790ba6d33860c59bfda8e1fae079583fc35366c89",
     "dc/normal":
-        "ddc610f00c759bcf8f2ca2df92007522341303dcc747c5011476ebecc0f6caa2",
+        "a2ef4ba2cdcb64652165ae10045cd88dad195a701a2d4510d0c507027460817a",
     "dc/orthogonal":
         "5d432b74bd521c70d55767e872bdffc58dcabebb34a4274d8cce18f7bcca3dee",
 }

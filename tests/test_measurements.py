@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
 
 from gridse import (
     CovarianceModel,
@@ -25,6 +26,7 @@ from gridse.measurements import (
     ARITY,
     KINDS,
     Correlation,
+    InversePattern,
     location_columns,
     measurements_from_dict,
 )
@@ -346,6 +348,48 @@ class TestCovarianceModel:
         assert cov.whitener() is cov.whitener()
 
     def test_row_in_two_blocks_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="row 1 appears in more than one"):
             CovarianceModel(np.array([1e-2, 1e-2, 1e-2]),
                             blocks=[(0, 1, 1e-4), (1, 2, 1e-4)])
+        with pytest.raises(InputError, match="row 1 appears in more than one"):
+            InversePattern(3, np.array([0, 1]), np.array([1, 2]))
+
+    @pytest.mark.parametrize("blocks", [[], [(7, 2, 1e-5), (0, 5, -2e-5), (3, 8, 0.0)]])
+    def test_inverse_on_a_pattern_matches_the_coo_build(self, blocks):
+        # R^-1 filled on a pattern keeps the bits, index types included,
+        # of a COO -> CSR build of its entries, also where a block's
+        # covariance is exactly 0
+        rng = np.random.default_rng(9)
+        variances = rng.uniform(1e-5, 1e-3, 9)
+        table = np.array(blocks, dtype=float).reshape(-1, 3)
+        a, b, cov = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
+        va, vb = variances[a], variances[b]
+        det = va * vb - cov * cov
+        diag = 1.0 / variances
+        diag[a], diag[b] = vb / det, va / det
+        rows = np.concatenate([np.arange(9), a, b])
+        cols = np.concatenate([np.arange(9), b, a])
+        want = coo_matrix((np.concatenate([diag, -cov / det, -cov / det]), (rows, cols)),
+                          shape=(9, 9)).tocsr()
+        assert want.nnz == 9 + 2 * len(blocks)
+        pattern = InversePattern(9, a, b)
+        for model in (CovarianceModel(variances, blocks),
+                      CovarianceModel.on_pattern(pattern, variances, cov)):
+            got = model.inverse()
+            for name in ("data", "indices", "indptr"):
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        # the numbers of another set on the same pattern, which they share
+        other = CovarianceModel.on_pattern(pattern, 2.0 * variances, 2.0 * cov).inverse()
+        assert np.shares_memory(other.indices, pattern.indices)
+        assert np.array_equal(other.data, 0.5 * want.data)
+        for array in (pattern.indptr, pattern.indices, pattern.source, pattern.a):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+
+    def test_checks_on_a_pattern_stay_per_model(self):
+        pattern = InversePattern(2, np.array([0]), np.array([1]))
+        with pytest.raises(NonPositiveVariance, match="diagonal must be positive"):
+            CovarianceModel.on_pattern(pattern, np.array([1e-4, 0.0]), np.array([0.0]))
+        with pytest.raises(NonPositiveVariance, match="rows \\(0, 1\\) is not positive"):
+            CovarianceModel.on_pattern(pattern, np.array([1e-4, 1e-4]), np.array([2e-4]))
