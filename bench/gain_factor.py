@@ -1,6 +1,6 @@
 """Gain factor sweep: the band ordering, the banded Cholesky against
-SuperLU, the gain plan of a Gauss-Newton iterate and the gain map of a
-linear_rect estimate against the product path and SuperLU, per gain.
+SuperLU, and the gain plan of a normal solve against the product path and
+SuperLU, per gain.
 
     python3 bench/gain_factor.py            # writes BENCH_gain_factor.json
     python3 bench/gain_factor.py --quick    # N <= 2 025, prints, writes nothing
@@ -8,7 +8,7 @@ linear_rect estimate against the product path and SuperLU, per gain.
 Run from the repository root.  For seeded lattices (``perfbench/lattice.py``)
 at N = 400, 2 025 and 10 000 and for binary trees (radial feeders) of 1 023
 and 4 095 buses, it builds the gain G = J^T R^-1 J of a conventional, a
-simultaneous_rect and a linear_rect scenario at the true state, with the
+simultaneous_rect, a linear_rect and a DC scenario at the true state, with the
 benchmark's own scenario synthesis (``perfbench/workloads.py``), and records
 per gain:
 
@@ -24,26 +24,22 @@ per gain:
 * the largest difference between the band's and SuperLU's dx, relative to
   the largest entry of SuperLU's dx.
 
-For the two nonlinear formulations it also records the path a normal
-Gauss-Newton iterate takes ("plan": every kernel problem's iterate runs on
-its gain plan), the G entries the product path drops because they come
-out exactly zero, which the plan's structural pattern keeps, the best of k
-times per iterate of the product path (J's free-column slice, gain,
+Every normal solve, a nonlinear Gauss-Newton iterate's or a DC or
+linear_rect estimate's, runs on its layout's gain plan.  Per gain the sweep
+records the path the plan takes ("plan": its band, summed from J's pairs
+for the nonlinear formulations and by one sparse product of the folded
+pairs and R^-1's entries for DC and linear_rect; "superlu": the band does
+not fit, and the gain is formed by sparse products), the best of k times
+of the product path (J's free-column slice for an iterate, gain,
 right-hand side, factor and solve), of the plan's one-off build and of its
-solve (assembly, factor and solve), and the largest difference between
-the plan's and SuperLU's dx, relative to the largest entry of SuperLU's.
+solve (band, right-hand side, factor and solve), and the largest
+difference between the plan's and SuperLU's dx, relative to the largest
+entry of SuperLU's.  For the two nonlinear formulations it also records
+the G entries the product path drops because they come out exactly zero,
+which the plan's structural pattern keeps.
 
-For linear_rect it records the path its normal solve takes ("map": the
-layout's gain map forms the band, "superlu": the band does not fit, and
-the gain is formed by sparse products), the best of k times of the
-map's one-off build, of one estimate's gain solve on the map (band by
-one sparse product, right-hand side, factor and solve) and on the
-product path (gain by sparse products, right-hand side, factor and
-solve), and the largest difference between the map's and SuperLU's dx,
-relative to the largest entry of SuperLU's.
-
-The exit code is 1 when a band's, a plan's or a map's dx differs from
-SuperLU's by more than 1e-9 relative, or when a gain kept in band storage has a shipped
+The exit code is 1 when a band's or a plan's dx differs from SuperLU's by
+more than 1e-9 relative, or when a gain kept in band storage has a shipped
 band of more than 1.05 times the entries of RCM's on G, else 0.  BLAS runs
 on one thread, as in the benchmark.
 """
@@ -84,7 +80,7 @@ AGREEMENT = 1e-9
 # The shipped order's band may hold at most this many times the entries
 # of RCM's on G, where the gain stays in band storage.
 BAND_OVER_RCM = 1.05
-FORMULATIONS = ("conventional", "simultaneous_rect", "linear_rect")
+FORMULATIONS = ("conventional", "simultaneous_rect", "linear_rect", "dc")
 
 
 def binary_tree(n: int, seed: int = 0) -> gridse.NetworkModel:
@@ -164,29 +160,22 @@ def rel_diff(dx, want) -> float:
 
 
 def plan_timings(problem, j, rinv, r, lu_dx, k: int) -> dict:
-    """A normal iterate's timings at J on the product path and on the gain
-    plan, and how far the plan's dx is from SuperLU's."""
-    free, order = problem.free_indices, problem.order
-    _, product_s = timed(k, lambda: E._solve_normal(j[:, free], rinv, r, order=order))
-    curved = problem._layout.curved
-    plan, build_s = timed(k, lambda: E._GainPlan(j, free, rinv, curved, order))
-    plan_dx, plan_s = timed(k, lambda: plan.solve(problem, j, rinv, r))
-    return {"gain_path": "plan", "product_iter_s": product_s, "plan_build_s": build_s,
-            "plan_iter_s": plan_s, "plan_dx_rel_diff": rel_diff(plan_dx, lu_dx)}
-
-
-def map_timings(problem, rinv, r, lu_dx, k: int) -> dict:
-    """A linear_rect estimate's gain solve timings on the product path and
-    on the layout's gain map, and how far the map's dx is from SuperLU's."""
+    """A normal solve's timings at J on the product path and on the
+    layout's gain plan, and how far the plan's dx is from SuperLU's."""
     layout, order = problem._layout, problem.order
-    a = layout.h_free
-    _, product_s = timed(k, lambda: E._solve_normal(a, rinv, r, order=order))
-    gain_map, build_s = timed(k, lambda: E._GainMap(layout.h_matrix, layout.free,
-                                                    layout.inverse_pattern, order))
-    map_dx, map_s = timed(k, lambda: gain_map.solve(a, rinv, r))
-    return {"gain_path": "superlu" if gain_map.perm is None else "map",
-            "product_iter_s": product_s, "map_build_s": build_s, "map_iter_s": map_s,
-            "map_dx_rel_diff": rel_diff(map_dx, lu_dx)}
+    curved = None if problem.is_linear else layout.curved
+
+    def product():
+        a = layout.h_free if problem.is_linear else j[:, layout.free]
+        return E._solve_normal(a, rinv, r, order=order)
+
+    _, product_s = timed(k, product)
+    plan, build_s = timed(k, lambda: E._GainPlan(j, layout.free, layout.inverse_pattern,
+                                                  curved, order))
+    plan_dx, plan_s = timed(k, lambda: plan.solve(problem, j, rinv, r))
+    return {"gain_path": "superlu" if plan._perm is None else "plan",
+            "product_iter_s": product_s, "plan_build_s": build_s, "plan_iter_s": plan_s,
+            "plan_dx_rel_diff": rel_diff(plan_dx, lu_dx)}
 
 
 def band_width(g, perm) -> int:
@@ -220,9 +209,7 @@ def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
     lu_dx, out["superlu_s"] = best_of(k, E._factor_lu, g, rhs)
     if not problem.is_linear:
         out["dropped_entries"] = dropped_entries(a, rinv, g)
-        out.update(plan_timings(problem, j, rinv, r, lu_dx, k))
-    else:
-        out.update(map_timings(problem, rinv, r, lu_dx, k))
+    out.update(plan_timings(problem, j, rinv, r, lu_dx, k))
 
     def factor(g):
         return E._factor_gain(g, order)
@@ -267,19 +254,15 @@ def main(argv=None) -> int:
                   f"{e['storage']}; superlu {ms(e, 'superlu_s')}, "
                   f"band {ms(e, 'band_s')}, rule {ms(e, 'rule_s')}, "
                   f"dx diff {e.get('dx_rel_diff', '-')}")
-            if "plan_iter_s" in e:
-                print(f"  iterate -> {e['gain_path']} ({e['dropped_entries']} exact "
-                      f"zeros in G); product {ms(e, 'product_iter_s')}, plan build "
-                      f"{ms(e, 'plan_build_s')}, plan {ms(e, 'plan_iter_s')}, "
-                      f"plan dx diff {e['plan_dx_rel_diff']}")
-            else:
-                print(f"  estimate -> {e['gain_path']}; product {ms(e, 'product_iter_s')}, "
-                      f"map build {ms(e, 'map_build_s')}, map {ms(e, 'map_iter_s')}, "
-                      f"map dx diff {e['map_dx_rel_diff']}")
+            zeros = (f" ({e['dropped_entries']} exact zeros in G)"
+                     if "dropped_entries" in e else "")
+            print(f"  normal solve -> {e['gain_path']}{zeros}; product "
+                  f"{ms(e, 'product_iter_s')}, plan build {ms(e, 'plan_build_s')}, "
+                  f"plan {ms(e, 'plan_iter_s')}, plan dx diff {e['plan_dx_rel_diff']}")
     doc = {
         "what": "best-of-k factor+solve of the WLS gain at the true state, "
-                "and of a Gauss-Newton iterate's gain plan and a linear_rect "
-                "estimate's gain map against the product path",
+                "and of a normal solve on its layout's gain plan against the "
+                "product path",
         "k": k,
         "band_limit": E._BAND_LIMIT,
         "environment": {"cpu": cpu_model(), "python": platform.python_version(),
@@ -294,8 +277,7 @@ def main(argv=None) -> int:
             fh.write("\n")
     bad = [(e, f"the {what}'s and SuperLU's dx differ by {e[key]:.3g} relative")
            for e in entries
-           for key, what in (("dx_rel_diff", "band"), ("plan_dx_rel_diff", "plan"),
-                             ("map_dx_rel_diff", "map"))
+           for key, what in (("dx_rel_diff", "band"), ("plan_dx_rel_diff", "plan"))
            if e.get(key, 0.0) > AGREEMENT]
     bad += [(e, f"the shipped band holds {e['band_over_rcm']} times RCM's on G")
             for e in entries

@@ -15,12 +15,12 @@ own bus order is narrower on the bus graph (``NetworkModel.bus_order``),
 expanded to the layout's unknowns (``_Layout.order``).  On a 60 x 60
 lattice the file order gives the linear_rect gain a half-bandwidth of
 123, against 157 under RCM on the gain itself.  A layout pairs J's
-entries in their storage order once, on its first normal solve
-(``_GainPlan``).  A nonlinear layout's iterates assemble their band
-from the pairs, J and the weights.  A DC or linear_rect layout, whose
-J is constant, folds each pair's product of J entries into a map from
-R^-1's stored entries to the band, so an estimate forms its band by one
-sparse product (``_GainMap``).  A gain too wide for the band, and a
+entries in their storage order once, on its first normal solve, into
+its one gain plan (``_GainPlan``).  A nonlinear layout's iterates sum
+their band from the pairs, J and the weights.  A DC or linear_rect
+layout, whose J is constant, folds each pair's product of J entries
+into a map from R^-1's stored entries to the band, so an estimate forms
+its band by one sparse product.  A gain too wide for the band, and a
 standalone system (``linear_wls``), are formed by sparse products (the
 product path).
 
@@ -29,7 +29,7 @@ and formulation (``_Layout``).  The layout is the set's kind codes, its
 locations and its correlated row pairs, with whether the phasor
 covariance is neglected; the analysis holds the checked kinds and
 locations, R^-1's pattern, the compiled rows, the elimination order,
-the curvature pattern, and the gain plan or map.  The network keeps
+the curvature pattern, and the gain plan.  The network keeps
 its last analysis per formulation, and a set of the same layout reuses
 it, as SCADA snapshots and PMU frames on fixed placements do.  Values,
 variances, covariances, R^-1's numbers and every gain's numbers are the
@@ -231,8 +231,8 @@ class GainSystem:
     second-order term S of its curved rows (``curvature``): it then
     solves (G - S) dx = j^T R^-1 r, or the plain system where
     ``_Curvature.step`` refuses that step.  The normal path factors G
-    under ``narrow_order`` of G's own graph; a problem's iterate takes
-    its layout's order instead (``_ProblemGain``).
+    under ``narrow_order`` of G's own graph; a problem's iterate runs on
+    its layout's gain plan instead (``_ProblemGain``).
     """
     j: object
     covariance: CovarianceModel
@@ -270,10 +270,9 @@ class GainSystem:
 
 class _ProblemGain(GainSystem):
     """The normal-method GainSystem of a problem's iterate; j spans all
-    columns.  A kernel problem's solve runs on its layout's gain plan,
-    with the factor the problem keeps (``_GainPlan.solve``); a DC or
-    linear_rect one on its layout's gain map (``_GainMap.solve``).  Both
-    are built under the layout's order."""
+    columns.  Its solve runs on its layout's gain plan, built under the
+    layout's order, with the factor the problem keeps
+    (``_GainPlan.solve``)."""
 
     def __init__(self, problem: EstimationProblem, j, r: np.ndarray,
                  active: np.ndarray, curvature: _Curvature | None = None,
@@ -283,11 +282,8 @@ class _ProblemGain(GainSystem):
         self.tolerance = tolerance
 
     def _normal(self, rinv):
-        problem, layout = self.problem, self.problem._layout
-        if problem.kernel is None:
-            return layout.gain_map(problem.order).solve(layout.h_free, rinv, self.r,
-                                                        self.name_of)
-        plan = layout.gain_plan(self.j, problem.order)
+        problem = self.problem
+        plan = problem._layout.gain_plan(self.j, problem.order)
         return plan.solve(problem, self.j, rinv, self.r, self.curvature,
                           tolerance=self.tolerance)
 
@@ -385,8 +381,8 @@ class _Layout:
     (``h_matrix``) with its free columns (``h_free``).  The first call
     that needs them builds the rest: the elimination order of the solved
     unknowns (``order``), a kernel layout's curvature pattern
-    (``curved``) and gain plan (``gain_plan``), and a constant-Jacobian
-    layout's gain map (``gain_map``).  Its arrays are read-only, so
+    (``curved``) and the gain plan (``gain_plan``), which folds a
+    constant H's values.  Its arrays are read-only, so
     every problem of the layout shares them.  Analysing a sparsity pattern
     once and computing numbers on it many times is the classic split of
     sparse factorization (George & Liu, Computer Solution of Large
@@ -427,7 +423,7 @@ class _Layout:
             self.h_free = self.h_matrix[:, self.free]
             for h in (self.h_matrix, self.h_free):
                 _read_only(h.data, h.indices, h.indptr)
-        self._order = self._plan = self._map = None
+        self._order = self._plan = None
 
     def holds(self, mset: MeasurementSet, neglect: bool) -> bool:
         """Whether the set, with its phasor covariance neglected or not,
@@ -467,19 +463,15 @@ class _Layout:
         return curved
 
     def gain_plan(self, j, order: np.ndarray) -> _GainPlan:
-        """The gain plan of a kernel iterate whose J is j, under the
-        layout's order: built by the first call, since the kernel fixes
-        J's pattern and the correlated pairs R^-1's."""
+        """The gain plan of an iterate whose J is j, under the layout's
+        order: built by the first call, since the rows fix J's pattern
+        and the correlated pairs R^-1's.  A DC or linear_rect layout
+        (``kernel`` None), whose J is the constant H, gets a plan that
+        folds H's values."""
         if self._plan is None:
-            self._plan = _GainPlan(j, self.free, self.inverse_pattern, self.curved, order)
+            curved = None if self.kernel is None else self.curved
+            self._plan = _GainPlan(j, self.free, self.inverse_pattern, curved, order)
         return self._plan
-
-    def gain_map(self, order: np.ndarray) -> _GainMap:
-        """The gain map of a constant-Jacobian layout under the layout's
-        order: built by the first call."""
-        if self._map is None:
-            self._map = _GainMap(self.h_matrix, self.free, self.inverse_pattern, order)
-        return self._map
 
 
 class EstimationProblem:
@@ -494,7 +486,7 @@ class EstimationProblem:
     (``_Layout``), which ``assemble_problem`` takes from the network.
     The problem holds the numbers of one estimate: z, the covariance,
     on the layout's pattern of R^-1 (``_Layout.inverse_pattern``), which
-    the layout's gain plan and map assume, and the factor its last
+    the layout's gain plan assumes, and the factor its last
     normal solve kept (see gauss_newton).
     """
 
@@ -584,11 +576,9 @@ class EstimationProblem:
                      method: str, x: StateVector | None = None,
                      tolerance: float | None = None) -> GainSystem:
         """The gain system of one iterate whose J spans all columns.  The
-        normal method solves it as the problem's (``_ProblemGain``): a
-        kernel problem on its layout's gain plan, which first tries the
-        kept factor given a ``tolerance`` (``_GainPlan.solve``), and the
-        one-shot DC and linear_rect solves on their layout's gain map
-        (``_GainMap.solve``).  The
+        normal method solves it as the problem's (``_ProblemGain``), on
+        its layout's gain plan, which first tries the kept factor given
+        a ``tolerance`` (``_GainPlan.solve``).  The
         orthogonal method gets a GainSystem over J's free columns, a
         constant H's from the layout analysis.  Given the iterate's state
         x, a kernel problem with curved rows gets their second-order
@@ -737,59 +727,72 @@ class _GainPlan:
     (i, i') of R^-1 leads with every A entry (i, k) of row i.  On the
     diagonal of R^-1 (i' = i) the lead's partners are the rest of its
     row, itself included; for an entry of a 2x2 block they are the A
-    entries (i', l) of row i' at or right of k in the band.  So each product of G's upper band comes from one pair,
-    and a pair's slot is that of the min and the max of its two band
-    positions.  The pairs also give the band-or-SuperLU decision
-    (``_band_fits``): kd from the widest pair, nnz(G) from the distinct
-    slots.  An iterate passes its weights, R^-1 with the entries of
-    inactive rows zero, so the masked first iterate, an iterate that
-    drops rows and 2x2 blocks all run on the one plan: it sums the pairs
-    into the band with one np.add.at and the right-hand side with
-    another, and factors by ``_factor_band``.  A wide-profile gain goes
-    to SuperLU, formed by sparse products each iterate.  A
-    constant-Jacobian layout folds the pairs into its gain map
-    (``_GainMap``) and drops the plan.
+    entries (i', l) of row i' at or right of k in the band.  So each
+    product of G's upper band comes from one pair, and a pair's slot is
+    that of the min and the max of its two band positions.  The pairs
+    also give the band-or-SuperLU decision (``_band_fits``): kd from the
+    widest pair, nnz(G) from the distinct slots.  A wide-profile gain
+    goes to SuperLU, formed by sparse products each time, and the plan
+    drops its pairs.
+
+    A solve passes its weights, R^-1 with the entries of inactive rows
+    zero, so the masked first iterate, an iterate that drops rows and
+    2x2 blocks all run on the one plan, and factors its band by
+    ``_factor_band``.  The plan of a kernel layout keeps its pairs and
+    sums them into the band every iterate with one np.add.at, and the
+    right-hand side with another.  A DC or linear_rect layout's J is
+    its constant H (no curvature pattern is given), so each upper band
+    entry of G is a fixed combination of R^-1's stored entries w,
+    G[k, l] = sum over the pairs (i, k), (i', l) of H[i, k] H[i', l]
+    w_ii'.  Its plan folds each pair's product of H entries into
+    ``_fold``, a CSC matrix with a column per stored entry of R^-1 and a
+    row per distinct band slot (``_slots``), and drops the pairs: an
+    estimate's band is ``_fold @ w`` scattered to the slots.  Its
+    right-hand side, and its gain where the band does not fit, are
+    sparse products with H's free columns, transposed once (``_ht``).
+    The two differ in their band fill and their right-hand side only.
 
     The second-order term S of an iterate's curved rows (``_Curvature``)
-    lands only in slots that the row's own J^T J term fills, so the plan
-    also maps the layout's curvature pattern (``_CurvedPattern``) to
-    band slots, and an iterate that carries S subtracts it there by
+    lands only in slots that the row's own J^T J term fills, so a kernel
+    plan also maps the layout's curvature pattern (``_CurvedPattern``)
+    to band slots, and an iterate that carries S subtracts it there by
     np.subtract.at.  Where G - S is refused, the band is summed again
     for the Gauss-Newton step, as dpbtrf has overwritten it.
 
-    Per lead the plan keeps its J entry, its R^-1 entry and its count of
-    partners, and per pair only the partner's J entry and the slot.
-    Gather and slot arrays are np.intp, which np.add.at and fancy
-    indexing take without a conversion.  The plan holds no numbers: its
-    arrays are read-only and its solve writes none of them, so the
-    problems of one layout share it (``_Layout.gain_plan``).  Its sums
-    run by np.add.at, which adds in np.bincount's order: np.bincount
-    copies a read-only index array on every call, and on the 400-bus
-    lattice that took an iterate's solve from ~1.5 to ~2.1 ms (numpy
-    2.4, 2 vCPU).
+    Per lead a kernel plan keeps its J entry, its R^-1 entry and its
+    count of partners, and per pair only the partner's J entry and the
+    slot.  Gather and slot arrays are np.intp, which np.add.at and fancy
+    indexing take without a conversion.  The plan holds no numbers that
+    vary between problems: its arrays are read-only and its solve
+    writes none of them, so the problems of one layout share it
+    (``_Layout.gain_plan``).  Its sums run by np.add.at, which adds in
+    np.bincount's order: np.bincount copies a read-only index array on
+    every call, and on the 400-bus lattice that took an iterate's solve
+    from ~1.5 to ~2.1 ms (numpy 2.4, 2 vCPU).
     """
 
     def __init__(self, j, free: np.ndarray, rinv, curved: _CurvedPattern | None,
                  order: np.ndarray):
         """The plan of J's pattern j (a CSR matrix over all columns) and
         R^-1's pattern rinv (its CSR indptr, indices and nnz), with the
-        curvature pattern ``curved``, if any."""
+        kernel's curvature pattern ``curved``, or None where j is a
+        constant H, whose values the plan then folds."""
         m = j.shape[0]
         self._n = n = free.size
         self._free, self._perm = free, None  # None: SuperLU takes every gain
+        self._fold = self._ht = None
         column = np.full(j.shape[1], -1, dtype=np.intp)
         column[free] = np.arange(n)
         col = column[j.indices]
         # A's entries, in J's storage order: their position in J's data,
         # row pointer, count per row, free column and band position
-        self._a = a = np.flatnonzero(col >= 0)
+        a = np.flatnonzero(col >= 0)
         a_ptr = np.concatenate([[0], np.cumsum(col >= 0)])[j.indptr]
-        self._a_count = a_count = np.diff(a_ptr)
-        self._a_col = col[a]
-        _read_only(a, a_count, self._a_col)
+        a_count = np.diff(a_ptr)
+        a_col = col[a]
         where = np.empty(n, dtype=np.intp)
         where[order] = np.arange(n)
-        at = where[self._a_col]
+        at = where[a_col]
         # a lead (e, k) per entry e = (i, i') of R^-1 and A entry (i, k);
         # its partners are the rest of row i where i' = i, else row i'
         e_row = np.repeat(np.arange(m), np.diff(rinv.indptr))
@@ -806,14 +809,18 @@ class _GainPlan:
         hi -= np.repeat(at[lead], count)
         if block.any():  # a 2x2 entry's partners at or right of the lead
             keep = np.repeat(~block, count) | (hi >= 0)
-            count -= np.bincount(np.repeat(np.arange(lead.size), count)[~keep],
-                                 minlength=lead.size)
+            count -= np.bincount(np.repeat(np.arange(lead.size, dtype=np.int32),
+                                           count)[~keep], minlength=lead.size)
             partner = partner[keep]  # one at a time: less to hold
             hi = hi[keep]
+            del keep
         lo = np.repeat(at[lead], count)
         np.add(lo, hi, out=lo, where=hi < 0)  # the min of the two positions
         np.abs(hi, out=hi)  # and the max less it
         kd = int(hi.max(initial=0))
+        if curved is None:  # a constant H's free columns, transposed, past the peak
+            self._ht = csc_matrix((j.data[a], a_col, a_ptr), shape=(n, m))
+            _read_only(self._ht.data, self._ht.indices, self._ht.indptr)
         # nnz(G) <= 2 pairs: a band too wide for that many is left uncounted
         size = n * (kd + 1)
         if not _band_fits(n, kd, 2 * partner.size):
@@ -829,14 +836,31 @@ class _GainPlan:
         if not _band_fits(n, kd, 2 * np.count_nonzero(filled)
                           - np.count_nonzero(filled[kd::kd + 1])):
             return
-        self._perm, self._size, self._count = np.array(order, dtype=np.intp), size, count
-        self._lead, self._partner, self._slot = a[lead], partner, slot
+        self._perm, self._size = np.array(order, dtype=np.intp), size
+        _read_only(self._perm)
+        if curved is None:  # H constant: fold the pairs, then drop them
+            products = j.data[partner]
+            del partner
+            products *= np.repeat(j.data[a[lead]], count)
+            del lead
+            self._slots = np.flatnonzero(filled)
+            del filled
+            rows = np.searchsorted(self._slots, slot).astype(np.int32)
+            del slot
+            # per stored entry of R^-1, its leads' pairs, in order
+            pair_at = np.concatenate([[0], np.cumsum(count)])
+            columns = pair_at[np.concatenate([[0], np.cumsum(leads)])].astype(np.int32)
+            self._fold = csc_matrix((products, rows, columns),
+                                    shape=(self._slots.size, rinv.nnz))
+            _read_only(self._slots, self._fold.data, self._fold.indices, self._fold.indptr)
+            return
+        self._a, self._a_count, self._a_col = a, a_count, a_col
+        self._count, self._lead, self._partner, self._slot = count, a[lead], partner, slot
         self._lead_w = np.repeat(np.arange(rinv.nnz), leads)
-        _read_only(self._perm, count, self._lead, partner, slot, self._lead_w)
-        if curved is not None:
-            k, l = where[curved.k], where[curved.l]  # the curvature entries' positions
-            self._s_slot = _band_slot(np.minimum(k, l), np.maximum(k, l), kd)
-            _read_only(self._s_slot)
+        k, l = where[curved.k], where[curved.l]  # the curvature entries' positions
+        self._s_slot = _band_slot(np.minimum(k, l), np.maximum(k, l), kd)
+        _read_only(a, a_count, a_col, count, self._lead, partner, slot, self._lead_w,
+                   self._s_slot)
 
     def solve(self, problem: EstimationProblem, j, rinv, r: np.ndarray,
               curvature: _Curvature | None = None,
@@ -856,13 +880,13 @@ class _GainPlan:
         Equations, 1995, ch. 5).  The kept factor is released before a
         new gain is formed, so that two never coexist."""
         y = rinv @ r
-        if self._perm is None:
-            a = j[:, self._free]
-            rhs = a.T @ y
-        else:
-            data = j.data
+        data = j.data
+        if self._perm is not None and self._ht is None:  # J's band: summed too
             rhs = np.zeros(self._n)
             np.add.at(rhs, self._a_col, data[self._a] * np.repeat(y, self._a_count))
+        else:  # by a product with H's free columns transposed, or J's
+            ht = j[:, self._free].T if self._ht is None else self._ht
+            rhs = ht @ y
         kept, problem._kept = problem._kept, None
         if tolerance is not None and kept is not None and np.array_equal(kept[1], rinv.data):
             dx = kept[0](rhs)
@@ -873,20 +897,29 @@ class _GainPlan:
             del dx
         del kept
         if self._perm is None:
-            g = csc_matrix(a.T @ rinv @ a)
+            g = csc_matrix(ht @ rinv @ ht.T)
 
         def solve(s=None):
             """Factor G less S's entries s, keep the factor and solve: by
-            SuperLU, or from G's upper band summed from J."""
+            SuperLU, or from G's upper band, folded or summed from J."""
             problem._kept = None  # the factor of a refused step
             if self._perm is None:
                 factor = _factor_lu(g if s is None else g - curvature.matrix(s),
                                     problem.unknown_name)
             else:
-                terms = np.repeat(rinv.data[self._lead_w] * data[self._lead], self._count)
-                terms *= data[self._partner]
-                ab = np.zeros(self._size)
-                np.add.at(ab, self._slot, terms)
+                if self._fold is not None:  # H's pairs, folded
+                    ab = np.zeros(self._size)
+                    ab[self._slots] = self._fold @ rinv.data
+                else:
+                    # the terms before the band: the other way round, an
+                    # ac_lattice estimate took ~930 minor page faults
+                    # instead of 230-430, and ~1.3 of ~12.7 ms longer
+                    # (medians of 60 in-process, 2 vCPU)
+                    terms = np.repeat(rinv.data[self._lead_w] * data[self._lead],
+                                      self._count)
+                    terms *= data[self._partner]
+                    ab = np.zeros(self._size)
+                    np.add.at(ab, self._slot, terms)
                 if s is not None:
                     np.subtract.at(ab, self._s_slot, s)
                 factor = _factor_band(ab.reshape(self._n, -1), self._perm,
@@ -899,57 +932,6 @@ class _GainPlan:
             if dx is not None:
                 return dx
         return solve()
-
-
-class _GainMap:
-    """The gain of a constant-Jacobian layout as a linear map of its
-    weights: the band of G = A^T R^-1 A (A: H's free columns) from R^-1's
-    stored entries w in one sparse product.
-
-    With H fixed, each upper band entry of G is a fixed combination of w,
-    G[k, l] = sum over the gain plan's pairs (i, k), (i', l) of
-    H[i, k] H[i', l] w_ii' (``_GainPlan``).  So the map folds each pair's
-    product of H entries into ``matrix``, a CSC matrix with a column per
-    stored entry of R^-1 and a row per distinct band slot (``slots``) of
-    the layout's structural gain pattern, and drops the pairs.  An
-    estimate's band is then ``matrix @ w`` scattered to the slots, which
-    ``_factor_band`` factors under the layout's order.  Where the band
-    does not fit (``_band_fits``), as on a radial feeder, the map holds
-    nothing, and the solve forms G by sparse products and factors it by
-    ``_factor_lu``.  Its arrays are read-only, so every problem of the
-    layout shares it (``_Layout.gain_map``).
-    """
-
-    def __init__(self, h: csr_matrix, free: np.ndarray, rinv, order: np.ndarray):
-        plan = _GainPlan(h, free, rinv, None, order)
-        self.perm = plan._perm
-        if self.perm is None:  # SuperLU forms and factors every gain
-            return
-        self.shape = (plan._n, plan._size // plan._n)
-        filled = np.zeros(plan._size, dtype=bool)
-        filled[plan._slot] = True
-        self.slots = np.flatnonzero(filled)
-        del filled
-        # per stored entry of R^-1, its leads' pairs, in order
-        lead_at = np.searchsorted(plan._lead_w, np.arange(rinv.nnz + 1))
-        pair_at = np.concatenate([[0], np.cumsum(plan._count)])
-        products = np.repeat(h.data[plan._lead], plan._count)
-        products *= h.data[plan._partner]
-        self.matrix = csc_matrix(
-            (products, np.searchsorted(self.slots, plan._slot).astype(np.int32),
-             pair_at[lead_at].astype(np.int32)), shape=(self.slots.size, rinv.nnz))
-        _read_only(self.slots, self.matrix.data, self.matrix.indices, self.matrix.indptr)
-
-    def solve(self, a: csr_matrix, rinv: csr_matrix, r: np.ndarray,
-              name_of=None) -> np.ndarray:
-        """dx of (A^T R^-1 A) dx = A^T R^-1 r, A the layout's free
-        columns of H and rinv R^-1 on the layout's pattern."""
-        rhs = a.T @ (rinv @ r)
-        if self.perm is None:
-            return _factor_lu(csc_matrix(a.T @ rinv @ a), name_of)(rhs)
-        ab = np.zeros(self.shape)
-        ab.ravel()[self.slots] = self.matrix @ rinv.data
-        return _factor_band(ab, self.perm, name_of)(rhs)
 
 
 def _factor_lu(g: csc_matrix, name_of=None) -> Callable[[np.ndarray], np.ndarray]:

@@ -203,28 +203,31 @@ def _i_ang(e, ti, tj, vi, vj, jac):
     return value, parts, ok
 
 
-def _i_rect(e, ti, tj, vi, vj, jac, part):
-    """Re I (part 0) or Im I (part 1) in the network's frame,
-    I = I' e^(j theta_i)."""
+def _i_rect(e, ti, tj, vi, vj, jac):
+    """Re I, or Im I on the rows ``e.imag`` flags, in the network's
+    frame, I = I' e^(j theta_i): one phasor for the rows of both kinds."""
     re, im, d_re, d_im = _current(e, ti, tj, vi, vj, jac)
     turn = np.cos(ti), np.sin(ti)
-    value = _absolute(re, im, turn)
+    re, im = _absolute(re, im, turn)
+    value = np.where(e.imag, im, re)
     if not jac:
-        return value[part], None, None
-    parts = _absolute(d_re, d_im, turn)
+        return value, None, None
+    d_re, d_im = _absolute(d_re, d_im, turn)
     # turning the frame by theta_i adds j I to dI/dtheta_i
-    parts[0][0] -= value[1]
-    parts[1][0] += value[0]
-    return value[part], parts[part], None
+    d_re[0] -= im
+    d_im[0] += re
+    return value, np.where(e.imag, d_im, d_re), None
 
 
 class _BranchRows:
     """Rows of one branch formula: four partials each, at columns
     (theta_i, theta_j, V_i, V_j), and where the formula has one, the
-    ``_UPPER`` entries of the Hessian over them."""
+    ``_UPPER`` entries of the Hessian over them.  ``imag`` flags the
+    I_im rows, which take the imaginary part of the formula's phasor."""
 
     def __init__(self, loc, rows, formula, hessian=None):
         self.rows = rows
+        self.imag = loc.codes[rows] == KIND_CODE[K.I_IM]
         self.formula = formula
         self.hessian = hessian
         self.i, self.j, self.a, self.b = _end_params(loc, rows)
@@ -370,8 +373,7 @@ _GROUPS = [
     ((K.Q_FLOW,), partial(_BranchRows, formula=_q_flow)),
     ((K.I_MAG, K.I_MAG_PMU), partial(_BranchRows, formula=_i_mag, hessian=_i_mag_hessian)),
     ((K.I_ANG_PMU,), partial(_BranchRows, formula=_i_ang)),
-    ((K.I_RE,), partial(_BranchRows, formula=partial(_i_rect, part=0))),
-    ((K.I_IM,), partial(_BranchRows, formula=partial(_i_rect, part=1))),
+    ((K.I_RE, K.I_IM), partial(_BranchRows, formula=_i_rect)),
     ((K.V_MAG, K.V_MAG_PMU), partial(_BusRows, formula=_v_mag, layout=(1,))),
     ((K.V_ANG_PMU,), partial(_BusRows, formula=_v_ang, layout=(0,))),
     ((K.V_RE,), partial(_BusRows, formula=_v_re, layout=(0, 1))),

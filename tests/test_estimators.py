@@ -763,7 +763,7 @@ class TestLayoutAnalysis:
     """A network keeps its last layout analysis per formulation: a set of
     the same kind codes, locations and correlated pairs, under the same
     neglect_phasor_covariance, reuses its rows, R^-1's pattern, its order
-    and its gain map, and gives the bits it gives on a network of its
+    and its gain plan, and gives the bits it gives on a network of its
     own."""
 
     @staticmethod
@@ -779,7 +779,7 @@ class TestLayoutAnalysis:
         net = load_network(NET14)
         first = assemble_problem(net, synthesized(net, formulation), formulation)
         self.outputs(first, method)
-        gain_map = first._layout._map
+        plan = first._layout._plan
         mset = other_values(net, formulation)
         hit = assemble_problem(net, mset, formulation)
         assert hit._layout is first._layout
@@ -788,9 +788,9 @@ class TestLayoutAnalysis:
         fresh = assemble_problem(load_network(NET14), mset, formulation)
         assert fresh._layout is not hit._layout
         assert self.outputs(hit, method) == self.outputs(fresh, method)
-        # a one-shot normal solve reuses the layout's gain map
-        assert (gain_map is not None) == (hit.is_linear and method == "normal")
-        assert hit._layout._map is gain_map
+        # a normal solve of either family reuses the layout's gain plan
+        assert (plan is not None) == (method == "normal")
+        assert hit._layout._plan is plan
 
     @staticmethod
     def changed(mset, part):
@@ -828,11 +828,11 @@ class TestLayoutAnalysis:
         assert self.outputs(other) == self.outputs(assemble_problem(
             load_network(NET14), mset, formulation, neglect_phasor_covariance=neglect))
 
-    def test_gain_that_loses_entries_keeps_the_map(self, bands):
+    def test_gain_that_loses_entries_keeps_the_plan(self, bands):
         # Voltage phasors alone: each off-diagonal of G comes from one
         # pair's covariance, so a set whose covariances are 0 has a
         # diagonal G, since the sparse product drops the zero products.
-        # The map's pattern is structural: it keeps those entries, as 0.
+        # The plan's pattern is structural: it keeps those entries, as 0.
         net = load_network(NET14)
         plan = [(kind, (b.id,)) for b in net.buses for kind in (K.V_RE, K.V_IM)]
         mset = other_values(net, "linear_rect", plan)
@@ -841,7 +841,7 @@ class TestLayoutAnalysis:
                                                np.zeros_like(mset.covs))
         first = assemble_problem(net, mset, "linear_rect")
         self.outputs(first)
-        gain_map = first._layout._map
+        plan = first._layout._plan
         hit = assemble_problem(net, diagonal, "linear_rect")
         assert hit._layout is first._layout
         h = hit._layout.h_free
@@ -850,7 +850,7 @@ class TestLayoutAnalysis:
         fresh = assemble_problem(load_network(NET14), diagonal, "linear_rect")
         bands.clear()
         assert self.outputs(hit) == self.outputs(fresh)
-        assert hit._layout._map is gain_map
+        assert hit._layout._plan is plan
         # both bands hold the structural slots, the dropped entries as 0
         (ab, _), (again, _) = bands
         assert np.array_equal(ab, again)
@@ -1026,25 +1026,12 @@ class TestLayoutGainPlan:
         assert layout.default is inspect.Parameter.empty
 
 
-@pytest.fixture
-def map_builds(monkeypatch):
-    """How often a gain map is built while the test runs."""
-    calls = []
-
-    class Counted(gridse.estimators._GainMap):
-        def __init__(self, *args):
-            calls.append(1)
-            super().__init__(*args)
-
-    monkeypatch.setattr(gridse.estimators, "_GainMap", Counted)
-    return calls
-
-
-class TestGainMap:
-    """A DC or linear_rect layout forms every gain's band from R^-1's
-    stored entries by one sparse product, with a map built once, on the
-    layout's first normal solve; where the band does not fit, its solve
-    forms the gain by sparse products and factors it by SuperLU."""
+class TestFoldedGainPlan:
+    """A DC or linear_rect layout's gain plan folds H's values: every
+    gain's band comes from R^-1's stored entries by one sparse product,
+    with a plan built once, on the layout's first normal solve; where the
+    band does not fit, its solve forms the gain by sparse products and
+    factors it by SuperLU."""
 
     NETS = {"net14": lambda: load_network(NET14), "lattice6": lambda: small_lattice(6),
             "tree31": lambda: binary_tree_network(31),
@@ -1064,9 +1051,9 @@ class TestGainMap:
                                   "normal").solve("normal")
         want = gridse.estimators._solve_normal(problem._layout.h_free, rinv, r,
                                                order=problem.order)
-        gain_map = problem._layout._map
+        plan = problem._layout._plan
         if net_name == "tree1023":  # both paths form G and factor it by SuperLU
-            assert gain_map.perm is None and not bands and len(superlu_calls) == 2
+            assert plan._perm is None and not bands and len(superlu_calls) == 2
             assert dx.tobytes() == want.tobytes()
             return
         (got, _), (ab, _) = bands
@@ -1074,37 +1061,37 @@ class TestGainMap:
         assert np.max(np.abs(got - ab)) <= self.AGREEMENT * np.max(np.abs(ab))
         assert np.max(np.abs(dx - want)) <= 1e-10 * np.max(np.abs(want))
         # one stored value per pair of the layout's gain pattern
-        assert gain_map.matrix.shape == (gain_map.slots.size, rinv.nnz)
-        assert np.count_nonzero(got) <= gain_map.slots.size
+        assert plan._fold.shape == (plan._slots.size, rinv.nnz)
+        assert np.count_nonzero(got) <= plan._slots.size
 
     @pytest.mark.parametrize("formulation", ["dc", "linear_rect"])
-    def test_one_map_serves_every_set_of_the_layout(self, map_builds, formulation):
+    def test_one_plan_serves_every_set_of_the_layout(self, plan_builds, formulation):
         net = load_network(NET14)
         first = assemble_problem(net, other_values(net, formulation, seed=1), formulation)
-        assert first._layout._map is None
+        assert first._layout._plan is None
         solve(first)
-        gain_map = first._layout._map
-        assert len(map_builds) == 1
+        plan = first._layout._plan
+        assert len(plan_builds) == 1
         second = assemble_problem(net, other_values(net, formulation, seed=2), formulation)
         assert second._layout is first._layout
         alone = assemble_problem(load_network(NET14), second.mset, formulation)
         assert (solve(second).x_hat.values.tobytes()
                 == solve(alone).x_hat.values.tobytes())
-        assert second._layout._map is gain_map and len(map_builds) == 2  # alone's
+        assert second._layout._plan is plan and len(plan_builds) == 2  # alone's
 
-    def test_orthogonal_solve_builds_no_map(self, map_builds):
+    def test_orthogonal_solve_builds_no_plan(self, plan_builds):
         net = load_network(NET14)
         problem = assemble_problem(net, synthesized(net, "linear_rect"), "linear_rect")
         solve(problem, SolverConfig(linear_system_method="orthogonal"))
-        assert not map_builds and problem._layout._map is None
+        assert not plan_builds and problem._layout._plan is None
 
     @pytest.mark.parametrize("formulation", ["dc", "linear_rect"])
-    def test_map_arrays_are_read_only(self, net14, formulation):
+    def test_plan_arrays_are_read_only(self, net14, formulation):
         problem = assemble_problem(net14, synthesized(net14, formulation), formulation)
         solve(problem)
-        gain_map = problem._layout._map
-        for array in (gain_map.perm, gain_map.slots, gain_map.matrix.data,
-                      gain_map.matrix.indices, gain_map.matrix.indptr):
+        plan = problem._layout._plan
+        for array in (plan._perm, plan._slots, plan._fold.data, plan._fold.indices,
+                      plan._fold.indptr, plan._ht.data, plan._ht.indices, plan._ht.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 array[:1] = 0
 
