@@ -8,7 +8,11 @@ Run from the repository root.  On the IEEE 14-bus fixture (100 scenarios)
 and on the 20 x 20 lattice of ``perfbench/lattice.py`` (20 scenarios), it
 estimates each scenario of ``perfbench/workloads.py`` from the flat start,
 for conventional, simultaneous_polar and simultaneous_rect under both
-linear methods, and records per case:
+linear methods.  A third case is the benchmark's ``ac_lattice`` workload:
+200 consecutive scenarios of its seed 7, conventional, normal method,
+whose sets lack the current rows of lightly loaded branches.  Each case
+runs on a network of its own, so its scenarios share what the network
+keeps between estimates and no other case's.  Per case it records:
 
 * the mean and the largest iteration count (``EstimationResult.iterations``);
 * how many estimates fail ``workloads.gate`` (not converged, a state error
@@ -24,8 +28,13 @@ linear methods, and records per case:
 * ``kept_factor_converged``: how many estimates converged on the factor
   their gain plan kept from the iterate before, counted from gridse's
   DEBUG records (0 for sources without it);
-* the median wall time of ``gridse.solve`` in ms (assembly and
-  synthesis are not timed; one untimed estimate warms each process up).
+* ``layout_analyses`` and ``plan_builds``: how many layout analyses
+  (``_Layout``) and gain plans (``_GainPlan``) the case built;
+* the median wall time of ``gridse.solve`` in ms, and
+  ``estimate_ms_median``, that of ``assemble_problem`` and ``solve``
+  together, as the benchmark times an estimate (synthesis is not timed;
+  one untimed estimate warms each process up).  Where a set's analysis
+  is reused, its gain plan is built in ``assemble_problem``.
 
 ``--baseline REF`` also measures the gridse sources of the git commit REF,
 exported by ``git archive`` into a temporary directory, on the same
@@ -66,8 +75,11 @@ OUT = os.path.join(ROOT, "BENCH_gn_iterations.json")
 SEED = 3
 FORMULATIONS = ("conventional", "simultaneous_polar", "simultaneous_rect")
 METHODS = ("normal", "orthogonal")
-# network -> scenarios in a full run, in a quick one
-SCENARIOS = {"net14": (100, 20), "lattice20": (20, 2)}
+# name -> network, seed, formulations, methods, and the scenarios in a
+# full run and in a quick one
+CASES = {"net14": ("net14", SEED, FORMULATIONS, METHODS, (100, 20)),
+         "lattice20": ("lattice20", SEED, FORMULATIONS, METHODS, (20, 2)),
+         "ac_lattice": ("lattice20", 7, ("conventional",), ("normal",), (200, 20))}
 
 
 def measure(src: str, quick: bool) -> dict:
@@ -87,28 +99,34 @@ def measure(src: str, quick: bool) -> dict:
     logger.setLevel(logging.DEBUG)
     logger.propagate = False
     factors = count_factors(gridse.estimators)
+    builds = count_builds(gridse.estimators)
 
-    nets = {"net14": gridse.load_network(os.path.join(ROOT, "tests", "fixtures", "net14.json")),
-            "lattice20": lattice_network(workloads.AC_LATTICE_K,
-                                         workloads.LatticeWorkload.NETWORK_SEED)}
-    warm = workloads.synthesize_case(nets["net14"], SEED, 0, "conventional",
+    nets = {"net14": lambda: gridse.load_network(
+                os.path.join(ROOT, "tests", "fixtures", "net14.json")),
+            "lattice20": lambda: lattice_network(workloads.AC_LATTICE_K,
+                                                 workloads.LatticeWorkload.NETWORK_SEED)}
+    warm_net = nets["net14"]()
+    warm = workloads.synthesize_case(warm_net, SEED, 0, "conventional",
                                      *workloads.PLANS["conventional"])
-    gridse.solve(gridse.assemble_problem(nets["net14"], warm.mset, "conventional"))
+    gridse.solve(gridse.assemble_problem(warm_net, warm.mset, "conventional"))
     cases = {}
-    for name, net in nets.items():
-        count = SCENARIOS[name][quick]
-        for formulation in FORMULATIONS:
+    for name, (network, seed, formulations, methods, counts) in CASES.items():
+        count = counts[quick]
+        for formulation in formulations:
             plan, noise = workloads.PLANS[formulation]
-            for method in METHODS:
+            for method in methods:
+                net = nets[network]()
                 cfg = gridse.SolverConfig(linear_system_method=method)
-                iterations, seconds, failures, errors, v = [], [], 0, 0, []
+                iterations, seconds, estimates, failures, errors, v = [], [], [], 0, 0, []
                 factorizations = []
                 records.refused = records.confirmed = 0
+                builds.update(dict.fromkeys(builds, 0))
                 for index in range(count):
-                    case = workloads.synthesize_case(net, SEED, index, formulation,
+                    case = workloads.synthesize_case(net, seed, index, formulation,
                                                      plan, noise, method)
-                    problem = gridse.assemble_problem(net, case.mset, formulation)
                     factors[0] = 0
+                    t0 = time.perf_counter()
+                    problem = gridse.assemble_problem(net, case.mset, formulation)
                     t = time.perf_counter()
                     try:
                         result = gridse.solve(problem, cfg)
@@ -117,7 +135,9 @@ def measure(src: str, quick: bool) -> dict:
                         failures += 1
                         v.append(None)
                         continue
-                    seconds.append(time.perf_counter() - t)
+                    done = time.perf_counter()
+                    seconds.append(done - t)
+                    estimates.append(done - t0)
                     factorizations.append(factors[0])
                     x = result.x_hat
                     out = workloads.Outcome(
@@ -145,8 +165,12 @@ def measure(src: str, quick: bool) -> dict:
                     "factorizations_mean": round(float(np.mean(factorizations)), 3)
                     if factorizations else None,
                     "kept_factor_converged": records.confirmed,
+                    "layout_analyses": builds["_Layout"],
+                    "plan_builds": builds["_GainPlan"],
                     "solve_ms_median": round(1e3 * float(np.median(seconds)), 2)
                     if seconds else None,
+                    "estimate_ms_median": round(1e3 * float(np.median(estimates)), 2)
+                    if estimates else None,
                     "v": v,
                 }
     return cases
@@ -182,6 +206,21 @@ def count_factors(estimators) -> list:
     return count
 
 
+def count_builds(estimators) -> dict:
+    """Replaces the layout analysis and gain plan classes of the module
+    ``estimators``, which builds them through its globals, by subclasses
+    that count their builds in the dict returned, by class name."""
+    count = {"_Layout": 0, "_GainPlan": 0}
+    for name in count:
+        class Counted(getattr(estimators, name)):
+            def __init__(self, *args, _name=name, **kwargs):
+                count[_name] += 1
+                super().__init__(*args, **kwargs)
+
+        setattr(estimators, name, Counted)
+    return count
+
+
 def column(src: str, quick: bool) -> dict:
     """``measure`` on ``src`` in a new process."""
     argv = [sys.executable, os.path.abspath(__file__), "--worker", src]
@@ -192,17 +231,20 @@ def column(src: str, quick: bool) -> dict:
 
 
 def best_of(first: dict, second: dict) -> dict:
-    """Two runs of one column as one: the lower of their median solve
-    times per case.  Everything else is exact and must repeat."""
+    """Two runs of one column as one: the lower of their median times
+    per case.  Everything else is exact and must repeat."""
+    timed = ("solve_ms_median", "estimate_ms_median")
+
     def exact(case):
-        return {k: v for k, v in case.items() if k != "solve_ms_median"}
+        return {k: v for k, v in case.items() if k not in timed}
 
     for key, case in first.items():
         again = second[key]
         if exact(case) != exact(again):
             raise RuntimeError(f"{key}: two runs of one source disagree")
-        if again["solve_ms_median"] is not None:
-            case["solve_ms_median"] = min(case["solve_ms_median"], again["solve_ms_median"])
+        for k in timed:
+            if again[k] is not None:
+                case[k] = min(case[k], again[k])
     return first
 
 
@@ -229,7 +271,8 @@ def max_voltage_diff(a: list, b: list) -> float | None:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--quick", action="store_true",
-                   help="20 net14 and 2 lattice scenarios per case; print, write no file")
+                   help="20 net14, 2 lattice20 and 20 ac_lattice scenarios per case; "
+                   "print, write no file")
     p.add_argument("--baseline", metavar="REF",
                    help="also measure the gridse sources of git commit REF")
     p.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
@@ -262,13 +305,17 @@ def main(argv=None) -> int:
         line = (f"{key}: iterations {now['iterations_mean']} (max {now['iterations_max']}), "
                 f"{now['gate_failures']} failed, {now['curvature_refused']} refused, "
                 f"{now['factorizations_mean']} factors, {now['kept_factor_converged']} "
-                f"on the kept factor, {now['solve_ms_median']} ms")
+                f"on the kept factor, {now['layout_analyses']} analyses, "
+                f"{now['plan_builds']} plans, {now['solve_ms_median']} ms solve, "
+                f"{now['estimate_ms_median']} ms estimate")
         if base is not None:
             was = base[key]
             line += (f"; baseline {was['iterations_mean']} (max {was['iterations_max']}), "
                      f"{was['gate_failures']} failed, {was['curvature_refused']} refused, "
                      f"{was['factorizations_mean']} factors, "
-                     f"{was['solve_ms_median']} ms; "
+                     f"{was['layout_analyses']} analyses, {was['plan_builds']} plans, "
+                     f"{was['solve_ms_median']} ms solve, "
+                     f"{was['estimate_ms_median']} ms estimate; "
                      f"max |dV| {entry['max_v_diff']:.3g}")
         print(line)
     # gain_factor imports this tree's gridse, so never in a worker
@@ -276,8 +323,8 @@ def main(argv=None) -> int:
     doc = {
         "what": "Gauss-Newton iterations, gain factorizations, gate failures and "
                 "solve time per estimate from the flat start, benchmark scenarios",
-        "seed": SEED,
-        "scenarios": {name: counts[0] for name, counts in SCENARIOS.items()},
+        "seeds": {name: case[1] for name, case in CASES.items()},
+        "scenarios": {name: case[4][0] for name, case in CASES.items()},
         "baseline_commit": commit,
         "environment": {"cpu": cpu_model(), "python": platform.python_version(),
                         "numpy": np.__version__, "scipy": scipy.__version__,

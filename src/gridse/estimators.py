@@ -31,7 +31,17 @@ covariance is neglected; the analysis holds the checked kinds and
 locations, R^-1's pattern, the compiled rows, the elimination order,
 the curvature pattern, and the gain plan.  The network keeps
 its last analysis per formulation, and a set of the same layout reuses
-it, as SCADA snapshots and PMU frames on fixed placements do.  Values,
+it, as SCADA snapshots and PMU frames on fixed placements do.  So does
+a set that lacks some of its rows, as a scan does whose telemetry comes
+and goes: the problem holds those rows inactive with zero weight, which
+every solve takes as it takes a row dropped for one iterate, and gets
+the bits of an analysis of its own.  Where the analysis cannot promise
+those bits (rows out of order or repeated, a correlated pair cut, a
+narrower band or another band-or-SuperLU decision, or too many rows
+absent) the set gets its own, and a set that brings rows gets one of
+both sets' rows.  On the benchmark's 20 x 20 lattice, whose sets lack
+the current rows of lightly loaded branches, 200 estimates then take
+two analyses instead of 200 (BENCH_gn_iterations.json).  Values,
 variances, covariances, R^-1's numbers and every gain's numbers are the
 problem's; so is the factor it keeps for its estimate's last step.
 
@@ -281,9 +291,15 @@ class _ProblemGain(GainSystem):
         self.problem = problem
         self.tolerance = tolerance
 
+    def _weights(self, active):
+        held = self.problem._held
+        if held is not None and np.array_equal(active, held):
+            active = None  # R^-1 gives the rows the set lacks no weight already
+        return super()._weights(active)
+
     def _normal(self, rinv):
         problem = self.problem
-        plan = problem._layout.gain_plan(self.j, problem.order)
+        plan = problem._layout.gain_plan(problem.net)
         return plan.solve(problem, self.j, rinv, self.r, self.curvature,
                           tolerance=self.tolerance)
 
@@ -349,6 +365,13 @@ class _Curvature:
         return dx
 
 
+def _wrapped(r: np.ndarray, angle_rows: np.ndarray) -> np.ndarray:
+    """Residuals r with the angle rows wrapped to the principal branch."""
+    if angle_rows.any():
+        r[angle_rows] = wrap_angles(r[angle_rows])
+    return r
+
+
 def _kept_entries(m: csr_matrix, active: np.ndarray) -> np.ndarray:
     """Per stored entry of R^-1 or the whitener, whether its row is
     active.  An entry joining an active row to an inactive one means
@@ -362,6 +385,27 @@ def _kept_entries(m: csr_matrix, active: np.ndarray) -> np.ndarray:
 def _read_only(*arrays):
     for array in arrays:
         array.flags.writeable = False
+
+
+def _row_keys(codes: np.ndarray, at: np.ndarray, n_buses: int) -> np.ndarray:
+    """One integer per row for its location and kind code, in that
+    order, so that the rows of a plan listed by location come sorted; a
+    location outside 0..n_buses may share another row's key."""
+    return (at[:, 0] * (n_buses + 1) + at[:, 1]) * len(KINDS) + codes
+
+
+# A set may leave out at most this share of its layout's rows and still
+# share the layout's analysis.  Each row it leaves out is still
+# evaluated, paired and summed with zero weight in every iterate, while
+# a fresh analysis of fewer rows costs less.  On the 20 x 20
+# conventional lattice (3 609 rows, 2 vCPU, one BLAS thread; medians of
+# 80 estimates of 40 sets, each on the whole plan's analysis and on its
+# own) the shared analysis saved 2.1-2.3 ms per estimate with 14 of the
+# 796 current magnitude rows left out, 0.9-1.2 ms with 400-450, 0.6 ms
+# with 600 and 0.3 ms with all 796: ~2.5 us less per absent row, so it
+# stops paying at about a quarter of the rows.  An eighth keeps about
+# half the saving.
+_ABSENT_SHARE = 0.125
 
 
 class _Layout:
@@ -387,6 +431,15 @@ class _Layout:
     once and computing numbers on it many times is the classic split of
     sparse factorization (George & Liu, Computer Solution of Large
     Sparse Positive Definite Systems, 1981).
+
+    The analysis also serves a set that holds only some of its rows
+    (``place``), as SCADA scans whose telemetry comes and goes do: the
+    rows the set lacks are held inactive with zero weight, which every
+    solve of the layout takes as it takes a row dropped for one iterate.
+    That gives the set's own bits only where its rows keep their order
+    and their pairs, and alone reach the plan's half-bandwidth and its
+    band-or-SuperLU decision.  A set that brings rows the layout lacks
+    is analysed with them (``union``).
     """
 
     def __init__(self, net: NetworkModel, mset: MeasurementSet,
@@ -423,13 +476,169 @@ class _Layout:
             self.h_free = self.h_matrix[:, self.free]
             for h in (self.h_matrix, self.h_free):
                 _read_only(h.data, h.indices, h.indptr)
-        self._order = self._plan = None
+        self._order = self._plan = self._reach = None
 
     def holds(self, mset: MeasurementSet, neglect: bool) -> bool:
         """Whether the set, with its phasor covariance neglected or not,
         has this layout."""
         return (neglect == self.neglect and np.array_equal(mset.codes, self.codes)
                 and np.array_equal(mset.at, self.at) and np.array_equal(mset.pairs, self.pairs))
+
+    @cached_property
+    def _keys(self):
+        """The layout's row keys (``_row_keys``) sorted, with the row of
+        each; None where two rows share a kind and location."""
+        keys = _row_keys(self.codes, self.at, self.n_buses)
+        rows = np.argsort(keys, kind="stable")
+        keys = keys[rows]
+        return None if (keys[1:] == keys[:-1]).any() else (keys, rows)
+
+    def _positions(self, mset: MeasurementSet) -> np.ndarray | None:
+        """The layout's row of each row of the set, -1 where it has none
+        of that kind and location; None where two of the layout's rows
+        share one, or where a location of the set lies outside the
+        network (its own analysis names it)."""
+        if (self._keys is None or mset.at.min(initial=0) < 0
+                or mset.at.max(initial=0) > self.n_buses):
+            return None
+        keys, rows = self._keys
+        want = _row_keys(mset.codes, mset.at, self.n_buses)
+        k = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        return np.where(keys[k] == want, rows[k], -1)
+
+    def place(self, net: NetworkModel, mset: MeasurementSet,
+              neglect: bool) -> np.ndarray | None:
+        """The layout's rows of the set's rows, in the set's order, where
+        this analysis can serve a set that lacks some of its rows; None
+        where the set needs an analysis of its own.
+
+        It serves the set under the same neglect flag where every row of
+        the set is a row of the layout, in the same relative order (so
+        no row is repeated), with at most ``_ABSENT_SHARE`` of the
+        layout's rows absent; where the layout's correlated pairs on the
+        set's rows are the set's pairs, in order, and no pair has one
+        row absent; and where the set's rows alone would make the gain
+        plan's half-bandwidth and band-or-SuperLU decision (``_serves``),
+        which builds the plan."""
+        if neglect != self.neglect:
+            return None
+        pos = self._positions(mset)
+        m = self.codes.size
+        if (pos is None or (pos < 0).any() or (np.diff(pos) <= 0).any()
+                or m - pos.size > _ABSENT_SHARE * m):
+            return None
+        held = np.zeros(m, dtype=bool)
+        held[pos] = True
+        paired = held[self.pairs]
+        if ((paired[:, 0] != paired[:, 1]).any()
+                or not np.array_equal(pos[mset.pairs], self.pairs[paired[:, 0]])
+                or not self._serves(net, held)):
+            return None
+        _read_only(pos)
+        return pos
+
+    def _serves(self, net: NetworkModel, held: np.ndarray) -> bool:
+        """Whether the gain plan gives a set that holds only the rows
+        ``held`` the bits of a plan of its own.  Rows of zero weight add
+        only zero terms to the plan's sums, so that is where the held
+        rows alone reach the plan's half-bandwidth kd, the width of its
+        band storage, and make its band-or-SuperLU decision
+        (``_band_fits``).  A SuperLU plan's gain is formed by sparse
+        products, which drop the zero products.  A band plan keeps its
+        decision where the held rows' entries of G fill enough of the
+        band: losing a row loses at most its pairs' entries of G's
+        upper triangle (``reach``), each at most two stored entries."""
+        reach, pairs = self.reach(net)
+        kd = int(reach.max(initial=0))
+        if int(reach[held].max(initial=0)) < kd:
+            return False
+        plan = self.gain_plan(net)
+        return plan._perm is None or _band_fits(plan._n, kd,
+                                               plan._nnz - 2 * int(pairs[~held].sum()))
+
+    def reach(self, net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, what it adds to the gain plan under the layout's
+        order: its reach, the widest distance between the band positions
+        of the solved entries of J that its pairs join (those of the row
+        and of its correlated partner's), and a bound on its pairs.
+        Built on the first call; the plan's kd is the largest reach."""
+        if self._reach is None:
+            pattern = self.h_matrix if self.kernel is None else self.kernel
+            m, n = self.codes.size, self.free.size
+            column = np.full(self.full_dim, -1, dtype=np.intp)
+            column[self.free] = np.arange(n)
+            where = np.empty(n, dtype=np.intp)
+            where[self.order(net)] = np.arange(n)
+            col = column[pattern.indices]
+            solved = col >= 0
+            row = np.repeat(np.arange(m), np.diff(pattern.indptr))[solved]
+            at = where[col[solved]]
+            lo, hi = np.full(m, n), np.full(m, -1)
+            np.minimum.at(lo, row, at)
+            np.maximum.at(hi, row, at)
+            count = np.bincount(row, minlength=m)
+            pairs = count * (count + 1) // 2
+            a, b = self.inverse_pattern.a, self.inverse_pattern.b
+            lo[a] = lo[b] = np.minimum(lo[a], lo[b])
+            hi[a] = hi[b] = np.maximum(hi[a], hi[b])
+            pairs[a] += count[a] * count[b]
+            pairs[b] += count[a] * count[b]
+            self._reach = np.maximum(hi - lo, 0), pairs
+            _read_only(*self._reach)
+        return self._reach
+
+    def union(self, mset: MeasurementSet, neglect: bool) -> MeasurementSet | None:
+        """The layout's rows and the rows the set brings, as a set of
+        placeholder values (0, variance 1) whose analysis can serve both.
+        None unless the set brings rows and lacks some, under the same
+        neglect flag, has its rows in common with the layout in the
+        layout's order, and lacks at most ``_ABSENT_SHARE`` of the
+        union's rows.  The union keeps both sets' orders.  Its pairs are
+        both sets' pairs, in the order of their first rows; where a row
+        is in two of them, None."""
+        if neglect != self.neglect:
+            return None
+        pos = self._positions(mset)
+        if pos is None:
+            return None
+        new = pos < 0
+        common = pos[~new]
+        m = self.codes.size
+        if (not new.any() or common.size == m or (np.diff(common) <= 0).any()
+                or m - common.size > _ABSENT_SHARE * (m + np.count_nonzero(new))):
+            return None
+        in_common = np.zeros(m, dtype=bool)
+        in_common[common] = True
+        # Rows between two common rows (a gap) come from one set or the
+        # other.  A new row goes among the layout's rows of its gap after
+        # those of a smaller location, bus ids then kind code, as a plan
+        # that lists its rows by location would hold them; a new row
+        # never precedes the one before it in the set.
+        gap, gap_new = np.cumsum(in_common), np.cumsum(~new)[new]
+        codes, at = np.concatenate([self.codes, mset.codes[new]]), np.vstack([self.at, mset.at[new]])
+        rank = np.unique(_row_keys(codes, at, self.n_buses), return_inverse=True)[1]
+        span = int(rank.max()) + 1
+        only = np.sort((gap * span + rank[:m])[~in_common])
+        before = (np.searchsorted(only, gap_new * span + rank[m:])
+                  - np.searchsorted(only, gap_new * span))
+        before = np.maximum.accumulate(gap_new * (m + 1) + before) - gap_new * (m + 1)
+        # positions within a gap: a layout row's own, a new row's between two
+        first = np.arange(m) - np.searchsorted(gap, gap)
+        slot = np.concatenate([2 * first, 2 * (before + (gap_new > 0)) - 1])
+        order = np.lexsort((np.arange(slot.size), slot, np.concatenate([gap, gap_new])))
+        where = np.empty(slot.size, dtype=np.intp)
+        where[order] = np.arange(slot.size)
+        rows = np.empty(pos.size, dtype=np.intp)  # the set's rows in the union
+        rows[~new], rows[new] = where[common], where[m:]
+        pairs = np.concatenate([where[self.pairs], rows[mset.pairs]])
+        _, once = np.unique(pairs[:, 0] * slot.size + pairs[:, 1], return_index=True)
+        pairs = pairs[np.sort(once)]
+        pairs = pairs[np.argsort(pairs[:, 0], kind="stable")]
+        ends = np.sort(pairs.ravel())
+        if (ends[1:] == ends[:-1]).any():
+            return None
+        return MeasurementSet.from_columns(codes[order], at[order], np.zeros(slot.size),
+                                           np.ones(slot.size), pairs, np.zeros(len(pairs)))
 
     def order(self, net: NetworkModel) -> np.ndarray:
         """The elimination order of the solved unknowns for a banded gain
@@ -462,15 +671,21 @@ class _Layout:
         _read_only(*curved)
         return curved
 
-    def gain_plan(self, j, order: np.ndarray) -> _GainPlan:
-        """The gain plan of an iterate whose J is j, under the layout's
-        order: built by the first call, since the rows fix J's pattern
-        and the correlated pairs R^-1's.  A DC or linear_rect layout
-        (``kernel`` None), whose J is the constant H, gets a plan that
-        folds H's values."""
+    def gain_plan(self, net: NetworkModel) -> _GainPlan:
+        """The gain plan of the layout's iterates on net, its network,
+        under the layout's order: built by the first call, since the rows
+        fix J's pattern and the correlated pairs R^-1's.  A DC or
+        linear_rect layout (``kernel`` None), whose J is the constant H,
+        gets a plan that folds H's values."""
         if self._plan is None:
-            curved = None if self.kernel is None else self.curved
-            self._plan = _GainPlan(j, self.free, self.inverse_pattern, curved, order)
+            if self.kernel is None:
+                j, curved = self.h_matrix, None
+            else:  # J's pattern; a kernel plan reads no values of it
+                kernel = self.kernel
+                j = csr_matrix((np.zeros(kernel.indices.size), kernel.indices, kernel.indptr),
+                               shape=(kernel.m, kernel.n_columns))
+                curved = self.curved
+            self._plan = _GainPlan(j, self.free, self.inverse_pattern, curved, self.order(net))
         return self._plan
 
 
@@ -488,6 +703,14 @@ class EstimationProblem:
     on the layout's pattern of R^-1 (``_Layout.inverse_pattern``), which
     the layout's gain plan assumes, and the factor its last
     normal solve kept (see gauss_newton).
+
+    A set may hold only some of its layout's rows (``_Layout.place``).
+    Its linearization then spans the layout's rows: ``rows`` gives h, J
+    and the active mask over them, with the rows the set lacks inactive,
+    and the covariance (``_HeldCovariance``), like ``kernel`` and
+    ``h_matrix``, spans them too, giving those rows no weight.  What the
+    set is measured by keeps its own rows and order: ``m``, ``z``,
+    ``values``, ``residuals`` and the objective.
     """
 
     def __init__(self, net: NetworkModel, mset: MeasurementSet,
@@ -500,7 +723,16 @@ class EstimationProblem:
         self._layout = layout
         self._facts = _FACTS[formulation]
         self.z = mset.values()
-        self._angle_rows = layout.angle_rows
+        # the set's rows among the layout's, None where it holds them all
+        self._rows = self._held = None
+        self._z, self._angle_rows = self.z, layout.angle_rows  # over the layout's rows
+        self._angles = layout.angle_rows  # over the set's
+        if isinstance(covariance, _HeldCovariance):
+            self._rows, self._held = covariance.rows, covariance.held
+            self._z = np.zeros(self._held.size)
+            self._z[self._rows] = self.z
+            self._angles = layout.angle_rows[self._rows]
+        self._absent = 0 if self._rows is None else self._held.size - self._rows.size
         self.full_dim, self.fixed_index = layout.full_dim, layout.fixed_index
         self.fixed_value = 0.0 if self._facts.coordinates == RECTANGULAR else net.slack_angle
         self.free_indices = layout.free
@@ -509,6 +741,7 @@ class EstimationProblem:
 
     @property
     def m(self) -> int:
+        """Number of the set's rows."""
         return len(self.mset)
 
     @property
@@ -541,36 +774,56 @@ class EstimationProblem:
         return self._layout.order(self.net)
 
     def values(self, x: StateVector) -> np.ndarray:
-        """h(x) for every row, in measurement order: one kernel call
-        without the Jacobian, or H @ x for a constant-Jacobian problem.
-        Never raises on flat-singular currents."""
+        """h(x) for every row of the set, in measurement order: one
+        kernel call without the Jacobian, or H @ x for a
+        constant-Jacobian problem.  Never raises on flat-singular
+        currents."""
+        h = self._h(x)
+        return h if self._rows is None else h[self._rows]
+
+    def _h(self, x: StateVector) -> np.ndarray:
+        """h(x) over the layout's rows."""
         if self.is_linear:
             return self.h_matrix @ x.values[:self.full_dim]
         return self.kernel.values(x)
 
     def residuals(self, x: StateVector) -> np.ndarray:
-        """z - h(x), with angle rows wrapped to the principal branch."""
-        return self._residuals_of(self.values(x))
+        """z - h(x) for every row of the set, with angle rows wrapped to
+        the principal branch."""
+        return _wrapped(self.z - self.values(x), self._angles)
 
     def _residuals_of(self, h: np.ndarray) -> np.ndarray:
-        r = self.z - h
-        if self._angle_rows.any():
-            r[self._angle_rows] = wrap_angles(r[self._angle_rows])
-        return r
+        """z - h, wrapped, for h over the layout's rows."""
+        return _wrapped(self._z - h, self._angle_rows)
+
+    def _spread(self, r: np.ndarray) -> np.ndarray:
+        """The set's residuals r over the layout's rows, 0 where it has
+        none."""
+        if self._rows is None:
+            return r
+        spread = np.zeros(self._held.size)
+        spread[self._rows] = r
+        return spread
 
     def rows(self, x: StateVector):
-        """(h, J, active) for one Gauss-Newton iteration.
+        """(h, J, active) for one Gauss-Newton iteration, over the
+        layout's rows.
 
         J spans the full column set.  A constant-Jacobian problem returns
         its fixed H with every row active; otherwise one kernel call
         fills h and the data of J on the problem's fixed CSR pattern.
         Rows whose partials are undefined at x (flat-start current
         singularities) come back inactive, with their value filled in
-        and zero partials.
+        and zero partials, as do the layout's rows that the set lacks.
         """
         if self.is_linear:
-            return self.values(x), self.h_matrix, np.ones(self.m, dtype=bool)
-        return self.kernel.rows(x)
+            h, j = self._h(x), self.h_matrix
+            active = np.ones(j.shape[0], dtype=bool)
+        else:
+            h, j, active = self.kernel.rows(x)
+        if self._held is not None:
+            active &= self._held
+        return h, j, active
 
     def _gain_system(self, j, r: np.ndarray, active: np.ndarray,
                      method: str, x: StateVector | None = None,
@@ -605,27 +858,91 @@ def assemble_problem(net: NetworkModel, mset: MeasurementSet,
     The network keeps its last layout analysis per formulation
     (``_Layout``).  A set with that analysis's kind codes, locations and
     correlated pairs, under the same neglect_phasor_covariance, reuses
-    it, checks included; any other set's analysis replaces it, and the
-    old one is released before the new one is built.
+    it, checks included.  So does a set that holds only some of its
+    rows, where the analysis can give it the bits of its own
+    (``_Layout.place``): the problem then holds the rows it lacks
+    inactive, with zero weight.  A set that brings rows the analysis
+    lacks gets one new analysis of both sets' rows (``_Layout.union``),
+    which serves it and, as long as they come, sets like the two;
+    any other set gets its own.  The old analysis is released before a
+    new one is built, keeping only its row columns for the union.
     """
     formulation = Formulation(formulation)
     if len(mset) == 0:
         raise EmptyMeasurementSet("cannot estimate from an empty measurement set")
-    layout = net.layouts.get(formulation)
-    if layout is None or not layout.holds(mset, neglect_phasor_covariance):
-        layout = net.layouts[formulation] = None  # released before the new one is built
-        layout = net.layouts[formulation] = _Layout(net, mset, formulation,
-                                                    neglect_phasor_covariance)
-    covariance = CovarianceModel.on_pattern(layout.inverse_pattern, mset.variances(),
-                                            mset.covs[:0] if neglect_phasor_covariance
-                                            else mset.covs)
+    neglect = neglect_phasor_covariance
+    layout, rows = net.layouts.get(formulation), None
+    if layout is not None and not layout.holds(mset, neglect):
+        rows = layout.place(net, mset, neglect)
+        if rows is None:
+            union = layout.union(mset, neglect)
+            layout = net.layouts[formulation] = None  # released before the new one is built
+            if union is not None:
+                layout = net.layouts[formulation] = _Layout(net, union, formulation, neglect)
+                rows = layout.place(net, mset, neglect)
+                if rows is None:
+                    layout = net.layouts[formulation] = None
+    if layout is None:
+        layout = net.layouts[formulation] = _Layout(net, mset, formulation, neglect)
+    covs = mset.covs[:0] if neglect else mset.covs
+    if rows is None:
+        covariance = CovarianceModel.on_pattern(layout.inverse_pattern, mset.variances(), covs)
+    else:
+        covariance = _HeldCovariance(layout.inverse_pattern, rows, mset.variances(), covs)
     return EstimationProblem(net, mset, formulation, covariance, layout)
 
 
+class _HeldCovariance(CovarianceModel):
+    """The covariance of a set over its layout's rows, for a set that
+    holds only the rows ``rows`` of them (``held``, as a mask): the
+    set's variances and blocks there.  At the rows it lacks, variance 1
+    and no covariance stand in, and R^-1 and the whitener hold zeros, so
+    those rows weigh nothing.  The numbers are checked on the set's own
+    rows first, so a refused block is named by the set's rows."""
+
+    def __init__(self, pattern: InversePattern, rows: np.ndarray,
+                 variances: np.ndarray, covs: np.ndarray):
+        held = np.zeros(pattern.m, dtype=bool)
+        held[rows] = True
+        blocks = held[pattern.a]
+        self._fill(variances, np.searchsorted(rows, pattern.a[blocks]),
+                   np.searchsorted(rows, pattern.b[blocks]), covs)
+        stand_in = np.ones(pattern.m)
+        stand_in[rows] = variances
+        cov = np.zeros(pattern.a.size)
+        cov[blocks] = covs
+        self._fill(stand_in, pattern.a, pattern.b, cov)
+        self.pattern, self.rows, self.held = pattern, rows, held
+
+    def _weightless(self, m: csr_matrix) -> csr_matrix:
+        """m, built by the call before, with the rows the set lacks zero."""
+        m.data[~np.repeat(self.held, np.diff(m.indptr))] = 0.0
+        return m
+
+    def inverse(self) -> csr_matrix:
+        built = self._inverse is not None
+        rinv = super().inverse()
+        return rinv if built else self._weightless(rinv)
+
+    def whitener(self) -> csr_matrix:
+        built = self._whitener is not None
+        w = super().whitener()
+        return w if built else self._weightless(w)
+
+
+def _quadratic(problem: EstimationProblem, rinv, r: np.ndarray) -> float:
+    """r^T R^-1 r over the set's rows, given r over the layout's rows."""
+    y = rinv @ r
+    if problem._rows is not None:
+        r, y = r[problem._rows], y[problem._rows]
+    return float(r @ y)
+
+
 def objective(problem: EstimationProblem, x: StateVector) -> float:
-    """WLS objective r^T R^-1 r at a state (all rows, wrapped angles)."""
-    r = problem.residuals(x)
-    return float(r @ (problem.covariance.inverse() @ r))
+    """WLS objective r^T R^-1 r at a state (all of the set's rows,
+    wrapped angles)."""
+    return _quadratic(problem, problem.covariance.inverse(),
+                      problem._spread(problem.residuals(x)))
 
 
 def _solve_normal(a, rinv, r, name_of=None, order=None):
@@ -780,7 +1097,7 @@ class _GainPlan:
         m = j.shape[0]
         self._n = n = free.size
         self._free, self._perm = free, None  # None: SuperLU takes every gain
-        self._fold = self._ht = None
+        self._fold = self._ht = self._nnz = None
         column = np.full(j.shape[1], -1, dtype=np.intp)
         column[free] = np.arange(n)
         col = column[j.indices]
@@ -833,10 +1150,10 @@ class _GainPlan:
         del lo
         filled = np.zeros(size, dtype=bool)
         filled[slot] = True
-        if not _band_fits(n, kd, 2 * np.count_nonzero(filled)
-                          - np.count_nonzero(filled[kd::kd + 1])):
+        nnz = 2 * np.count_nonzero(filled) - np.count_nonzero(filled[kd::kd + 1])
+        if not _band_fits(n, kd, nnz):
             return
-        self._perm, self._size = np.array(order, dtype=np.intp), size
+        self._perm, self._size, self._nnz = np.array(order, dtype=np.intp), size, nnz
         _read_only(self._perm)
         if curved is None:  # H constant: fold the pairs, then drop them
             products = j.data[partner]
@@ -1058,7 +1375,9 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     rinv = problem.covariance.inverse()
     flat = np.array_equal(x.values, problem.initial_state().values)
     # the rows the first iterate leaves out, None once it is taken
-    current = _POLAR_CURRENT[problem.mset.codes]
+    current = _POLAR_CURRENT[problem._layout.codes]
+    if problem._held is not None:
+        current &= problem._held
     if not (current.any() and flat):
         current = None
     converged = False
@@ -1067,8 +1386,9 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     max_step_trace: list[float] = []
 
     def record_objective(r):
-        """Trace r^T R^-1 r of the iterate whose wrapped residual is r."""
-        obj = float(r @ (rinv @ r))
+        """Trace r^T R^-1 r of the iterate whose wrapped residual, over
+        the layout's rows, is r."""
+        obj = _quadratic(problem, rinv, r)
         if objective_trace and obj > objective_trace[-1]:
             log.debug("objective increased from %.6e to %.6e",
                       objective_trace[-1], obj)
@@ -1081,7 +1401,9 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         r = problem._residuals_of(h)
         if max_step_trace:
             record_objective(r)
-        dropped_at_last = not active.all()
+        # the set's rows dropped; the rows it lacks are never active
+        dropped = int(np.count_nonzero(~active)) - problem._absent
+        dropped_at_last = dropped > 0
         method = cfg.linear_system_method
         dx = None
         if current is not None:
@@ -1097,7 +1419,7 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         if not masked:
             if dropped_at_last:
                 log.warning("dropping %d flat-singular row(s) for this iteration",
-                            int((~active).sum()))
+                            dropped)
             # a step at most sqrt(tol) earns the next one a try of the
             # kept factor
             confirm = None
@@ -1117,7 +1439,7 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
             break
     problem._kept = None  # a factor serves one estimate
     residuals = problem.residuals(x)
-    record_objective(residuals)
+    record_objective(problem._spread(residuals))
     return EstimationResult(
         x_hat=x,
         converged=converged,

@@ -764,7 +764,9 @@ class TestLayoutAnalysis:
     the same kind codes, locations and correlated pairs, under the same
     neglect_phasor_covariance, reuses its rows, R^-1's pattern, its order
     and its gain plan, and gives the bits it gives on a network of its
-    own."""
+    own.  So does a set that holds only some of the analysis's rows,
+    where the analysis can promise those bits; a set that brings rows
+    gets one analysis of both sets' rows."""
 
     @staticmethod
     def outputs(problem, method="normal"):
@@ -899,7 +901,8 @@ class TestLayoutAnalysis:
             layouts.append(problem._layout)
             alone = assemble_problem(load_network(NET14), mset, formulation)
             assert self.outputs(problem) == self.outputs(alone)
-        assert len({id(layout) for layout in layouts}) == 4
+        # the prefix's analysis, then one of the whole plan serves both
+        assert len({id(layout) for layout in layouts}) == 2
 
 
 @pytest.fixture
@@ -914,6 +917,185 @@ def plan_builds(monkeypatch):
 
     monkeypatch.setattr(gridse.estimators, "_GainPlan", Counted)
     return calls
+
+
+def subset(mset, keep):
+    """The set's rows ``keep``, in that order, with the pairs of two kept
+    rows."""
+    keep = np.asarray(keep, dtype=np.intp)
+    new = np.full(len(mset), -1)
+    new[keep] = np.arange(keep.size)
+    pairs = new[mset.pairs]
+    both = (pairs >= 0).all(axis=1)
+    return MeasurementSet.from_columns(mset.codes[keep], mset.at[keep], mset.values()[keep],
+                                       mset.variances()[keep], pairs[both], mset.covs[both])
+
+
+class TestPartialSets:
+    """A set that holds only some of the rows of its network's layout
+    analysis shares it where that gives the set's own bits, with the rows
+    it lacks inactive and weightless, and gets its own analysis where it
+    does not; either way its outputs are those of a fresh network."""
+
+    outputs = staticmethod(TestLayoutAnalysis.outputs)
+
+    @staticmethod
+    def network(formulation, plan=None, seed=11, net=None):
+        """A network whose analysis is that of ``plan``'s set, and the set."""
+        net = net or load_network(NET14)
+        mset = other_values(net, formulation, plan, seed)
+        assemble_problem(net, mset, formulation)
+        return net, mset
+
+    def check(self, net, mset, formulation, shared, method="normal"):
+        """Assemble mset on net, on the network's analysis (``shared``) or
+        on one of its own, with the outputs of a fresh network."""
+        layout = net.layouts.get(formulation)
+        problem = assemble_problem(net, mset, formulation)
+        assert (problem._layout is layout) == shared
+        assert (problem._rows is not None) == shared
+        assert net.layouts[formulation] is problem._layout
+        fresh = assemble_problem(type(net)(net.buses, net.branches), mset, formulation)
+        assert self.outputs(problem, method) == self.outputs(fresh, method)
+        return problem, fresh
+
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    @pytest.mark.parametrize("formulation", list(PLANS))
+    def test_set_without_its_last_rows_shares_the_analysis(self, formulation, method):
+        net, base = self.network(formulation)
+        mset = subset(other_values(net, formulation, seed=12), np.arange(len(base) - 2))
+        problem, fresh = self.check(net, mset, formulation, True, method)
+        assert problem.m == len(mset) == problem.residuals(problem.initial_state()).size
+        assert problem.values(problem.initial_state()).size == len(mset)
+        # J and R^-1 over the layout's rows give the set's own gain pattern
+        x = random_polar_state(net, np.random.default_rng(3), t_range=(-0.1, 0.1))
+        if formulation == "linear_rect":
+            x = to_rectangular(x)
+        gains = []
+        for p in (problem, fresh):
+            _, j, active = p.rows(x)
+            assert active.sum() == len(mset)
+            j = j[:, p.free_indices]
+            gains.append(csc_matrix(j.T @ p.covariance.inverse() @ j))
+        assert gains[0].nnz == gains[1].nnz
+        assert np.array_equal(gains[0].toarray(), gains[1].toarray())
+        assert objective(problem, x) == objective(fresh, x)
+
+    def test_swapped_rows_get_their_own_analysis(self):
+        net, base = self.network("conventional")
+        keep = np.arange(len(base) - 1)
+        keep[[3, 4]] = 4, 3
+        self.check(net, subset(base, keep), "conventional", False)
+
+    def test_repeated_row_gets_its_own_analysis(self):
+        net, base = self.network("conventional")
+        repeated = subset(base, np.append(np.arange(len(base) - 1), 0))
+        self.check(net, repeated, "conventional", False)
+        # and a layout with a repeated row serves no partial set
+        self.check(net, subset(base, np.arange(len(base) - 2)), "conventional", False)
+
+    @pytest.mark.parametrize("formulation", ["linear_rect", "simultaneous_rect"])
+    def test_pair_without_its_partner_gets_its_own_analysis(self, formulation):
+        net, base = self.network(formulation)
+        a, b = base.pairs[-1]
+        self.check(net, subset(base, np.delete(np.arange(len(base)), [b])), formulation,
+                   False)
+        # without both rows of the pair it shares the analysis
+        net, base = self.network(formulation)
+        self.check(net, subset(base, np.delete(np.arange(len(base)), [a, b])), formulation,
+                   True)
+
+    def test_row_that_widens_the_band_leaves_narrower_sets_their_own(self):
+        net = load_network(NET14)
+        whole = other_values(net, "conventional")
+        reach, _ = assemble_problem(net, whole, "conventional")._layout.reach(net)
+        widest = np.flatnonzero(reach == reach.max())
+        narrow = subset(whole, np.delete(np.arange(len(whole)), widest))
+        net = load_network(NET14)
+        self.check(net, narrow, "conventional", False)
+        self.check(net, whole, "conventional", False)  # the union is the whole set
+        problem, _ = self.check(net, narrow, "conventional", False)
+        assert problem._layout.reach(net)[0].max() < reach.max()
+
+    def test_set_whose_band_would_not_fit_gets_its_own_analysis(self, monkeypatch):
+        # P flows alone: a flow is the only row on its branch, so a set
+        # without one has two entries of G fewer, and under a band limit
+        # that the whole set just meets, its own gain goes to SuperLU
+        net = load_network(NET14)
+        plan = [(K.P_FLOW_DC, (br.from_bus, br.to_bus)) for br in net.branches]
+        net, whole = self.network("dc", plan, net=net)
+        layout = net.layouts["dc"]
+        reach, _ = layout.reach(net)
+        plan_ = layout.gain_plan(net)
+        n, kd = plan_._n, int(reach.max())
+        monkeypatch.setattr(gridse.estimators, "_BAND_LIMIT", n * (kd + 1) / plan_._nnz)
+        net, whole = self.network("dc", plan)
+        assert net.layouts["dc"].gain_plan(net)._perm is not None
+        k = next(k for k, (_, (i, j)) in enumerate(plan)
+                 if 1 not in (i, j) and reach[k] < kd)
+        problem, fresh = self.check(net, subset(whole, np.delete(np.arange(len(plan)), [k])),
+                                    "dc", False)
+        assert problem._layout.gain_plan(net)._perm is None
+
+    def test_superlu_layout_serves_a_set_without_rows(self, superlu_calls):
+        net = binary_tree_network(1023)
+        net, whole = self.network("dc", net=net)
+        thetas = np.flatnonzero(whole.codes == KIND_CODE["Theta"])
+        problem, _ = self.check(net, subset(whole, np.delete(np.arange(len(whole)), thetas)),
+                                "dc", True)
+        assert problem._layout._plan._perm is None and len(superlu_calls) == 2
+
+    def test_too_many_absent_rows_get_their_own_analysis(self):
+        net, base = self.network("conventional")
+        currents = np.flatnonzero(base.codes == KIND_CODE["I_mag"])
+        assert currents.size > gridse.estimators._ABSENT_SHARE * len(base)
+        self.check(net, subset(base, np.setdiff1d(np.arange(len(base)), currents)),
+                   "conventional", False)
+
+    def test_sets_with_rows_of_their_own_share_one_analysis(self, plan_builds):
+        net = load_network(NET14)
+        whole = other_values(net, "conventional")
+        currents = np.flatnonzero(whole.codes == KIND_CODE["I_mag"])
+        problems = []
+        for seed, left_out in enumerate([currents[:2], currents[2:4], currents[1:3]]):
+            mset = subset(other_values(net, "conventional", seed=seed + 20),
+                          np.delete(np.arange(len(whole)), left_out))
+            layout = net.layouts.get("conventional")
+            problem = assemble_problem(net, mset, "conventional")
+            fresh = assemble_problem(load_network(NET14), mset, "conventional")
+            assert self.outputs(problem) == self.outputs(fresh)
+            problems.append((problem, layout))
+        (first, _), (second, before), (third, _) = problems
+        # the second set brings two rows: one analysis of both sets' rows
+        assert first._rows is None and second._layout is not before
+        assert second._layout.codes.size == len(whole) and second._rows is not None
+        assert third._layout is second._layout and third._rows is not None
+        assert len(plan_builds) == 2 + 3  # the network's plans and the fresh ones
+
+    def test_absent_rows_are_never_dropped(self, caplog):
+        net = load_network(NET14)
+        whole = other_values(net, "conventional")
+        # end voltages equal at 4-5 and 7-8, shuntless: their currents vanish
+        x0 = random_polar_state(net, np.random.default_rng(8), t_range=(-0.1, 0.1))
+        for i, j in ((4, 5), (7, 8)):
+            x0.values[[j - 1, net.n_buses + j - 1]] = x0.values[[i - 1, net.n_buses + i - 1]]
+        row = next(k for k in np.flatnonzero(whole.codes == KIND_CODE["I_mag"])
+                   if tuple(whole.at[k]) == (4, 5))
+        mset = subset(whole, np.delete(np.arange(len(whole)), [row]))
+        assemble_problem(net, whole, "conventional")
+        results = []
+        for n in (net, load_network(NET14)):
+            problem = assemble_problem(n, mset, "conventional")
+            assert (problem._rows is not None) == (n is net)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="gridse"):
+                results.append(solve(problem, x0=x0))
+            assert "dropping 1 flat-singular row(s)" in caplog.text
+            assert "dropping 2" not in caplog.text
+        shared, fresh = results
+        assert shared.converged and shared.iterations == fresh.iterations
+        assert shared.x_hat.values.tobytes() == fresh.x_hat.values.tobytes()
+        assert shared.objective_trace == fresh.objective_trace
 
 
 class TestLayoutGainPlan:
