@@ -529,9 +529,9 @@ class _Layout:
             return None
         held = np.zeros(m, dtype=bool)
         held[pos] = True
-        paired = held[self.pairs]
-        if ((paired[:, 0] != paired[:, 1]).any()
-                or not np.array_equal(pos[mset.pairs], self.pairs[paired[:, 0]])
+        # a pair cut by an absent row is one the set cannot have
+        touched = held[self.pairs].any(axis=1)
+        if (not np.array_equal(pos[mset.pairs], self.pairs[touched])
                 or not self._serves(net, held)):
             return None
         _read_only(pos)
@@ -725,14 +725,11 @@ class EstimationProblem:
         self.z = mset.values()
         # the set's rows among the layout's, None where it holds them all
         self._rows = self._held = None
-        self._z, self._angle_rows = self.z, layout.angle_rows  # over the layout's rows
-        self._angles = layout.angle_rows  # over the set's
         if isinstance(covariance, _HeldCovariance):
             self._rows, self._held = covariance.rows, covariance.held
-            self._z = np.zeros(self._held.size)
-            self._z[self._rows] = self.z
-            self._angles = layout.angle_rows[self._rows]
         self._absent = 0 if self._rows is None else self._held.size - self._rows.size
+        self._z, self._angle_rows = self._spread(self.z), layout.angle_rows  # the layout's rows
+        self._angles = self._take(layout.angle_rows)  # the set's rows
         self.full_dim, self.fixed_index = layout.full_dim, layout.fixed_index
         self.fixed_value = 0.0 if self._facts.coordinates == RECTANGULAR else net.slack_angle
         self.free_indices = layout.free
@@ -778,8 +775,7 @@ class EstimationProblem:
         kernel call without the Jacobian, or H @ x for a
         constant-Jacobian problem.  Never raises on flat-singular
         currents."""
-        h = self._h(x)
-        return h if self._rows is None else h[self._rows]
+        return self._take(self._h(x))
 
     def _h(self, x: StateVector) -> np.ndarray:
         """h(x) over the layout's rows."""
@@ -796,13 +792,17 @@ class EstimationProblem:
         """z - h, wrapped, for h over the layout's rows."""
         return _wrapped(self._z - h, self._angle_rows)
 
-    def _spread(self, r: np.ndarray) -> np.ndarray:
-        """The set's residuals r over the layout's rows, 0 where it has
-        none."""
+    def _take(self, v: np.ndarray) -> np.ndarray:
+        """The set's entries of v, over the layout's rows."""
+        return v if self._rows is None else v[self._rows]
+
+    def _spread(self, v: np.ndarray) -> np.ndarray:
+        """v, over the set's rows, over the layout's, 0 where the set
+        has no row."""
         if self._rows is None:
-            return r
+            return v
         spread = np.zeros(self._held.size)
-        spread[self._rows] = r
+        spread[self._rows] = v
         return spread
 
     def rows(self, x: StateVector):
@@ -863,9 +863,9 @@ def assemble_problem(net: NetworkModel, mset: MeasurementSet,
     (``_Layout.place``): the problem then holds the rows it lacks
     inactive, with zero weight.  A set that brings rows the analysis
     lacks gets one new analysis of both sets' rows (``_Layout.union``),
-    which serves it and, as long as they come, sets like the two;
-    any other set gets its own.  The old analysis is released before a
-    new one is built, keeping only its row columns for the union.
+    which then serves sets like either; any other set gets its own.  The
+    old analysis is released before a new one is built, keeping only its
+    row columns for the union.
     """
     formulation = Formulation(formulation)
     if len(mset) == 0:

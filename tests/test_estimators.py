@@ -994,12 +994,13 @@ class TestPartialSets:
         # and a layout with a repeated row serves no partial set
         self.check(net, subset(base, np.arange(len(base) - 2)), "conventional", False)
 
+    @pytest.mark.parametrize("partner", [0, 1])
     @pytest.mark.parametrize("formulation", ["linear_rect", "simultaneous_rect"])
-    def test_pair_without_its_partner_gets_its_own_analysis(self, formulation):
+    def test_pair_without_its_partner_gets_its_own_analysis(self, formulation, partner):
         net, base = self.network(formulation)
         a, b = base.pairs[-1]
-        self.check(net, subset(base, np.delete(np.arange(len(base)), [b])), formulation,
-                   False)
+        self.check(net, subset(base, np.delete(np.arange(len(base)), base.pairs[-1][partner])),
+                   formulation, False)
         # without both rows of the pair it shares the analysis
         net, base = self.network(formulation)
         self.check(net, subset(base, np.delete(np.arange(len(base)), [a, b])), formulation,
@@ -1023,18 +1024,17 @@ class TestPartialSets:
         # that the whole set just meets, its own gain goes to SuperLU
         net = load_network(NET14)
         plan = [(K.P_FLOW_DC, (br.from_bus, br.to_bus)) for br in net.branches]
-        net, whole = self.network("dc", plan, net=net)
+        net, _ = self.network("dc", plan, net=net)
         layout = net.layouts["dc"]
         reach, _ = layout.reach(net)
-        plan_ = layout.gain_plan(net)
-        n, kd = plan_._n, int(reach.max())
-        monkeypatch.setattr(gridse.estimators, "_BAND_LIMIT", n * (kd + 1) / plan_._nnz)
+        kd, gain = int(reach.max()), layout.gain_plan(net)
+        monkeypatch.setattr(gridse.estimators, "_BAND_LIMIT", gain._n * (kd + 1) / gain._nnz)
         net, whole = self.network("dc", plan)
         assert net.layouts["dc"].gain_plan(net)._perm is not None
         k = next(k for k, (_, (i, j)) in enumerate(plan)
                  if 1 not in (i, j) and reach[k] < kd)
-        problem, fresh = self.check(net, subset(whole, np.delete(np.arange(len(plan)), [k])),
-                                    "dc", False)
+        problem, _ = self.check(net, subset(whole, np.delete(np.arange(len(plan)), [k])),
+                                "dc", False)
         assert problem._layout.gain_plan(net)._perm is None
 
     def test_superlu_layout_serves_a_set_without_rows(self, superlu_calls):
