@@ -615,7 +615,8 @@ class _Layout:
         # that lists its rows by location would hold them; a new row
         # never precedes the one before it in the set.
         gap, gap_new = np.cumsum(in_common), np.cumsum(~new)[new]
-        codes, at = np.concatenate([self.codes, mset.codes[new]]), np.vstack([self.at, mset.at[new]])
+        codes = np.concatenate([self.codes, mset.codes[new]])
+        at = np.vstack([self.at, mset.at[new]])
         rank = np.unique(_row_keys(codes, at, self.n_buses), return_inverse=True)[1]
         span = int(rank.max()) + 1
         only = np.sort((gap * span + rank[:m])[~in_common])
@@ -728,8 +729,9 @@ class EstimationProblem:
         if isinstance(covariance, _HeldCovariance):
             self._rows, self._held = covariance.rows, covariance.held
         self._absent = 0 if self._rows is None else self._held.size - self._rows.size
-        self._z, self._angle_rows = self._spread(self.z), layout.angle_rows  # the layout's rows
-        self._angles = self._take(layout.angle_rows)  # the set's rows
+        # z and the angle rows over the layout's rows, and the set's angle rows
+        self._z, self._angle_rows = self._spread(self.z), layout.angle_rows
+        self._angles = self._take(layout.angle_rows)
         self.full_dim, self.fixed_index = layout.full_dim, layout.fixed_index
         self.fixed_value = 0.0 if self._facts.coordinates == RECTANGULAR else net.slack_angle
         self.free_indices = layout.free
@@ -1048,13 +1050,15 @@ class _GainPlan:
     product of G's upper band comes from one pair, and a pair's slot is
     that of the min and the max of its two band positions.  The pairs
     also give the band-or-SuperLU decision (``_band_fits``): kd from the
-    widest pair, nnz(G) from the distinct slots.  A wide-profile gain
+    widest pair, nnz(G) from the distinct slots (kept as ``_nnz`` for
+    ``_Layout.place``).  A wide-profile gain
     goes to SuperLU, formed by sparse products each time, and the plan
     drops its pairs.
 
     A solve passes its weights, R^-1 with the entries of inactive rows
-    zero, so the masked first iterate, an iterate that drops rows and
-    2x2 blocks all run on the one plan, and factors its band by
+    zero, so the masked first iterate, an iterate that drops rows, a set
+    that lacks some of the layout's rows and 2x2 blocks all run on the
+    one plan, and factors its band by
     ``_factor_band``.  The plan of a kernel layout keeps its pairs and
     sums them into the band every iterate with one np.add.at, and the
     right-hand side with another.  A DC or linear_rect layout's J is

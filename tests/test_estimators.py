@@ -998,13 +998,12 @@ class TestPartialSets:
     @pytest.mark.parametrize("formulation", ["linear_rect", "simultaneous_rect"])
     def test_pair_without_its_partner_gets_its_own_analysis(self, formulation, partner):
         net, base = self.network(formulation)
-        a, b = base.pairs[-1]
-        self.check(net, subset(base, np.delete(np.arange(len(base)), base.pairs[-1][partner])),
+        pair = base.pairs[-1]
+        self.check(net, subset(base, np.delete(np.arange(len(base)), pair[partner])),
                    formulation, False)
         # without both rows of the pair it shares the analysis
         net, base = self.network(formulation)
-        self.check(net, subset(base, np.delete(np.arange(len(base)), [a, b])), formulation,
-                   True)
+        self.check(net, subset(base, np.delete(np.arange(len(base)), pair)), formulation, True)
 
     def test_row_that_widens_the_band_leaves_narrower_sets_their_own(self):
         net = load_network(NET14)
