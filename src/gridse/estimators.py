@@ -1350,7 +1350,9 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     dropped for the affected iteration only, with a logged warning
     unless the masked first iterate leaves them out anyway; if any were
     dropped at the converging iterate the result is marked not
-    converged.  h(x) is evaluated once per iterate: each objective_trace
+    converged; the layout's rows that the set lacks are inactive at
+    every iterate and never count as dropped.  h(x) is evaluated once
+    per iterate, over the layout's rows: each objective_trace
     entry comes from the residual of the next linearization, the last
     one from the final residuals.  A start in the wrong coordinates, of
     the wrong size, with a non-finite entry or with another slack anchor
