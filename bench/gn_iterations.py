@@ -28,6 +28,10 @@ keeps between estimates and no other case's.  Per case it records:
 * ``kept_factor_converged``: how many estimates converged on the factor
   their gain plan kept from the iterate before, counted from gridse's
   DEBUG records (0 for sources without it);
+* ``flat_factor_reused``: how many flat-start iterates took the factor
+  their layout kept from an earlier estimate instead of factoring their
+  own gain, counted from gridse's DEBUG records (0 for sources without
+  it);
 * ``layout_analyses`` and ``plan_builds``: how many layout analyses
   (``_Layout``) and gain plans (``_GainPlan``) the case built;
 * the median wall time of ``gridse.solve`` in ms, and
@@ -47,7 +51,9 @@ runs in its own process, so the two sources never share an import; the
 scenarios, plans and gate come from this tree's ``perfbench`` and
 ``tests`` in both.
 
-The exit code is 1 when an estimate of this tree fails its gate, else 0.
+The exit code is 1 when an estimate of this tree fails its gate, or
+when no ``ac_lattice`` estimate of this tree reuses its layout's
+flat-start factor, else 0.
 BLAS runs on one thread, as in the benchmark.
 """
 
@@ -119,7 +125,7 @@ def measure(src: str, quick: bool) -> dict:
                 cfg = gridse.SolverConfig(linear_system_method=method)
                 iterations, seconds, estimates, failures, errors, v = [], [], [], 0, 0, []
                 factorizations = []
-                records.refused = records.confirmed = 0
+                records.refused = records.confirmed = records.reused = 0
                 builds.update(dict.fromkeys(builds, 0))
                 for index in range(count):
                     case = workloads.synthesize_case(net, seed, index, formulation,
@@ -165,6 +171,7 @@ def measure(src: str, quick: bool) -> dict:
                     "factorizations_mean": round(float(np.mean(factorizations)), 3)
                     if factorizations else None,
                     "kept_factor_converged": records.confirmed,
+                    "flat_factor_reused": records.reused,
                     "layout_analyses": builds["_Layout"],
                     "plan_builds": builds["_GainPlan"],
                     "solve_ms_median": round(1e3 * float(np.median(seconds)), 2)
@@ -177,12 +184,13 @@ def measure(src: str, quick: bool) -> dict:
 
 
 class RecordCount(logging.Handler):
-    """Counts gridse's DEBUG records of a refused second-order gain and of
-    an estimate that converged on its kept factor."""
+    """Counts gridse's DEBUG records of a refused second-order gain, of
+    an estimate that converged on its kept factor and of a flat-start
+    iterate that took its layout's factor."""
 
     def __init__(self):
         super().__init__(logging.DEBUG)
-        self.refused = self.confirmed = 0
+        self.refused = self.confirmed = self.reused = 0
 
     def emit(self, record):
         message = record.getMessage()
@@ -190,6 +198,8 @@ class RecordCount(logging.Handler):
             self.refused += 1
         elif message.startswith("converged on the kept factor"):
             self.confirmed += 1
+        elif message.startswith("reusing the layout's flat-start factor"):
+            self.reused += 1
 
 
 def count_factors(estimators) -> list:
@@ -305,7 +315,8 @@ def main(argv=None) -> int:
         line = (f"{key}: iterations {now['iterations_mean']} (max {now['iterations_max']}), "
                 f"{now['gate_failures']} failed, {now['curvature_refused']} refused, "
                 f"{now['factorizations_mean']} factors, {now['kept_factor_converged']} "
-                f"on the kept factor, {now['layout_analyses']} analyses, "
+                f"on the kept factor, {now['flat_factor_reused']} flat factors reused, "
+                f"{now['layout_analyses']} analyses, "
                 f"{now['plan_builds']} plans, {now['solve_ms_median']} ms solve, "
                 f"{now['estimate_ms_median']} ms estimate")
         if base is not None:
@@ -340,7 +351,13 @@ def main(argv=None) -> int:
     for e in failed:
         print(f"error: {e['network']} {e['formulation']} {e['method']}: "
               f"{e['this']['gate_failures']} estimate(s) failed the gate", file=sys.stderr)
-    return 1 if failed else 0
+    # its scenarios share one telemetry plan, so every estimate after
+    # its layout's first should take the flat-start factor
+    unshared = not this["ac_lattice/conventional/normal"]["flat_factor_reused"]
+    if unshared:
+        print("error: ac_lattice conventional normal: no estimate reused its "
+              "layout's flat-start factor", file=sys.stderr)
+    return 1 if failed or unshared else 0
 
 
 if __name__ == "__main__":

@@ -43,7 +43,8 @@ both sets' rows.  On the benchmark's 20 x 20 lattice, whose sets lack
 the current rows of lightly loaded branches, 200 estimates then take
 two analyses instead of 200 (BENCH_gn_iterations.json).  Values,
 variances, covariances, R^-1's numbers and every gain's numbers are the
-problem's; so is the factor it keeps for its estimate's last step.
+problem's; so is the factor it keeps for its estimate's last step.  The
+one exception is a kernel layout's flat start (last paragraph).
 
 Gauss-Newton, no damping or line search: the problem is mildly
 nonlinear around operating states and divergence is reported as a
@@ -84,6 +85,22 @@ own gain.  Near the solution the chord step and the iterate's own
 step differ by a small fraction of the tolerance.  A conventional
 estimate on a 20 x 20 lattice factors 4.2 gains instead of 5.2
 (BENCH_gn_iterations.json).
+
+None of this changes what the first iterate from the flat start
+solves, and that is one linear system in every estimate of a layout
+but for its right-hand side: J there depends on the layout alone, and
+the weights of SCADA scans, fixed variances per kind, repeat.  So a
+kernel layout holds its rows at the flat start (``_Layout.flat_rows``)
+and the factor of its last flat-start gain that passed the pivot test,
+with the weights it was taken under.  A flat-start iterate under the
+same weights takes that factor instead of forming and factoring its
+gain; one under other weights factors its own, which replaces it.  The
+same gain gives the same factor, so every bit is that of a fresh
+network, and a refused gain is refused again.  On the benchmark's
+20 x 20 lattice a conventional estimate factors 3.15 gains instead of
+4.14 (BENCH_gn_iterations.json).  A DC or linear_rect layout keeps no
+factor: its one solve is the whole estimate, and the converted weights
+of PMU frames never repeat.
 """
 
 from __future__ import annotations
@@ -179,6 +196,9 @@ _REFUSED = "second-order gain refused (%s): taking the Gauss-Newton step"
 
 # The DEBUG record of an estimate that converged on the kept factor.
 _CONFIRMED = "converged on the kept factor: step %.3g"
+
+# The DEBUG record of a flat-start iterate that took its layout's factor.
+_REUSED = "reusing the layout's flat-start factor"
 
 # A gain goes to band storage unless its band, under its elimination
 # order, would hold more than this many times the gain's stored entries.
@@ -412,7 +432,17 @@ class _Layout:
     """The analysis of one measurement layout on one network under one
     formulation: what the layout determines, worked out once.  A set's
     values, variances and covariances, and so R^-1 and every gain's
-    numbers, are never held here.
+    numbers, are never held here, with one exception: a kernel layout's
+    flat start.  It holds the kernel's rows there (``flat_rows``), which
+    the layout alone decides, and the factor of its last flat-start gain
+    that passed the pivot test with the weights it was taken under
+    (``_flat_factor``, see ``_GainPlan.solve``).  That factor is one band
+    beyond the plan, n(kd + 1) doubles: 0.55 MB on the 20 x 20 lattice
+    and 65 MB for the 10 000-bus conventional gain (kd = 405).  By
+    tracemalloc, the first conventional estimate on a network peaks at
+    5.6 MiB instead of 4.8 there, and at 242 MiB instead of 173 on the
+    10 000-bus lattice; a later estimate of the layout peaks as before
+    (1.6 and 89 MiB).
 
     The layout is the key ``holds`` compares: the set's kind codes, its
     locations, its correlated row pairs, and whether the phasor
@@ -477,6 +507,9 @@ class _Layout:
             for h in (self.h_matrix, self.h_free):
                 _read_only(h.data, h.indices, h.indptr)
         self._order = self._plan = self._reach = None
+        # a kernel layout's rows at the flat start, and the factor of its
+        # last flat-start gain with the weights it was taken under
+        self._flat_rows = self._flat_factor = None
 
     def holds(self, mset: MeasurementSet, neglect: bool) -> bool:
         """Whether the set, with its phasor covariance neglected or not,
@@ -672,6 +705,14 @@ class _Layout:
         _read_only(*curved)
         return curved
 
+    def flat_rows(self, x: StateVector):
+        """The kernel's (h, J, active) at x, the flat start of the
+        layout's network, evaluated by the first call and read-only."""
+        if self._flat_rows is None:
+            self._flat_rows = h, j, active = self.kernel.rows(x)
+            _read_only(h, j.data, active)
+        return self._flat_rows
+
     def gain_plan(self, net: NetworkModel) -> _GainPlan:
         """The gain plan of the layout's iterates on net, its network,
         under the layout's order: built by the first call, since the rows
@@ -807,13 +848,16 @@ class EstimationProblem:
         spread[self._rows] = v
         return spread
 
-    def rows(self, x: StateVector):
+    def rows(self, x: StateVector, flat: bool = False):
         """(h, J, active) for one Gauss-Newton iteration, over the
         layout's rows.
 
         J spans the full column set.  A constant-Jacobian problem returns
         its fixed H with every row active; otherwise one kernel call
         fills h and the data of J on the problem's fixed CSR pattern.
+        Given ``flat``, which says x is the flat start, a kernel problem
+        returns its layout's h and J there instead, read-only
+        (``_Layout.flat_rows``), with a copy of their active mask.
         Rows whose partials are undefined at x (flat-start current
         singularities) come back inactive, with their value filled in
         and zero partials, as do the layout's rows that the set lacks.
@@ -821,6 +865,9 @@ class EstimationProblem:
         if self.is_linear:
             h, j = self._h(x), self.h_matrix
             active = np.ones(j.shape[0], dtype=bool)
+        elif flat:
+            h, j, active = self._layout.flat_rows(x)
+            active = active.copy()
         else:
             h, j, active = self.kernel.rows(x)
         if self._held is not None:
@@ -1199,7 +1246,15 @@ class _GainPlan:
         returned, logged at DEBUG, and a longer one discarded (the chord
         step; Kelley, Iterative Methods for Linear and Nonlinear
         Equations, 1995, ch. 5).  The kept factor is released before a
-        new gain is formed, so that two never coexist."""
+        new gain is formed, so that two never coexist.
+
+        The first iterate from the flat start, whose j is its layout's J
+        there (``_Layout.flat_rows``) and which carries no curvature,
+        takes the factor its layout kept from an earlier estimate where
+        that was taken under these weights, logged at DEBUG, instead of
+        forming and factoring its gain.  Otherwise its new factor, once
+        it passes the pivot test, replaces the layout's.  Either way the
+        problem keeps it too."""
         y = rinv @ r
         data = j.data
         if self._perm is not None and self._ht is None:  # J's band: summed too
@@ -1217,6 +1272,14 @@ class _GainPlan:
                 return dx
             del dx
         del kept
+        layout = problem._layout
+        flat = (curvature is None and layout._flat_rows is not None
+                and j is layout._flat_rows[1])
+        if flat and layout._flat_factor is not None and np.array_equal(
+                layout._flat_factor[1], rinv.data):
+            log.debug(_REUSED)
+            problem._kept = layout._flat_factor
+            return problem._kept[0](rhs)
         if self._perm is None:
             g = csc_matrix(ht @ rinv @ ht.T)
 
@@ -1246,6 +1309,10 @@ class _GainPlan:
                 factor = _factor_band(ab.reshape(self._n, -1), self._perm,
                                       problem.unknown_name)
             problem._kept = factor, rinv.data
+            if flat:  # it replaces the layout's
+                weights = rinv.data.copy()
+                _read_only(weights)
+                problem._kept = layout._flat_factor = factor, weights
             return factor(rhs)
 
         if curvature is not None:
@@ -1345,7 +1412,12 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     normal method: the final sub-tolerance increment then comes from the
     factor the problem kept from the iterate before, where that was
     taken under the same weights, logged at DEBUG (``_GainPlan.solve``).
-    The kept factor is released when the estimate ends.
+    The kept factor is released when the estimate ends.  A kernel
+    problem's first iterate from the flat start, the masked one and its
+    retry with every row alike, takes its rows from the layout, and
+    under the normal method the factor its layout kept from an earlier
+    flat-start gain under the same weights, logged at DEBUG; a refused
+    factor is never kept, so it is refused again.
     Rows with undefined gradients (currents below the guard) are
     dropped for the affected iteration only, with a logged warning
     unless the masked first iterate leaves them out anyway; if any were
@@ -1401,9 +1473,11 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         objective_trace.append(obj)
 
     for k in range(cfg.max_iterations):
-        # the curved rows' second-order term, but not at the flat start
-        second_order = None if flat and not k else x
-        h, j, active = problem.rows(x)
+        # the curved rows' second-order term, but not at the flat start,
+        # whose rows the layout holds
+        first = flat and not k
+        second_order = None if first else x
+        h, j, active = problem.rows(x, flat=first)
         r = problem._residuals_of(h)
         if max_step_trace:
             record_objective(r)

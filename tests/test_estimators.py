@@ -1527,8 +1527,8 @@ class TestGainPlan:
         rows = problem.rows
         dropping = []
 
-        def counted_rows(x):
-            h, j, active = rows(x)
+        def counted_rows(x, **kwargs):
+            h, j, active = rows(x, **kwargs)
             dropping.append(not active.all())
             return h, j, active
 
@@ -1995,6 +1995,132 @@ class TestKeptFactor:
             assert planned(x, np.inf).tobytes() == full.tobytes()  # the kept factor
             assert len(factor_calls) == 3 and CONFIRMED in caplog.text
         assert planned(dropping).tobytes() == dropped.tobytes()
+
+
+REUSED = "reusing the layout's flat-start factor"
+
+
+class TestFlatStartFactor:
+    """A kernel layout holds its rows at the flat start and the factor of
+    its last flat-start gain that passed the pivot test, with the weights
+    it was taken under.  The first iterate of a later flat-start estimate
+    under those weights takes that factor instead of one of its own, and
+    every estimate gives the bits of a fresh network."""
+
+    outputs = staticmethod(TestLayoutAnalysis.outputs)
+
+    def fresh(self, net, mset, formulation, factor_calls):
+        """The outputs of mset on a copy of net, and how many gains that
+        factored."""
+        factor_calls.clear()
+        fresh = assemble_problem(type(net)(net.buses, net.branches), mset, formulation)
+        outputs = self.outputs(fresh)
+        count = len(factor_calls)
+        factor_calls.clear()
+        return outputs, count
+
+    @pytest.mark.parametrize("net_name", ["lattice6", "net14"])
+    @pytest.mark.parametrize("formulation", ["conventional", "simultaneous_polar"])
+    def test_second_estimate_reuses_the_factor(self, factor_calls, caplog, net_name,
+                                               formulation):
+        net = TestGainPlan.NETS[net_name]()
+        self.outputs(assemble_problem(net, synthesized(net, formulation), formulation))
+        layout = net.layouts[formulation]
+        kept = layout._flat_factor
+        assert kept is not None
+        mset = other_values(net, formulation)
+        want, factors = self.fresh(net, mset, formulation, factor_calls)
+        with caplog.at_level("DEBUG", logger="gridse"):
+            hit = assemble_problem(net, mset, formulation)
+            assert hit._layout is layout
+            assert self.outputs(hit) == want
+        assert len(factor_calls) == factors - 1
+        assert caplog.text.count(REUSED) == 1
+        assert layout._flat_factor is kept
+
+    def test_changed_variance_factors_anew(self, factor_calls, caplog):
+        net = load_network(NET14)
+        base = synthesized(net, "conventional")
+        self.outputs(assemble_problem(net, base, "conventional"))
+        layout = net.layouts["conventional"]
+        kept = layout._flat_factor
+        variances = base.variances().copy()
+        variances[int(np.argmax(base.codes == KIND_CODE["V_mag"]))] *= 2.0
+        mset = MeasurementSet.from_columns(base.codes, base.at, base.values(), variances,
+                                           base.pairs, base.covs)
+        want, factors = self.fresh(net, mset, "conventional", factor_calls)
+        with caplog.at_level("DEBUG", logger="gridse"):
+            changed = assemble_problem(net, mset, "conventional")
+            assert changed._layout is layout
+            assert self.outputs(changed) == want
+        assert len(factor_calls) == factors
+        assert REUSED not in caplog.text
+        # the new factor replaced the kept one
+        assert layout._flat_factor is not kept
+        assert not np.array_equal(layout._flat_factor[1], kept[1])
+
+    def test_refused_masked_gain_is_never_kept(self, factor_calls, caplog):
+        # The masked first iterate's gain is singular: only the gain of
+        # the retry with every row is kept, and a second estimate's
+        # masked gain is refused again, with the same records.
+        problem, truth = current_phasor_problem()
+        net, mset = problem.net, problem.mset
+        want, factors = self.fresh(net, mset, "simultaneous_polar", factor_calls)
+        logs = []
+        for _ in range(2):
+            caplog.clear()
+            with caplog.at_level("DEBUG", logger="gridse"):
+                problem = assemble_problem(net, mset, "simultaneous_polar")
+                assert self.outputs(problem) == want
+            logs.append([r.getMessage() for r in caplog.records
+                         if r.getMessage() != REUSED])
+            assert "current rows carry observability" in caplog.text
+            weights = problem._layout._flat_factor[1]
+            assert np.array_equal(weights, problem.covariance.inverse().data)
+        assert logs[0] == logs[1]
+        assert caplog.text.count(REUSED) == 1  # the retry's
+        assert len(factor_calls) == 2 * factors - 1
+
+    def test_flat_rows_are_read_only(self):
+        problem = TestGainPlan.problem("net14", "conventional")
+        x = problem.initial_state()
+        h, j, active = problem.rows(x, flat=True)
+        assert not active.all()  # the shuntless branches' current rows
+        for array in (h, j.data):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        active[:] = True
+        again = problem.rows(x, flat=True)
+        assert again[0] is h and again[1] is j and again[2] is not active
+        assert not again[2].all()
+        # the kernel's own rows there, bit for bit
+        h_, j_, active_ = problem.rows(x)
+        assert h_.tobytes() == h.tobytes() and j_.data.tobytes() == j.data.tobytes()
+        assert np.array_equal(active_, again[2])
+        # a set without some of the layout's rows holds them inactive in
+        # its copy only
+        part = assemble_problem(problem.net, subset(problem.mset, np.arange(problem.m - 2)),
+                                "conventional")
+        assert part._layout is problem._layout
+        held = part.rows(x, flat=True)[2]
+        assert not held[-2:].any()
+        assert np.array_equal(problem._layout._flat_rows[2], active_)
+
+    @pytest.mark.parametrize("formulation, method", [
+        ("dc", "normal"), ("linear_rect", "normal"), ("conventional", "orthogonal")])
+    def test_no_factor_kept_outside_kernel_normal_solves(self, factor_calls, caplog,
+                                                         formulation, method):
+        net = load_network(NET14)
+        with caplog.at_level("DEBUG", logger="gridse"):
+            for seed in (1, 2):
+                problem = assemble_problem(net, other_values(net, formulation, seed=seed),
+                                           formulation)
+                self.outputs(problem, method)
+        layout = net.layouts[formulation]
+        assert layout._flat_factor is None
+        assert (layout._flat_rows is None) == (layout.kernel is None)
+        assert len(factor_calls) == (2 if method == "normal" else 0)
+        assert REUSED not in caplog.text
 
 
 @pytest.fixture
