@@ -100,7 +100,9 @@ network, and a refused gain is refused again.  On the benchmark's
 20 x 20 lattice a conventional estimate factors 3.15 gains instead of
 4.14 (BENCH_gn_iterations.json).  A DC or linear_rect layout keeps no
 factor: its one solve is the whole estimate, and the converted weights
-of PMU frames never repeat.
+of PMU frames never repeat.  Nor does a kernel layout with rectangular
+PMU rows, whose variances are converted the same way: no net14 or
+lattice simultaneous_rect estimate took a kept factor.
 """
 
 from __future__ import annotations
@@ -129,6 +131,7 @@ from .functions import MeasurementKernel, dc_rows, linear_rows_rectstate
 from .measurements import (
     DC_KINDS,
     IS_ANGLE,
+    IS_RECT,
     KINDS,
     LEGACY_KINDS,
     MeasurementKind,
@@ -434,15 +437,19 @@ class _Layout:
     values, variances and covariances, and so R^-1 and every gain's
     numbers, are never held here, with one exception: a kernel layout's
     flat start.  It holds the kernel's rows there (``flat_rows``), which
-    the layout alone decides, and the factor of its last flat-start gain
-    that passed the pivot test with the weights it was taken under
-    (``_flat_factor``, see ``_GainPlan.solve``).  That factor is one band
-    beyond the plan, n(kd + 1) doubles: 0.55 MB on the 20 x 20 lattice
-    and 65 MB for the 10 000-bus conventional gain (kd = 405).  By
-    tracemalloc, the first conventional estimate on a network peaks at
-    5.6 MiB instead of 4.8 there, and at 242 MiB instead of 173 on the
-    10 000-bus lattice; a later estimate of the layout peaks as before
-    (1.6 and 89 MiB).
+    the layout alone decides, and, where its weights can repeat
+    (``_repeats``), the factor of its last flat-start gain that passed
+    the pivot test with the weights it was taken under (``_flat_factor``,
+    see ``_GainPlan.solve``).  Weights repeat unless the layout has
+    rectangular PMU rows, whose variances are converted from polar ones
+    at the measured values.  That factor is one band beyond the plan,
+    n(kd + 1) doubles: 0.55 MB on the 20 x 20 lattice and 65 MB for the
+    10 000-bus conventional gain (kd = 405).  It stays alive beside each
+    later iterate's own band, so by tracemalloc the first conventional
+    estimate on a network peaks at 5.6 MiB instead of 4.8 there, and at
+    242 MiB instead of 173 on the 10 000-bus lattice; a later estimate
+    of the layout, which takes the factor, peaks as before (1.6 and
+    89 MiB).
 
     The layout is the key ``holds`` compares: the set's kind codes, its
     locations, its correlated row pairs, and whether the phasor
@@ -507,9 +514,14 @@ class _Layout:
             for h in (self.h_matrix, self.h_free):
                 _read_only(h.data, h.indices, h.indptr)
         self._order = self._plan = self._reach = None
-        # a kernel layout's rows at the flat start, and the factor of its
-        # last flat-start gain with the weights it was taken under
-        self._flat_rows = self._flat_factor = None
+        # a kernel layout's flat start and its rows there, and the factor
+        # of its last flat-start gain with the weights it was taken under
+        self._flat = self._flat_rows = self._flat_factor = None
+        self._repeats = False
+        if self.kernel is not None:
+            self._flat = StateVector.flat(n, net.slack_bus, net.slack_angle)
+            _read_only(self._flat.values)
+            self._repeats = not IS_RECT[mset.codes].any()
 
     def holds(self, mset: MeasurementSet, neglect: bool) -> bool:
         """Whether the set, with its phasor covariance neglected or not,
@@ -706,10 +718,13 @@ class _Layout:
         return curved
 
     def flat_rows(self, x: StateVector):
-        """The kernel's (h, J, active) at x, the flat start of the
-        layout's network, evaluated by the first call and read-only."""
+        """A kernel layout's (h, J, active) at its network's flat start,
+        evaluated there by the first call and read-only, where x is that
+        start; else None."""
+        if self._flat is None or not np.array_equal(x.values, self._flat.values):
+            return None
         if self._flat_rows is None:
-            self._flat_rows = h, j, active = self.kernel.rows(x)
+            self._flat_rows = h, j, active = self.kernel.rows(self._flat)
             _read_only(h, j.data, active)
         return self._flat_rows
 
@@ -848,16 +863,16 @@ class EstimationProblem:
         spread[self._rows] = v
         return spread
 
-    def rows(self, x: StateVector, flat: bool = False):
+    def rows(self, x: StateVector):
         """(h, J, active) for one Gauss-Newton iteration, over the
         layout's rows.
 
         J spans the full column set.  A constant-Jacobian problem returns
         its fixed H with every row active; otherwise one kernel call
         fills h and the data of J on the problem's fixed CSR pattern.
-        Given ``flat``, which says x is the flat start, a kernel problem
-        returns its layout's h and J there instead, read-only
-        (``_Layout.flat_rows``), with a copy of their active mask.
+        At the flat start a kernel problem returns its layout's h and J
+        there instead, read-only (``_Layout.flat_rows``), with a copy of
+        their active mask.
         Rows whose partials are undefined at x (flat-start current
         singularities) come back inactive, with their value filled in
         and zero partials, as do the layout's rows that the set lacks.
@@ -865,9 +880,8 @@ class EstimationProblem:
         if self.is_linear:
             h, j = self._h(x), self.h_matrix
             active = np.ones(j.shape[0], dtype=bool)
-        elif flat:
-            h, j, active = self._layout.flat_rows(x)
-            active = active.copy()
+        elif (flat := self._layout.flat_rows(x)) is not None:
+            h, j, active = flat[0], flat[1], flat[2].copy()
         else:
             h, j, active = self.kernel.rows(x)
         if self._held is not None:
@@ -1245,8 +1259,9 @@ class _GainPlan:
         if its weights are these: a step of at most ``tolerance`` is
         returned, logged at DEBUG, and a longer one discarded (the chord
         step; Kelley, Iterative Methods for Linear and Nonlinear
-        Equations, 1995, ch. 5).  The kept factor is released before a
-        new gain is formed, so that two never coexist.
+        Equations, 1995, ch. 5).  The problem's kept factor is released
+        before a new gain is formed; the layout's flat-start factor stays
+        alive beside it (``_Layout``'s memory note).
 
         The first iterate from the flat start, whose j is its layout's J
         there (``_Layout.flat_rows``) and which carries no curvature,
@@ -1254,7 +1269,8 @@ class _GainPlan:
         that was taken under these weights, logged at DEBUG, instead of
         forming and factoring its gain.  Otherwise its new factor, once
         it passes the pivot test, replaces the layout's.  Either way the
-        problem keeps it too."""
+        problem keeps it too.  A layout whose weights never repeat
+        (``_Layout._repeats``) keeps no factor."""
         y = rinv @ r
         data = j.data
         if self._perm is not None and self._ht is None:  # J's band: summed too
@@ -1273,7 +1289,7 @@ class _GainPlan:
             del dx
         del kept
         layout = problem._layout
-        flat = (curvature is None and layout._flat_rows is not None
+        flat = (curvature is None and layout._repeats and layout._flat_rows is not None
                 and j is layout._flat_rows[1])
         if flat and layout._flat_factor is not None and np.array_equal(
                 layout._flat_factor[1], rinv.data):
@@ -1473,11 +1489,9 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         objective_trace.append(obj)
 
     for k in range(cfg.max_iterations):
-        # the curved rows' second-order term, but not at the flat start,
-        # whose rows the layout holds
-        first = flat and not k
-        second_order = None if first else x
-        h, j, active = problem.rows(x, flat=first)
+        # the curved rows' second-order term, but not at the flat start
+        second_order = None if flat and not k else x
+        h, j, active = problem.rows(x)
         r = problem._residuals_of(h)
         if max_step_trace:
             record_objective(r)

@@ -1527,8 +1527,8 @@ class TestGainPlan:
         rows = problem.rows
         dropping = []
 
-        def counted_rows(x, **kwargs):
-            h, j, active = rows(x, **kwargs)
+        def counted_rows(x):
+            h, j, active = rows(x)
             dropping.append(not active.all())
             return h, j, active
 
@@ -2083,28 +2083,34 @@ class TestFlatStartFactor:
 
     def test_flat_rows_are_read_only(self):
         problem = TestGainPlan.problem("net14", "conventional")
-        x = problem.initial_state()
-        h, j, active = problem.rows(x, flat=True)
+        layout, x = problem._layout, problem.initial_state()
+        # rows at any other state are the kernel's own and fix nothing
+        near = x.copy()
+        near.values[-1] += 1e-3
+        _, j, _ = problem.rows(near)
+        j.data[0] = 1.0
+        assert layout._flat_rows is None
+        h, j, active = problem.rows(x)
         assert not active.all()  # the shuntless branches' current rows
         for array in (h, j.data):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
         active[:] = True
-        again = problem.rows(x, flat=True)
+        again = problem.rows(x)
         assert again[0] is h and again[1] is j and again[2] is not active
         assert not again[2].all()
         # the kernel's own rows there, bit for bit
-        h_, j_, active_ = problem.rows(x)
+        h_, j_, active_ = problem.kernel.rows(x)
         assert h_.tobytes() == h.tobytes() and j_.data.tobytes() == j.data.tobytes()
         assert np.array_equal(active_, again[2])
         # a set without some of the layout's rows holds them inactive in
         # its copy only
         part = assemble_problem(problem.net, subset(problem.mset, np.arange(problem.m - 2)),
                                 "conventional")
-        assert part._layout is problem._layout
-        held = part.rows(x, flat=True)[2]
+        assert part._layout is layout
+        held = part.rows(x)[2]
         assert not held[-2:].any()
-        assert np.array_equal(problem._layout._flat_rows[2], active_)
+        assert np.array_equal(layout._flat_rows[2], active_)
 
     @pytest.mark.parametrize("formulation, method", [
         ("dc", "normal"), ("linear_rect", "normal"), ("conventional", "orthogonal")])
@@ -2121,6 +2127,25 @@ class TestFlatStartFactor:
         assert (layout._flat_rows is None) == (layout.kernel is None)
         assert len(factor_calls) == (2 if method == "normal" else 0)
         assert REUSED not in caplog.text
+
+    @pytest.mark.parametrize("plan", ["simultaneous_rect", "conventional"])
+    def test_rectangular_pmu_rows_keep_no_factor(self, factor_calls, caplog, plan):
+        # Their variances, converted at the measured values, never
+        # repeat; a simultaneous_rect layout without them keeps one.
+        net = load_network(NET14)
+        placements = PLANS[plan][0](net)
+        msets = [other_values(net, "simultaneous_rect", placements, seed) for seed in (1, 2)]
+        want, factors = zip(*(self.fresh(net, mset, "simultaneous_rect", factor_calls)
+                              for mset in msets))
+        with caplog.at_level("DEBUG", logger="gridse"):
+            for mset, expect in zip(msets, want):
+                assert self.outputs(assemble_problem(net, mset, "simultaneous_rect")) == expect
+        layout = net.layouts["simultaneous_rect"]
+        assert layout._flat_rows is not None
+        keeps = plan == "conventional"
+        assert (layout._flat_factor is not None) == keeps
+        assert caplog.text.count(REUSED) == keeps
+        assert len(factor_calls) == sum(factors) - keeps
 
 
 @pytest.fixture
