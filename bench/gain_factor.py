@@ -165,9 +165,8 @@ def plan_timings(problem, j, rinv, r, lu_dx, k: int) -> dict:
     layout, order = problem._layout, problem.order
     curved = None if problem.is_linear else layout.curved
 
-    def product():
-        a = layout.h_free if problem.is_linear else j[:, layout.free]
-        return E._solve_normal(a, rinv, r, order=order)
+    def product():  # J's free columns, H's for DC and linear_rect
+        return E._solve_normal(j[:, layout.free], rinv, r, order=order)
 
     _, product_s = timed(k, product)
     plan, build_s = timed(k, lambda: E._GainPlan(j, layout.free, layout.inverse_pattern,

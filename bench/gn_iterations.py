@@ -51,9 +51,10 @@ runs in its own process, so the two sources never share an import; the
 scenarios, plans and gate come from this tree's ``perfbench`` and
 ``tests`` in both.
 
-The exit code is 1 when an estimate of this tree fails its gate, or
-when no ``ac_lattice`` estimate of this tree reuses its layout's
-flat-start factor, else 0.
+The exit code is 1 when an estimate of this tree fails its gate, when
+no ``ac_lattice`` estimate of this tree reuses its layout's flat-start
+factor, or when its ``ac_lattice`` sets take more than
+``AC_LATTICE_ANALYSES`` layout analyses, else 0.
 BLAS runs on one thread, as in the benchmark.
 """
 
@@ -86,6 +87,10 @@ METHODS = ("normal", "orthogonal")
 CASES = {"net14": ("net14", SEED, FORMULATIONS, METHODS, (100, 20)),
          "lattice20": ("lattice20", SEED, FORMULATIONS, METHODS, (20, 2)),
          "ac_lattice": ("lattice20", 7, ("conventional",), ("normal",), (200, 20))}
+# The layout analyses that the ac_lattice case takes, in a full run and in
+# a quick one: the first set's, then one of the union of its rows and the
+# second set's, which serves every later set.
+AC_LATTICE_ANALYSES = 2
 
 
 def measure(src: str, quick: bool) -> dict:
@@ -352,12 +357,19 @@ def main(argv=None) -> int:
         print(f"error: {e['network']} {e['formulation']} {e['method']}: "
               f"{e['this']['gate_failures']} estimate(s) failed the gate", file=sys.stderr)
     # its scenarios share one telemetry plan, so every estimate after
-    # its layout's first should take the flat-start factor
-    unshared = not this["ac_lattice/conventional/normal"]["flat_factor_reused"]
+    # its layout's first should take the flat-start factor, and its sets,
+    # which lack a few current rows each, should share the analysis of
+    # the layout that holds them all
+    ac_lattice = this["ac_lattice/conventional/normal"]
+    unshared = not ac_lattice["flat_factor_reused"]
     if unshared:
         print("error: ac_lattice conventional normal: no estimate reused its "
               "layout's flat-start factor", file=sys.stderr)
-    return 1 if failed or unshared else 0
+    reanalysed = ac_lattice["layout_analyses"] > AC_LATTICE_ANALYSES
+    if reanalysed:
+        print(f"error: ac_lattice conventional normal: {ac_lattice['layout_analyses']} "
+              f"layout analyses, more than {AC_LATTICE_ANALYSES}", file=sys.stderr)
+    return 1 if failed or unshared or reanalysed else 0
 
 
 if __name__ == "__main__":

@@ -116,7 +116,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtrtrs
 from scipy.sparse import csc_matrix, csr_matrix, issparse
 from scipy.sparse.linalg import splu
@@ -202,6 +201,9 @@ _CONFIRMED = "converged on the kept factor: step %.3g"
 
 # The DEBUG record of a flat-start iterate that took its layout's factor.
 _REUSED = "reusing the layout's flat-start factor"
+
+# The WARNING record of an estimate whose iterate ran out of range.
+_DIVERGED = "the iterates diverge: a %s is not finite; ending unconverged at the last finite one"
 
 # A gain goes to band storage unless its band, under its elimination
 # order, would hold more than this many times the gain's stored entries.
@@ -459,11 +461,11 @@ class _Layout:
     (``inverse_pattern``, whose build checks that no row is in two
     correlated pairs) and the compiled rows: a polar-state formulation's
     MeasurementKernel, or the constant H of DC and linear_rect
-    (``h_matrix``) with its free columns (``h_free``).  The first call
-    that needs them builds the rest: the elimination order of the solved
-    unknowns (``order``), a kernel layout's curvature pattern
-    (``curved``) and the gain plan (``gain_plan``), which folds a
-    constant H's values.  Its arrays are read-only, so
+    (``h_matrix``).  The first call that needs them builds the rest: the
+    elimination order of the solved unknowns (``order``), a kernel
+    layout's curvature pattern (``curved``) and the gain plan
+    (``gain_plan``), which folds a constant H's values and keeps its
+    free columns.  Its arrays are read-only, so
     every problem of the layout shares them.  Analysing a sparsity pattern
     once and computing numbers on it many times is the classic split of
     sparse factorization (George & Liu, Computer Solution of Large
@@ -504,16 +506,14 @@ class _Layout:
         self.free = np.delete(np.arange(self.full_dim), self.fixed_index)
         self.angle_rows = IS_ANGLE[mset.codes]
         _read_only(self.free, self.angle_rows)
-        self.kernel = self.h_matrix = self.h_free = None
+        self.kernel = self.h_matrix = None
         if facts.family == _KERNEL:
             self.kernel = MeasurementKernel(net, mset.locations(net))
         else:
             rows = dc_rows if facts.family == _DC else linear_rows_rectstate
-            self.h_matrix = rows(net, mset)
-            self.h_free = self.h_matrix[:, self.free]
-            for h in (self.h_matrix, self.h_free):
-                _read_only(h.data, h.indices, h.indptr)
-        self._order = self._plan = self._reach = None
+            self.h_matrix = h = rows(net, mset)
+            _read_only(h.data, h.indices, h.indptr)
+        self._order = self._plan = None
         # a kernel layout's flat start and its rows there, and the factor
         # of its last flat-start gain with the weights it was taken under
         self._flat = self._flat_rows = self._flat_factor = None
@@ -538,18 +538,21 @@ class _Layout:
         keys = keys[rows]
         return None if (keys[1:] == keys[:-1]).any() else (keys, rows)
 
-    def _positions(self, mset: MeasurementSet) -> np.ndarray | None:
+    def _common(self, mset: MeasurementSet, neglect: bool) -> np.ndarray | None:
         """The layout's row of each row of the set, -1 where it has none
-        of that kind and location; None where two of the layout's rows
-        share one, or where a location of the set lies outside the
-        network (its own analysis names it)."""
-        if (self._keys is None or mset.at.min(initial=0) < 0
+        of that kind and location; None where the neglect flag differs,
+        where two of the layout's rows share a kind and location, where a
+        location of the set lies outside the network (its own analysis
+        names it), or where the rows the set has in common with the
+        layout are out of the layout's order or repeated."""
+        if (neglect != self.neglect or self._keys is None or mset.at.min(initial=0) < 0
                 or mset.at.max(initial=0) > self.n_buses):
             return None
         keys, rows = self._keys
         want = _row_keys(mset.codes, mset.at, self.n_buses)
         k = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-        return np.where(keys[k] == want, rows[k], -1)
+        pos = np.where(keys[k] == want, rows[k], -1)
+        return None if (np.diff(pos[pos >= 0]) <= 0).any() else pos
 
     def place(self, net: NetworkModel, mset: MeasurementSet,
               neglect: bool) -> np.ndarray | None:
@@ -565,12 +568,9 @@ class _Layout:
         row absent; and where the set's rows alone would make the gain
         plan's half-bandwidth and band-or-SuperLU decision (``_serves``),
         which builds the plan."""
-        if neglect != self.neglect:
-            return None
-        pos = self._positions(mset)
+        pos = self._common(mset, neglect)
         m = self.codes.size
-        if (pos is None or (pos < 0).any() or (np.diff(pos) <= 0).any()
-                or m - pos.size > _ABSENT_SHARE * m):
+        if pos is None or (pos < 0).any() or m - pos.size > _ABSENT_SHARE * m:
             return None
         held = np.zeros(m, dtype=bool)
         held[pos] = True
@@ -591,46 +591,15 @@ class _Layout:
         (``_band_fits``).  A SuperLU plan's gain is formed by sparse
         products, which drop the zero products.  A band plan keeps its
         decision where the held rows' entries of G fill enough of the
-        band: losing a row loses at most its pairs' entries of G's
-        upper triangle (``reach``), each at most two stored entries."""
-        reach, pairs = self.reach(net)
-        kd = int(reach.max(initial=0))
-        if int(reach[held].max(initial=0)) < kd:
-            return False
+        band: losing a row loses at most its pairs' entries of G's upper
+        triangle (``_GainPlan``'s per-row bound), each at most two stored
+        entries."""
         plan = self.gain_plan(net)
+        kd = int(plan._reach.max(initial=0))
+        if int(plan._reach[held].max(initial=0)) < kd:
+            return False
         return plan._perm is None or _band_fits(plan._n, kd,
-                                               plan._nnz - 2 * int(pairs[~held].sum()))
-
-    def reach(self, net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, what it adds to the gain plan under the layout's
-        order: its reach, the widest distance between the band positions
-        of the solved entries of J that its pairs join (those of the row
-        and of its correlated partner's), and a bound on its pairs.
-        Built on the first call; the plan's kd is the largest reach."""
-        if self._reach is None:
-            pattern = self.h_matrix if self.kernel is None else self.kernel
-            m, n = self.codes.size, self.free.size
-            column = np.full(self.full_dim, -1, dtype=np.intp)
-            column[self.free] = np.arange(n)
-            where = np.empty(n, dtype=np.intp)
-            where[self.order(net)] = np.arange(n)
-            col = column[pattern.indices]
-            solved = col >= 0
-            row = np.repeat(np.arange(m), np.diff(pattern.indptr))[solved]
-            at = where[col[solved]]
-            lo, hi = np.full(m, n), np.full(m, -1)
-            np.minimum.at(lo, row, at)
-            np.maximum.at(hi, row, at)
-            count = np.bincount(row, minlength=m)
-            pairs = count * (count + 1) // 2
-            a, b = self.inverse_pattern.a, self.inverse_pattern.b
-            lo[a] = lo[b] = np.minimum(lo[a], lo[b])
-            hi[a] = hi[b] = np.maximum(hi[a], hi[b])
-            pairs[a] += count[a] * count[b]
-            pairs[b] += count[a] * count[b]
-            self._reach = np.maximum(hi - lo, 0), pairs
-            _read_only(*self._reach)
-        return self._reach
+                                               plan._nnz - 2 * int(plan._pairs[~held].sum()))
 
     def union(self, mset: MeasurementSet, neglect: bool) -> MeasurementSet | None:
         """The layout's rows and the rows the set brings, as a set of
@@ -641,15 +610,13 @@ class _Layout:
         union's rows.  The union keeps both sets' orders.  Its pairs are
         both sets' pairs, in the order of their first rows; where a row
         is in two of them, None."""
-        if neglect != self.neglect:
-            return None
-        pos = self._positions(mset)
+        pos = self._common(mset, neglect)
         if pos is None:
             return None
         new = pos < 0
         common = pos[~new]
         m = self.codes.size
-        if (not new.any() or common.size == m or (np.diff(common) <= 0).any()
+        if (not new.any() or common.size == m
                 or m - common.size > _ABSENT_SHARE * (m + np.count_nonzero(new))):
             return None
         in_common = np.zeros(m, dtype=bool)
@@ -895,17 +862,16 @@ class EstimationProblem:
         normal method solves it as the problem's (``_ProblemGain``), on
         its layout's gain plan, which first tries the kept factor given
         a ``tolerance`` (``_GainPlan.solve``).  The
-        orthogonal method gets a GainSystem over J's free columns, a
-        constant H's from the layout analysis.  Given the iterate's state
-        x, a kernel problem with curved rows gets their second-order
-        term."""
+        orthogonal method gets a GainSystem over J's free columns.  Given
+        the iterate's state x, a kernel problem with curved rows gets
+        their second-order term."""
         curvature = None
         if x is not None and self.kernel is not None and self._layout.curved.kept.size:
             curvature = _Curvature(self, x)
         if method == NORMAL:
             return _ProblemGain(self, j, r, active, curvature, tolerance)
-        a = self._layout.h_free if j is self.h_matrix else j[:, self.free_indices]
-        return GainSystem(a, self.covariance, r, active, self.unknown_name, curvature)
+        return GainSystem(j[:, self.free_indices], self.covariance, r, active,
+                          self.unknown_name, curvature)
 
 
 def assemble_problem(net: NetworkModel, mset: MeasurementSet,
@@ -959,9 +925,11 @@ class _HeldCovariance(CovarianceModel):
     """The covariance of a set over its layout's rows, for a set that
     holds only the rows ``rows`` of them (``held``, as a mask): the
     set's variances and blocks there.  At the rows it lacks, variance 1
-    and no covariance stand in, and R^-1 and the whitener hold zeros, so
-    those rows weigh nothing.  The numbers are checked on the set's own
-    rows first, so a refused block is named by the set's rows."""
+    and no covariance stand in, and R^-1 holds zeros, so those rows
+    weigh nothing.  The whitener keeps them: the problem's rows hold
+    them inactive, and the orthogonal path drops every inactive row.
+    The numbers are checked on the set's own rows first, so a refused
+    block is named by the set's rows."""
 
     def __init__(self, pattern: InversePattern, rows: np.ndarray,
                  variances: np.ndarray, covs: np.ndarray):
@@ -977,20 +945,12 @@ class _HeldCovariance(CovarianceModel):
         self._fill(stand_in, pattern.a, pattern.b, cov)
         self.pattern, self.rows, self.held = pattern, rows, held
 
-    def _weightless(self, m: csr_matrix) -> csr_matrix:
-        """m, built by the call before, with the rows the set lacks zero."""
-        m.data[~np.repeat(self.held, np.diff(m.indptr))] = 0.0
-        return m
-
     def inverse(self) -> csr_matrix:
         built = self._inverse is not None
         rinv = super().inverse()
-        return rinv if built else self._weightless(rinv)
-
-    def whitener(self) -> csr_matrix:
-        built = self._whitener is not None
-        w = super().whitener()
-        return w if built else self._weightless(w)
+        if not built:  # the rows the set lacks weigh nothing
+            rinv.data[~np.repeat(self.held, np.diff(rinv.indptr))] = 0.0
+        return rinv
 
 
 def _quadratic(problem: EstimationProblem, rinv, r: np.ndarray) -> float:
@@ -1109,12 +1069,14 @@ class _GainPlan:
     row, itself included; for an entry of a 2x2 block they are the A
     entries (i', l) of row i' at or right of k in the band.  So each
     product of G's upper band comes from one pair, and a pair's slot is
-    that of the min and the max of its two band positions.  The pairs
-    also give the band-or-SuperLU decision (``_band_fits``): kd from the
-    widest pair, nnz(G) from the distinct slots (kept as ``_nnz`` for
-    ``_Layout.place``).  A wide-profile gain
-    goes to SuperLU, formed by sparse products each time, and the plan
-    drops its pairs.
+    that of the min and the max of its two band positions.  Per row the
+    plan keeps its reach, the widest distance its pairs span, and a bound
+    on its pairs (``_reach``, ``_pairs``); kd is the widest reach.  With
+    nnz(G), from the distinct slots (``_nnz``), they give the
+    band-or-SuperLU decision (``_band_fits``) and tell ``_Layout.place``
+    whether a set without some rows would make the same one.  A
+    wide-profile gain goes to SuperLU, formed by sparse products each
+    time, and the plan drops its pairs.
 
     A solve passes its weights, R^-1 with the entries of inactive rows
     zero, so the masked first iterate, an iterate that drops rows, a set
@@ -1175,12 +1137,28 @@ class _GainPlan:
         where = np.empty(n, dtype=np.intp)
         where[order] = np.arange(n)
         at = where[a_col]
+        e_row = np.repeat(np.arange(m), np.diff(rinv.indptr))
+        off = rinv.indices != e_row  # a 2x2 block's entries (i, i')
+        # per row, its reach: the widest distance between the band
+        # positions of the A entries that its pairs join, its own and its
+        # block partner's; and a bound on its pairs.  kd is the widest reach.
+        lo, hi = np.full(m, n), np.full(m, -1)
+        some = a_count > 0
+        if at.size:
+            lo[some] = np.minimum.reduceat(at, a_ptr[:-1][some])
+            hi[some] = np.maximum.reduceat(at, a_ptr[:-1][some])
+        i, i2 = e_row[off], rinv.indices[off]  # each row in one block at most
+        lo[i], hi[i] = np.minimum(lo[i], lo[i2]), np.maximum(hi[i], hi[i2])
+        self._pairs = a_count * (a_count + 1) // 2
+        self._pairs[i] += a_count[i] * a_count[i2]
+        self._reach = np.maximum(hi - lo, 0)
+        kd = int(self._reach.max(initial=0))
+        _read_only(self._reach, self._pairs)
         # a lead (e, k) per entry e = (i, i') of R^-1 and A entry (i, k);
         # its partners are the rest of row i where i' = i, else row i'
-        e_row = np.repeat(np.arange(m), np.diff(rinv.indptr))
         leads = a_count[e_row]
         lead = _ranges(a_ptr[e_row], leads)
-        block = np.repeat(rinv.indices != e_row, leads)
+        block = np.repeat(off, leads)
         other = np.repeat(rinv.indices, leads)
         start = np.where(block, a_ptr[other], lead)
         count = a_ptr[other + 1] - start
@@ -1199,7 +1177,6 @@ class _GainPlan:
         lo = np.repeat(at[lead], count)
         np.add(lo, hi, out=lo, where=hi < 0)  # the min of the two positions
         np.abs(hi, out=hi)  # and the max less it
-        kd = int(hi.max(initial=0))
         if curved is None:  # a constant H's free columns, transposed, past the peak
             self._ht = csc_matrix((j.data[a], a_col, a_ptr), shape=(n, m))
             _read_only(self._ht.data, self._ht.indices, self._ht.indptr)
@@ -1406,7 +1383,9 @@ def _solve_orthogonal(aw, bw, curvature: _Curvature | None = None, y=None):
         dx = curvature.step(y, rr.T @ qb, solve)
         if dx is not None:
             return dx
-    return scipy.linalg.solve_triangular(rr, qb)
+    # rr is C-ordered: R dx = qb solved as (R^T)^T dx = qb on its
+    # Fortran-ordered transpose, without a copy
+    return dtrtrs(rr.T, qb, lower=1, trans=1)[0]
 
 
 def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
@@ -1445,7 +1424,11 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     one from the final residuals.  A start in the wrong coordinates, of
     the wrong size, with a non-finite entry or with another slack anchor
     raises InputError, a singular gain SingularGain; hitting the
-    iteration cap returns the partial result with converged=False.
+    iteration cap returns the partial result with converged=False.  So
+    does an iterate whose residual or step is not finite, logged at
+    WARNING: the result is then the last iterate whose residual was
+    finite, the traces end there, and the objective trace holds at least
+    that iterate's.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x = (x0 if x0 is not None else problem.initial_state()).copy()
@@ -1465,6 +1448,7 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
             f"start state pins the slack entry at {x.slack_value:g}, the "
             f"{problem.formulation} formulation anchors it at {problem.fixed_value:g}")
     x.values[x.slack_index] = x.slack_value
+    last = x.values.copy()  # the last iterate whose residual was finite
     free = problem.free_indices
     rinv = problem.covariance.inverse()
     flat = np.array_equal(x.values, problem.initial_state().values)
@@ -1493,6 +1477,13 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
         second_order = None if flat and not k else x
         h, j, active = problem.rows(x)
         r = problem._residuals_of(h)
+        if not np.isfinite(r).all():
+            log.warning(_DIVERGED, "residual")
+            x.values[:] = last
+            if max_step_trace:  # the step to x is undone
+                iterations -= max_step_trace.pop() > cfg.step_tolerance
+                objective_trace[-1:] = []  # the final record takes its place
+            break
         if max_step_trace:
             record_objective(r)
         # the set's rows dropped; the rows it lacks are never active
@@ -1521,8 +1512,13 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
                 confirm = cfg.step_tolerance
             dx = problem._gain_system(j, r, active, method, second_order,
                                       tolerance=confirm).solve(method)
-        x.values[free] += dx
         step = float(np.max(np.abs(dx))) if dx.size else 0.0
+        if not math.isfinite(step):
+            log.warning(_DIVERGED, "step")
+            objective_trace[-1:] = []  # the final record takes its place
+            break
+        last = x.values.copy()
+        x.values[free] += dx
         max_step_trace.append(step)
         if step > cfg.step_tolerance:
             iterations += 1

@@ -551,7 +551,9 @@ def dc_rows(net: NetworkModel, mset: MeasurementSet) -> csr_matrix:
 def _dc_matrix(loc: Locations) -> csr_matrix:
     """dc_rows over resolved DC-kind rows.
 
-    The series susceptance neglects resistance, b = -1/x.  An injection
+    The series susceptance neglects resistance, b = -1/x; a reactance
+    whose b is not finite (zero, or below about 5.6e-309) is an
+    InputError naming the branch.  An injection
     row has b at each neighbour's column, one entry per incident branch
     end, and minus their sum on its own bus, both in the order of
     ``net.directed_ends.incident``.
@@ -572,17 +574,18 @@ def _dc_matrix(loc: Locations) -> csr_matrix:
     rank = np.arange(owner.size) - np.repeat(np.cumsum(degree) - degree, degree)
     end = ends.incident[start[owner] + rank]
     branch = np.concatenate([loc.branch[flow], ends.branch[end]])
-    zero = x[branch] == 0.0
-    if zero.any():
+    with np.errstate(divide="ignore", over="ignore"):
+        b = -1.0 / x[branch]
+    bad = ~np.isfinite(b)
+    if bad.any():
         # The first offending entry in row order, as the rows are built.
         rows = np.concatenate([flow, inj[owner]])
         pos = np.concatenate([np.zeros(flow.size, dtype=int), rank])
         first = np.lexsort((pos, rows))
-        br = net.branches[branch[first[np.argmax(zero[first])]]]
+        br = net.branches[branch[first[np.argmax(bad[first])]]]
         raise InputError(
-            f"branch {br.from_bus}-{br.to_bus} has zero reactance; the DC "
-            "model cannot represent it")
-    b = -1.0 / x[branch]
+            f"branch {br.from_bus}-{br.to_bus} has reactance {br.x:.3g}, whose "
+            "susceptance -1/x is not finite; the DC model cannot represent it")
     b_flow, b_end = b[:flow.size], b[flow.size:]
     # COO -> CSR keeps each row's entries in input order: list them in the
     # order the rows have always been written, so duplicates sum alike.

@@ -465,7 +465,9 @@ class CovarianceModel:
     moves it by up to about eps va vb, so there its sign and the block's
     inverse are noise.  A block above that bound is used however near
     singular it is; where its weights make the gain fail the pivot test,
-    the solve refuses it with SingularGain.
+    the solve refuses it with SingularGain.  A variance, or a block,
+    whose inverse overflows (a variance below about 5.6e-309) is refused
+    too (NonPositiveVariance): its infinite weight would reach the gain.
     """
 
     def __init__(self, variances: np.ndarray, blocks=()):
@@ -495,11 +497,24 @@ class CovarianceModel:
         self.variances = variances
         self._a, self._b, self._cov = a, b, np.asarray(cov, dtype=float)
         product = variances[a] * variances[b]
-        bad = ~(product - self._cov * self._cov > 4.0 * np.finfo(float).eps * product)
+        det = product - self._cov * self._cov
+        bad = ~(det > 4.0 * np.finfo(float).eps * product)
         if bad.any():
             k = int(np.argmax(bad))
             raise NonPositiveVariance(f"correlated block for rows ({a[k]}, "
                                       f"{b[k]}) is not positive definite")
+        # every entry of R^-1 must be finite (see inverse)
+        with np.errstate(divide="ignore", over="ignore"):
+            bad = ~np.isfinite(1.0 / variances)
+            block = ~np.isfinite(np.stack([variances[a], variances[b], self._cov]) / det)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NonPositiveVariance(f"variance {variances[k]:.3g} of row {k} has no "
+                                      "finite inverse")
+        if block.any():
+            k = int(np.argmax(block.any(axis=0)))
+            raise NonPositiveVariance(f"correlated block for rows ({a[k]}, {b[k]}) has "
+                                      "no finite inverse")
         self._inverse = None
         self._whitener = None
 

@@ -26,6 +26,10 @@ from .documents import arrays, fields, flags, integers, numbers, read_json, rows
 from .errors import InputError, NotConnected, ZeroImpedance
 
 
+# The smallest positive normal float: below it a quotient loses digits.
+_NORMAL_MIN = np.finfo(float).tiny
+
+
 class Bus(NamedTuple):
     id: int
     shunt_g: float = 0.0
@@ -45,10 +49,16 @@ class Branch(NamedTuple):
 
 
 def branch_admittance(r: float, x: float) -> tuple[float, float]:
-    """Series admittance g + jb of a branch from its impedance r + jx."""
+    """Series admittance g + jb of a branch from its impedance r + jx.
+    ZeroImpedance where r = x = 0, or where r^2 + x^2 underflows below
+    the normal floating-point range or overflows: its quotients would
+    divide by zero or lose their digits."""
     if r == 0.0 and x == 0.0:
-        raise ZeroImpedance("branch with r = x = 0 has no finite admittance")
+        raise ZeroImpedance("r = x = 0 gives no finite admittance")
     d = r * r + x * x
+    if not _NORMAL_MIN <= d < np.inf:
+        raise ZeroImpedance(f"r = {r:.3g}, x = {x:.3g} give r^2 + x^2 = {d:.3g}, outside "
+                            "the normal floating-point range: no finite admittance")
     return r / d, -x / d
 
 
@@ -107,8 +117,10 @@ class NetworkModel:
                 raise InputError(f"branch {br.from_bus}-{br.to_bus} joins a bus to itself")
             if not (1 <= br.from_bus <= n and 1 <= br.to_bus <= n):
                 raise InputError(f"branch {br.from_bus}-{br.to_bus} references a missing bus")
-            if br.r == 0.0 and br.x == 0.0:
-                raise ZeroImpedance(f"branch {br.from_bus}-{br.to_bus} has r = x = 0")
+            try:
+                branch_admittance(br.r, br.x)
+            except ZeroImpedance as exc:
+                raise ZeroImpedance(f"branch {br.from_bus}-{br.to_bus}: {exc}") from None
         self.buses = buses
         self.branches = branches
         self.base_mva = float(base_mva)

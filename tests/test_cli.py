@@ -483,6 +483,70 @@ class TestCheckCommand:
         assert main(["check", "--net", str(tmp_path / "nope.json")]) == 1
 
 
+def _net3_with(tmp_path, **branch):
+    """net3 with its branch 1-2 changed as given."""
+    doc = json.loads(Path(NET3).read_text())
+    doc["branches"][0].update(branch)
+    path = tmp_path / "net.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _with_v_mag_1(data, **row):
+    """The measurement file under data with its V_mag at bus 1 changed."""
+    doc = json.loads((data / "measurements.json").read_text())
+    next(r for r in doc["measurements"] if r["kind"] == "V_mag" and r["at"] == [1]).update(row)
+    path = data / "changed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestExtremeFiniteInputs:
+    """A finite input whose arithmetic leaves the floating-point range is
+    refused with its exit code, never a traceback."""
+
+    @staticmethod
+    def estimate(tmp_path, net, meas, formulation, method):
+        return main(["estimate", "--net", net, "--measurements", meas,
+                     "--formulation", formulation, "--linear-method", method,
+                     "--out", str(tmp_path / method)])
+
+    def test_impedance_whose_square_underflows_exits_one(self, tmp_path, capsys):
+        # r^2 + x^2 underflows to 0, which r = x = 0 alone missed
+        net = _net3_with(tmp_path, r=1e-200, x=0.0)
+        assert main(["check", "--net", net]) == 1
+        assert "branch 1-2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    def test_reactance_whose_susceptance_overflows_exits_one(self, tmp_path, capsys, method):
+        data = synth(tmp_path, placements=LINEAR_PLACEMENTS["dc"])
+        net = _net3_with(tmp_path, x=1e-320)
+        rc = self.estimate(tmp_path, net, str(data / "measurements.json"), "dc", method)
+        assert rc == 1
+        assert "branch 1-2 has reactance 1e-320" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    def test_variance_whose_weight_overflows_exits_one(self, tmp_path, capsys, method):
+        meas = _with_v_mag_1(synth(tmp_path), variance=1e-320)
+        assert self.estimate(tmp_path, NET3, meas, "conventional", method) == 1
+        assert "variance 1e-320 of row 12 has no finite inverse" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("value", [1e154, 1e308])
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    def test_diverging_iterates_exit_two(self, tmp_path, caplog, method, value):
+        meas = _with_v_mag_1(synth(tmp_path), value=value)
+        with caplog.at_level(logging.WARNING, logger="gridse"):
+            assert self.estimate(tmp_path, NET3, meas, "conventional", method) == 2
+        assert "the iterates diverge" in caplog.text
+        doc = json.loads((tmp_path / method / "result.json").read_text())
+        assert doc["converged"] is False
+        # the last iterate whose residual was finite: here the flat start
+        assert all(math.isfinite(b["V"]) for b in doc["state"]["buses"])
+        assert doc["iterations"] == 0 and doc["max_step_trace"] == []
+        assert len(doc["objective_trace"]) == 1
+
+
 def _set(*path_and_value):
     """A change that sets doc[p0][p1]...[pn] to the value."""
     *path, value = path_and_value

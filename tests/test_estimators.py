@@ -846,7 +846,7 @@ class TestLayoutAnalysis:
         plan = first._layout._plan
         hit = assemble_problem(net, diagonal, "linear_rect")
         assert hit._layout is first._layout
-        h = hit._layout.h_free
+        h = hit.h_matrix[:, hit.free_indices]
         gains = [csc_matrix(h.T @ p.covariance.inverse() @ h) for p in (first, hit)]
         assert gains[1].nnz == hit.n < gains[0].nnz
         fresh = assemble_problem(load_network(NET14), diagonal, "linear_rect")
@@ -883,7 +883,7 @@ class TestLayoutAnalysis:
         arrays = [layout.free, layout.angle_rows, problem.order, pattern.indptr,
                   pattern.indices, pattern.source, pattern.a, pattern.b]
         if layout.kernel is None:
-            arrays += [layout.h_matrix.data, layout.h_free.data, layout.h_matrix.indices]
+            arrays += [layout.h_matrix.data, layout.h_matrix.indices, layout.h_matrix.indptr]
         else:
             arrays += [layout.kernel.indices, layout.kernel.indptr]
         for array in arrays:
@@ -1008,14 +1008,14 @@ class TestPartialSets:
     def test_row_that_widens_the_band_leaves_narrower_sets_their_own(self):
         net = load_network(NET14)
         whole = other_values(net, "conventional")
-        reach, _ = assemble_problem(net, whole, "conventional")._layout.reach(net)
+        reach = assemble_problem(net, whole, "conventional")._layout.gain_plan(net)._reach
         widest = np.flatnonzero(reach == reach.max())
         narrow = subset(whole, np.delete(np.arange(len(whole)), widest))
         net = load_network(NET14)
         self.check(net, narrow, "conventional", False)
         self.check(net, whole, "conventional", False)  # the union is the whole set
         problem, _ = self.check(net, narrow, "conventional", False)
-        assert problem._layout.reach(net)[0].max() < reach.max()
+        assert problem._layout.gain_plan(net)._reach.max() < reach.max()
 
     def test_set_whose_band_would_not_fit_gets_its_own_analysis(self, monkeypatch):
         # P flows alone: a flow is the only row on its branch, so a set
@@ -1025,8 +1025,9 @@ class TestPartialSets:
         plan = [(K.P_FLOW_DC, (br.from_bus, br.to_bus)) for br in net.branches]
         net, _ = self.network("dc", plan, net=net)
         layout = net.layouts["dc"]
-        reach, _ = layout.reach(net)
-        kd, gain = int(reach.max()), layout.gain_plan(net)
+        gain = layout.gain_plan(net)
+        reach = gain._reach
+        kd = int(reach.max())
         monkeypatch.setattr(gridse.estimators, "_BAND_LIMIT", gain._n * (kd + 1) / gain._nnz)
         net, whole = self.network("dc", plan)
         assert net.layouts["dc"].gain_plan(net)._perm is not None
@@ -1035,6 +1036,60 @@ class TestPartialSets:
         problem, _ = self.check(net, subset(whole, np.delete(np.arange(len(plan)), [k])),
                                 "dc", False)
         assert problem._layout.gain_plan(net)._perm is None
+
+    @pytest.mark.parametrize("formulation", ["conventional", "simultaneous_rect"])
+    def test_random_subsets_share_only_where_their_own_plan_decides_alike(
+            self, monkeypatch, formulation):
+        # Seeded subsets of a set of about half of lattice6's rows, where
+        # fewer rows fill each entry of G, each without up to an eighth of
+        # its rows, of any kind, with no correlated pair cut.  They run
+        # under the default band limit and under one that the whole set's
+        # band over nnz(G) just meets, where a subset that loses an entry
+        # of G goes to SuperLU on its own.
+        estimators = gridse.estimators
+        rng = np.random.default_rng(1)
+        full = other_values(small_lattice(6), formulation)
+        keep = rng.random(len(full)) < 0.5
+        keep[full.pairs[~keep[full.pairs].all(axis=1)]] = False
+        whole = subset(full, np.flatnonzero(keep))
+        m = len(whole)
+
+        def outcome(problem):
+            try:
+                return solve(problem).x_hat.values.tobytes()
+            except SingularGain as exc:
+                return str(exc)
+
+        seen = set()
+        for tight in (False, True):
+            net = small_lattice(6)
+            plan = assemble_problem(net, whole, formulation)._layout.gain_plan(net)
+            if tight:
+                monkeypatch.setattr(estimators, "_BAND_LIMIT",
+                                    plan._n * (int(plan._reach.max()) + 1) / plan._nnz)
+                net = small_lattice(6)
+                plan = assemble_problem(net, whole, formulation)._layout.gain_plan(net)
+            assert plan._perm is not None
+            layout, kd = net.layouts[formulation], int(plan._reach.max())
+            for _ in range(8):
+                drop = np.zeros(m, dtype=bool)
+                drop[rng.choice(m, size=rng.integers(1, m // 16 + 1), replace=False)] = True
+                drop[whole.pairs[drop[whole.pairs].any(axis=1)]] = True
+                mset = subset(whole, np.flatnonzero(~drop))
+                net.layouts[formulation] = layout
+                problem = assemble_problem(net, mset, formulation)
+                fresh_net = small_lattice(6)
+                fresh = assemble_problem(fresh_net, mset, formulation)
+                own = fresh._layout.gain_plan(fresh_net)
+                alike = int(own._reach.max()) == kd and own._perm is not None
+                shared = problem._rows is not None
+                assert shared == (problem._layout is layout)
+                assert alike or not shared
+                if shared:
+                    assert outcome(problem) == outcome(fresh)
+                seen.add((shared, alike))
+        # some share, and some flip to SuperLU on their own
+        assert {(True, True), (False, False)} <= seen, seen
 
     def test_superlu_layout_serves_a_set_without_rows(self, superlu_calls):
         net = binary_tree_network(1023)
@@ -1192,7 +1247,7 @@ class TestLayoutGainPlan:
         self.estimate(problem)
         layout = problem._layout
         arrays = [v for v in vars(layout._plan).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 11
+        assert len(arrays) == 13
         arrays += list(layout.curved)
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -1230,8 +1285,8 @@ class TestFoldedGainPlan:
         rinv = problem.covariance.inverse()
         dx = problem._gain_system(problem.h_matrix, r, np.ones(problem.m, bool),
                                   "normal").solve("normal")
-        want = gridse.estimators._solve_normal(problem._layout.h_free, rinv, r,
-                                               order=problem.order)
+        want = gridse.estimators._solve_normal(problem.h_matrix[:, problem.free_indices],
+                                               rinv, r, order=problem.order)
         plan = problem._layout._plan
         if net_name == "tree1023":  # both paths form G and factor it by SuperLU
             assert plan._perm is None and not bands and len(superlu_calls) == 2
@@ -1271,8 +1326,9 @@ class TestFoldedGainPlan:
         problem = assemble_problem(net14, synthesized(net14, formulation), formulation)
         solve(problem)
         plan = problem._layout._plan
-        for array in (plan._perm, plan._slots, plan._fold.data, plan._fold.indices,
-                      plan._fold.indptr, plan._ht.data, plan._ht.indices, plan._ht.indptr):
+        for array in (plan._perm, plan._reach, plan._pairs, plan._slots, plan._fold.data,
+                      plan._fold.indices, plan._fold.indptr, plan._ht.data, plan._ht.indices,
+                      plan._ht.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 array[:1] = 0
 
@@ -2215,8 +2271,8 @@ class TestConvertedPhasorCovariance:
         assert not np.array_equal(order, problem.order)
         x = problem.initial_state()
         x.values[problem.free_indices] += gridse.estimators._solve_normal(
-            problem._layout.h_free, problem.covariance.inverse(), problem.residuals(x),
-            problem.unknown_name, order=order)
+            problem.h_matrix[:, problem.free_indices], problem.covariance.inverse(),
+            problem.residuals(x), problem.unknown_name, order=order)
         step = np.max(np.abs(x.values - result.x_hat.values))
         assert step <= SolverConfig().step_tolerance
 

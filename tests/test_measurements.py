@@ -325,6 +325,17 @@ class TestCovarianceModel:
             with pytest.raises(NonPositiveVariance):
                 CovarianceModel(np.array([1e-4, bad]))
 
+    def test_entries_whose_inverse_overflows_rejected(self):
+        # positive and finite, but 1/v overflows
+        with pytest.raises(NonPositiveVariance, match="variance 1e-320 of row 1 has no finite"):
+            CovarianceModel(np.array([1e-4, 1e-320]))
+        # each variance has a finite inverse, and the determinant passes
+        # its rounding test, but vb / det overflows
+        va = 1e-295
+        with pytest.raises(NonPositiveVariance, match="rows \\(0, 1\\) has no finite inverse"):
+            CovarianceModel(np.array([va, 1.0]),
+                            blocks=[(0, 1, math.sqrt(va * (1.0 - 8.0 * np.finfo(float).eps)))])
+
     def test_matrices_match_per_row_reference_and_are_cached(self):
         rng = np.random.default_rng(4)
         variances = rng.uniform(1e-5, 1e-3, 9)

@@ -46,6 +46,12 @@ class TestBranchAdmittance:
         with pytest.raises(ZeroImpedance):
             branch_admittance(0.0, 0.0)
 
+    @pytest.mark.parametrize("r, x", [(1e-200, 0.0), (0.0, 1e-160), (1e200, 0.0)])
+    def test_impedance_outside_the_float_range_rejected(self, r, x):
+        # r^2 + x^2 underflows to zero, loses its digits, or overflows
+        with pytest.raises(ZeroImpedance, match="outside the normal floating-point range"):
+            branch_admittance(r, x)
+
 
 class TestAssembleAdmittance:
     def test_two_bus_hand_values(self):
