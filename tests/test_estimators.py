@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse import csc_matrix
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import splu
@@ -1644,7 +1645,7 @@ class TestGainPlan:
                     partner += tail[keep].tolist()
                     lo = np.minimum(tail_at[keep], at)
                     hi = np.maximum(tail_at[keep], at)
-                    slot += ((hi + 1) * kd + lo).tolist()
+                    slot += (lo * kd + hi).tolist()
         assert plan._lead.tolist() == lead
         assert plan._count.tolist() == count
         assert plan._partner.tolist() == partner
@@ -1804,15 +1805,66 @@ def dense_curvature(problem, x, y):
 
 
 def band_to_upper(ab):
-    """The upper triangle held in LAPACK upper band storage ab."""
+    """The upper triangle of the matrix held in LAPACK lower band storage
+    ab: ab[i, d] = G[i + d, i] = G[i, i + d]."""
     n, kd = ab.shape[0], ab.shape[1] - 1
     upper = np.zeros((n, n))
-    cols = np.arange(n)
+    rows = np.arange(n)
     for d in range(kd + 1):
-        rows = cols - kd + d
-        ok = rows >= 0
-        upper[rows[ok], cols[ok]] = ab[cols[ok], d]
+        ok = rows + d < n
+        upper[rows[ok], rows[ok] + d] = ab[rows[ok], d]
     return upper
+
+
+class TestFactorBand:
+    """_factor_band on a small seeded gain of n = 9 unknowns and kd = 2,
+    held permuted in lower band storage: unknown perm[k] at position k."""
+
+    n, kd = 9, 2
+
+    def factor(self, gp, perm):
+        """The solve of _factor_band over the permuted gain gp, its band
+        filled by a loop over the diagonals."""
+        ab = np.zeros((self.n, self.kd + 1))
+        for d in range(self.kd + 1):
+            ab[:self.n - d, d] = np.diagonal(gp, d)
+        return gridse.estimators._factor_band(ab, perm, lambda k: f"unknown {k}")
+
+    def integer_gain(self, pivot):
+        """(G, perm): G = L L^T, L unit lower triangular in the band with
+        small integer entries, but with the pivot at position 5 set to
+        ``pivot``.  The elimination is exact up to that pivot."""
+        rng = np.random.default_rng(11)
+        low = np.eye(self.n)
+        for d in range(1, self.kd + 1):
+            low += np.diag(rng.integers(-2, 3, self.n - d).astype(float), -d)
+        gp = low @ low.T
+        gp[5, 5] += pivot - 1.0
+        return gp, rng.permutation(self.n)
+
+    def test_solve_matches_a_dense_solve(self):
+        rng = np.random.default_rng(4)
+        gp = np.zeros((self.n, self.n))
+        for d in range(1, self.kd + 1):
+            gp += np.diag(rng.uniform(-1.0, 1.0, self.n - d), d)
+        gp += gp.T + np.diag(rng.uniform(5.0, 6.0, self.n))
+        perm = rng.permutation(self.n)
+        g = np.empty_like(gp)
+        g[np.ix_(perm, perm)] = gp
+        b = rng.standard_normal(self.n)
+        want = scipy.linalg.solve(g, b, assume_a="pos")
+        got = self.factor(gp, perm)(b)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("pivot, shown", [
+        (-1.0, "-1"),  # dpbtrf stops there
+        (2.0 ** -50, "8.88e-16"),  # positive, but below n * eps times its diagonal
+    ])
+    def test_weak_pivot_names_its_unknown(self, pivot, shown):
+        gp, perm = self.integer_gain(pivot)
+        with pytest.raises(SingularGain, match=rf"pivot {shown} for unknown "
+                           rf"{perm[5]} against its diagonal {gp[5, 5]:.3g}$"):
+            self.factor(gp, perm)
 
 
 REFUSED = "second-order gain refused"

@@ -9,14 +9,17 @@ a covariance, an estimate or a residual fails here, not only a rerun
 within one version.
 
 The numbers come from numpy's elementary functions, from LAPACK's
-banded Cholesky (dpbtrf/dpbtrs) behind the normal method and from
-numpy's QR behind the orthogonal one, with LAPACK's dense triangular
-and Cholesky solves (dtrtrs, dpotrf/dpotrs) where it takes the current
-magnitudes' second-order term, so the digests hold for one
-numerical stack: they were recorded with Python 3.11, numpy 2.4 and
-scipy 1.17 (OpenBLAS 0.3.30) on x86-64 Linux.  The gain of every
-replay here fits the band, so SuperLU, which the normal method keeps
-for wide-profile gains, does not enter them.
+banded Cholesky (dpbtrf/dpbtrs, on the gain in lower band storage)
+behind the normal method and from numpy's QR behind the orthogonal one,
+with LAPACK's dense triangular and Cholesky solves (dtrtrs,
+dpotrf/dpotrs) where it takes the current magnitudes' second-order
+term, so the digests hold for one numerical stack and for that storage:
+upper band storage factors the same gain in another order of
+operations, and changes the normal replays' last bits.  They were
+recorded with Python 3.11, numpy 2.4 and scipy 1.17 (OpenBLAS 0.3.31)
+on x86-64 Linux.  The gain of every replay here fits the band, so
+SuperLU, which the normal method keeps for wide-profile gains, does not
+enter them.
 """
 
 import hashlib
@@ -140,23 +143,23 @@ SYNTHESIS = {
 
 REPLAY = {
     "conventional/normal":
-        "1dec9049fc2ea5721aac15997638817909d2494196ab603a78aac704a75c2b0f",
+        "0c9c457a590116d213b8467107f8b4271f0bd3ea9d77f9d46fa1fd7a6d353959",
     "conventional/orthogonal":
         "d67d761c33d23da1d51e7e7af4bed2822d5443e2579105d8eaca2cdd4c7d57a6",
     "simultaneous_polar/normal":
-        "503c269acc9dbd69ccf2562708b29d801e9b9a75924ad3afaaab97c110bef8b4",
+        "eaa86568ada996474422b48a9744e154d7d0312922fd65e6d260e1fe842e63b0",
     "simultaneous_polar/orthogonal":
         "fdebc9e087a823ac6ac148f81d68c2a7a7f880115fa357189b0da9878d70d089",
     "simultaneous_rect/normal":
-        "f88108fbeb591b27fcf82946bd746655916fecb6d11947169d85aa539e4e27be",
+        "4f3a235d1d5e34868731d06eb1570c25f2f94adb69c289a251623ddbe269d21b",
     "simultaneous_rect/orthogonal":
         "7ea41fea464691126810e7c5e11577b1ac22f3f5ab74b578d2a799289c777f80",
     "linear_rect/normal":
-        "96a40e80f3cc35cb38697ec45713a8723c7a39ad6304ad6a029be8609a39bea3",
+        "34138342033e9522d5b3afc4dcc036b2168bf0cb4ee81aed920a2c537d0ea99c",
     "linear_rect/orthogonal":
         "ed7acb25b68b3b068cb9e41790ba6d33860c59bfda8e1fae079583fc35366c89",
     "dc/normal":
-        "a2ef4ba2cdcb64652165ae10045cd88dad195a701a2d4510d0c507027460817a",
+        "cb656a17ed18b4fc65bb216caf6dd89444d334e386bdc9058bf44ad42f9dbcba",
     "dc/orthogonal":
         "5d432b74bd521c70d55767e872bdffc58dcabebb34a4274d8cce18f7bcca3dee",
 }
